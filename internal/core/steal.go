@@ -67,15 +67,6 @@ func (e *Engine) StealRate(cpu int) float64 {
 	return 1
 }
 
-// StealReachesAll reports whether work stealing can migrate a
-// leaf-parked task to any CPU in the machine — true only under the
-// full-tree policy. Libraries check it before locality-first parking
-// (SubmitLocal) of internal progression work: under siblings-only
-// stealing a task parked outside the scanning CPUs' sibling groups
-// would be stranded forever, so they fall back to deepest-covering
-// placement instead.
-func (e *Engine) StealReachesAll() bool { return e.cfg.Steal.Policy == StealFullTree }
-
 // SubmitLocal places the task on the per-core leaf queue of the home
 // CPU regardless of how broad the task's CPU set is — locality-first
 // placement, where Submit's deepest-covering rule is locality-exact.

@@ -28,7 +28,7 @@ var ErrClosed = errors.New("iomgr: manager closed")
 // Config parameterizes a Manager.
 type Config struct {
 	// Tasks is the PIOMan engine to run on; a private host-topology
-	// engine with full-tree work stealing is created when nil.
+	// engine is created when nil.
 	Tasks *core.Engine
 	// NoAutoProgress disables the background progression goroutine (use
 	// when a sched.Runtime or an nmad engine already drives the task
@@ -41,12 +41,9 @@ type Config struct {
 
 // Manager executes I/O requests through PIOMan tasks.
 type Manager struct {
-	tasks *core.Engine
-	// progressCPU is the CPU the background progression goroutine
-	// scans, and the leaf locality-first submission parks requests on.
-	progressCPU int
-	stopped     atomic.Bool
-	wg          chanWaiter
+	tasks   *core.Engine
+	stopped atomic.Bool
+	wg      chanWaiter
 
 	reads, writes, filters atomic.Uint64
 }
@@ -71,12 +68,13 @@ func New(cfg Config) *Manager {
 	if cfg.ProgressIdle <= 0 {
 		cfg.ProgressIdle = 50 * time.Microsecond
 	}
-	m := &Manager{tasks: cfg.Tasks, progressCPU: 1 % cfg.Tasks.Topology().NCPUs}
+	m := &Manager{tasks: cfg.Tasks}
 	if !cfg.NoAutoProgress {
 		m.wg = chanWaiter{done: make(chan struct{}), used: true}
 		go func() {
 			defer close(m.wg.done)
-			cpu := m.progressCPU
+			// CPU 1 where there is one: Request.Wait scans CPU 0.
+			cpu := 1 % m.tasks.Topology().NCPUs
 			for !m.stopped.Load() {
 				if m.tasks.Schedule(cpu) == 0 {
 					m.tasks.SetIdle(cpu, true)
@@ -189,18 +187,9 @@ func (m *Manager) submit(r *Request) *Request {
 		r.finish(0, ErrClosed)
 		return r
 	}
-	// Locality-first when full-tree stealing can migrate the request
-	// to any scanning CPU: it parks on the progression CPU's leaf,
-	// where the background goroutine runs it directly under light
-	// load and an idle core steals it under imbalance. Otherwise fall
-	// back to the §IV-B idle-core offload so the request is always on
-	// some scanner's path.
-	if m.tasks.StealReachesAll() {
-		if err := m.tasks.SubmitLocal(&r.task, m.progressCPU); err != nil {
-			r.finish(0, err)
-		}
-		return r
-	}
+	// The §IV-B idle-core offload: an idle core's queue when one is
+	// advertised, the root queue otherwise — either way the request is
+	// on some scanner's path.
 	if err := m.tasks.SubmitToIdle(&r.task, 0); err != nil {
 		r.finish(0, err)
 	}

@@ -10,6 +10,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pioman/internal/core"
+	"pioman/internal/nmad"
+	"pioman/internal/topology"
 )
 
 func tempFile(t *testing.T) *os.File {
@@ -238,5 +242,46 @@ func TestSharedTaskEngineWithoutAutoProgress(t *testing.T) {
 	// Nothing progresses on its own; Wait's active scheduling does it.
 	if n, err := req.Wait(); err != nil || n != 6 {
 		t.Fatalf("Wait = %d, %v", n, err)
+	}
+}
+
+// TestSharesNmadEngineUnderScheduleZero: the paper's one-engine-for-
+// communication-and-I/O wiring on an explicit 8-CPU topology, so the
+// host's CPU count cannot matter. The nmad engine's deadline sweep is a
+// persistent Repeat on the root queue, so CPU 0's scan never comes up
+// empty and never steals: an I/O request is only reachable if it was
+// placed on CPU 0's own path.
+func TestSharesNmadEngineUnderScheduleZero(t *testing.T) {
+	tasks := core.New(core.Config{
+		Topology:      topology.Borderline(),
+		AdaptiveDrain: true,
+		Steal:         core.StealConfig{Policy: core.StealFullTree, Adaptive: true},
+	})
+	comm := nmad.NewEngine(nmad.Config{Tasks: tasks, NoAutoProgress: true})
+	defer comm.Close()
+	m := New(Config{Tasks: comm.Tasks(), NoAutoProgress: true})
+	defer m.Close()
+	f := tempFile(t)
+
+	drive := func(r *Request) {
+		t.Helper()
+		for pass := 0; pass < 1000 && !r.Test(); pass++ {
+			tasks.Schedule(0)
+		}
+		if !r.Test() {
+			t.Fatal("request not run within 1000 Schedule(0) passes: it is not on CPU 0's path")
+		}
+	}
+	payload := []byte("one engine, two libraries")
+	wr := m.WriteAt(f, payload, 0)
+	drive(wr)
+	buf := make([]byte, len(payload))
+	rd := m.ReadAt(f, buf, 0)
+	drive(rd)
+	if _, err := wr.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := rd.Wait(); err != nil || n != len(payload) || !bytes.Equal(buf, payload) {
+		t.Fatalf("ReadAt = %d, %v, %q", n, err, buf)
 	}
 }

@@ -2,7 +2,6 @@ package nmad
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -33,9 +32,7 @@ const (
 // Config parameterizes an Engine.
 type Config struct {
 	// Tasks is the PIOMan task engine driving progression. When nil a
-	// private engine on the host topology is created, with full-tree
-	// work stealing enabled so locality-first placement of polling
-	// tasks (SubmitLocal) cannot strand them on an unscanned leaf.
+	// private engine on the host topology is created.
 	Tasks *core.Engine
 	// EagerThreshold is the largest payload sent eagerly; larger
 	// messages use the RTS/CTS rendezvous (default 8 KiB).
@@ -161,9 +158,8 @@ type Stats struct {
 // Engine is one communication endpoint multiplexing any number of gates
 // (peer connections) over the PIOMan task engine.
 type Engine struct {
-	cfg         Config
-	tasks       *core.Engine
-	progressCPU int
+	cfg   Config
+	tasks *core.Engine
 
 	clock func() int64
 
@@ -386,16 +382,15 @@ func NewEngine(cfg Config) *Engine {
 		cfg.RdvRetries = 3
 	}
 	e := &Engine{
-		cfg:         cfg,
-		tasks:       cfg.Tasks,
-		progressCPU: 1 % cfg.Tasks.Topology().NCPUs,
-		clock:       cfg.Clock,
-		recvQ:       make(map[matchKey]*fifo[*Request]),
-		unexpected:  make(map[matchKey]*fifo[inbound]),
-		rdvRecv:     make(map[rdvKey]*recvRdvState),
-		sendRdv:     make(map[rdvKey]*sendRdvState),
-		eagerPend:   make(map[rdvKey]*eagerState),
-		rec:         cfg.Trace,
+		cfg:        cfg,
+		tasks:      cfg.Tasks,
+		clock:      cfg.Clock,
+		recvQ:      make(map[matchKey]*fifo[*Request]),
+		unexpected: make(map[matchKey]*fifo[inbound]),
+		rdvRecv:    make(map[rdvKey]*recvRdvState),
+		sendRdv:    make(map[rdvKey]*sendRdvState),
+		eagerPend:  make(map[rdvKey]*eagerState),
+		rec:        cfg.Trace,
 	}
 	if cfg.Admit != nil {
 		e.admit = newAdmitPlane(cfg)
@@ -456,24 +451,14 @@ func (e *Engine) SettledOccupancy() (send, recv, eager int) {
 	return len(e.settledSend.set), len(e.settledRecv.set), len(e.seenEager.set)
 }
 
-// submitProgress routes an internal progression task to the task
-// engine: locality-first (SubmitLocal on the progression CPU's leaf)
-// when full-tree stealing can migrate it to whichever CPU scans,
-// deepest-covering placement otherwise — a leaf-parked task that no
-// scanner can reach would strand its gate forever.
-func (e *Engine) submitProgress(t *core.Task) error {
-	if e.tasks.StealReachesAll() {
-		return e.tasks.SubmitLocal(t, e.progressCPU)
-	}
-	return e.tasks.Submit(t)
-}
-
 // progressLoop is the background progression context: the stand-in for
 // idle cores and timer interrupts executing PIOMan tasks while the
 // application computes.
 func (e *Engine) progressLoop() {
 	defer e.wg.Done()
-	cpu := e.progressCPU
+	// Scan from CPU 1 where there is one, so this loop does not share a
+	// counter shard with Request.Wait's Schedule(0).
+	cpu := 1 % e.tasks.Topology().NCPUs
 	for !e.stopped.Load() {
 		e.lastProgress.Store(e.clock())
 		ran := e.tasks.Schedule(cpu)
@@ -726,8 +711,8 @@ func (e *Engine) NewGate(drivers ...Driver) (*Gate, error) {
 // NewGateEndpoints attaches a connection made of the given fabric
 // endpoints and starts one repeated polling task per rail. Polling
 // tasks run until the engine closes or their rail dies; they are
-// placed locality-first on the progression CPU's leaf queue when the
-// task engine steals (see Config.Tasks).
+// unconstrained, so they live on the root queue every CPU's scan ends
+// at and whichever core has a scheduling hole runs them.
 func (e *Engine) NewGateEndpoints(eps ...fabric.Endpoint) (*Gate, error) {
 	if len(eps) == 0 {
 		return nil, errors.New("nmad: gate needs at least one rail")
@@ -844,9 +829,7 @@ func (e *Engine) NewGateEndpoints(eps ...fabric.Endpoint) (*Gate, error) {
 				return e.stopped.Load()
 			},
 		}
-		if err := e.submitProgress(pollTask); err != nil {
-			return nil, fmt.Errorf("nmad: submitting poll task: %w", err)
-		}
+		e.tasks.MustSubmit(pollTask)
 	}
 	return g, nil
 }

@@ -7,6 +7,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pioman/internal/admit"
+	"pioman/internal/core"
+	"pioman/internal/topology"
 )
 
 // enginePair builds two connected engines with the given rail count and
@@ -534,4 +538,103 @@ func TestNackDirectionSelectsVictim(t *testing.T) {
 	if !sst.req.Test() {
 		t.Error("nackSend must fail the send half")
 	}
+}
+
+// scanZeroPair builds two NoAutoProgress engines joined by one mem rail,
+// each on its own task engine over the explicit 8-CPU Borderline
+// topology with the steal config NewEngine gives its private engine.
+// Nothing here depends on the host's CPU count: the only scanner is the
+// caller's Schedule(0) — which is also all Request.Wait ever scans.
+func scanZeroPair(t *testing.T, tweakA func(*Config)) (ga, gb *Gate, drive func(...*Request)) {
+	t.Helper()
+	newEngine := func(tweak func(*Config)) *Engine {
+		cfg := Config{
+			NoAutoProgress: true,
+			Tasks: core.New(core.Config{
+				Topology:      topology.Borderline(),
+				AdaptiveDrain: true,
+				Steal:         core.StealConfig{Policy: core.StealFullTree, Adaptive: true},
+			}),
+		}
+		if tweak != nil {
+			tweak(&cfg)
+		}
+		return NewEngine(cfg)
+	}
+	ea, eb := newEngine(tweakA), newEngine(nil)
+	da, db := MemPair()
+	var err error
+	if ga, err = ea.NewGate(da); err != nil {
+		t.Fatal(err)
+	}
+	if gb, err = eb.NewGate(db); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ea.Close()
+		eb.Close()
+	})
+	drive = func(reqs ...*Request) {
+		t.Helper()
+		for pass := 0; pass < 10000; pass++ {
+			done := true
+			for _, r := range reqs {
+				done = done && r.Test()
+			}
+			if done {
+				for i, r := range reqs {
+					if r.Err() != nil {
+						t.Fatalf("request %d: %v", i, r.Err())
+					}
+				}
+				return
+			}
+			ea.Tasks().Schedule(0)
+			eb.Tasks().Schedule(0)
+		}
+		t.Fatal("requests did not complete within 10000 Schedule(0) passes: progression work is not on CPU 0's path")
+	}
+	return ga, gb, drive
+}
+
+// TestProgressionReachableFromCPU0: every progression task (rail polls,
+// packet sends, the deadline sweep) must sit on a queue CPU 0's scan
+// reaches, whatever the topology — a waiter helping through Schedule(0)
+// is the only progression a NoAutoProgress engine is guaranteed.
+func TestProgressionReachableFromCPU0(t *testing.T) {
+	t.Run("eager ping-pong", func(t *testing.T) {
+		ga, gb, drive := scanZeroPair(t, nil)
+		ping, pong := gb.Irecv(1), ga.Irecv(2)
+		drive(ga.Isend(1, []byte("ping")), ping)
+		drive(gb.Isend(2, ping.Data), pong)
+		if string(pong.Data) != "ping" {
+			t.Errorf("round trip returned %q", pong.Data)
+		}
+	})
+	t.Run("1 MiB rendezvous into IrecvInto", func(t *testing.T) {
+		ga, gb, drive := scanZeroPair(t, nil)
+		msg := bytes.Repeat([]byte{0xA5, 0x5A, 0x3C, 0xC3}, 1<<18)
+		buf := make([]byte, len(msg))
+		recv := gb.IrecvInto(3, buf)
+		drive(ga.Isend(3, msg), recv)
+		if !bytes.Equal(buf, msg) {
+			t.Error("rendezvous payload corrupted")
+		}
+	})
+	t.Run("AdmitBlock send parked then released", func(t *testing.T) {
+		ga, gb, drive := scanZeroPair(t, func(c *Config) {
+			c.Admit = &admit.Config{GateRequests: 1, GateBytes: 1 << 20}
+			c.AdmitPolicy = AdmitBlock
+		})
+		r1, r2 := gb.Irecv(1), gb.Irecv(2)
+		s1 := ga.Isend(1, []byte("head"))
+		s2 := ga.Isend(2, []byte("parked"))
+		if s2.Test() {
+			t.Fatal("second send completed past a 1-request budget")
+		}
+		drive(s1, s2, r1, r2)
+		if string(r2.Data) != "parked" {
+			t.Errorf("parked send delivered %q", r2.Data)
+		}
+	})
 }
