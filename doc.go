@@ -33,8 +33,10 @@
 //     assumed capability envelopes into measured ones;
 //   - internal/nmad, internal/mpi — the communication library (gates
 //     over fabric rails with capability-aware multirail striping,
-//     calibrated online under Config.Calibrate) and its MPI-flavoured
-//     interface on the real runtime stack;
+//     calibrated online under Config.Calibrate; each gate owns its
+//     protocol state behind its own lock, and all progression work is
+//     unconstrained tasks any scanning CPU finds on its own path) and
+//     its MPI-flavoured interface on the real runtime stack;
 //   - internal/simtime, internal/simmachine, internal/simnet,
 //     internal/simmpi, internal/experiments — the virtual-time
 //     substrates and harnesses that regenerate every table and figure

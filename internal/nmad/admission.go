@@ -519,9 +519,13 @@ func (e *Engine) AdmitInfo() AdmitInfo {
 // harness samples its peak: bounded with admission on, unbounded in
 // the ablation.
 func (e *Engine) InflightStates() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.sendRdv) + len(e.rdvRecv) + len(e.eagerPend)
+	n := 0
+	for _, g := range e.Gates() {
+		g.mu.Lock()
+		n += len(g.sendRdv) + len(g.rdvRecv) + len(g.eagerPend)
+		g.mu.Unlock()
+	}
+	return n
 }
 
 // deadlineRailSentinel marks the pull-offer entry that carries a

@@ -22,11 +22,11 @@ import (
 // clock and the same sweep task:
 //
 //   - every eager message is sequence-numbered by its per-gate MsgID
-//     (already assigned by Isend) and tracked in a per-engine pending
-//     window (e.eagerPend) until the peer acknowledges it;
+//     (already assigned by Isend) and tracked in the gate's pending
+//     window (Gate.eagerPend) until the peer acknowledges it;
 //   - the receiver acks every eager arrival with a KindEagerAck control
 //     frame — including duplicates, whose payload it drops after
-//     checking the (gate, msgID) dedup log (e.seenEager), so a lost
+//     checking the gate's msgID dedup log (Gate.seenEager), so a lost
 //     ack cannot double-deliver;
 //   - the deadline sweep (sweepDeadlines) retransmits unacknowledged
 //     messages with exponential backoff and, past RdvRetries attempts,
@@ -58,15 +58,14 @@ import (
 var ErrEagerTimeout = errors.New("nmad: eager message timed out unacknowledged")
 
 // eagerState tracks one unacknowledged eager message in the sender's
-// pending window. Guarded by Engine.mu like the e.eagerPend map that
-// holds it; the data slice references the caller's buffer, which the
-// Isend contract keeps valid until the request completes.
+// pending window. Guarded by Gate.mu like the eagerPend map that holds
+// it; the data slice references the caller's buffer, which the Isend
+// contract keeps valid until the request completes.
 type eagerState struct {
-	req      *Request
-	data     []byte
-	tag      uint64
-	deadline int64
-	retries  int
+	req  *Request
+	data []byte
+	tag  uint64
+	retryTimer
 }
 
 // getEager takes an eager pending state from the pool.
@@ -83,8 +82,7 @@ func (e *Engine) putEager(st *eagerState) {
 	st.req = nil
 	st.data = nil
 	st.tag = 0
-	st.deadline = 0
-	st.retries = 0
+	st.retryTimer = retryTimer{}
 	e.eagerPool.Put(st)
 }
 
@@ -95,9 +93,9 @@ func (e *Engine) trackEager(g *Gate, msgID, tag uint64, data []byte, req *Reques
 	st := e.getEager()
 	st.req, st.data, st.tag = req, data, tag
 	st.deadline = e.clock() + e.cfg.RdvTimeout
-	e.mu.Lock()
-	e.eagerPend[rdvKey{gate: g, msgID: msgID}] = st
-	e.mu.Unlock()
+	g.mu.Lock()
+	g.eagerPend[msgID] = st
+	g.mu.Unlock()
 }
 
 // recvEager handles one inbound eager message (plain or unpacked from
@@ -105,13 +103,12 @@ func (e *Engine) trackEager(g *Gate, msgID, tag uint64, data []byte, req *Reques
 // the old fire-and-forget path — no ack, no dedup.
 func (e *Engine) recvEager(g *Gate, hdr Header, payload []byte) {
 	if !e.cfg.NoEagerRetry {
-		key := rdvKey{gate: g, msgID: hdr.MsgID}
-		e.mu.Lock()
-		dup := e.seenEager.has(key)
+		g.mu.Lock()
+		dup := g.seenEager.has(hdr.MsgID)
 		if !dup {
-			e.seenEager.add(key)
+			g.seenEager.add(hdr.MsgID)
 		}
-		e.mu.Unlock()
+		g.mu.Unlock()
 		// Ack duplicates too: a re-ack is exactly what a sender whose
 		// previous ack was lost is waiting for.
 		g.sendControl(KindEagerAck, hdr.Tag, hdr.MsgID, 0, 0)
@@ -119,19 +116,23 @@ func (e *Engine) recvEager(g *Gate, hdr Header, payload []byte) {
 			return
 		}
 	}
-	e.matchOrStash(inbound{gate: g, hdr: hdr, payload: payload})
+	g.matchOrStash(inbound{hdr: hdr, payload: payload})
+}
+
+// takeEager removes message id from the pending window; nil when an
+// ack, a failure or the sweep already took it.
+func (g *Gate) takeEager(id uint64) *eagerState {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	st := g.eagerPend[id]
+	delete(g.eagerPend, id)
+	return st
 }
 
 // eagerAcked completes the pending eager message an ack names. Late or
 // duplicated acks find no entry and fall on the floor.
 func (e *Engine) eagerAcked(g *Gate, hdr Header) {
-	key := rdvKey{gate: g, msgID: hdr.MsgID}
-	e.mu.Lock()
-	st := e.eagerPend[key]
-	if st != nil {
-		delete(e.eagerPend, key)
-	}
-	e.mu.Unlock()
+	st := g.takeEager(hdr.MsgID)
 	if st == nil {
 		return
 	}
@@ -150,13 +151,7 @@ func (e *Engine) eagerAcked(g *Gate, hdr Header) {
 // all (every rail dead, a non-transient send error). No-op when the
 // message already acked or timed out.
 func (e *Engine) failEager(g *Gate, msgID uint64, err error) {
-	key := rdvKey{gate: g, msgID: msgID}
-	e.mu.Lock()
-	st := e.eagerPend[key]
-	if st != nil {
-		delete(e.eagerPend, key)
-	}
-	e.mu.Unlock()
+	st := g.takeEager(msgID)
 	if st == nil {
 		return
 	}

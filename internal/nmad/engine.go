@@ -163,16 +163,10 @@ type Engine struct {
 
 	clock func() int64
 
-	mu          sync.Mutex
-	gates       []*Gate
-	recvQ       map[matchKey]*fifo[*Request]
-	unexpected  map[matchKey]*fifo[inbound]
-	rdvRecv     map[rdvKey]*recvRdvState
-	sendRdv     map[rdvKey]*sendRdvState
-	eagerPend   map[rdvKey]*eagerState
-	settledSend settledLog
-	settledRecv settledLog
-	seenEager   settledLog
+	// mu guards the gate list and nothing else: every gate owns its
+	// protocol state behind its own mutex (Gate.mu).
+	mu    sync.Mutex
+	gates []*Gate
 
 	reqPool     sync.Pool // *Request
 	sendRdvPool sync.Pool // *sendRdvState
@@ -208,19 +202,6 @@ type Engine struct {
 	admitAdmitted, admitRejected, admitShed atomic.Uint64
 	admitBlocked, admitExpired              atomic.Uint64
 	deadlineExpired                         atomic.Uint64
-}
-
-type rdvKey struct {
-	gate  *Gate
-	msgID uint64
-}
-
-// matchKey indexes posted receives and unexpected arrivals: O(1)
-// matching by (gate, tag) instead of a linear scan, with FIFO order
-// preserved per key.
-type matchKey struct {
-	gate *Gate
-	tag  uint64
 }
 
 // fifo is one (gate, tag) queue of posted receives or unexpected
@@ -267,7 +248,7 @@ func (q *fifo[T]) empty() bool { return q.head == len(q.items) }
 // while it holds entries; a drained queue goes back to the pool and
 // its map slot is deleted, so engines seeing ever-fresh tags do not
 // grow their maps without bound — and steady-state matching allocates
-// nothing either way. Callers hold e.mu.
+// nothing either way. Callers hold the gate's mu.
 
 func getFIFO[T any](pool *sync.Pool) *fifo[T] {
 	q, _ := pool.Get().(*fifo[T])
@@ -278,15 +259,14 @@ func getFIFO[T any](pool *sync.Pool) *fifo[T] {
 }
 
 // dropFIFOIfEmpty retires a drained queue from its matching map.
-func dropFIFOIfEmpty[T any](m map[matchKey]*fifo[T], pool *sync.Pool, key matchKey, q *fifo[T]) {
+func dropFIFOIfEmpty[T any](m map[uint64]*fifo[T], pool *sync.Pool, tag uint64, q *fifo[T]) {
 	if q.empty() {
-		delete(m, key)
+		delete(m, tag)
 		pool.Put(q)
 	}
 }
 
 type inbound struct {
-	gate    *Gate
 	hdr     Header
 	payload []byte
 	ext     []byte // RTS pull offer (copied when stashed)
@@ -296,6 +276,9 @@ type sendRdvState struct {
 	data      []byte
 	req       *Request
 	remaining atomic.Int32
+	// retryTimer drives the handshake-timeout sweep; guarded by Gate.mu
+	// like the sendRdv map that holds the state.
+	retryTimer
 
 	// Pull-mode fields: the interned registrations backing the RTS
 	// offer, and the offer bytes themselves (rides the RTS imm
@@ -303,13 +286,9 @@ type sendRdvState struct {
 	regs  []*fabric.CachedRegion
 	offer []byte
 
-	// Handshake-timeout fields (guarded by Engine.mu): what a
-	// retransmitted RTS must carry, the deadline on the engine clock,
-	// and the retries already burned.
-	tag      uint64
-	total    uint32
-	deadline int64
-	retries  int
+	// What a retransmitted RTS must carry.
+	tag   uint64
+	total uint32
 }
 
 // releaseRegs returns the state's interned registrations to their
@@ -344,8 +323,7 @@ func (e *Engine) putSendRdv(st *sendRdvState) {
 	st.offer = st.offer[:0]
 	st.tag = 0
 	st.total = 0
-	st.deadline = 0
-	st.retries = 0
+	st.retryTimer = retryTimer{}
 	e.sendRdvPool.Put(st)
 }
 
@@ -382,15 +360,10 @@ func NewEngine(cfg Config) *Engine {
 		cfg.RdvRetries = 3
 	}
 	e := &Engine{
-		cfg:        cfg,
-		tasks:      cfg.Tasks,
-		clock:      cfg.Clock,
-		recvQ:      make(map[matchKey]*fifo[*Request]),
-		unexpected: make(map[matchKey]*fifo[inbound]),
-		rdvRecv:    make(map[rdvKey]*recvRdvState),
-		sendRdv:    make(map[rdvKey]*sendRdvState),
-		eagerPend:  make(map[rdvKey]*eagerState),
-		rec:        cfg.Trace,
+		cfg:   cfg,
+		tasks: cfg.Tasks,
+		clock: cfg.Clock,
+		rec:   cfg.Trace,
 	}
 	if cfg.Admit != nil {
 		e.admit = newAdmitPlane(cfg)
@@ -424,10 +397,8 @@ func (e *Engine) Gates() []*Gate {
 // engine has declared dead. /healthz treats any non-zero value as
 // unhealthy.
 func (e *Engine) FailedGates() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	n := 0
-	for _, g := range e.gates {
+	for _, g := range e.Gates() {
 		if g.alive.Load() <= 0 {
 			n++
 		}
@@ -441,14 +412,20 @@ func (e *Engine) FailedGates() int {
 // the current clock.
 func (e *Engine) LastProgress() int64 { return e.lastProgress.Load() }
 
-// SettledOccupancy reports how many entries each dedup log currently
-// pins (sender-settled rendezvous, receiver-settled rendezvous, seen
-// eager sequences). Bounded by the logs' ring capacity; a log stuck at
-// its cap under load is retransmission pressure made visible.
+// SettledOccupancy reports how many entries the gates' dedup logs
+// currently pin, summed over gates (sender-settled rendezvous,
+// receiver-settled rendezvous, seen eager sequences). Each gate's log
+// is bounded by its ring capacity; a log stuck at its cap under load is
+// retransmission pressure made visible.
 func (e *Engine) SettledOccupancy() (send, recv, eager int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.settledSend.set), len(e.settledRecv.set), len(e.seenEager.set)
+	for _, g := range e.Gates() {
+		g.mu.Lock()
+		send += len(g.settledSend.set)
+		recv += len(g.settledRecv.set)
+		eager += len(g.seenEager.set)
+		g.mu.Unlock()
+	}
+	return send, recv, eager
 }
 
 // progressLoop is the background progression context: the stand-in for
@@ -480,34 +457,11 @@ func (e *Engine) Close() error {
 	if !e.stopped.CompareAndSwap(false, true) {
 		return nil
 	}
-	e.mu.Lock()
+	gates := e.Gates()
 	var pending []*Request
-	for _, q := range e.recvQ {
-		for {
-			r, ok := q.pop()
-			if !ok {
-				break
-			}
-			pending = append(pending, r)
-		}
+	for _, g := range gates {
+		pending = g.takeInflight(pending)
 	}
-	for _, st := range e.rdvRecv {
-		st.markFailed()
-		pending = append(pending, st.req)
-	}
-	for _, st := range e.sendRdv {
-		st.releaseRegs()
-		pending = append(pending, st.req)
-	}
-	for _, st := range e.eagerPend {
-		pending = append(pending, st.req)
-	}
-	gates := append([]*Gate(nil), e.gates...)
-	e.recvQ = map[matchKey]*fifo[*Request]{}
-	e.rdvRecv = map[rdvKey]*recvRdvState{}
-	e.sendRdv = map[rdvKey]*sendRdvState{}
-	e.eagerPend = map[rdvKey]*eagerState{}
-	e.mu.Unlock()
 	sortVictims(pending)
 	for _, r := range pending {
 		r.complete(ErrClosed)
@@ -676,6 +630,24 @@ type Gate struct {
 	// one buffer share one registration).
 	regCaches map[fabric.Domain]*fabric.RegCache
 
+	// mu guards the gate's protocol state: posted receives and
+	// unexpected arrivals by tag (O(1) matching, FIFO per tag), both
+	// rendezvous halves and the eager ack window by msgID (including
+	// their retryTimers), and the three dedup logs. Lock order:
+	// Engine.mu → Gate.mu → recvRdvState.mu; admitPlane.mu is taken
+	// under none of them and takes none of them. mu is never held across
+	// Request.complete, sendControl/sendPacket, issuePull or an endpoint
+	// call — each of them can re-enter the gate.
+	mu          sync.Mutex
+	recvQ       map[uint64]*fifo[*Request]
+	unexpected  map[uint64]*fifo[inbound]
+	rdvRecv     map[uint64]*recvRdvState
+	sendRdv     map[uint64]*sendRdvState
+	eagerPend   map[uint64]*eagerState
+	settledSend settledLog
+	settledRecv settledLog
+	seenEager   settledLog
+
 	aggMu       sync.Mutex
 	aggPending  []pendingSend
 	aggFlushing bool
@@ -731,7 +703,14 @@ func (e *Engine) NewGateEndpoints(eps ...fabric.Endpoint) (*Gate, error) {
 		}
 		eps = wrapped
 	}
-	g := &Gate{eng: e}
+	g := &Gate{
+		eng:        e,
+		recvQ:      make(map[uint64]*fifo[*Request]),
+		unexpected: make(map[uint64]*fifo[inbound]),
+		rdvRecv:    make(map[uint64]*recvRdvState),
+		sendRdv:    make(map[uint64]*sendRdvState),
+		eagerPend:  make(map[uint64]*eagerState),
+	}
 	if e.admit != nil {
 		ac := e.admit.cfg
 		g.admitL = admit.NewLedger(ac.GateRequests, ac.GateBytes, ac.HighWater, ac.LowWater)
@@ -875,31 +854,21 @@ func (e *Engine) railFailed(g *Gate, idx int, err error) {
 		return
 	}
 	_ = g.rails[idx].ep.Close()
-	e.mu.Lock()
+	g.mu.Lock()
 	var victims []*Request
 	var repull []*recvRdvState
-	for key, st := range e.rdvRecv {
-		if key.gate != g {
-			continue
-		}
+	for id, st := range g.rdvRecv {
 		if st.beginSweep() {
 			repull = append(repull, st)
 			continue
 		}
 		st.markFailed()
 		victims = append(victims, st.req)
-		delete(e.rdvRecv, key)
-		e.settleRecvLocked(key)
+		delete(g.rdvRecv, id)
+		g.settledRecv.add(id)
 	}
-	for key, st := range e.sendRdv {
-		if key.gate == g {
-			st.releaseRegs()
-			victims = append(victims, st.req)
-			delete(e.sendRdv, key)
-			e.settleSendLocked(key)
-		}
-	}
-	e.mu.Unlock()
+	victims = g.takeSendsLocked(victims)
+	g.mu.Unlock()
 	sortVictims(victims)
 	for _, r := range victims {
 		r.complete(err)
@@ -917,44 +886,7 @@ func (e *Engine) railFailed(g *Gate, idx int, err error) {
 // the given error: posted receives, in-flight rendezvous reassemblies
 // (pull or push), and sends waiting for a CTS or FIN.
 func (e *Engine) failGate(g *Gate, err error) {
-	e.mu.Lock()
-	var victims []*Request
-	for key, q := range e.recvQ {
-		if key.gate != g {
-			continue
-		}
-		for {
-			r, ok := q.pop()
-			if !ok {
-				break
-			}
-			victims = append(victims, r)
-		}
-		delete(e.recvQ, key)
-	}
-	for key, st := range e.rdvRecv {
-		if key.gate == g {
-			st.markFailed()
-			victims = append(victims, st.req)
-			delete(e.rdvRecv, key)
-			e.settleRecvLocked(key)
-		}
-	}
-	for key, st := range e.sendRdv {
-		if key.gate == g {
-			st.releaseRegs()
-			victims = append(victims, st.req)
-			delete(e.sendRdv, key)
-			e.settleSendLocked(key)
-		}
-	}
-	for key, st := range e.eagerPend {
-		if key.gate == g {
-			victims = append(victims, st.req)
-			delete(e.eagerPend, key)
-		}
-	}
-	e.mu.Unlock()
+	victims := g.takeInflight(nil)
 	sortVictims(victims)
 	for _, r := range victims {
 		r.complete(err)
@@ -964,6 +896,47 @@ func (e *Engine) failGate(g *Gate, err error) {
 	for _, w := range e.admitTakeWaiters(g) {
 		w.req.complete(err)
 	}
+}
+
+// takeInflight empties the gate of everything a request is waiting on —
+// posted receives, both rendezvous halves, the eager ack window — and
+// appends the orphaned requests to victims for the caller to complete
+// once the lock is dropped. Removed rendezvous halves are settled, so
+// the peer's late control frames are recognized rather than NACKed.
+// Unexpected arrivals stay: no request owns them.
+func (g *Gate) takeInflight(victims []*Request) []*Request {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, q := range g.recvQ {
+		for r, ok := q.pop(); ok; r, ok = q.pop() {
+			victims = append(victims, r)
+		}
+	}
+	clear(g.recvQ)
+	for id, st := range g.rdvRecv {
+		st.markFailed()
+		victims = append(victims, st.req)
+		g.settledRecv.add(id)
+	}
+	clear(g.rdvRecv)
+	victims = g.takeSendsLocked(victims)
+	for _, st := range g.eagerPend {
+		victims = append(victims, st.req)
+	}
+	clear(g.eagerPend)
+	return victims
+}
+
+// takeSendsLocked removes and settles every send-side rendezvous half,
+// releasing its registrations. Caller holds g.mu.
+func (g *Gate) takeSendsLocked(victims []*Request) []*Request {
+	for id, st := range g.sendRdv {
+		st.releaseRegs()
+		victims = append(victims, st.req)
+		g.settledSend.add(id)
+	}
+	clear(g.sendRdv)
+	return victims
 }
 
 // sortVictims orders a batch of to-be-failed requests by span id:
@@ -1271,28 +1244,57 @@ func (p *Packet) completeAll(err error) {
 // failed FIN or NACK has no local state left to fail — the peer's half
 // is handled by the rail-death sweeps.
 func (e *Engine) failRendezvous(g *Gate, hdr Header, err error) {
-	key := rdvKey{gate: g, msgID: hdr.MsgID}
-	var victim *Request
-	e.mu.Lock()
 	switch hdr.Kind {
 	case KindRTS, KindData:
-		if st := e.sendRdv[key]; st != nil {
-			st.releaseRegs()
-			victim = st.req
-			delete(e.sendRdv, key)
-			e.settleSendLocked(key)
-		}
+		g.failSendRdv(hdr.MsgID, err)
 	case KindCTS, KindRdvPush:
-		if st := e.rdvRecv[key]; st != nil {
-			st.markFailed()
-			victim = st.req
-			delete(e.rdvRecv, key)
-			e.settleRecvLocked(key)
-		}
+		g.failRecvRdv(hdr.MsgID, err)
 	}
-	e.mu.Unlock()
-	if victim != nil {
-		victim.complete(err)
+}
+
+// takeSendRdv removes and settles the send half of rendezvous id; nil
+// when there is none, in which case settled reports whether it finished
+// recently (its late control frames are then duplicates, not orphans).
+func (g *Gate) takeSendRdv(id uint64) (st *sendRdvState, settled bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if st = g.sendRdv[id]; st == nil {
+		return nil, g.settledSend.has(id)
+	}
+	delete(g.sendRdv, id)
+	g.settledSend.add(id)
+	return st, false
+}
+
+// takeRecvRdv removes and settles the receive half of rendezvous id,
+// provided it is still only (nil: whatever is there). Remove-first is
+// what makes racing finishers idempotent: exactly one caller gets the
+// state back, the others see nil and stand down.
+func (g *Gate) takeRecvRdv(id uint64, only *recvRdvState) *recvRdvState {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	st := g.rdvRecv[id]
+	if st == nil || (only != nil && st != only) {
+		return nil
+	}
+	delete(g.rdvRecv, id)
+	g.settledRecv.add(id)
+	return st
+}
+
+// failSendRdv fails the send waiting on rendezvous id, if any.
+func (g *Gate) failSendRdv(id uint64, err error) {
+	if st, _ := g.takeSendRdv(id); st != nil {
+		st.releaseRegs()
+		st.req.complete(err)
+	}
+}
+
+// failRecvRdv fails the receive reassembling rendezvous id, if any.
+func (g *Gate) failRecvRdv(id uint64, err error) {
+	if st := g.takeRecvRdv(id, nil); st != nil {
+		st.markFailed()
+		st.req.complete(err)
 	}
 }
 

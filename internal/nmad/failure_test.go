@@ -236,10 +236,7 @@ func TestPartialRailDeathFailsReassemblyKeepsGate(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		e.mu.Lock()
-		n := len(e.rdvRecv)
-		e.mu.Unlock()
-		if n == 1 {
+		if g.CheckIdle().RecvRendezvous == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -391,5 +388,150 @@ func TestHealthyGateUnaffectedByFailingGate(t *testing.T) {
 	data, err := gPeer.Recv(5)
 	if err != nil || string(data) != "alive" {
 		t.Fatalf("healthy gate Recv = %q, %v", data, err)
+	}
+}
+
+// TestGateFailureTouchesOnlyItsOwnState: protocol state lives on the
+// gate, so a dying gate fails exactly its own requests and a leak audit
+// counts exactly its own state. Two gates of one engine each hold one
+// of every kind of in-flight state, with the far ends driven by hand;
+// gate A's only rail then dies.
+func TestGateFailureTouchesOnlyItsOwnState(t *testing.T) {
+	e := NewEngine(Config{NoAutoProgress: true, RdvTimeout: int64(time.Hour)})
+	defer e.Close()
+	pump := func() {
+		for i := 0; i < 64; i++ {
+			e.Tasks().Schedule(0)
+		}
+	}
+	big := bytes.Repeat([]byte{0xB6}, 32<<10) // past the eager threshold
+	small := []byte("small")
+
+	// side is one gate, its four requests, the far end of its rail and
+	// the frames the engine has put on it so far, by kind.
+	type side struct {
+		g    *Gate
+		fd   *faultyDriver
+		peer Driver
+		reqs []*Request
+		sent map[Kind]Header
+	}
+	send := func(s *side, hdr Header, payload []byte) {
+		t.Helper()
+		if err := s.peer.Send(hdr, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	states := []struct {
+		name   string
+		post   func(g *Gate) *Request // puts the state in flight
+		feed   func(s *side)          // the peer frame the state needs to exist, if any
+		count  func(r IdleReport) int // how CheckIdle reports it
+		finish func(s *side)          // the peer frame that completes it
+	}{
+		{
+			name:  "send rendezvous",
+			post:  func(g *Gate) *Request { return g.Isend(10, big) },
+			count: func(r IdleReport) int { return r.SendRendezvous },
+			finish: func(s *side) {
+				send(s, Header{Kind: KindCTS, Tag: 10, MsgID: s.sent[KindRTS].MsgID}, nil)
+			},
+		},
+		{
+			name: "reassembling receive",
+			post: func(g *Gate) *Request { return g.Irecv(11) },
+			feed: func(s *side) {
+				send(s, Header{Kind: KindRTS, Tag: 11, MsgID: 1, Total: uint32(len(big))}, nil)
+			},
+			count: func(r IdleReport) int { return r.RecvRendezvous },
+			finish: func(s *side) {
+				send(s, Header{Kind: KindData, Tag: 11, MsgID: 1, FragCnt: 1, Total: uint32(len(big))}, big)
+			},
+		},
+		{
+			name:  "unacked eager",
+			post:  func(g *Gate) *Request { return g.Isend(12, small) },
+			count: func(r IdleReport) int { return r.EagerPending },
+			finish: func(s *side) {
+				send(s, Header{Kind: KindEagerAck, Tag: 12, MsgID: s.sent[KindEager].MsgID}, nil)
+			},
+		},
+		{
+			name:  "posted receive",
+			post:  func(g *Gate) *Request { return g.Irecv(13) },
+			count: func(r IdleReport) int { return r.PostedRecvs },
+			finish: func(s *side) {
+				send(s, Header{Kind: KindEager, Tag: 13, MsgID: 2, Total: uint32(len(small))}, small)
+			},
+		},
+	}
+
+	var sides [2]*side
+	for i := range sides {
+		near, far := MemPair()
+		s := &side{fd: &faultyDriver{inner: near}, peer: far, sent: map[Kind]Header{}}
+		var err error
+		if s.g, err = e.NewGate(s.fd); err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range states {
+			s.reqs = append(s.reqs, st.post(s.g))
+			if st.feed != nil {
+				st.feed(s)
+			}
+		}
+		sides[i] = s
+	}
+	pump()
+	for _, s := range sides {
+		for f, ok, _ := s.peer.Poll(); ok; f, ok, _ = s.peer.Poll() {
+			s.sent[f.Hdr.Kind] = f.Hdr
+		}
+	}
+	a, b := sides[0], sides[1]
+	audit := func(when string, s *side, want int) {
+		t.Helper()
+		rep := s.g.CheckIdle()
+		for i, st := range states {
+			if got := st.count(rep); got != want {
+				t.Errorf("%s: gate %d counts %d %s, want %d", when, s.g.ID(), got, st.name, want)
+			}
+			if done := s.reqs[i].Test(); done != (want == 0) {
+				t.Errorf("%s: gate %d %s request done = %v", when, s.g.ID(), st.name, done)
+			}
+		}
+	}
+	audit("in flight", a, 1)
+	audit("in flight", b, 1)
+
+	boom := errors.New("rail A down")
+	a.fd.pollErr.Store(&boom)
+	pump()
+	audit("after A died", a, 0)
+	audit("after A died", b, 1)
+	for i, st := range states {
+		if err := a.reqs[i].Err(); !errors.Is(err, boom) {
+			t.Errorf("gate A %s failed with %v, want the rail's error", st.name, err)
+		}
+	}
+	if !a.g.CheckIdle().Clean() {
+		t.Errorf("dead gate leaked: %+v", a.g.CheckIdle())
+	}
+
+	for _, st := range states {
+		st.finish(b)
+	}
+	pump()
+	audit("after B finished", b, 0)
+	for i, st := range states {
+		if err := b.reqs[i].Err(); err != nil {
+			t.Errorf("gate B %s: %v", st.name, err)
+		}
+	}
+	if got := b.reqs[1].Data; !bytes.Equal(got, big) {
+		t.Errorf("gate B reassembled %d bytes, corrupted or short", len(got))
+	}
+	if !b.g.CheckIdle().Clean() {
+		t.Errorf("surviving gate leaked: %+v", b.g.CheckIdle())
 	}
 }

@@ -78,16 +78,15 @@ func FuzzSettledDedup(f *testing.F) {
 	f.Add([]byte{255, 255, 254, 255, 255, 254, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var l settledLog
-		model := make(map[rdvKey]bool)
-		var fifo []rdvKey
-		// Two synthetic gates spread keys across the (gate, msgID) space;
-		// two data bytes per op give 128k distinct keys, far past the
-		// 512-entry window, so eviction is reachable.
-		gates := [2]*Gate{{}, {}}
+		model := make(map[uint64]bool)
+		var fifo []uint64
+		// Two data bytes per op give 128k distinct msgIDs (the low bit of
+		// the first byte lands in the top bit, so ids spread across the
+		// keyspace), far past the 512-entry window: eviction is reachable.
 		for i := 0; i+1 < len(data); i += 2 {
-			k := rdvKey{gate: gates[data[i]&1], msgID: uint64(data[i])>>1 | uint64(data[i+1])<<7}
+			k := uint64(data[i]&1)<<63 | uint64(data[i])>>1 | uint64(data[i+1])<<7
 			if l.has(k) != model[k] {
-				t.Fatalf("op %d: has(%v) = %v before add, model says %v", i/2, k.msgID, l.has(k), model[k])
+				t.Fatalf("op %d: has(%v) = %v before add, model says %v", i/2, k, l.has(k), model[k])
 			}
 			l.add(k)
 			if !model[k] {
@@ -99,12 +98,12 @@ func FuzzSettledDedup(f *testing.F) {
 				fifo = append(fifo, k)
 			}
 			if !l.has(k) {
-				t.Fatalf("op %d: key %v invisible immediately after add", i/2, k.msgID)
+				t.Fatalf("op %d: key %v invisible immediately after add", i/2, k)
 			}
 		}
 		for _, k := range fifo {
 			if !l.has(k) {
-				t.Fatalf("unevicted key %v missing from log", k.msgID)
+				t.Fatalf("unevicted key %v missing from log", k)
 			}
 		}
 		if len(fifo) > settledLogSize {

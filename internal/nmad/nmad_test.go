@@ -514,17 +514,16 @@ func TestNackDirectionSelectsVictim(t *testing.T) {
 		t.Fatal(err)
 	}
 	const msgID = 7
-	key := rdvKey{gate: g, msgID: msgID}
 	sst := e.getSendRdv()
 	sst.req = newRequest(e)
 	rst := e.getRecvRdv()
 	rst.req = newRequest(e)
 	rst.gate = g
 	rst.msgID = msgID
-	e.mu.Lock()
-	e.sendRdv[key] = sst
-	e.rdvRecv[key] = rst
-	e.mu.Unlock()
+	g.mu.Lock()
+	g.sendRdv[msgID] = sst
+	g.rdvRecv[msgID] = rst
+	g.mu.Unlock()
 
 	e.failRendezvousNack(g, Header{Kind: KindRdvNack, MsgID: msgID, Offset: nackRecv})
 	if !rst.req.Test() {

@@ -159,9 +159,9 @@ func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 	st.tag = tag
 	st.total = uint32(len(data))
 	st.deadline = e.clock() + e.cfg.RdvTimeout
-	e.mu.Lock()
-	e.sendRdv[rdvKey{gate: g, msgID: msgID}] = st
-	e.mu.Unlock()
+	g.mu.Lock()
+	g.sendRdv[msgID] = st
+	g.mu.Unlock()
 	p := g.packet()
 	p.Hdr = Header{Kind: KindRTS, Tag: tag, MsgID: msgID, Total: uint32(len(data))}
 	p.ext = st.offer
@@ -221,24 +221,23 @@ func (g *Gate) irecv(tag uint64, buf []byte) *Request {
 // req.userBuf), so admitDrain can inject a parked receive verbatim.
 func (g *Gate) injectRecv(req *Request) {
 	e := g.eng
-	key := matchKey{gate: req.gate, tag: req.tag}
-	e.mu.Lock()
+	g.mu.Lock()
 	// A matching message may already have arrived unexpectedly.
-	if q := e.unexpected[key]; q != nil {
+	if q := g.unexpected[req.tag]; q != nil {
 		if u, ok := q.pop(); ok {
-			dropFIFOIfEmpty(e.unexpected, &e.inbFIFOPool, key, q)
-			e.mu.Unlock()
-			e.deliverLocked(req, u)
+			dropFIFOIfEmpty(g.unexpected, &e.inbFIFOPool, req.tag, q)
+			g.mu.Unlock()
+			e.deliver(req, u)
 			return
 		}
 	}
-	q := e.recvQ[key]
+	q := g.recvQ[req.tag]
 	if q == nil {
 		q = getFIFO[*Request](&e.reqFIFOPool)
-		e.recvQ[key] = q
+		g.recvQ[req.tag] = q
 	}
 	q.push(req)
-	e.mu.Unlock()
+	g.mu.Unlock()
 }
 
 // Recv is the blocking convenience wrapper around Irecv.
@@ -253,10 +252,9 @@ func (g *Gate) Recv(tag uint64) ([]byte, error) {
 // Unexpected reports whether a message with the given tag has already
 // arrived on this gate without a matching receive — an MPI_Iprobe.
 func (g *Gate) Unexpected(tag uint64) bool {
-	e := g.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	q := e.unexpected[matchKey{gate: g, tag: tag}]
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	q := g.unexpected[tag]
 	return q != nil && !q.empty()
 }
 
@@ -280,12 +278,13 @@ func (e *Engine) traceMatch(g *Gate, req *Request, msgID uint64, total uint32) {
 	rec.Record(g.id, trace.EvMatchEnd, sid, 0)
 }
 
-// deliverLocked routes a matched inbound control frame to its receive
-// request. Called without e.mu held.
-func (e *Engine) deliverLocked(req *Request, u inbound) {
+// deliver routes a matched inbound frame to its receive request (whose
+// gate it arrived on). Called without the gate's mu held.
+func (e *Engine) deliver(req *Request, u inbound) {
+	g := req.gate
 	switch u.hdr.Kind {
 	case KindEager:
-		e.traceMatch(u.gate, req, u.hdr.MsgID, u.hdr.Total)
+		e.traceMatch(g, req, u.hdr.MsgID, u.hdr.Total)
 		e.msgsRecv.Add(1)
 		if req.userBuf != nil {
 			if len(u.payload) > len(req.userBuf) {
@@ -300,7 +299,6 @@ func (e *Engine) deliverLocked(req *Request, u inbound) {
 		}
 		req.complete(nil)
 	case KindRTS:
-		g := u.gate
 		// Open the receiver spans before the short-buffer check so the
 		// failure path below still closes a recorded whole-message span.
 		e.traceMatch(g, req, u.hdr.MsgID, u.hdr.Total)
@@ -334,18 +332,17 @@ func (e *Engine) deliverLocked(req *Request, u inbound) {
 		st.tag = u.hdr.Tag
 		st.deadline = e.clock() + e.cfg.RdvTimeout
 		st.absDeadline = absDeadline
-		key := rdvKey{gate: g, msgID: u.hdr.MsgID}
-		e.mu.Lock()
-		e.rdvRecv[key] = st
-		e.mu.Unlock()
+		g.mu.Lock()
+		g.rdvRecv[u.hdr.MsgID] = st
+		g.mu.Unlock()
 		if g.pickEager() < 0 || g.alive.Load() <= 0 {
 			// Every rail died around this handshake. The failGate
 			// sweep may have run before the entry above was inserted,
 			// so clean it up here rather than leaving the receive
 			// hanging on a sweep that will never run again.
-			e.mu.Lock()
-			delete(e.rdvRecv, key)
-			e.mu.Unlock()
+			g.mu.Lock()
+			delete(g.rdvRecv, u.hdr.MsgID)
+			g.mu.Unlock()
 			st.markFailed()
 			req.complete(errAllRailsDead)
 			return
@@ -398,11 +395,10 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 		// Retransmitted RTS frames must be idempotent: re-answer a live
 		// or settled handshake instead of re-matching it against a
 		// fresh receive.
-		key := rdvKey{gate: g, msgID: f.Hdr.MsgID}
-		e.mu.Lock()
-		st := e.rdvRecv[key]
-		settled := e.settledRecv.has(key)
-		e.mu.Unlock()
+		g.mu.Lock()
+		st := g.rdvRecv[f.Hdr.MsgID]
+		settled := g.settledRecv.has(f.Hdr.MsgID)
+		g.mu.Unlock()
 		if st != nil {
 			st.mu.Lock()
 			pull := st.pull
@@ -421,20 +417,12 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 			g.sendControl(KindFin, f.Hdr.Tag, f.Hdr.MsgID, 0, 0)
 			return
 		}
-		e.matchOrStash(inbound{gate: g, hdr: f.Hdr, payload: nil, ext: f.Ext})
+		g.matchOrStash(inbound{hdr: f.Hdr, payload: nil, ext: f.Ext})
 
 	case KindCTS:
 		// The receiver asked for (or fell back to) the classic push:
 		// any pull offer is moot, so the registrations can go now.
-		key := rdvKey{gate: g, msgID: f.Hdr.MsgID}
-		e.mu.Lock()
-		st := e.sendRdv[key]
-		if st != nil {
-			delete(e.sendRdv, key)
-			e.settleSendLocked(key)
-		}
-		settled := st == nil && e.settledSend.has(key)
-		e.mu.Unlock()
+		st, settled := g.takeSendRdv(f.Hdr.MsgID)
 		if st == nil {
 			if settled {
 				return // duplicate CTS for a handshake already answered
@@ -454,17 +442,16 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 		g.sendRdvData(st, f.Hdr)
 
 	case KindData:
-		key := rdvKey{gate: g, msgID: f.Hdr.MsgID}
-		e.mu.Lock()
-		st := e.rdvRecv[key]
+		g.mu.Lock()
+		st := g.rdvRecv[f.Hdr.MsgID]
 		var req *Request
 		if st != nil {
-			// Capture under the engine lock: the last fragment's
+			// Capture under the gate lock: the last fragment's
 			// handler recycles the state, so st is off limits after
 			// our Add unless we are that handler.
 			req = st.req
 		}
-		e.mu.Unlock()
+		g.mu.Unlock()
 		if st == nil {
 			return
 		}
@@ -482,14 +469,7 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 		// Pull-mode rendezvous complete: the receiver has every byte,
 		// straight out of our user buffer. Release the interned
 		// registrations and finish the send.
-		key := rdvKey{gate: g, msgID: f.Hdr.MsgID}
-		e.mu.Lock()
-		st := e.sendRdv[key]
-		if st != nil {
-			delete(e.sendRdv, key)
-			e.settleSendLocked(key)
-		}
-		e.mu.Unlock()
+		st, _ := g.takeSendRdv(f.Hdr.MsgID)
 		if st == nil {
 			return
 		}
@@ -508,11 +488,10 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 		// Offset+Total); push it as ordinary data frames. The
 		// rendezvous stays open — other chunks may still be pulling,
 		// and the FIN settles everything.
-		key := rdvKey{gate: g, msgID: f.Hdr.MsgID}
-		e.mu.Lock()
-		st := e.sendRdv[key]
-		settled := st == nil && e.settledSend.has(key)
-		e.mu.Unlock()
+		g.mu.Lock()
+		st := g.sendRdv[f.Hdr.MsgID]
+		settled := st == nil && g.settledSend.has(f.Hdr.MsgID)
+		g.mu.Unlock()
 		if st == nil {
 			if settled {
 				return // late push request for a finished handshake
@@ -537,41 +516,25 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 // keyspace, so the wrong guess would kill an unrelated healthy
 // transfer carrying the same id.
 func (e *Engine) failRendezvousNack(g *Gate, hdr Header) {
-	key := rdvKey{gate: g, msgID: hdr.MsgID}
-	var victim *Request
-	e.mu.Lock()
 	if hdr.Offset == nackSend {
-		if st := e.sendRdv[key]; st != nil {
-			st.releaseRegs()
-			victim = st.req
-			delete(e.sendRdv, key)
-			e.settleSendLocked(key)
-		}
+		g.failSendRdv(hdr.MsgID, errPullRejected)
 	} else {
-		if st := e.rdvRecv[key]; st != nil {
-			st.markFailed()
-			victim = st.req
-			delete(e.rdvRecv, key)
-			e.settleRecvLocked(key)
-		}
-	}
-	e.mu.Unlock()
-	if victim != nil {
-		victim.complete(errPullRejected)
+		g.failRecvRdv(hdr.MsgID, errPullRejected)
 	}
 }
 
-// matchOrStash matches an inbound frame against posted receives, or
-// stores it in the unexpected queue — O(1) either way, keyed by
-// (gate, tag) with FIFO order per key.
-func (e *Engine) matchOrStash(u inbound) {
-	key := matchKey{gate: u.gate, tag: u.hdr.Tag}
-	e.mu.Lock()
-	if q := e.recvQ[key]; q != nil {
+// matchOrStash matches an inbound frame against the gate's posted
+// receives, or stores it in the unexpected queue — O(1) either way,
+// keyed by tag with FIFO order per tag.
+func (g *Gate) matchOrStash(u inbound) {
+	e := g.eng
+	tag := u.hdr.Tag
+	g.mu.Lock()
+	if q := g.recvQ[tag]; q != nil {
 		if req, ok := q.pop(); ok {
-			dropFIFOIfEmpty(e.recvQ, &e.reqFIFOPool, key, q)
-			e.mu.Unlock()
-			e.deliverLocked(req, u)
+			dropFIFOIfEmpty(g.recvQ, &e.reqFIFOPool, tag, q)
+			g.mu.Unlock()
+			e.deliver(req, u)
 			return
 		}
 	}
@@ -580,10 +543,10 @@ func (e *Engine) matchOrStash(u inbound) {
 		// not stash twice: the duplicate would match a later receive
 		// and strand it waiting on a rendezvous the sender only has one
 		// of.
-		if q := e.unexpected[key]; q != nil {
+		if q := g.unexpected[tag]; q != nil {
 			for i := q.head; i < len(q.items); i++ {
 				if q.items[i].hdr.Kind == KindRTS && q.items[i].hdr.MsgID == u.hdr.MsgID {
-					e.mu.Unlock()
+					g.mu.Unlock()
 					return
 				}
 			}
@@ -594,13 +557,13 @@ func (e *Engine) matchOrStash(u inbound) {
 			u.ext = append([]byte(nil), u.ext...)
 		}
 	}
-	q := e.unexpected[key]
+	q := g.unexpected[tag]
 	if q == nil {
 		q = getFIFO[inbound](&e.inbFIFOPool)
-		e.unexpected[key] = q
+		g.unexpected[tag] = q
 	}
 	q.push(u)
-	e.mu.Unlock()
+	g.mu.Unlock()
 }
 
 // sendRdvData stripes the rendezvous payload across the gate's alive

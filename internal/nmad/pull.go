@@ -19,9 +19,8 @@ package nmad
 // reassembly path and the pull completions feed the same byte counter,
 // so mixed transfers finish exactly once.
 //
-// Lock order: Engine.mu may be taken while holding nothing, and
-// recvRdvState.mu may be taken under Engine.mu; nothing takes
-// Engine.mu while holding a state mutex.
+// Lock order: recvRdvState.mu may be taken under Gate.mu, never the
+// other way round (the full order is written at Gate.mu).
 
 import (
 	"errors"
@@ -59,10 +58,9 @@ type recvRdvState struct {
 	tag   uint64
 	pull  bool
 
-	// deadline/retries drive the handshake-timeout sweep; both are
-	// guarded by Engine.mu like the e.rdvRecv map that holds the state.
-	deadline int64
-	retries  int
+	// retryTimer drives the handshake-timeout sweep; guarded by Gate.mu
+	// like the rdvRecv map that holds the state.
+	retryTimer
 
 	// absDeadline is the sender's propagated request deadline (the RTS
 	// offer's sentinel entry), 0 for none. Immutable after the state is
@@ -79,7 +77,7 @@ type recvRdvState struct {
 }
 
 // markFailed flags the state so late RMA completions fall on the
-// floor. Safe to call under Engine.mu (lock order: state after engine).
+// floor. Safe to call under Gate.mu (lock order: state after gate).
 func (st *recvRdvState) markFailed() {
 	st.mu.Lock()
 	st.failed = true
@@ -94,11 +92,11 @@ func (st *recvRdvState) markFailed() {
 // invisibly to us — and, when it can, takes a sweep reference that
 // blocks the state from being pool-recycled until endSweep: the last
 // chunk's completion may finish the transfer between the sweep's
-// decision (under Engine.mu) and its re-issue pass (after), and
+// decision (under Gate.mu) and its re-issue pass (after), and
 // re-issuing against a recycled state would corrupt whatever
 // rendezvous took it from the pool. The pull flag is read under st.mu
 // because startPull sets it after the state is already visible in
-// e.rdvRecv.
+// g.rdvRecv.
 func (st *recvRdvState) beginSweep() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -140,8 +138,7 @@ func (e *Engine) putRecvRdv(st *recvRdvState) {
 	st.msgID = 0
 	st.tag = 0
 	st.pull = false
-	st.deadline = 0
-	st.retries = 0
+	st.retryTimer = retryTimer{}
 	st.absDeadline = 0
 	st.chunks = st.chunks[:0]
 	st.keys = st.keys[:0]
@@ -163,7 +160,7 @@ var errShortRecvBuffer = errors.New("nmad: receive buffer shorter than the match
 // startPull begins pull-mode reception for a matched RTS: parse the
 // offer, stripe across pull-capable rails, post the reads. Returns
 // false when nothing was pullable (the caller falls back to CTS).
-// Called after the state is registered in e.rdvRecv.
+// Called after the state is registered in g.rdvRecv.
 func (e *Engine) startPull(g *Gate, st *recvRdvState, ext []byte) bool {
 	// Decode the offer into a per-rail key table (index = our rail).
 	if cap(st.keys) < len(g.rails) {
@@ -197,7 +194,7 @@ func (e *Engine) startPull(g *Gate, st *recvRdvState, ext []byte) bool {
 		return false
 	}
 	st.mu.Lock()
-	st.pull = true // st is already visible in e.rdvRecv; racing sweeps read under st.mu
+	st.pull = true // st is already visible in g.rdvRecv; racing sweeps read under st.mu
 	n := len(st.chunks)
 	st.mu.Unlock()
 	for i := 0; i < n; i++ {
@@ -225,7 +222,7 @@ func (e *Engine) issuePull(g *Gate, st *recvRdvState, i int) {
 	if d := st.absDeadline; d != 0 && now >= d {
 		// The sender's deadline passed: posting this read would move
 		// bytes its submitter has already abandoned. Fail the receive
-		// instead (lock order: the cleanup takes Engine.mu, so release
+		// instead (lock order: the cleanup takes Gate.mu, so release
 		// st.mu first).
 		st.mu.Unlock()
 		e.expireRecvDeadline(g, st)
@@ -271,7 +268,7 @@ func (e *Engine) issuePull(g *Gate, st *recvRdvState, i int) {
 				// rail, fail the gate exactly as a poll error on the
 				// last rail would — the push fallback below would
 				// sendControl into a dead gate and hang this receive
-				// forever. Lock order: failGate takes Engine.mu and
+				// forever. Lock order: failGate takes Gate.mu and
 				// this state's mutex, so release st.mu first.
 				if g.railDown(c.rail) == 0 {
 					st.mu.Unlock()
@@ -343,15 +340,7 @@ func (e *Engine) reissueDeadRailChunks(g *Gate, st *recvRdvState, idx int) {
 // against racing sweeps through the same remove-first pattern as
 // finishRecvRdv.
 func (e *Engine) expireRecvDeadline(g *Gate, st *recvRdvState) {
-	key := rdvKey{gate: g, msgID: st.msgID}
-	e.mu.Lock()
-	cur := e.rdvRecv[key]
-	if cur == st {
-		delete(e.rdvRecv, key)
-		e.settleRecvLocked(key)
-	}
-	e.mu.Unlock()
-	if cur != st {
+	if g.takeRecvRdv(st.msgID, st) == nil {
 		return // completed or failed by another path first
 	}
 	st.markFailed()
@@ -401,15 +390,7 @@ func (e *Engine) pullDone(g *Gate, railIdx int, ev fabric.Event) {
 // waiting to release its regions), complete the request, recycle.
 func (e *Engine) finishRecvRdv(st *recvRdvState) {
 	g := st.gate
-	key := rdvKey{gate: g, msgID: st.msgID}
-	e.mu.Lock()
-	cur := e.rdvRecv[key]
-	if cur == st {
-		delete(e.rdvRecv, key)
-		e.settleRecvLocked(key)
-	}
-	e.mu.Unlock()
-	if cur != st {
+	if g.takeRecvRdv(st.msgID, st) == nil {
 		return // a failure sweep got here first
 	}
 	st.mu.Lock()

@@ -192,22 +192,21 @@ func (r *Request) Cancel() bool {
 	if g == nil {
 		return false
 	}
-	key := matchKey{gate: g, tag: r.tag}
-	e.mu.Lock()
+	g.mu.Lock()
 	removed := false
-	if q := e.recvQ[key]; q != nil {
+	if q := g.recvQ[r.tag]; q != nil {
 		for i := q.head; i < len(q.items); i++ {
 			if q.items[i] == r {
 				copy(q.items[i:], q.items[i+1:])
 				q.items[len(q.items)-1] = nil
 				q.items = q.items[:len(q.items)-1]
 				removed = true
-				dropFIFOIfEmpty(e.recvQ, &e.reqFIFOPool, key, q)
+				dropFIFOIfEmpty(g.recvQ, &e.reqFIFOPool, r.tag, q)
 				break
 			}
 		}
 	}
-	e.mu.Unlock()
+	g.mu.Unlock()
 	if !removed {
 		return false
 	}

@@ -3,6 +3,7 @@ package nmad
 import (
 	"errors"
 	"sort"
+	"sync/atomic"
 
 	"pioman/internal/core"
 	"pioman/internal/trace"
@@ -31,7 +32,7 @@ import (
 // Retransmission makes duplicates a fact of life, so the protocol
 // handlers are hardened to be idempotent: a second RTS for a live
 // handshake re-answers instead of re-matching, a settled-rendezvous
-// log (bounded, per engine) lets late control frames for finished
+// log (bounded, per gate) lets late control frames for finished
 // handshakes be answered or ignored instead of NACKing a healthy peer,
 // and data-frame reassembly counts byte *coverage* rather than frame
 // arrivals so replayed or overlapping fragments cannot complete a
@@ -52,40 +53,44 @@ var ErrRdvTimeout = errors.New("nmad: rendezvous handshake timed out")
 // before anything matched it.
 var ErrCanceled = errors.New("nmad: receive canceled")
 
-// settledLogSize bounds each direction's settled-rendezvous log. Old
-// entries are evicted FIFO; a duplicate arriving after eviction is
-// merely NACKed like an unknown handshake, which the peer treats as a
-// visible failure rather than a hang — the log is an optimization for
-// the common duplicate window, not a correctness requirement.
+// settledLogSize bounds each settled-rendezvous log. Old entries are
+// evicted FIFO; a duplicate arriving after eviction is merely NACKed
+// like an unknown handshake, which the peer treats as a visible failure
+// rather than a hang — the log is an optimization for the common
+// duplicate window, not a correctness requirement.
 const settledLogSize = 512
 
-// settledLog remembers recently finished rendezvous halves so late or
-// duplicated control frames can be recognized. Guarded by Engine.mu.
+// settledLog remembers the msgIDs of one gate's recently finished
+// rendezvous halves (or delivered eager messages) so late or duplicated
+// frames can be recognized. Guarded by Gate.mu. Storage is allocated on
+// the first add: a gate that never settles anything — most gates of a
+// full-mesh cluster — carries three empty headers.
 type settledLog struct {
-	set  map[rdvKey]struct{}
-	ring [settledLogSize]rdvKey
+	set  map[uint64]struct{}
+	ring []uint64
 	pos  int
 }
 
-// add records a settled key, evicting the oldest once full.
-func (l *settledLog) add(k rdvKey) {
+// add records a settled id, evicting the oldest once full.
+func (l *settledLog) add(id uint64) {
 	if l.set == nil {
-		l.set = make(map[rdvKey]struct{}, settledLogSize)
+		l.set = make(map[uint64]struct{}, settledLogSize)
+		l.ring = make([]uint64, settledLogSize)
 	}
-	if _, ok := l.set[k]; ok {
+	if _, ok := l.set[id]; ok {
 		return
 	}
 	if len(l.set) >= settledLogSize {
 		delete(l.set, l.ring[l.pos])
 	}
-	l.ring[l.pos] = k
+	l.ring[l.pos] = id
 	l.pos = (l.pos + 1) % settledLogSize
-	l.set[k] = struct{}{}
+	l.set[id] = struct{}{}
 }
 
-// has reports whether k settled recently.
-func (l *settledLog) has(k rdvKey) bool {
-	_, ok := l.set[k]
+// has reports whether id settled recently.
+func (l *settledLog) has(id uint64) bool {
+	_, ok := l.set[id]
 	return ok
 }
 
@@ -138,7 +143,7 @@ func (st *recvRdvState) addCovered(lo, hi int) int {
 
 // refForRetry takes a sweep reference blocking pool recycling while a
 // timeout retry re-issues the state's chunks. Must be called under
-// Engine.mu while the state is still in e.rdvRecv — that is what
+// Gate.mu while the state is still in g.rdvRecv — that is what
 // guarantees it has not completed and been recycled under a new owner.
 // Returns false for a state already abandoned. Released via endSweep.
 func (st *recvRdvState) refForRetry() bool {
@@ -151,11 +156,89 @@ func (st *recvRdvState) refForRetry() bool {
 	return true
 }
 
-// settleSendLocked / settleRecvLocked record a rendezvous half leaving
-// its in-flight map. Callers hold e.mu at the deletion site, so the log
-// and the map change atomically.
-func (e *Engine) settleSendLocked(key rdvKey) { e.settledSend.add(key) }
-func (e *Engine) settleRecvLocked(key rdvKey) { e.settledRecv.add(key) }
+// retryTimer is the timeout state every in-flight protocol state
+// carries — a send rendezvous waiting on its CTS or FIN, a receive
+// rendezvous waiting on bytes, an unacknowledged eager message: the
+// current attempt's deadline on the engine clock (0: unarmed) and the
+// retransmissions already burned. Guarded by the owning Gate.mu.
+type retryTimer struct {
+	deadline int64
+	retries  int
+}
+
+// sweepVerdict is what the deadline sweep does with one in-flight state.
+type sweepVerdict uint8
+
+const (
+	sweepWait    sweepVerdict = iota // nothing due
+	sweepRetry                       // attempt timed out: retransmit, backed off
+	sweepGiveUp                      // retry budget spent: fail with the family's timeout error
+	sweepExpired                     // submitter's deadline passed: fail with ErrDeadlineExpired
+)
+
+// due is the one expire / back-off / give-up decision the three state
+// kinds share. abs is the submitter's absolute deadline (0: none): once
+// it passes, the doomed state is cancelled instead of retransmitted
+// into the ground. Otherwise an attempt past its deadline is retried
+// with the timeout doubled, RdvRetries times, and then given up on.
+// The caller holds the gate's mu and removes the state on either
+// failing verdict.
+func (t *retryTimer) due(now, abs int64, cfg *Config) sweepVerdict {
+	switch {
+	case abs != 0 && now >= abs:
+		return sweepExpired
+	case t.deadline == 0 || now < t.deadline:
+		return sweepWait
+	case t.retries >= cfg.RdvRetries:
+		return sweepGiveUp
+	}
+	t.retries++
+	t.deadline = now + cfg.RdvTimeout<<uint(t.retries)
+	return sweepRetry
+}
+
+// sweepAct is one state the sweep found due, with everything its wire
+// action needs copied out under the gate's mu: once the lock drops the
+// state may complete and recycle under the retransmission in flight.
+type sweepAct struct {
+	g       *Gate
+	msgID   uint64
+	tag     uint64
+	verdict sweepVerdict // never sweepWait
+	retries int
+	total   uint32
+	req     *Request // failing verdicts: the request to complete
+
+	offer []byte        // send retry: the RTS pull offer
+	recv  *recvRdvState // recv retry: the state to re-drive, sweep-referenced
+	pull  bool          // recv retry: pull mode (re-drive chunks) or push (re-send CTS)
+	data  []byte        // eager retry: the payload
+}
+
+// sortActs orders one gate's actions by msgID. Map iteration order is
+// randomized, and a deterministic harness needs retransmissions to hit
+// the simulated fabric in a reproducible order; the sweep visits gates
+// in id order, so per-gate msgID order makes the whole pass ordered by
+// (gate, msgID).
+func sortActs(acts []sweepAct) {
+	sort.Slice(acts, func(i, j int) bool { return acts[i].msgID < acts[j].msgID })
+}
+
+// sweepFailed accounts one state the sweep is failing — the EvTimeout
+// instant (family: 0 send rendezvous, 1 receive rendezvous, 2 eager)
+// and the deadline counter or the family's timeout counter — and
+// returns the error its request completes with.
+func (e *Engine) sweepFailed(a sweepAct, dir, family uint64, timeouts *atomic.Uint64, timeoutErr error) error {
+	if r := e.rec; r != nil {
+		r.Record(a.g.id, trace.EvTimeout, a.g.spanID(dir, 0, a.msgID), family)
+	}
+	if a.verdict == sweepExpired {
+		e.deadlineExpired.Add(1)
+		return ErrDeadlineExpired
+	}
+	timeouts.Add(1)
+	return timeoutErr
+}
 
 // startSweeper submits the engine's deadline sweep as a repeated task
 // on the same task engine that runs the polling work — timeouts are
@@ -172,13 +255,12 @@ func (e *Engine) startSweeper() {
 	e.tasks.MustSubmit(sweep)
 }
 
-// sweepDeadlines scans both rendezvous maps and the eager pending
+// sweepDeadlines scans every gate's rendezvous maps and eager pending
 // window for expired deadlines and acts: retransmit with backoff, or
 // fail visibly past the budget. The scan is throttled to a fraction of
 // the timeout so hot scheduling loops do not pay a map walk per pass.
-// All wire actions are sorted by (gate, msgID) before running — map
-// iteration order is randomized, and a deterministic harness needs
-// retransmissions to hit the simulated fabric in a reproducible order.
+// Each family collects over all gates (in id order, see sortActs)
+// before any of its wire actions run.
 func (e *Engine) sweepDeadlines() {
 	now := e.clock()
 	// The sweep rides every progression pass, so its clock read doubles
@@ -194,206 +276,158 @@ func (e *Engine) sweepDeadlines() {
 		// knobs: a blocked submitter must never hang.
 		e.sweepAdmit(now)
 	}
+	gates := e.Gates()
 	if !e.cfg.NoEagerRetry {
-		e.sweepEager(now)
+		e.sweepEager(now, gates)
 	}
 	if e.cfg.NoRdvTimeout {
 		return
 	}
-
-	type sendAct struct {
-		st      *sendRdvState
-		g       *Gate
-		msgID   uint64
-		tag     uint64
-		total   uint32
-		offer   []byte
-		retries int
-		fail    bool
-		expired bool
+	var sends, recvs []sweepAct
+	for _, g := range gates {
+		sends, recvs = g.dueRendezvous(now, sends, recvs)
 	}
-	type recvAct struct {
-		st      *recvRdvState
-		g       *Gate
-		msgID   uint64
-		tag     uint64
-		total   uint32
-		pull    bool
-		retries int
-		fail    bool
-		expired bool
-	}
-	var sends []sendAct
-	var recvs []recvAct
-	e.mu.Lock()
-	for key, st := range e.sendRdv {
-		if d := st.req.deadline; d != 0 && now >= d {
-			// The submitter's deadline passed: cancel the doomed
-			// handshake now instead of retransmitting it into the ground.
-			delete(e.sendRdv, key)
-			e.settleSendLocked(key)
-			sends = append(sends, sendAct{st: st, g: key.gate, msgID: key.msgID, tag: st.tag, fail: true, expired: true})
-			continue
-		}
-		if st.deadline == 0 || now < st.deadline {
-			continue
-		}
-		if st.retries >= e.cfg.RdvRetries {
-			delete(e.sendRdv, key)
-			e.settleSendLocked(key)
-			sends = append(sends, sendAct{st: st, g: key.gate, msgID: key.msgID, tag: st.tag, fail: true})
-			continue
-		}
-		st.retries++
-		st.deadline = now + e.cfg.RdvTimeout<<uint(st.retries)
-		// Copy the offer: the state may complete and recycle (resetting
-		// its offer storage) while the retransmitted RTS is in flight.
-		sends = append(sends, sendAct{
-			st: st, g: key.gate, msgID: key.msgID, tag: st.tag,
-			total: st.total, offer: append([]byte(nil), st.offer...),
-			retries: st.retries,
-		})
-	}
-	for key, st := range e.rdvRecv {
-		if d := st.absDeadline; d != 0 && now >= d {
-			// The sender's propagated deadline passed: stop reassembling
-			// bytes whose submitter has already given up.
-			delete(e.rdvRecv, key)
-			e.settleRecvLocked(key)
-			st.markFailed()
-			recvs = append(recvs, recvAct{st: st, g: key.gate, msgID: key.msgID, tag: st.tag, fail: true, expired: true})
-			continue
-		}
-		if st.deadline == 0 || now < st.deadline {
-			continue
-		}
-		if st.retries >= e.cfg.RdvRetries {
-			delete(e.rdvRecv, key)
-			e.settleRecvLocked(key)
-			st.markFailed()
-			recvs = append(recvs, recvAct{st: st, g: key.gate, msgID: key.msgID, tag: st.tag, fail: true})
-			continue
-		}
-		if !st.refForRetry() {
-			continue
-		}
-		st.retries++
-		st.deadline = now + e.cfg.RdvTimeout<<uint(st.retries)
-		st.mu.Lock()
-		pull := st.pull
-		total := st.req.total
-		st.mu.Unlock()
-		recvs = append(recvs, recvAct{st: st, g: key.gate, msgID: key.msgID, tag: st.tag, total: total, pull: pull, retries: st.retries})
-	}
-	e.mu.Unlock()
-
-	sort.Slice(sends, func(i, j int) bool {
-		if sends[i].g.id != sends[j].g.id {
-			return sends[i].g.id < sends[j].g.id
-		}
-		return sends[i].msgID < sends[j].msgID
-	})
-	sort.Slice(recvs, func(i, j int) bool {
-		if recvs[i].g.id != recvs[j].g.id {
-			return recvs[i].g.id < recvs[j].g.id
-		}
-		return recvs[i].msgID < recvs[j].msgID
-	})
-
 	for _, a := range sends {
-		if a.fail {
-			failErr := ErrRdvTimeout
-			if a.expired {
-				failErr = ErrDeadlineExpired
-				e.deadlineExpired.Add(1)
-			} else {
-				e.rdvTimeouts.Add(1)
-			}
-			if r := e.rec; r != nil {
-				r.Record(a.g.id, trace.EvTimeout, a.g.spanID(trace.DirSend, 0, a.msgID), 0)
-			}
-			a.st.releaseRegs()
-			req := a.st.req
-			// Best-effort: tell the receiver its half is orphaned so it
-			// fails now instead of burning its own retry budget.
-			a.g.sendControl(KindRdvNack, a.tag, a.msgID, nackRecv, 0)
-			req.complete(failErr)
-			continue
-		}
-		e.rdvRetries.Add(1)
-		if r := e.rec; r != nil {
-			r.Record(a.g.id, trace.EvRetransmit, a.g.spanID(trace.DirSend, 0, a.msgID), uint64(a.retries))
-		}
-		rail := -1
-		if len(a.offer) > 0 {
-			rail = a.g.pickControl(true)
-		}
-		if rail < 0 {
-			a.offer = nil
-			rail = a.g.pickEager()
-		}
-		if rail < 0 {
-			continue // gate is dying; the rail-death sweeps own the fallout
-		}
-		p := a.g.packet()
-		p.Hdr = Header{Kind: KindRTS, Tag: a.tag, MsgID: a.msgID, Total: a.total}
-		p.ext = a.offer
-		p.rail = rail
-		a.g.sendPacket(p)
+		e.sweepSend(a)
 	}
 	for _, a := range recvs {
-		if a.fail {
-			failErr := ErrRdvTimeout
-			if a.expired {
-				failErr = ErrDeadlineExpired
-				e.deadlineExpired.Add(1)
-			} else {
-				e.rdvTimeouts.Add(1)
-			}
-			if r := e.rec; r != nil {
-				r.Record(a.g.id, trace.EvTimeout, a.g.spanID(trace.DirRecv, 0, a.msgID), 1)
-			}
-			a.g.sendControl(KindRdvNack, a.tag, a.msgID, nackSend, 0)
-			a.st.req.complete(failErr)
+		e.sweepRecv(a)
+	}
+}
+
+// dueRendezvous appends the gate's due send and receive rendezvous
+// halves to the two action lists, removing and settling the ones that
+// fail (a failed send's registrations are released on the spot).
+func (g *Gate) dueRendezvous(now int64, sends, recvs []sweepAct) ([]sweepAct, []sweepAct) {
+	cfg := &g.eng.cfg
+	s0, r0 := len(sends), len(recvs)
+	g.mu.Lock()
+	for id, st := range g.sendRdv {
+		a := sweepAct{g: g, msgID: id, tag: st.tag, req: st.req}
+		switch a.verdict = st.due(now, st.req.deadline, cfg); a.verdict {
+		case sweepWait:
 			continue
+		case sweepRetry:
+			// Copy the offer: the state may complete and recycle
+			// (resetting its offer storage) while the retransmitted RTS
+			// is in flight.
+			a.total, a.retries = st.total, st.retries
+			a.offer = append([]byte(nil), st.offer...)
+		default:
+			delete(g.sendRdv, id)
+			g.settledSend.add(id)
+			st.releaseRegs()
 		}
-		e.rdvRetries.Add(1)
-		if r := e.rec; r != nil {
-			r.Record(a.g.id, trace.EvRetransmit, a.g.spanID(trace.DirRecv, 0, a.msgID), uint64(a.retries))
-		}
-		st := a.st
-		if !a.pull {
-			// Push mode: the CTS may have been lost. A sender that
-			// already answered it has settled the handshake and ignores
-			// the duplicate.
-			a.g.sendControl(KindCTS, a.tag, a.msgID, 0, a.total)
-			st.endSweep()
+		sends = append(sends, a)
+	}
+	for id, st := range g.rdvRecv {
+		a := sweepAct{g: g, msgID: id, tag: st.tag, req: st.req}
+		switch a.verdict = st.due(now, st.absDeadline, cfg); a.verdict {
+		case sweepWait:
 			continue
-		}
-		// Pull mode: re-drive every unsettled chunk — blackholed reads
-		// are re-posted, lost push requests re-asked. chunkDone chunks
-		// are skipped; duplicate data from a re-asked range is absorbed
-		// by coverage accounting.
-		st.mu.Lock()
-		var reissue []int
-		var pushes []span
-		for i := range st.chunks {
-			switch st.chunks[i].state {
-			case chunkDone:
-			case chunkPushed:
-				pushes = append(pushes, span{st.chunks[i].lo, st.chunks[i].hi})
-			default:
-				reissue = append(reissue, i)
+		case sweepRetry:
+			if !st.refForRetry() {
+				continue
 			}
+			a.recv, a.retries = st, st.retries
+			st.mu.Lock()
+			a.pull, a.total = st.pull, st.req.total
+			st.mu.Unlock()
+		default:
+			// The retry budget is spent, or the sender's propagated
+			// deadline passed: stop reassembling bytes whose submitter
+			// has already given up.
+			delete(g.rdvRecv, id)
+			g.settledRecv.add(id)
+			st.markFailed()
 		}
-		st.mu.Unlock()
-		for _, i := range reissue {
-			e.issuePull(a.g, st, i)
+		recvs = append(recvs, a)
+	}
+	g.mu.Unlock()
+	sortActs(sends[s0:])
+	sortActs(recvs[r0:])
+	return sends, recvs
+}
+
+// sweepSend acts on one due send rendezvous: re-send the RTS, or fail
+// the send and tell the receiver.
+func (e *Engine) sweepSend(a sweepAct) {
+	g := a.g
+	if a.verdict != sweepRetry {
+		err := e.sweepFailed(a, trace.DirSend, 0, &e.rdvTimeouts, ErrRdvTimeout)
+		// Best-effort: tell the receiver its half is orphaned so it
+		// fails now instead of burning its own retry budget.
+		g.sendControl(KindRdvNack, a.tag, a.msgID, nackRecv, 0)
+		a.req.complete(err)
+		return
+	}
+	e.rdvRetries.Add(1)
+	if r := e.rec; r != nil {
+		r.Record(g.id, trace.EvRetransmit, g.spanID(trace.DirSend, 0, a.msgID), uint64(a.retries))
+	}
+	rail := -1
+	if len(a.offer) > 0 {
+		rail = g.pickControl(true)
+	}
+	if rail < 0 {
+		a.offer = nil
+		rail = g.pickEager()
+	}
+	if rail < 0 {
+		return // gate is dying; the rail-death sweeps own the fallout
+	}
+	p := g.packet()
+	p.Hdr = Header{Kind: KindRTS, Tag: a.tag, MsgID: a.msgID, Total: a.total}
+	p.ext = a.offer
+	p.rail = rail
+	g.sendPacket(p)
+}
+
+// sweepRecv acts on one due receive rendezvous: re-drive whatever this
+// side is waiting on, or fail the receive and tell the sender. A retry
+// holds a refForRetry reference, released here.
+func (e *Engine) sweepRecv(a sweepAct) {
+	g, st := a.g, a.recv
+	if a.verdict != sweepRetry {
+		err := e.sweepFailed(a, trace.DirRecv, 1, &e.rdvTimeouts, ErrRdvTimeout)
+		g.sendControl(KindRdvNack, a.tag, a.msgID, nackSend, 0)
+		a.req.complete(err)
+		return
+	}
+	defer st.endSweep()
+	e.rdvRetries.Add(1)
+	if r := e.rec; r != nil {
+		r.Record(g.id, trace.EvRetransmit, g.spanID(trace.DirRecv, 0, a.msgID), uint64(a.retries))
+	}
+	if !a.pull {
+		// Push mode: the CTS may have been lost. A sender that already
+		// answered it has settled the handshake and ignores the
+		// duplicate.
+		g.sendControl(KindCTS, a.tag, a.msgID, 0, a.total)
+		return
+	}
+	// Pull mode: re-drive every unsettled chunk — blackholed reads are
+	// re-posted, lost push requests re-asked. chunkDone chunks are
+	// skipped; duplicate data from a re-asked range is absorbed by
+	// coverage accounting.
+	st.mu.Lock()
+	var reissue []int
+	var pushes []span
+	for i := range st.chunks {
+		switch st.chunks[i].state {
+		case chunkDone:
+		case chunkPushed:
+			pushes = append(pushes, span{st.chunks[i].lo, st.chunks[i].hi})
+		default:
+			reissue = append(reissue, i)
 		}
-		for _, r := range pushes {
-			a.g.sendControl(KindRdvPush, a.tag, a.msgID, uint32(r.lo), uint32(r.hi-r.lo))
-		}
-		st.endSweep()
+	}
+	st.mu.Unlock()
+	for _, i := range reissue {
+		e.issuePull(g, st, i)
+	}
+	for _, r := range pushes {
+		g.sendControl(KindRdvPush, a.tag, a.msgID, uint32(r.lo), uint32(r.hi-r.lo))
 	}
 }
 
@@ -402,81 +436,49 @@ func (e *Engine) sweepDeadlines() {
 // retry budget fail them visibly with ErrEagerTimeout. Retransmissions
 // go as plain KindEager frames regardless of the aggregation strategy
 // — re-aggregating a retry would re-enter the flush path for one stale
-// message — and are sorted by (gate, msgID) for deterministic replay.
-// A retransmission racing the original's late ack is harmless: the
-// receiver's dedup log drops the payload and re-acks, and the second
-// ack finds no pending entry.
-func (e *Engine) sweepEager(now int64) {
-	type eagerAct struct {
-		g       *Gate
-		msgID   uint64
-		tag     uint64
-		data    []byte
-		req     *Request
-		retries int
-		fail    bool
-		expired bool
+// message. A retransmission racing the original's late ack is harmless:
+// the receiver's dedup log drops the payload and re-acks, and the
+// second ack finds no pending entry.
+func (e *Engine) sweepEager(now int64, gates []*Gate) {
+	var acts []sweepAct
+	for _, g := range gates {
+		from := len(acts)
+		g.mu.Lock()
+		for id, st := range g.eagerPend {
+			a := sweepAct{g: g, msgID: id, tag: st.tag, req: st.req}
+			switch a.verdict = st.due(now, st.req.deadline, &e.cfg); a.verdict {
+			case sweepWait:
+				continue
+			case sweepRetry:
+				a.data, a.retries = st.data, st.retries
+			default:
+				delete(g.eagerPend, id)
+			}
+			acts = append(acts, a)
+		}
+		g.mu.Unlock()
+		sortActs(acts[from:])
 	}
-	var acts []eagerAct
-	e.mu.Lock()
-	for key, st := range e.eagerPend {
-		if d := st.req.deadline; d != 0 && now >= d {
-			// The submitter's deadline passed mid-window: stop
-			// retransmitting and fail the message now.
-			delete(e.eagerPend, key)
-			acts = append(acts, eagerAct{g: key.gate, msgID: key.msgID, req: st.req, fail: true, expired: true})
-			continue
-		}
-		if st.deadline == 0 || now < st.deadline {
-			continue
-		}
-		if st.retries >= e.cfg.RdvRetries {
-			delete(e.eagerPend, key)
-			acts = append(acts, eagerAct{g: key.gate, msgID: key.msgID, req: st.req, fail: true})
-			continue
-		}
-		st.retries++
-		st.deadline = now + e.cfg.RdvTimeout<<uint(st.retries)
-		acts = append(acts, eagerAct{g: key.gate, msgID: key.msgID, tag: st.tag, data: st.data, retries: st.retries})
-	}
-	e.mu.Unlock()
-
-	sort.Slice(acts, func(i, j int) bool {
-		if acts[i].g.id != acts[j].g.id {
-			return acts[i].g.id < acts[j].g.id
-		}
-		return acts[i].msgID < acts[j].msgID
-	})
-
 	for _, a := range acts {
-		if a.fail {
-			failErr := ErrEagerTimeout
-			if a.expired {
-				failErr = ErrDeadlineExpired
-				e.deadlineExpired.Add(1)
-			} else {
-				e.eagerTimeouts.Add(1)
-			}
-			if r := e.rec; r != nil {
-				r.Record(a.g.id, trace.EvTimeout, a.g.spanID(trace.DirSend, 0, a.msgID), 2)
-			}
-			a.req.complete(failErr)
+		g := a.g
+		if a.verdict != sweepRetry {
+			a.req.complete(e.sweepFailed(a, trace.DirSend, 2, &e.eagerTimeouts, ErrEagerTimeout))
 			continue
 		}
-		rail := a.g.pickEager()
+		rail := g.pickEager()
 		if rail < 0 {
 			continue // gate is dying; the rail-death sweeps own the fallout
 		}
 		e.eagerRetries.Add(1)
 		if r := e.rec; r != nil {
-			r.Record(a.g.id, trace.EvEagerRetry, a.g.spanID(trace.DirSend, 0, a.msgID), uint64(a.retries))
+			r.Record(g.id, trace.EvEagerRetry, g.spanID(trace.DirSend, 0, a.msgID), uint64(a.retries))
 		}
-		p := a.g.packet()
+		p := g.packet()
 		p.Hdr = Header{Kind: KindEager, Tag: a.tag, MsgID: a.msgID, Total: uint32(len(a.data))}
 		p.Payload = a.data
 		p.rail = rail
 		p.pend = append(p.pend[:0], a.msgID)
-		a.g.sendPacket(p)
+		g.sendPacket(p)
 	}
 }
 
@@ -535,33 +537,17 @@ func (r IdleReport) Clean() bool {
 func (g *Gate) CheckIdle() IdleReport {
 	e := g.eng
 	var rep IdleReport
-	e.mu.Lock()
-	for key := range e.sendRdv {
-		if key.gate == g {
-			rep.SendRendezvous++
-		}
+	g.mu.Lock()
+	rep.SendRendezvous = len(g.sendRdv)
+	rep.RecvRendezvous = len(g.rdvRecv)
+	rep.EagerPending = len(g.eagerPend)
+	for _, q := range g.recvQ {
+		rep.PostedRecvs += len(q.items) - q.head
 	}
-	for key := range e.rdvRecv {
-		if key.gate == g {
-			rep.RecvRendezvous++
-		}
+	for _, q := range g.unexpected {
+		rep.UnexpectedMsgs += len(q.items) - q.head
 	}
-	for key := range e.eagerPend {
-		if key.gate == g {
-			rep.EagerPending++
-		}
-	}
-	for key, q := range e.recvQ {
-		if key.gate == g {
-			rep.PostedRecvs += len(q.items) - q.head
-		}
-	}
-	for key, q := range e.unexpected {
-		if key.gate == g {
-			rep.UnexpectedMsgs += len(q.items) - q.head
-		}
-	}
-	e.mu.Unlock()
+	g.mu.Unlock()
 	g.aggMu.Lock()
 	rep.PendingAggr = len(g.aggPending)
 	g.aggMu.Unlock()

@@ -95,9 +95,9 @@ func NewNmadCollector(engine string, e *nmad.Engine) Collector {
 		}
 
 		send, recv, eager := e.SettledOccupancy()
-		w.Gauge("pioman_nmad_settled_log_entries", "Dedup-log occupancy by log.", float64(send), "engine", engine, "log", "send")
-		w.Gauge("pioman_nmad_settled_log_entries", "Dedup-log occupancy by log.", float64(recv), "engine", engine, "log", "recv")
-		w.Gauge("pioman_nmad_settled_log_entries", "Dedup-log occupancy by log.", float64(eager), "engine", engine, "log", "eager")
+		w.Gauge("pioman_nmad_settled_log_entries", "Dedup-log occupancy by log, summed over the engine's gates (each gate's log holds at most 512).", float64(send), "engine", engine, "log", "send")
+		w.Gauge("pioman_nmad_settled_log_entries", "Dedup-log occupancy by log, summed over the engine's gates (each gate's log holds at most 512).", float64(recv), "engine", engine, "log", "recv")
+		w.Gauge("pioman_nmad_settled_log_entries", "Dedup-log occupancy by log, summed over the engine's gates (each gate's log holds at most 512).", float64(eager), "engine", engine, "log", "eager")
 		w.Gauge("pioman_nmad_failed_gates", "Gates with no alive rail.", float64(e.FailedGates()), l...)
 
 		for _, g := range e.Gates() {
