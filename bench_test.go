@@ -1,15 +1,14 @@
 // Repository-level benchmarks: one per table and figure of the paper's
 // evaluation, plus ablations for the design choices called out in
-// DESIGN.md. Simulation-backed benchmarks report virtual-time metrics
-// (sim-ns/task, µs latency, overlap ratio); runtime-stack benchmarks
-// report real wall-clock costs on the host.
+// DESIGN.md. Tables I/II run the simmachine cost model (sim-ns/task) and
+// Figures 5-7 the real nmad engine on a virtual clock (overlap ratio);
+// everything else reports real wall-clock costs on the host.
 //
 // Run with: go test -bench=. -benchmem
 package pioman_test
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -19,7 +18,6 @@ import (
 	"pioman/internal/mpi"
 	"pioman/internal/nmad"
 	"pioman/internal/simmachine"
-	"pioman/internal/simmpi"
 	"pioman/internal/stats"
 	"pioman/internal/topology"
 )
@@ -58,32 +56,50 @@ func benchmarkTable(b *testing.B, machine string) {
 func BenchmarkTableI_Borderline(b *testing.B) { benchmarkTable(b, "borderline") }
 func BenchmarkTableII_Kwak(b *testing.B)      { benchmarkTable(b, "kwak") }
 
-// ---- Figure 4: multi-threaded latency (simulated) ----
+// ---- Figure 4: multi-threaded latency (real stack, wall clock) ----
 
+// BenchmarkFig4_MTLatency is the Figure 4 workload on the real runtime
+// stack: N receiver goroutines blocked on a receive while a sender
+// ping-pongs with each in turn. Parked waiters with background
+// progression (PIOMan) keep per-message latency stable as receiver
+// threads multiply; waiters that all poll do not.
 func BenchmarkFig4_MTLatency(b *testing.B) {
-	for _, kind := range []simmpi.EngineKind{simmpi.MVAPICHLike, simmpi.PIOManLike} {
+	for _, policy := range benchPolicies {
 		for _, threads := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("%s/threads=%d", kind, threads), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/threads=%d", policy.name, threads), func(b *testing.B) {
 				var lat float64
+				var err error
 				for i := 0; i < b.N; i++ {
-					lat = experiments.RunMTLatency(kind, threads).LatencyUS
+					if lat, err = experiments.RunMTLatency(policy.p, threads); err != nil {
+						b.Fatal(err)
+					}
 				}
-				b.ReportMetric(lat, "sim-µs-one-way")
+				b.ReportMetric(lat, "µs-one-way")
 			})
 		}
 	}
 }
 
-// ---- Figures 5-7: overlap benchmark (simulated) ----
+// benchPolicies are the two progression policies under slash-free
+// benchmark names.
+var benchPolicies = []struct {
+	name string
+	p    experiments.Progression
+}{{"in-call", experiments.InCall}, {"background", experiments.Background}}
+
+// ---- Figures 5-7: overlap benchmark (real nmad, virtual clock) ----
 
 func benchmarkOverlap(b *testing.B, side experiments.ComputeSide) {
-	for _, kind := range []simmpi.EngineKind{simmpi.MVAPICHLike, simmpi.OpenMPILike, simmpi.PIOManLike} {
-		b.Run(kind.String(), func(b *testing.B) {
+	for _, policy := range benchPolicies {
+		b.Run(policy.name, func(b *testing.B) {
 			var ratio float64
+			var err error
 			for i := 0; i < b.N; i++ {
 				// 1 MB with computation ≈ 2x the transfer time: the
-				// regime where the figures separate the engines.
-				ratio = experiments.RunOverlap(kind, side, 1<<20, 1500).Ratio
+				// regime where the figures separate the policies.
+				if ratio, err = experiments.RunOverlap(policy.p, side, 1<<20, 1500); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(ratio, "overlap-ratio")
 		})
@@ -666,57 +682,6 @@ func BenchmarkAggregationThroughput(b *testing.B) {
 				e.Close()
 			}
 			<-done
-		})
-	}
-}
-
-// BenchmarkMTLatencyRealStack is the Figure 4 workload on the real
-// runtime stack: N receiver goroutines blocked in Recv while a sender
-// ping-pongs with each in turn. PIOMan-style blocking waits keep
-// per-message latency stable as receiver threads multiply.
-func BenchmarkMTLatencyRealStack(b *testing.B) {
-	for _, threads := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			c0, c1, cleanup := newBenchPair(b)
-			defer cleanup()
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for th := 0; th < threads; th++ {
-				wg.Add(1)
-				go func(th int) {
-					defer wg.Done()
-					for {
-						data, _, err := c1.Recv(0, th)
-						if err != nil {
-							return
-						}
-						if len(data) == 0 {
-							return
-						}
-						if err := c1.Send(0, 1000+th, data); err != nil {
-							return
-						}
-					}
-				}(th)
-			}
-			msg := []byte{1, 2, 3, 4}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				th := i % threads
-				if err := c0.Send(1, th, msg); err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := c0.Recv(1, 1000+th); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			close(stop)
-			_ = stop
-			for th := 0; th < threads; th++ {
-				_ = c0.Send(1, th, nil)
-			}
-			wg.Wait()
 		})
 	}
 }

@@ -1,6 +1,14 @@
 // Command piobench regenerates the tables and figures of the paper's
 // evaluation (§V). Each experiment prints its measurements in the
-// paper's format next to the paper's published values.
+// paper's format next to the paper's published values or shape.
+//
+// table1, table2 and ablation-biglock run a cost model of the paper's
+// NUMA machines, and fig5, fig6 and fig7 run the real nmad engine over a
+// simulated InfiniBand rail; both read only a virtual clock, so their
+// output is byte-identical from run to run, on any host and at any
+// GOMAXPROCS. fig4 runs the real engine on the wall clock: its numbers
+// depend on the host's CPUs and load, and it prints the host shape
+// beside them.
 //
 // Usage:
 //

@@ -37,13 +37,15 @@
 //     protocol state behind its own lock, and all progression work is
 //     unconstrained tasks any scanning CPU finds on its own path) and
 //     its MPI-flavoured interface on the real runtime stack;
-//   - internal/simtime, internal/simmachine, internal/simnet,
-//     internal/simmpi, internal/experiments — the virtual-time
-//     substrates and harnesses that regenerate every table and figure
-//     of the paper's evaluation.
+//   - internal/experiments — the harnesses that regenerate every table
+//     and figure of the paper's evaluation: Figures 4-7 from the real
+//     nmad engine (5-7 on fabric's virtual clock, 4 on the wall clock),
+//     Tables I/II from internal/simmachine, a cost model of the paper's
+//     NUMA machines; internal/simtime is the discrete-event clock under
+//     both the simulated fabric and that model.
 //
 // See docs/ARCHITECTURE.md for the package map and dependency diagram,
 // DESIGN.md for the engine's hot-path, work-stealing and adaptive-
 // control design with measured numbers, and examples/README.md for
-// seven guided programs.
+// nine guided programs.
 package pioman

@@ -3,8 +3,8 @@
 // The receiver posts a non-blocking receive for a large message, then
 // computes without touching the library. Because nmad progresses the
 // rendezvous through PIOMan tasks in the background, the transfer
-// completes during the computation — the paper's Figure 6 behaviour,
-// here on real goroutines rather than in simulation.
+// completes during the computation — the paper's Figure 6 behaviour on
+// the wall clock; `piobench -run fig6` sweeps it on a virtual one.
 //
 // Run with: go run ./examples/overlap
 package main

@@ -1,9 +1,10 @@
 // Package experiments contains one harness per table and figure of the
-// paper's evaluation (§V). Each harness builds its workload, runs it on
-// the simulation substrates (simmachine for the scheduling
-// micro-benchmarks, simnet/simmpi for the communication benchmarks), and
-// renders output in the paper's format alongside the paper's published
-// values so shapes can be compared directly.
+// paper's evaluation (§V), rendered in the paper's format beside its
+// published values or shape. Tables I/II and the big-lock ablation run
+// the simmachine cost model and Figures 5-7 run two real nmad engines
+// over fabric.SimFabric: both read only a virtual clock, so their output
+// is identical from run to run on any host. Figure 4 runs the real
+// engines on the wall clock and depends on the host (printed beside it).
 //
 // The cmd/piobench binary and the repository-level benchmarks are thin
 // wrappers over this package.

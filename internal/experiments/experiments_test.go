@@ -1,10 +1,9 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
-
-	"pioman/internal/simmpi"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -101,85 +100,137 @@ func TestRunTableUnknownMachine(t *testing.T) {
 	}
 }
 
-func TestFig4Shape(t *testing.T) {
-	mv1 := RunMTLatency(simmpi.MVAPICHLike, 1)
-	mv64 := RunMTLatency(simmpi.MVAPICHLike, 64)
-	pm1 := RunMTLatency(simmpi.PIOManLike, 1)
-	pm64 := RunMTLatency(simmpi.PIOManLike, 64)
+// mustOverlap runs one overlap measurement; RunOverlap's own audit
+// (byte-exact payload, clean gates, zero-copy receive, no retransmission,
+// no region left registered) fails the test through its error.
+func mustOverlap(t *testing.T, policy Progression, side ComputeSide, size int, computeUS float64) float64 {
+	t.Helper()
+	ratio, err := RunOverlap(policy, side, size, computeUS)
+	if err != nil {
+		t.Fatalf("%v, computation on %v, %d B, %v µs: %v", policy, side, size, computeUS, err)
+	}
+	return ratio
+}
 
-	// MVAPICH grows markedly with threads; PIOMan stays flat; base
-	// latency favours MVAPICH; at high thread counts PIOMan wins.
-	if mv64.LatencyUS < 4*mv1.LatencyUS {
-		t.Errorf("MVAPICH: %.1f µs @1 -> %.1f µs @64, want strong growth", mv1.LatencyUS, mv64.LatencyUS)
+func TestFig4Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock thread sweep")
 	}
-	if pm64.LatencyUS > 1.5*pm1.LatencyUS {
-		t.Errorf("PIOMan: %.1f µs @1 -> %.1f µs @64, want flat", pm1.LatencyUS, pm64.LatencyUS)
+	measure := func(policy Progression, threads int) float64 {
+		us, err := RunMTLatency(policy, threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return us
 	}
-	if mv1.LatencyUS > pm1.LatencyUS {
-		t.Errorf("at 1 thread MVAPICH (%.1f) should beat PIOMan (%.1f)", mv1.LatencyUS, pm1.LatencyUS)
+	t.Logf("host: %d CPUs, GOMAXPROCS %d", runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	// Best of three trials, each measuring both policies back to back so
+	// they see the same host: the wall clock only ever adds noise.
+	best := 0.0
+	for i := 0; i < 3; i++ {
+		poll1, poll64 := measure(InCall, 1), measure(InCall, 64)
+		park1, park64 := measure(Background, 1), measure(Background, 64)
+		t.Logf("polling: %.1f µs @1 -> %.1f µs @64 (x%.1f)", poll1, poll64, poll64/poll1)
+		t.Logf("parked:  %.1f µs @1 -> %.1f µs @64 (x%.1f, flatness printed, not asserted)", park1, park64, park64/park1)
+		best = max(best, poll64/park64)
 	}
-	if pm64.LatencyUS > mv64.LatencyUS {
-		t.Errorf("at 64 threads PIOMan (%.1f) should beat MVAPICH (%.1f)", pm64.LatencyUS, mv64.LatencyUS)
+	// Only the wide-margin ordering is asserted: with every blocked
+	// thread polling, 64 threads cost several times what parked ones do.
+	if best <= 2 {
+		t.Errorf("at 64 threads polling waiters cost x%.1f of parked ones in the best trial, want well over x2", best)
+	}
+}
+
+// TestMTLatencyBothPolicies keeps the Figure 4 workload (echo threads,
+// payload check, joined goroutines) under the race detector, where the
+// timing test above is skipped.
+func TestMTLatencyBothPolicies(t *testing.T) {
+	for _, policy := range progressions {
+		if us, err := RunMTLatency(policy, 4); err != nil || us <= 0 {
+			t.Errorf("%v: latency %v µs, error %v", policy, us, err)
+		}
 	}
 }
 
 func TestFig5SenderSideEveryoneOverlaps(t *testing.T) {
-	// At Tcomp comfortably above the transfer time, all engines reach a
-	// high overlap ratio on the sender side.
-	for _, kind := range overlapEngines {
-		pt := RunOverlap(kind, ComputeSender, 1<<20, 1500)
-		if pt.Ratio < 0.9 {
-			t.Errorf("%v sender-side overlap @1.5ms = %.2f, want > 0.9", kind, pt.Ratio)
+	// At Tcomp comfortably above the transfer time, both policies reach
+	// a high overlap ratio on the sender side — the same one: the pull
+	// rendezvous needs no sender host.
+	inCall := mustOverlap(t, InCall, ComputeSender, 1<<20, 1500)
+	background := mustOverlap(t, Background, ComputeSender, 1<<20, 1500)
+	for _, ratio := range []float64{inCall, background} {
+		if ratio < 0.9 {
+			t.Errorf("sender-side overlap @1.5ms = %.2f, want > 0.9", ratio)
 		}
+	}
+	if inCall != background {
+		t.Errorf("sender-side overlap differs by policy: in-call %.3f, background %.3f", inCall, background)
 	}
 }
 
 func TestFig6ReceiverSideOnlyPIOManOverlaps(t *testing.T) {
-	pioman := RunOverlap(simmpi.PIOManLike, ComputeReceiver, 1<<20, 1500)
-	mvapich := RunOverlap(simmpi.MVAPICHLike, ComputeReceiver, 1<<20, 1500)
-	openmpi := RunOverlap(simmpi.OpenMPILike, ComputeReceiver, 1<<20, 1500)
-	if pioman.Ratio < 0.9 {
-		t.Errorf("PIOMan receiver-side overlap = %.2f, want > 0.9", pioman.Ratio)
+	background := mustOverlap(t, Background, ComputeReceiver, 1<<20, 1500)
+	inCall := mustOverlap(t, InCall, ComputeReceiver, 1<<20, 1500)
+	if background < 0.9 {
+		t.Errorf("background receiver-side overlap = %.2f, want > 0.9", background)
 	}
-	// Baselines saturate near Tcomp/(Tcomp+Txfer) ≈ 1500/2185 ≈ 0.69.
-	for _, pt := range []OverlapPoint{mvapich, openmpi} {
-		if pt.Ratio > 0.8 {
-			t.Errorf("baseline receiver-side overlap = %.2f, want < 0.8 (no progression)", pt.Ratio)
-		}
-	}
-	if pioman.Ratio <= mvapich.Ratio {
-		t.Error("PIOMan must beat MVAPICH on receiver-side overlap")
+	// In-call progression saturates near Tcomp/(Tcomp+Txfer) ≈
+	// 1500/2200 ≈ 0.68.
+	if inCall > 0.8 {
+		t.Errorf("in-call receiver-side overlap = %.2f, want < 0.8 (no progression)", inCall)
 	}
 }
 
 func TestFig7BothSidesPIOManWins(t *testing.T) {
-	pioman := RunOverlap(simmpi.PIOManLike, ComputeBoth, 32<<10, 150)
-	mvapich := RunOverlap(simmpi.MVAPICHLike, ComputeBoth, 32<<10, 150)
-	if pioman.Ratio <= mvapich.Ratio {
-		t.Errorf("both-sides overlap: PIOMan %.2f should beat MVAPICH %.2f", pioman.Ratio, mvapich.Ratio)
+	background := mustOverlap(t, Background, ComputeBoth, 32<<10, 150)
+	inCall := mustOverlap(t, InCall, ComputeBoth, 32<<10, 150)
+	if background <= inCall {
+		t.Errorf("both-sides overlap: background %.2f should beat in-call %.2f", background, inCall)
 	}
-	if pioman.Ratio < 0.85 {
-		t.Errorf("PIOMan both-sides overlap = %.2f, want near 1", pioman.Ratio)
+	if background < 0.85 {
+		t.Errorf("background both-sides overlap = %.2f, want near 1", background)
 	}
 }
 
 func TestOverlapRatioMonotoneInCompute(t *testing.T) {
 	// More computation means more to hide: the ratio must not decrease
-	// along the sweep for PIOMan.
-	prev := -1.0
-	for _, comp := range overlapSweep(1 << 20) {
-		pt := RunOverlap(simmpi.PIOManLike, ComputeReceiver, 1<<20, comp)
-		if pt.Ratio < prev-0.02 {
-			t.Errorf("overlap ratio dropped from %.3f to %.3f at %v µs", prev, pt.Ratio, comp)
+	// along the sweep.
+	for _, policy := range progressions {
+		prev := -1.0
+		for _, comp := range overlapPanels[1].sweep {
+			ratio := mustOverlap(t, policy, ComputeReceiver, 1<<20, comp)
+			if ratio < prev-0.02 {
+				t.Errorf("%v: overlap ratio dropped from %.3f to %.3f at %v µs", policy, prev, ratio, comp)
+			}
+			prev = ratio
 		}
-		prev = pt.Ratio
 	}
 }
 
 func TestOverlapZeroComputeZeroRatio(t *testing.T) {
-	pt := RunOverlap(simmpi.MVAPICHLike, ComputeSender, 32<<10, 0)
-	if pt.Ratio != 0 {
-		t.Errorf("zero compute should give ratio 0, got %.3f", pt.Ratio)
+	ratio := mustOverlap(t, InCall, ComputeSender, 32<<10, 0)
+	if ratio != 0 {
+		t.Errorf("zero compute should give ratio 0, got %.3f", ratio)
+	}
+}
+
+// TestOverlapFiguresDeterministic: Figures 5-7 run on the virtual clock,
+// so their rendered text is identical from run to run.
+func TestOverlapFiguresDeterministic(t *testing.T) {
+	render := func() string {
+		var b strings.Builder
+		for _, id := range []string{"fig5", "fig6", "fig7"} {
+			e, _ := ByID(id)
+			out, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(out)
+		}
+		return b.String()
+	}
+	if first, second := render(), render(); first != second {
+		t.Errorf("figures 5-7 differ between two runs:\n%s\n---\n%s", first, second)
 	}
 }
 

@@ -1,117 +1,121 @@
 package experiments
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"time"
 
-	"pioman/internal/simmpi"
-	"pioman/internal/simnet"
-	"pioman/internal/simtime"
+	"pioman/internal/nmad"
 	"pioman/internal/stats"
 )
 
-// MTLatencyPoint is one (thread count, one-way latency) measurement.
-type MTLatencyPoint struct {
-	Threads   int
-	LatencyUS float64
-}
-
-// MTLatencyResult reproduces Figure 4: the OSU multi-threaded latency
-// test with one sender and N receiver threads exchanging 4-byte
-// messages.
-type MTLatencyResult struct {
-	Engine string
-	Points []MTLatencyPoint
-}
-
 // mtRounds is how many ping-pongs each thread performs per measurement.
-const mtRounds = 20
+const mtRounds = 50
 
-// RunMTLatency measures average one-way latency for the given engine and
-// receiver thread count (the Figure 4 workload).
-func RunMTLatency(kind simmpi.EngineKind, threads int) MTLatencyPoint {
-	sim := simtime.New()
-	defer sim.Close()
-	fabric := simnet.NewFabric(sim, simnet.IBParams())
-	sNode := fabric.AddNode(1)
-	rNode := fabric.AddNode(1)
-	sender := simmpi.NewEngine(sim, sNode, simmpi.DefaultConfig(kind))
-	receiver := simmpi.NewEngine(sim, rNode, simmpi.DefaultConfig(kind))
-	sender.Start()
-	receiver.Start()
+// RunMTLatency is the Figure 4 workload — the OSU multi-threaded latency
+// test, one sender ping-ponging 4-byte messages with each of N receiver
+// threads in turn — between two real nmad engines over in-process rails.
+// It returns the median one-way latency in µs on the wall clock, which
+// depends on the host's CPUs, GOMAXPROCS and load. Under InCall every
+// blocked thread polls the engine (Request.Wait); under Background they
+// park (Request.WaitBlocking) and the engine's progression loop polls.
+func RunMTLatency(policy Progression, threads int) (oneWayUS float64, err error) {
+	wait := (*nmad.Request).WaitBlocking
+	if policy == InCall {
+		wait = (*nmad.Request).Wait
+	}
+	sEng, rEng := nmad.NewEngine(nmad.Config{}), nmad.NewEngine(nmad.Config{})
+	stop := func() { sEng.Close(); rEng.Close() }
+	defer stop()
+	ds, dr := nmad.MemPair()
+	sg, serr := sEng.NewGate(ds)
+	rg, rerr := rEng.NewGate(dr)
+	if err := errors.Join(serr, rerr); err != nil {
+		return 0, err
+	}
+	// An error closes both engines: that fails every pending request, so
+	// no thread stays blocked on a peer that gave up.
+	errs := make(chan error, threads+1) // room for one per goroutine
+	abort := func(err error) {
+		errs <- fmt.Errorf("mt-latency %v/%d threads: %w", policy, threads, err)
+		stop()
+	}
 
-	// Receiver threads: each repeatedly posts a 4-byte receive on its own
-	// tag and sends a 4-byte reply — MPI_Recv / MPI_Send in the OSU test.
+	// Receiver threads: each repeatedly receives on its own tag and
+	// echoes the message back — MPI_Recv / MPI_Send in the OSU test.
+	var wg sync.WaitGroup
 	for th := 0; th < threads; th++ {
-		tag := th
-		sim.Spawn(fmt.Sprintf("recv-thread-%d", tag), func(p *simtime.Proc) {
+		wg.Add(1)
+		go func(tag uint64) {
+			defer wg.Done()
 			for r := 0; r < mtRounds; r++ {
-				req := receiver.Irecv(p, sNode.ID(), tag, 4)
-				receiver.Wait(p, req)
-				rep := receiver.Isend(p, sNode.ID(), replyTag(tag), 4)
-				receiver.Wait(p, rep)
+				req := rg.Irecv(tag)
+				err := wait(req)
+				if err == nil {
+					err = wait(rg.Isend(replyTag+tag, req.Data))
+				}
+				if err != nil {
+					abort(err)
+					return
+				}
 			}
-		})
+		}(uint64(th))
 	}
-
 	// The sending process ping-pongs with each thread in turn.
-	var sum simtime.Duration
-	var count int
-	sim.Spawn("sender", func(p *simtime.Proc) {
-		for r := 0; r < mtRounds; r++ {
-			for th := 0; th < threads; th++ {
-				start := p.Now()
-				sender.Wait(p, sender.Isend(p, rNode.ID(), th, 4))
-				sender.Wait(p, sender.Irecv(p, rNode.ID(), replyTag(th), 4))
-				sum += p.Now() - start
-				count++
-			}
+	rtts := make([]time.Duration, 0, mtRounds*threads)
+	for i := 0; i < mtRounds*threads && len(errs) == 0; i++ {
+		tag := uint64(i % threads)
+		msg := []byte{byte(i), byte(i >> 8), byte(i >> 16), 0x5a}
+		start := time.Now()
+		rep := sg.Irecv(replyTag + tag)
+		err := wait(sg.Isend(tag, msg))
+		if err == nil {
+			err = wait(rep)
 		}
-	})
-	sim.Run()
-
-	lat := 0.0
-	if count > 0 {
-		lat = float64(sum) / float64(count) / 2000.0 // RTT ns -> one-way µs
+		rtts = append(rtts, time.Since(start))
+		if err == nil && !bytes.Equal(rep.Data, msg) {
+			err = fmt.Errorf("tag %d echoed % x for % x", tag, rep.Data, msg)
+		}
+		if err != nil {
+			abort(err)
+		}
 	}
-	return MTLatencyPoint{Threads: threads, LatencyUS: lat}
+	wg.Wait()
+	if len(errs) > 0 {
+		return 0, <-errs
+	}
+	slices.Sort(rtts)
+	return float64(rtts[len(rtts)/2].Nanoseconds()) / 2000, nil // RTT ns -> one-way µs
 }
 
-func replyTag(tag int) int { return 1_000_000 + tag }
-
-// Fig4ThreadCounts is the sweep of the paper's x-axis (1..128 threads).
-var Fig4ThreadCounts = []int{1, 2, 4, 8, 16, 32, 64, 128}
-
-// RunFig4 produces the Figure 4 curves for MVAPICH-like and PIOMan-like
-// engines. (The paper could not run OpenMPI on this test — it
-// segfaulted despite MPI_THREAD_MULTIPLE being requested.)
-func RunFig4() []MTLatencyResult {
-	var out []MTLatencyResult
-	for _, kind := range []simmpi.EngineKind{simmpi.MVAPICHLike, simmpi.PIOManLike} {
-		r := MTLatencyResult{Engine: kind.String()}
-		for _, n := range Fig4ThreadCounts {
-			r.Points = append(r.Points, RunMTLatency(kind, n))
-		}
-		out = append(out, r)
-	}
-	return out
-}
+// replyTag offsets the tags echoes come back on.
+const replyTag = 1_000_000
 
 func renderFig4() (string, error) {
-	results := RunFig4()
 	fig := stats.Figure{
 		Title:  "Multi-threaded latency test (Figure 4)",
 		XLabel: "threads",
 		YLabel: "one-way latency (µs)",
 	}
-	for _, r := range results {
-		s := fig.AddSeries(r.Engine)
-		for _, p := range r.Points {
-			s.Add(float64(p.Threads), p.LatencyUS)
+	for _, policy := range progressions {
+		s := fig.AddSeries(policy.String())
+		for _, n := range []int{1, 2, 4, 8, 16, 32, 64, 128} { // the paper's x-axis
+			lat, err := RunMTLatency(policy, n)
+			if err != nil {
+				return "", err
+			}
+			s.Add(float64(n), lat)
 		}
 	}
 	var b strings.Builder
 	b.WriteString(fig.String())
+	fmt.Fprintf(&b, "host: %d CPUs, GOMAXPROCS %d — wall clock, varies with host and load\n",
+		runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	b.WriteString("\nPaper shape: MVAPICH latency grows with receiver threads (polling\n" +
 		"contention); PIOMan stays almost constant even past the core count.\n" +
 		"OpenMPI is absent in the paper too: it segfaulted on this test.\n")

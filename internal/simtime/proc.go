@@ -3,7 +3,7 @@ package simtime
 // Proc is an imperative simulation process: a goroutine whose execution
 // strictly alternates with the simulation loop, so that at most one
 // process (or event callback) runs at any instant. Processes advance
-// virtual time with Sleep and coordinate through Signals.
+// virtual time with Sleep.
 type Proc struct {
 	sim  *Sim
 	name string
@@ -114,43 +114,5 @@ func (p *Proc) Sim() *Sim { return p.sim }
 // Sleep suspends the process for d nanoseconds of virtual time.
 func (p *Proc) Sleep(d Duration) {
 	p.sim.At(p.sim.now+d, func() { p.dispatch() })
-	p.park()
-}
-
-// Signal is a one-shot virtual-time synchronization point: processes
-// Wait until some event or process calls Fire. Waits after Fire return
-// immediately. The analogue of the "blocking condition" the paper's
-// receiving threads sleep on.
-type Signal struct {
-	sim     *Sim
-	fired   bool
-	waiters []*Proc
-}
-
-// NewSignal returns an unfired signal.
-func (s *Sim) NewSignal() *Signal { return &Signal{sim: s} }
-
-// Fired reports whether Fire has been called.
-func (sg *Signal) Fired() bool { return sg.fired }
-
-// Fire releases all current and future waiters. Idempotent.
-func (sg *Signal) Fire() {
-	if sg.fired {
-		return
-	}
-	sg.fired = true
-	for _, p := range sg.waiters {
-		p := p
-		sg.sim.At(sg.sim.now, func() { p.dispatch() })
-	}
-	sg.waiters = nil
-}
-
-// Wait parks the process until the signal fires.
-func (sg *Signal) Wait(p *Proc) {
-	if sg.fired {
-		return
-	}
-	sg.waiters = append(sg.waiters, p)
 	p.park()
 }

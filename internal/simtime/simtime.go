@@ -1,18 +1,20 @@
 // Package simtime is a deterministic discrete-event simulation engine
-// with virtual nanosecond time. It underlies the experiment harnesses
-// that reproduce the paper's measurements on hardware we do not have
-// (8- and 16-core NUMA Opterons, InfiniBand NICs): protocol and cost
-// models run in virtual time, so results are exact and repeatable.
+// with virtual nanosecond time. It underlies the two places the
+// repository stands in for hardware we do not have: the machine cost
+// model of internal/simmachine (8- and 16-core NUMA Opterons) and the
+// virtual clock of fabric.SimFabric (an InfiniBand-class rail under the
+// real nmad engine). Both run in virtual time, so results are exact and
+// repeatable.
 //
 // Two styles are supported and freely mixed:
 //
 //   - event callbacks: Sim.At / Sim.After schedule functions at virtual
 //     times;
 //   - processes: Spawn starts an imperative goroutine that advances
-//     virtual time with Proc.Sleep and synchronizes on Signals. The
-//     engine enforces strict alternation (exactly one process or event
-//     runs at a time), so models are single-threaded and deterministic
-//     despite using goroutines.
+//     virtual time with Proc.Sleep. The engine enforces strict
+//     alternation (exactly one process or event runs at a time), so
+//     models are single-threaded and deterministic despite using
+//     goroutines.
 //
 // Ties in event time are broken by scheduling order, which makes runs
 // bit-for-bit reproducible.

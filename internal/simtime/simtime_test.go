@@ -144,72 +144,14 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 	}
 }
 
-func TestSignalWaitAndFire(t *testing.T) {
-	s := New()
-	defer s.Close()
-	sig := s.NewSignal()
-	var wokenAt Time = -1
-	s.Spawn("waiter", func(p *Proc) {
-		sig.Wait(p)
-		wokenAt = p.Now()
-	})
-	s.Spawn("firer", func(p *Proc) {
-		p.Sleep(700)
-		sig.Fire()
-	})
-	s.Run()
-	if wokenAt != 700 {
-		t.Errorf("waiter woke at %v, want 700", wokenAt)
-	}
-	if !sig.Fired() {
-		t.Error("signal should report fired")
-	}
-}
-
-func TestSignalWaitAfterFireReturnsImmediately(t *testing.T) {
-	s := New()
-	defer s.Close()
-	sig := s.NewSignal()
-	sig.Fire()
-	var at Time = -1
-	s.Spawn("late", func(p *Proc) {
-		p.Sleep(10)
-		sig.Wait(p) // already fired: no park
-		at = p.Now()
-	})
-	s.Run()
-	if at != 10 {
-		t.Errorf("late waiter continued at %v, want 10", at)
-	}
-}
-
-func TestSignalMultipleWaiters(t *testing.T) {
-	s := New()
-	defer s.Close()
-	sig := s.NewSignal()
-	woken := 0
-	for i := 0; i < 5; i++ {
-		s.Spawn("w", func(p *Proc) {
-			sig.Wait(p)
-			woken++
-		})
-	}
-	s.At(100, func() { sig.Fire() })
-	s.Run()
-	if woken != 5 {
-		t.Errorf("woken = %d, want 5", woken)
-	}
-}
-
 func TestCloseReleasesParkedProcs(t *testing.T) {
 	s := New()
-	sig := s.NewSignal() // never fired
 	bodyFinished := false
 	s.Spawn("stuck", func(p *Proc) {
-		sig.Wait(p)
+		p.Sleep(Second) // never reached: the run stops first
 		bodyFinished = true
 	})
-	s.Run()
+	s.RunUntil(Millisecond)
 	s.Close() // must not hang
 	if bodyFinished {
 		t.Error("killed process body should not have continued")
@@ -229,13 +171,12 @@ func TestCloseReleasesNeverStartedProcs(t *testing.T) {
 
 func TestDeferRunsWhenProcKilled(t *testing.T) {
 	s := New()
-	sig := s.NewSignal()
 	deferRan := false
 	s.Spawn("d", func(p *Proc) {
 		defer func() { deferRan = true }()
-		sig.Wait(p)
+		p.Sleep(Second) // still parked when the run stops
 	})
-	s.Run()
+	s.RunUntil(Millisecond)
 	s.Close()
 	if !deferRan {
 		t.Error("defers in killed process bodies must run")
