@@ -596,7 +596,7 @@ func BenchmarkPingPongEager(b *testing.B) {
 }
 
 // BenchmarkRendezvous1MB measures large-message throughput through the
-// RTS/CTS/data rendezvous on the real stack.
+// RTS/push/data/FIN rendezvous on the real stack.
 func BenchmarkRendezvous1MB(b *testing.B) {
 	c0, c1, cleanup := newBenchPair(b)
 	defer cleanup()

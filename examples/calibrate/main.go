@@ -5,12 +5,15 @@
 // completion timings, then re-converges after the two rails swap
 // effective bandwidths mid-stream.
 //
-// Progression is driven from this goroutine on a free-running virtual
-// clock, so the run is deterministic and the printed times are exact
-// modelled durations. Three configurations are compared on the same
-// workload: even striping (the seed behaviour), the oracle
-// (capability-aware striping told the true envelopes up front), and
-// the calibrated gate that has to find them out.
+// The receiver's rails cannot serve RMA reads, so it asks the sender
+// to push every payload and the sender's striping — the thing being
+// calibrated — moves every byte. Progression is driven from this
+// goroutine on a free-running virtual clock, so the run is
+// deterministic and the printed times are exact modelled durations.
+// Three configurations are compared on the same workload: even
+// striping (the seed behaviour: the rails hide their bandwidth), the
+// oracle (capability-aware striping told the true envelopes up front),
+// and the calibrated gate that has to find them out.
 //
 // Run with: go run ./examples/calibrate
 package main
@@ -29,12 +32,29 @@ var (
 	slowCaps = fabric.Capabilities{Latency: 2 * simtime.Microsecond, Bandwidth: 1e9, MaxInject: 16 << 10, RMA: true}
 )
 
+// evenRail hides a rail's bandwidth, so striping over it splits
+// equally — the seed behaviour. The modelled timing still comes from
+// the domain.
+type evenRail struct{ *fabric.SimEndpoint }
+
+func (r evenRail) Capabilities() fabric.Capabilities {
+	caps := r.SimEndpoint.Capabilities()
+	caps.Bandwidth = 0
+	return caps
+}
+
+// noRMA is an envelope whose rail cannot serve RMA reads.
+func noRMA(caps fabric.Capabilities) fabric.Capabilities {
+	caps.RMA = false
+	return caps
+}
+
 // rig is one sender/receiver pair over the fast+slow rail pair.
 type rig struct {
 	f                *fabric.SimFabric
 	sender, receiver *nmad.Engine
 	ga, gb           *nmad.Gate
-	doms             [2][]*fabric.SimDomain
+	doms             [2][2]*fabric.SimDomain
 }
 
 func newRig(calibrate, even bool) *rig {
@@ -42,11 +62,15 @@ func newRig(calibrate, even bool) *rig {
 	var sEps, rEps [2]fabric.Endpoint
 	for i, caps := range []fabric.Capabilities{fastCaps, slowCaps} {
 		a := r.f.OpenDomain(caps)
-		b := r.f.OpenDomain(caps)
-		sEps[i], rEps[i] = fabric.Connect(a, b)
-		r.doms[i] = []*fabric.SimDomain{a, b}
+		b := r.f.OpenDomain(noRMA(caps))
+		ea, eb := fabric.Connect(a, b)
+		sEps[i], rEps[i] = ea, eb
+		if even {
+			sEps[i] = evenRail{ea}
+		}
+		r.doms[i] = [2]*fabric.SimDomain{a, b}
 	}
-	r.sender = nmad.NewEngine(nmad.Config{NoAutoProgress: true, Calibrate: calibrate, EvenStripe: even})
+	r.sender = nmad.NewEngine(nmad.Config{NoAutoProgress: true, Calibrate: calibrate})
 	r.receiver = nmad.NewEngine(nmad.Config{NoAutoProgress: true})
 	var err error
 	if r.ga, err = r.sender.NewGateEndpoints(sEps[0], sEps[1]); err != nil {
@@ -137,12 +161,10 @@ func main() {
 	// gate keeps running and must re-converge.
 	degraded, upgraded := fastCaps, slowCaps
 	degraded.Bandwidth, upgraded.Bandwidth = slowCaps.Bandwidth, fastCaps.Bandwidth
-	for _, d := range cr.doms[0] {
-		d.SetCapabilities(degraded)
-	}
-	for _, d := range cr.doms[1] {
-		d.SetCapabilities(upgraded)
-	}
+	cr.doms[0][0].SetCapabilities(degraded)
+	cr.doms[0][1].SetCapabilities(noRMA(degraded))
+	cr.doms[1][0].SetCapabilities(upgraded)
+	cr.doms[1][1].SetCapabilities(noRMA(upgraded))
 	before := cr.ga.RailStats()
 	shiftStart := cr.f.Now()
 	cr.transfer(500, 64, 256<<10)

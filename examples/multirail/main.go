@@ -4,17 +4,20 @@
 // Two engines are connected by two simulated RDMA rails with very
 // different envelopes — an 8 GB/s low-latency rail and a 1 GB/s
 // high-latency one, the shape of the paper's BORDERLINE nodes carrying
-// both ConnectX IB and Myri-10G. A large message is sent three times:
-// with the seed's even striping (half the payload on each rail, so the
-// slow rail dominates completion), with capability-aware striping
-// (chunks proportional to per-rail bandwidth, so both rails finish
-// together), and finally with the receiver-driven pull rendezvous (the
-// RTS offers per-rail remote keys, the receiver stripes and RMA-reads
-// the chunks straight out of the sender's user buffer). The fabric's
-// virtual clock reports the modelled transfer times, its copy counters
-// prove where the bytes moved — host memcpy vs. NIC DMA — and the
-// per-rail statistics show where they went. Small messages ride the
-// lowest-latency rail either way.
+// both ConnectX IB and Myri-10G. A large message is sent three times.
+// The first two go to a receiver whose rails cannot serve RMA reads,
+// so it asks the sender to push the whole payload: once with the seed's
+// even striping (the rails hide their bandwidth, so half the payload
+// rides each and the slow rail dominates completion), once with
+// capability-aware striping (chunks proportional to per-rail bandwidth,
+// so both rails finish together). The third goes to an RMA-capable
+// receiver: the RTS offers per-rail remote keys, and the receiver
+// stripes and RMA-reads the chunks straight out of the sender's user
+// buffer. The fabric's virtual clock reports the modelled transfer
+// times, its copy counters prove where the bytes moved — host memcpy
+// vs. NIC DMA — and the per-rail statistics show where they went.
+// Small messages ride the lowest-latency rail either way. Progression
+// is driven from this goroutine, so every run prints the same numbers.
 //
 // Run with: go run ./examples/multirail
 package main
@@ -27,6 +30,22 @@ import (
 	"pioman/internal/simtime"
 )
 
+var (
+	fastCaps = fabric.Capabilities{Latency: simtime.Microsecond, Bandwidth: 8e9, MaxInject: 16 << 10, RMA: true}
+	slowCaps = fabric.Capabilities{Latency: 5 * simtime.Microsecond, Bandwidth: 1e9, MaxInject: 16 << 10, RMA: true}
+)
+
+// evenRail hides a rail's bandwidth, so striping over it splits
+// equally — the seed behaviour. The modelled timing still comes from
+// the domain, and the RMA and Domain faces are promoted.
+type evenRail struct{ *fabric.SimEndpoint }
+
+func (r evenRail) Capabilities() fabric.Capabilities {
+	caps := r.SimEndpoint.Capabilities()
+	caps.Bandwidth = 0
+	return caps
+}
+
 // result is one transfer configuration's outcome.
 type result struct {
 	time     simtime.Duration
@@ -38,57 +57,55 @@ type result struct {
 }
 
 // transfer sends one large payload over a fresh fast+slow gate pair.
-// Striping runs on whichever side drives the protocol — the sender for
-// push mode, the receiver for pull mode — so both engines share the
-// even/pull knobs.
+// Striping runs on whichever side moves the bytes — the sender for a
+// push, the receiver for a pull — so even hides bandwidth on both.
 func transfer(even, pull bool, payload []byte) result {
 	f := fabric.NewSimFabric(fabric.SimConfig{}) // free-running virtual time
-	fast := f.OpenDomain(fabric.Capabilities{
-		Latency: simtime.Microsecond, Bandwidth: 8e9, MaxInject: 16 << 10, RMA: true,
-	})
-	fastPeer := f.OpenDomain(fast.Capabilities())
-	slow := f.OpenDomain(fabric.Capabilities{
-		Latency: 5 * simtime.Microsecond, Bandwidth: 1e9, MaxInject: 16 << 10, RMA: true,
-	})
-	slowPeer := f.OpenDomain(slow.Capabilities())
-	ea0, eb0 := fabric.Connect(fast, fastPeer)
-	ea1, eb1 := fabric.Connect(slow, slowPeer)
+	var sEps, rEps []fabric.Endpoint
+	for _, caps := range []fabric.Capabilities{fastCaps, slowCaps} {
+		recvCaps := caps
+		recvCaps.RMA = pull
+		ea, eb := fabric.Connect(f.OpenDomain(caps), f.OpenDomain(recvCaps))
+		if even {
+			sEps, rEps = append(sEps, evenRail{ea}), append(rEps, evenRail{eb})
+		} else {
+			sEps, rEps = append(sEps, ea), append(rEps, eb)
+		}
+	}
 
-	sender := nmad.NewEngine(nmad.Config{EvenStripe: even, NoRdvPull: !pull})
-	receiver := nmad.NewEngine(nmad.Config{EvenStripe: even, NoRdvPull: !pull})
+	sender := nmad.NewEngine(nmad.Config{NoAutoProgress: true})
+	receiver := nmad.NewEngine(nmad.Config{NoAutoProgress: true})
 	defer sender.Close()
 	defer receiver.Close()
-	gs, err := sender.NewGateEndpoints(ea0, ea1)
+	gs, err := sender.NewGateEndpoints(sEps...)
 	if err != nil {
 		panic(err)
 	}
-	gr, err := receiver.NewGateEndpoints(eb0, eb1)
+	gr, err := receiver.NewGateEndpoints(rEps...)
 	if err != nil {
 		panic(err)
+	}
+	send := func(tag uint64, data []byte) {
+		rreq := gr.Irecv(tag)
+		sreq := gs.Isend(tag, data)
+		for !(rreq.Test() && sreq.Test()) {
+			sender.Tasks().Schedule(0)
+			receiver.Tasks().Schedule(0)
+		}
+		if err := sreq.Err(); err != nil {
+			panic(err)
+		}
+		if err := rreq.Err(); err != nil {
+			panic(err)
+		}
 	}
 
 	// A few small messages first: they ride the lowest-latency rail.
 	for i := 0; i < 4; i++ {
-		if err := gs.Send(uint64(i), []byte(fmt.Sprintf("ctl-%d", i))); err != nil {
-			panic(err)
-		}
-		if _, err := gr.Recv(uint64(i)); err != nil {
-			panic(err)
-		}
+		send(uint64(i), []byte(fmt.Sprintf("ctl-%d", i)))
 	}
 	small := simtime.Duration(f.Now())
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := gr.Recv(99)
-		done <- err
-	}()
-	if err := gs.Send(99, payload); err != nil {
-		panic(err)
-	}
-	if err := <-done; err != nil {
-		panic(err)
-	}
+	send(99, payload)
 	return result{
 		time:     simtime.Duration(f.Now()) - small,
 		sendGate: gs, recvGate: gr,
@@ -106,11 +123,11 @@ func main() {
 	capPull := transfer(false, true, payload)
 
 	show := func(name string, r result) {
-		fmt.Printf("%-22s %10v modelled transfer\n", name, simtime.Time(r.time))
+		fmt.Printf("%-28s %10v modelled transfer\n", name, simtime.Time(r.time))
 		for i, rs := range r.sendGate.RailStats() {
 			pull := r.recvGate.RailStats()[i].PullBytes
 			fmt.Printf("  rail %d (%s, %s): %d frames, %.2f MiB pushed, %.2f MiB pulled\n",
-				i, rs.Provider, rs.Caps, rs.Frames,
+				i, rs.Provider, []fabric.Capabilities{fastCaps, slowCaps}[i], rs.Frames,
 				float64(rs.Bytes)/(1<<20), float64(pull)/(1<<20))
 		}
 	}
@@ -124,15 +141,15 @@ func main() {
 		capPush.sent.RdvStarted, capPush.sent.RdvData, capPush.sent.EagerSent)
 
 	fmt.Printf("\npull vs push, same capability-aware split (copy counters, 8 MiB payload):\n")
-	fmt.Printf("  %-22s %12s %14s %12s %10s\n", "", "staged(host)", "recv-memcpy", "DMA(read)", "time")
+	fmt.Printf("  %-30s %12s %14s %12s %10s\n", "", "staged(host)", "recv-memcpy", "DMA(read)", "time")
 	row := func(name string, r result) {
-		fmt.Printf("  %-22s %9.1f MiB %11.1f MiB %9.1f MiB %10v\n", name,
+		fmt.Printf("  %-30s %9.1f MiB %11.1f MiB %9.1f MiB %10v\n", name,
 			float64(r.sim.StagedCopiedBytes)/(1<<20),
 			float64(r.recv.RecvCopiedBytes)/(1<<20),
 			float64(r.sim.RMAReadBytes)/(1<<20),
 			simtime.Time(r.time))
 	}
-	row("push", capPush)
+	row("push (receiver without RMA)", capPush)
 	row("pull", capPull)
 	fmt.Printf("  (pull: %d RMA reads, %d FIN; registrations interned by the cache: %d)\n",
 		capPull.recv.RdvPulls, capPull.recv.RdvFins, capPull.sim.Registrations)

@@ -36,28 +36,34 @@ var (
 	calSlow = fabric.Capabilities{Latency: 2 * simtime.Microsecond, Bandwidth: 1e9, MaxInject: 16 << 10, RMA: true}
 )
 
+// noRMA is an envelope whose rail cannot serve RMA reads.
+func noRMA(caps fabric.Capabilities) fabric.Capabilities {
+	caps.RMA = false
+	return caps
+}
+
 // newCalRig builds the rig. calibrate makes the sender's gate measure
-// its rails from zero knowledge; even keeps the true envelopes but
-// forces the seed's even split.
+// its rails from zero knowledge; even hides the true bandwidths from
+// the sender (evenRail), forcing the seed's even split.
 func newCalRig(t testing.TB, calibrate, even bool) *calRig {
 	t.Helper()
 	r := &calRig{f: fabric.NewSimFabric(fabric.SimConfig{SendCompletions: true})}
 	var sEps, rEps [2]fabric.Endpoint
 	for i, caps := range []fabric.Capabilities{calFast, calSlow} {
+		// The receiver's rails cannot read, so it asks for every
+		// payload to be pushed: these rigs measure the sender's
+		// striping and calibration path. Receiver-side pull calibration
+		// has its own test (TestCalibratedPullConverges).
 		a := r.f.OpenDomain(caps)
-		b := r.f.OpenDomain(caps)
+		b := r.f.OpenDomain(noRMA(caps))
 		ea, eb := fabric.Connect(a, b)
 		r.doms[i] = [2]*fabric.SimDomain{a, b}
 		sEps[i], rEps[i] = ea, eb
 	}
-	// The receiver declines pull offers (NoRdvPull): these rigs measure
-	// the sender-driven striping and calibration path, which only runs
-	// when the receiver asks for a classic push. Receiver-side pull
-	// calibration has its own test (TestCalibratedPullConverges).
-	r.sender = NewEngine(Config{NoAutoProgress: true, Calibrate: calibrate, EvenStripe: even})
-	r.receiver = NewEngine(Config{NoAutoProgress: true, NoRdvPull: true})
+	r.sender = NewEngine(Config{NoAutoProgress: true, Calibrate: calibrate})
+	r.receiver = NewEngine(Config{NoAutoProgress: true})
 	var err error
-	if r.ga, err = r.sender.NewGateEndpoints(sEps[0], sEps[1]); err != nil {
+	if r.ga, err = r.sender.NewGateEndpoints(evenIf(even, sEps[0], sEps[1])...); err != nil {
 		t.Fatal(err)
 	}
 	if r.gb, err = r.receiver.NewGateEndpoints(rEps[0], rEps[1]); err != nil {
@@ -190,12 +196,10 @@ func TestCalibrationReconvergesAfterBandwidthShift(t *testing.T) {
 	// 8 GB/s (latencies unchanged).
 	degraded, upgraded := calFast, calSlow
 	degraded.Bandwidth, upgraded.Bandwidth = calSlow.Bandwidth, calFast.Bandwidth
-	for _, d := range r.doms[0] {
-		d.SetCapabilities(degraded)
-	}
-	for _, d := range r.doms[1] {
-		d.SetCapabilities(upgraded)
-	}
+	r.doms[0][0].SetCapabilities(degraded)
+	r.doms[0][1].SetCapabilities(noRMA(degraded))
+	r.doms[1][0].SetCapabilities(upgraded)
+	r.doms[1][1].SetCapabilities(noRMA(upgraded))
 
 	base := r.ga.RailStats()
 	r.transfer(t, 500, 64, 256<<10)
@@ -228,12 +232,11 @@ func TestCalibratedGateUnderRace(t *testing.T) {
 	var sEps, rEps [2]fabric.Endpoint
 	for i, caps := range []fabric.Capabilities{calFast, calSlow} {
 		a := f.OpenDomain(caps)
-		b := f.OpenDomain(caps)
+		b := f.OpenDomain(noRMA(caps))
 		sEps[i], rEps[i] = fabric.Connect(a, b)
-		_ = i
 	}
 	sender := NewEngine(Config{Calibrate: true})
-	receiver := NewEngine(Config{NoRdvPull: true})
+	receiver := NewEngine(Config{})
 	defer sender.Close()
 	defer receiver.Close()
 	ga, err := sender.NewGateEndpoints(sEps[0], sEps[1])
@@ -303,11 +306,11 @@ func benchCalibrated(b *testing.B, msgs, size int) {
 	var sEps, rEps [2]fabric.Endpoint
 	for i, caps := range []fabric.Capabilities{calFast, calSlow} {
 		da := f.OpenDomain(caps)
-		db := f.OpenDomain(caps)
+		db := f.OpenDomain(noRMA(caps))
 		sEps[i], rEps[i] = fabric.Connect(da, db)
 	}
 	sender := NewEngine(Config{Calibrate: true})
-	receiver := NewEngine(Config{NoRdvPull: true})
+	receiver := NewEngine(Config{})
 	defer sender.Close()
 	defer receiver.Close()
 	ga, err := sender.NewGateEndpoints(sEps[0], sEps[1])

@@ -16,8 +16,9 @@ import (
 
 const chaosRdvTimeout = 2 * simtime.Millisecond
 
-// chaosRig is a two-engine pair over one RMA-capable rail whose
-// rendezvous deadlines ride the fabric clock.
+// chaosRig is a two-engine pair over one rail whose rendezvous
+// deadlines ride the fabric clock. The sender's side is RMA-capable;
+// the receiver's is too unless the rig forces push.
 type chaosRig struct {
 	f                *fabric.SimFabric
 	da, db           *fabric.SimDomain
@@ -30,12 +31,12 @@ func newChaosRig(t testing.TB, fc fabric.FaultConfig, pull bool) *chaosRig {
 	r := &chaosRig{f: fabric.NewSimFabric(fabric.SimConfig{Faults: fc})}
 	caps := fabric.Capabilities{Latency: simtime.Microsecond, Bandwidth: 4e9, MaxInject: 16 << 10, RMA: true}
 	r.da = r.f.OpenDomain(caps)
+	caps.RMA = pull
 	r.db = r.f.OpenDomain(caps)
 	ea, eb := fabric.Connect(r.da, r.db)
 	clock := func() int64 { return int64(r.f.Now()) }
 	cfg := Config{
 		NoAutoProgress: true,
-		NoRdvPull:      !pull,
 		Clock:          clock,
 		RdvTimeout:     int64(chaosRdvTimeout),
 		RdvRetries:     4,
@@ -140,17 +141,17 @@ func TestRdvTimeoutRecoversDroppedRTS(t *testing.T) {
 	requireClean(t, "receiver", r.gb)
 }
 
-// TestRdvTimeoutRecoversDroppedCTS runs the classic push handshake and
-// drops the receiver's CTS: the receiver-side sweep re-sends it (and a
-// sender-side RTS retry is answered idempotently), so the transfer
-// still completes.
-func TestRdvTimeoutRecoversDroppedCTS(t *testing.T) {
+// TestRdvTimeoutRecoversDroppedPushRequest runs a pushed rendezvous
+// (the receiver cannot read) and drops the receiver's push request:
+// the receiver-side sweep re-asks it (and a sender-side RTS retry is
+// ignored idempotently), so the transfer still completes.
+func TestRdvTimeoutRecoversDroppedPushRequest(t *testing.T) {
 	r := newChaosRig(t, fabric.FaultConfig{}, false)
 	defer r.close()
 	payload := chaosPayload(64 << 10)
 
 	// Only the receiver's outbound direction is lossy: the RTS arrives,
-	// the CTS answering it dies on the wire.
+	// the push request answering it dies on the wire.
 	r.db.SetFaults(&fabric.FaultConfig{DropProb: 1})
 	rreq := r.gb.Irecv(1)
 	sreq := r.ga.Isend(1, payload)
@@ -158,7 +159,7 @@ func TestRdvTimeoutRecoversDroppedCTS(t *testing.T) {
 	r.db.SetFaults(nil)
 
 	if !r.drive(64*chaosRdvTimeout, sreq, rreq) {
-		t.Fatal("transfer did not recover from a dropped CTS")
+		t.Fatal("transfer did not recover from a dropped push request")
 	}
 	if sreq.Err() != nil || rreq.Err() != nil {
 		t.Fatalf("transfer failed: send %v, recv %v", sreq.Err(), rreq.Err())

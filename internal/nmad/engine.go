@@ -35,18 +35,13 @@ type Config struct {
 	// private engine on the host topology is created.
 	Tasks *core.Engine
 	// EagerThreshold is the largest payload sent eagerly; larger
-	// messages use the RTS/CTS rendezvous (default 8 KiB).
+	// messages use the RTS/FIN rendezvous (default 8 KiB).
 	EagerThreshold int
 	// Strategy selects the small-message send strategy.
 	Strategy StrategyKind
 	// MaxAggr bounds the payload bytes packed into one aggregate frame
 	// (default 16 KiB).
 	MaxAggr int
-	// EvenStripe disables capability-aware striping and divides
-	// rendezvous payloads evenly across alive rails regardless of
-	// their bandwidth — the seed behaviour, kept as an ablation for
-	// the heterogeneous-rail benchmarks.
-	EvenStripe bool
 	// Calibrate wraps every gate rail in a fabric.Calibrator: striping
 	// and eager routing then consume *measured* per-rail latency and
 	// bandwidth instead of the provider's assumed envelope, starting
@@ -61,13 +56,6 @@ type Config struct {
 	// the calibrator runs disabled on its Assume seed (see
 	// fabric.CalibratedEndpoint.Sampling).
 	Calibrate bool
-	// NoRdvPull disables the receiver-driven pull rendezvous: the
-	// engine neither offers remote keys in its RTS frames (sender
-	// side) nor pulls from offered keys (receiver side), falling back
-	// to the classic CTS/push protocol everywhere. The ablation knob
-	// for the zero-copy acceptance tests, and an escape hatch for
-	// providers whose RMA path misbehaves.
-	NoRdvPull bool
 	// AutoProgress starts a background progression goroutine (default
 	// on; disable when an external sched.Runtime drives the task
 	// engine). Zero value means on; set NoAutoProgress to disable.
@@ -103,9 +91,9 @@ type Config struct {
 	// requests invariant under this knob proves the invariant detects
 	// what the timeout exists to fix.
 	NoRdvTimeout bool
-	// Trace attaches a flight recorder: rendezvous RTS/CTS/FIN
-	// arrivals, retransmissions, permanent timeouts, and rail deaths
-	// are recorded under the owning gate's ring, stamped on Clock.
+	// Trace attaches a flight recorder: rendezvous RTS/FIN arrivals,
+	// retransmissions, permanent timeouts, and rail deaths are recorded
+	// under the owning gate's ring, stamped on Clock.
 	// Nil (the default) leaves each hook as one nil check.
 	Trace *trace.Recorder
 	// Admit enables engine-level admission control (admission.go):
@@ -136,10 +124,10 @@ type Stats struct {
 	RdvStarted      uint64 // rendezvous handshakes initiated
 	RdvData         uint64 // rendezvous data fragments sent
 	Restripes       uint64 // fragments re-routed onto a surviving rail
-	RdvPulls        uint64 // RMA reads posted by pull-mode rendezvous
+	RdvPulls        uint64 // RMA reads posted by rendezvous receives
 	RdvPullBytes    uint64 // payload bytes landed by RMA reads
-	RdvPushRanges   uint64 // pull-mode byte ranges that fell back to push
-	RdvFins         uint64 // pull-mode rendezvous completed (FIN sent)
+	RdvPushRanges   uint64 // byte ranges a rendezvous receive asked the sender to push
+	RdvFins         uint64 // rendezvous receives completed (FIN sent)
 	RecvCopiedBytes uint64 // payload bytes memcpy'd on the receive path
 	RdvRetries      uint64 // rendezvous steps retransmitted after a timeout
 	RdvTimeouts     uint64 // rendezvous halves failed with ErrRdvTimeout
@@ -273,9 +261,8 @@ type inbound struct {
 }
 
 type sendRdvState struct {
-	data      []byte
-	req       *Request
-	remaining atomic.Int32
+	data []byte
+	req  *Request
 	// retryTimer drives the handshake-timeout sweep; guarded by Gate.mu
 	// like the sendRdv map that holds the state.
 	retryTimer
@@ -318,7 +305,6 @@ func (e *Engine) getSendRdv() *sendRdvState {
 func (e *Engine) putSendRdv(st *sendRdvState) {
 	st.data = nil
 	st.req = nil
-	st.remaining.Store(0)
 	st.releaseRegs()
 	st.offer = st.offer[:0]
 	st.tag = 0
@@ -758,7 +744,7 @@ func (e *Engine) NewGateEndpoints(eps ...fabric.Endpoint) (*Gate, error) {
 		fe, _ := r.ep.(frameEndpoint)
 		// A rail marked dead by the send path keeps being polled:
 		// send and receive capability fail independently, and frames
-		// already in flight toward us (a CTS, a data fragment) must
+		// already in flight toward us (a FIN, a data fragment) must
 		// still land. Polling stops only on a receive-side error or
 		// engine close.
 		pollTask := &core.Task{
@@ -828,19 +814,21 @@ func (g *Gate) railDown(i int) int {
 
 // railFailed handles a receiver-observed rail death. The rail stops
 // being polled; when no rail survives the whole gate fails. When some
-// do, the gate's in-flight rendezvous state is handled per protocol
-// mode:
+// do, the gate's in-flight rendezvous state is judged by what this
+// side can see:
 //
-//   - Pull-mode receives know exactly which chunks ride which rails
-//     (this side posted the reads), so chunks outstanding on the dead
-//     rail are re-issued on the survivors — pulled again over another
-//     offered key, or requested as a push — and the transfer survives.
-//   - Push-mode state is failed conservatively: inbound frames already
-//     in flight on the dead rail (a data fragment toward a reassembly,
-//     a CTS toward a waiting sender, a FIN toward a pull-mode sender)
-//     are lost and never retransmitted, and nothing records which
-//     rails the sender chose, so waiting would hang forever. A prompt,
-//     retriable error beats an unbounded wait — at the cost of
+//   - A receive whose chunks are all RMA reads knows exactly which
+//     ride which rails (this side posted them), so chunks outstanding
+//     on the dead rail are re-issued on the survivors — pulled again
+//     over another offered key, or requested as a push — and the
+//     transfer survives.
+//   - Everything else is failed conservatively — a receive with a
+//     pushed chunk (or no chunk table yet), and every send waiting on
+//     its FIN: inbound frames already in flight on the dead rail (a
+//     data fragment toward a reassembly, a FIN toward a sender) are
+//     lost, and nothing records which rails the sender striped a push
+//     onto, so waiting would at best ride out a handshake timeout. A
+//     prompt, retriable error beats that wait — at the cost of
 //     spuriously failing a transfer that never touched the dead rail.
 //
 // The dead endpoint is also closed, which is how the peer finds out:
@@ -883,8 +871,8 @@ func (e *Engine) railFailed(g *Gate, idx int, err error) {
 }
 
 // failGate completes every outstanding request bound to the gate with
-// the given error: posted receives, in-flight rendezvous reassemblies
-// (pull or push), and sends waiting for a CTS or FIN.
+// the given error: posted receives, in-flight rendezvous receives, and
+// sends waiting for a FIN.
 func (e *Engine) failGate(g *Gate, err error) {
 	victims := g.takeInflight(nil)
 	sortVictims(victims)
@@ -1128,16 +1116,15 @@ func sendPacketTask(arg any) bool {
 		if errors.Is(err, ErrBackpressure) {
 			// Transient rail-full condition; the rail stays alive
 			// either way. A rendezvous frame has remote state waiting
-			// on it (a CTS-waiting sender, a reassembling receiver
-			// counting bytes, a FIN-waiting pull-mode sender, a
-			// NACK's hanging target), so it requeues itself and
+			// on it (a receiver counting bytes, a FIN-waiting sender,
+			// a NACK's hanging target), so it requeues itself and
 			// retries while the ring drains, up to a budget; past the
 			// budget — or for an eager/aggregate frame, which either
 			// fails fast (fire-and-forget contract) or is re-driven by
 			// its own retransmission window — the outcome surfaces
 			// locally.
 			switch p.Hdr.Kind {
-			case KindRTS, KindCTS, KindData, KindFin, KindRdvPush, KindRdvNack:
+			case KindRTS, KindData, KindFin, KindRdvPush, KindRdvNack:
 				if p.retries < maxSendRetries {
 					p.retries++
 					return false
@@ -1164,11 +1151,11 @@ func sendPacketTask(arg any) bool {
 }
 
 // completeAll routes the send outcome to every request attached to the
-// packet: the single fragment/eager request and, for aggregate frames,
-// each packed message's request. A failed control frame (RTS, CTS)
-// carries no request of its own, but the rendezvous state behind it is
-// waiting on a reply that will now never come — fail it visibly
-// instead of leaving both sides hanging.
+// packet: the fire-and-forget eager request and, for aggregate frames,
+// each packed message's request. A failed rendezvous frame (RTS, push
+// request, pushed data) carries no request of its own, but the
+// rendezvous state behind it is waiting on a reply that will now never
+// come — fail it visibly instead of leaving both sides hanging.
 func (p *Packet) completeAll(err error) {
 	g := p.gate
 	if err == nil {
@@ -1176,9 +1163,8 @@ func (p *Packet) completeAll(err error) {
 			// Wire-out is a phase boundary: an ack-tracked eager frame
 			// leaving the wire ends its injection phase and starts the
 			// ack wait; a fire-and-forget eager/aggregate frame just
-			// ends injection; a rendezvous data fragment ends its
-			// chunk. Retransmitted frames re-record — the analyzer
-			// folds duplicates as first-begin/last-end.
+			// ends injection. Retransmitted frames re-record — the
+			// analyzer folds duplicates as first-begin/last-end.
 			for _, id := range p.pend {
 				sid := g.spanID(trace.DirSend, 0, id)
 				rec.Record(g.id, trace.EvInjectEnd, sid, 0)
@@ -1200,11 +1186,6 @@ func (p *Packet) completeAll(err error) {
 						rec.Record(g.id, trace.EvInjectEnd, r.traceID, 0)
 					}
 				}
-			case KindData:
-				if p.req != nil && p.req.traceID != 0 {
-					rec.Record(g.id, trace.EvChunkEnd,
-						g.spanID(trace.DirSend, uint8(p.Hdr.FragIdx), p.Hdr.MsgID), 0)
-				}
 			}
 		}
 	}
@@ -1219,16 +1200,7 @@ func (p *Packet) completeAll(err error) {
 		}
 	}
 	if p.req != nil {
-		if err != nil {
-			p.req.complete(err)
-		} else if p.req.decRemaining() {
-			if p.Hdr.Kind == KindData && p.req.traceID != 0 {
-				// The last fragment is on the wire: the sender's
-				// transfer phase is over.
-				g.eng.rec.Record(g.id, trace.EvTransferEnd, p.req.traceID, 0)
-			}
-			p.req.complete(nil)
-		}
+		p.req.complete(err)
 	}
 	for _, r := range p.reqs {
 		r.complete(err)
@@ -1239,15 +1211,15 @@ func (p *Packet) completeAll(err error) {
 }
 
 // failRendezvous completes the rendezvous state attached to a failed
-// control frame: the sender's waiting entry for an RTS or pull-mode
-// data frame, the receiver's reassembly for a CTS or push request. A
-// failed FIN or NACK has no local state left to fail — the peer's half
-// is handled by the rail-death sweeps.
+// control frame: the sender's waiting entry for an RTS or pushed data
+// frame, the receiver's reassembly for a push request. A failed FIN or
+// NACK has no local state left to fail — the peer's half is handled by
+// the rail-death sweeps.
 func (e *Engine) failRendezvous(g *Gate, hdr Header, err error) {
 	switch hdr.Kind {
 	case KindRTS, KindData:
 		g.failSendRdv(hdr.MsgID, err)
-	case KindCTS, KindRdvPush:
+	case KindRdvPush:
 		g.failRecvRdv(hdr.MsgID, err)
 	}
 }

@@ -229,7 +229,7 @@ func TestPartialRailDeathFailsReassemblyKeepsGate(t *testing.T) {
 	recv := g.Irecv(7)
 
 	// Hand-deliver an RTS on the healthy rail: the engine sets up a
-	// reassembly and grants a CTS.
+	// reassembly and asks for the payload to be pushed.
 	rts := Header{Kind: KindRTS, Tag: 7, MsgID: 1, Total: 1 << 20}
 	if err := da0.Send(rts, nil); err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestPollFailureFailsRendezvousSender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A large send waits for a CTS that will never come.
+	// A large send waits for a FIN that will never come.
 	req := g.Isend(2, make([]byte, 1<<20))
 	boom := errors.New("link down")
 	fd.pollErr.Store(&boom)
@@ -434,7 +434,7 @@ func TestGateFailureTouchesOnlyItsOwnState(t *testing.T) {
 			post:  func(g *Gate) *Request { return g.Isend(10, big) },
 			count: func(r IdleReport) int { return r.SendRendezvous },
 			finish: func(s *side) {
-				send(s, Header{Kind: KindCTS, Tag: 10, MsgID: s.sent[KindRTS].MsgID}, nil)
+				send(s, Header{Kind: KindFin, Tag: 10, MsgID: s.sent[KindRTS].MsgID}, nil)
 			},
 		},
 		{

@@ -395,6 +395,94 @@ func TestTCPDriverEndToEnd(t *testing.T) {
 	}
 }
 
+// TestClassicRailRendezvous: over rails that cannot read (mem, TCP) a
+// rendezvous is the receiver's chunk table with one push chunk — one
+// push request for the whole payload, data frames striped by the
+// sender, one FIN — so the send completes only once the receiver holds
+// every byte, and both gates quiesce clean.
+func TestClassicRailRendezvous(t *testing.T) {
+	memRails := func(n int) func(*testing.T) ([]Driver, []Driver) {
+		return func(*testing.T) (send, recv []Driver) {
+			for i := 0; i < n; i++ {
+				da, db := MemPair()
+				send, recv = append(send, da), append(recv, db)
+			}
+			return send, recv
+		}
+	}
+	tcpRail := func(t *testing.T) ([]Driver, []Driver) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		accepted := make(chan Driver, 1)
+		go func() {
+			d, _ := AcceptTCP(ln)
+			accepted <- d
+		}()
+		dialer, err := DialTCP(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc := <-accepted
+		if acc == nil {
+			t.Fatal("accept failed")
+		}
+		return []Driver{dialer}, []Driver{acc}
+	}
+	const size = 1 << 20
+	payload := make([]byte, size)
+	for i := range payload {
+		payload[i] = byte(i*131 + i>>8)
+	}
+	for _, tc := range []struct {
+		name  string
+		rails func(*testing.T) (send, recv []Driver)
+		frags uint64 // data fragments the sender stripes the payload into
+	}{
+		{"mem", memRails(1), 1},
+		{"mem-x2", memRails(2), 2},
+		{"tcp", tcpRail, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sendRails, recvRails := tc.rails(t)
+			sender, receiver := NewEngine(Config{}), NewEngine(Config{})
+			defer sender.Close()
+			defer receiver.Close()
+			ga, err := sender.NewGate(sendRails...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gb, err := receiver.NewGate(recvRails...)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			rreq := gb.IrecvInto(1, make([]byte, size))
+			sreq := ga.Isend(1, payload)
+			if err := sreq.Wait(); err != nil {
+				t.Fatalf("send: %v", err)
+			}
+			if err := rreq.Wait(); err != nil {
+				t.Fatalf("recv: %v", err)
+			}
+			if !bytes.Equal(rreq.Data, payload) {
+				t.Fatal("payload corrupted")
+			}
+			if st := receiver.Stats(); st.RdvPulls != 0 || st.RdvPushRanges != 1 || st.RdvFins != 1 || st.RecvCopiedBytes != size {
+				t.Errorf("receiver: %d pulls, %d push ranges, %d FINs, %d bytes copied; want 0, 1, 1, %d",
+					st.RdvPulls, st.RdvPushRanges, st.RdvFins, st.RecvCopiedBytes, size)
+			}
+			if got := sender.Stats().RdvData; got != tc.frags {
+				t.Errorf("sender data fragments = %d, want %d", got, tc.frags)
+			}
+			requireClean(t, "sender", ga)
+			requireClean(t, "receiver", gb)
+		})
+	}
+}
+
 func TestNetPipeDriver(t *testing.T) {
 	ca, cb := net.Pipe()
 	ea := NewEngine(Config{})

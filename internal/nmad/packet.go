@@ -31,20 +31,17 @@ const (
 	// Its imm extension may carry a pull offer: per-rail remote keys
 	// the receiver can RMA-read the payload through.
 	KindRTS
-	// KindCTS grants a rendezvous (clear-to-send): the receiver
-	// declines (or cannot use) the pull offer and asks the sender to
-	// push the whole payload as KindData frames.
-	KindCTS
-	// KindData carries one fragment of a rendezvous payload.
+	// KindData carries one fragment of a pushed rendezvous byte range.
 	KindData
-	// KindFin ends a pull-mode rendezvous: the receiver has every byte
-	// (RMA-read or pushed), so the sender may release its registered
-	// regions and complete its request.
+	// KindFin ends a rendezvous: the receiver has every byte (RMA-read
+	// or pushed), so the sender may release its registered regions and
+	// complete its request.
 	KindFin
-	// KindRdvPush asks the sender to push one byte range of a pull-mode
-	// rendezvous as KindData frames — the per-chunk fallback when a
-	// receiver rail cannot (or can no longer) pull it. Offset is the
-	// range start and Total its length.
+	// KindRdvPush asks the sender to push one byte range of a
+	// rendezvous as KindData frames — whatever the receiver cannot pull:
+	// the whole payload when no rail of the gate can read (classic
+	// mem/TCP rails), or one chunk whose rail cannot (or can no longer)
+	// read it. Offset is the range start and Total its length.
 	KindRdvPush
 	// KindEagerAck acknowledges the delivery of one eager message
 	// (plain or unpacked from an aggregate) back to its sender, which
@@ -77,8 +74,6 @@ func (k Kind) String() string {
 		return "aggr"
 	case KindRTS:
 		return "rts"
-	case KindCTS:
-		return "cts"
 	case KindData:
 		return "data"
 	case KindFin:

@@ -10,11 +10,12 @@ import (
 
 // Isend starts a non-blocking send of data to the gate's peer under the
 // given tag. Small payloads go eagerly (possibly aggregated); large ones
-// negotiate an RTS/CTS rendezvous and stripe the payload across the
-// gate's rails. The returned request completes once the payload is
-// acknowledged by the peer (eager; see eager.go) or fully transferred
-// (rendezvous). Under Config.NoEagerRetry, eager sends revert to
-// buffered semantics and complete when the frame is on the wire.
+// announce a rendezvous with an RTS, and the receiver pulls the payload
+// or asks for it to be pushed, striped across the gate's rails. The
+// returned request completes once the peer holds every byte: its ack
+// (eager; see eager.go) or its FIN (rendezvous). Under
+// Config.NoEagerRetry, eager sends revert to buffered semantics and
+// complete when the frame is on the wire.
 func (g *Gate) Isend(tag uint64, data []byte) *Request {
 	return g.IsendDeadline(tag, data, 0)
 }
@@ -93,49 +94,48 @@ func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 		return
 	}
 
-	// Rendezvous: announce with an RTS and wait for the receiver's
-	// verdict (handled by a polling task) before anything moves. When
-	// pull-capable rails exist, the user payload is registered once
-	// per rail domain through the gate's registration cache — no
-	// staging copy; repeated sends of one buffer skip re-registration
-	// entirely — and the RTS imm extension offers the remote keys, so
-	// an RMA-capable receiver pulls the bytes straight out of the user
-	// buffer and answers with a FIN. Otherwise (or when the receiver
-	// declines), the classic CTS/push path runs unchanged.
+	// Rendezvous: announce with an RTS; the receiver drives everything
+	// after it (handled by polling tasks) and answers with a FIN once
+	// every byte is home. When pull-capable rails exist, the user
+	// payload is registered once per rail domain through the gate's
+	// registration cache — no staging copy; repeated sends of one
+	// buffer skip re-registration entirely — and the RTS imm extension
+	// offers the remote keys, so an RMA-capable receiver pulls the
+	// bytes straight out of the user buffer. Whatever it cannot pull —
+	// the whole payload on classic mem/TCP rails — it asks us to push
+	// (KindRdvPush).
 	st := e.getSendRdv()
 	st.data, st.req = data, req
 	rail := -1
-	if !e.cfg.NoRdvPull {
-		if extRail := g.pickControl(true); extRail >= 0 {
-			// A deadline rides the offer as a sentinel entry, costing one
-			// real offer slot.
-			offerLimit := maxOfferRails
+	if extRail := g.pickControl(true); extRail >= 0 {
+		// A deadline rides the offer as a sentinel entry, costing one
+		// real offer slot.
+		offerLimit := maxOfferRails
+		if req.deadline != 0 {
+			offerLimit--
+		}
+		offered := 0
+		for i, r := range g.rails {
+			if r.rma == nil || r.cache == nil || r.dead.Load() {
+				continue
+			}
+			reg, err := r.cache.Get(data)
+			if err != nil {
+				continue
+			}
+			st.regs = append(st.regs, reg)
+			st.offer = appendOfferEntry(st.offer, uint32(i), uint64(reg.Key()))
+			if offered++; offered == offerLimit {
+				break
+			}
+		}
+		if offered > 0 {
+			rail = extRail
 			if req.deadline != 0 {
-				offerLimit--
-			}
-			offered := 0
-			for i, r := range g.rails {
-				if r.rma == nil || r.cache == nil || r.dead.Load() {
-					continue
-				}
-				reg, err := r.cache.Get(data)
-				if err != nil {
-					continue
-				}
-				st.regs = append(st.regs, reg)
-				st.offer = appendOfferEntry(st.offer, uint32(i), uint64(reg.Key()))
-				if offered++; offered == offerLimit {
-					break
-				}
-			}
-			if offered > 0 {
-				rail = extRail
-				if req.deadline != 0 {
-					// Propagate the deadline to the receiver: decoders
-					// that predate it skip the sentinel as an out-of-range
-					// rail index.
-					st.offer = appendOfferEntry(st.offer, deadlineRailSentinel, uint64(req.deadline))
-				}
+				// Propagate the deadline to the receiver: decoders that
+				// predate it skip the sentinel as an out-of-range rail
+				// index.
+				st.offer = appendOfferEntry(st.offer, deadlineRailSentinel, uint64(req.deadline))
 			}
 		}
 	}
@@ -149,8 +149,8 @@ func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 	e.rdvStarted.Add(1) // counted only once a handshake actually leaves
 	if rec := e.rec; rec != nil {
 		// Open the whole-message span and the handshake phase: RTS out
-		// → CTS back (push; transfer phase follows) or FIN back (pull;
-		// the handshake span covers the entire remote pull).
+		// → FIN back (the handshake span covers the whole transfer,
+		// pulled or pushed).
 		sid := g.spanID(trace.DirSend, 0, msgID)
 		req.traceID, req.traceRing = sid, int32(g.id)
 		rec.Record(g.id, trace.EvSendBegin, sid, uint64(len(data)))
@@ -352,12 +352,7 @@ func (e *Engine) deliver(req *Request, u inbound) {
 			// pushed data frames alike); finishRecvRdv closes it.
 			e.rec.Record(g.id, trace.EvTransferBegin, req.traceID, uint64(u.hdr.Total))
 		}
-		// Receiver-driven pull when the RTS offers keys we can use;
-		// classic clear-to-send push otherwise.
-		if !e.cfg.NoRdvPull && len(u.ext) > 0 && e.startPull(g, st, u.ext) {
-			return
-		}
-		g.sendControl(KindCTS, u.hdr.Tag, u.hdr.MsgID, 0, u.hdr.Total)
+		e.startPull(g, st, u.ext)
 	default:
 		req.complete(fmt.Errorf("nmad: unexpected frame kind %v matched a receive", u.hdr.Kind))
 	}
@@ -369,12 +364,10 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 	if r := e.rec; r != nil {
 		// Control-plane instants carry the span id of the message they
 		// belong to: RTS arrives at the receiver (its span is DirRecv),
-		// CTS and FIN come back to the sender (DirSend).
+		// FIN comes back to the sender (DirSend).
 		switch f.Hdr.Kind {
 		case KindRTS:
 			r.Record(g.id, trace.EvRdvRTS, g.spanID(trace.DirRecv, 0, f.Hdr.MsgID), uint64(f.Hdr.Total))
-		case KindCTS:
-			r.Record(g.id, trace.EvRdvCTS, g.spanID(trace.DirSend, 0, f.Hdr.MsgID), 0)
 		case KindFin:
 			r.Record(g.id, trace.EvRdvFin, g.spanID(trace.DirSend, 0, f.Hdr.MsgID), 0)
 		}
@@ -392,23 +385,15 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 		e.eagerAcked(g, f.Hdr)
 
 	case KindRTS:
-		// Retransmitted RTS frames must be idempotent: re-answer a live
-		// or settled handshake instead of re-matching it against a
-		// fresh receive.
+		// Retransmitted RTS frames must be idempotent: never re-match a
+		// live or settled handshake against a fresh receive.
 		g.mu.Lock()
-		st := g.rdvRecv[f.Hdr.MsgID]
+		live := g.rdvRecv[f.Hdr.MsgID] != nil
 		settled := g.settledRecv.has(f.Hdr.MsgID)
 		g.mu.Unlock()
-		if st != nil {
-			st.mu.Lock()
-			pull := st.pull
-			st.mu.Unlock()
-			if !pull {
-				// Push mode: the duplicate means our CTS may have been
-				// lost; re-send it. Pull mode needs nothing — the reads
-				// are ours to drive and the timeout sweep re-issues them.
-				g.sendControl(KindCTS, f.Hdr.Tag, f.Hdr.MsgID, 0, f.Hdr.Total)
-			}
+		if live {
+			// Nothing to answer: the reads and push requests are ours to
+			// drive, and the timeout sweep re-drives them.
 			return
 		}
 		if settled {
@@ -418,28 +403,6 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 			return
 		}
 		g.matchOrStash(inbound{hdr: f.Hdr, payload: nil, ext: f.Ext})
-
-	case KindCTS:
-		// The receiver asked for (or fell back to) the classic push:
-		// any pull offer is moot, so the registrations can go now.
-		st, settled := g.takeSendRdv(f.Hdr.MsgID)
-		if st == nil {
-			if settled {
-				return // duplicate CTS for a handshake already answered
-			}
-			// The CTS came from a receive waiting for data.
-			g.sendControl(KindRdvNack, f.Hdr.Tag, f.Hdr.MsgID, nackRecv, 0)
-			return
-		}
-		if st.req.traceID != 0 {
-			// Push mode: the CTS ends the handshake phase and starts the
-			// transfer (striped data fragments; the wire-out of the last
-			// one closes it in completeAll).
-			e.rec.Record(g.id, trace.EvHandshakeEnd, st.req.traceID, 0)
-			e.rec.Record(g.id, trace.EvTransferBegin, st.req.traceID, uint64(len(st.data)))
-		}
-		st.releaseRegs()
-		g.sendRdvData(st, f.Hdr)
 
 	case KindData:
 		g.mu.Lock()
@@ -466,9 +429,9 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 		}
 
 	case KindFin:
-		// Pull-mode rendezvous complete: the receiver has every byte,
-		// straight out of our user buffer. Release the interned
-		// registrations and finish the send.
+		// Rendezvous complete: the receiver has every byte, pulled
+		// straight out of our user buffer or pushed. Release the
+		// interned registrations and finish the send.
 		st, _ := g.takeSendRdv(f.Hdr.MsgID)
 		if st == nil {
 			return
@@ -477,8 +440,8 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 		req := st.req
 		e.putSendRdv(st)
 		if req.traceID != 0 {
-			// Pull mode: the handshake phase spans RTS → FIN (the remote
-			// pull happens entirely inside it, invisible to the sender).
+			// The handshake phase spans RTS → FIN: the remote pull, or
+			// the pushes it asked for, happen entirely inside it.
 			e.rec.Record(g.id, trace.EvHandshakeEnd, req.traceID, 0)
 		}
 		req.complete(nil)
@@ -488,9 +451,15 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 		// Offset+Total); push it as ordinary data frames. The
 		// rendezvous stays open — other chunks may still be pulling,
 		// and the FIN settles everything.
+		// The payload is captured under the gate lock: a FIN racing a
+		// duplicated push request recycles the state.
+		var data []byte
 		g.mu.Lock()
 		st := g.sendRdv[f.Hdr.MsgID]
 		settled := st == nil && g.settledSend.has(f.Hdr.MsgID)
+		if st != nil {
+			data = st.data
+		}
 		g.mu.Unlock()
 		if st == nil {
 			if settled {
@@ -500,7 +469,7 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 			g.sendControl(KindRdvNack, f.Hdr.Tag, f.Hdr.MsgID, nackRecv, 0)
 			return
 		}
-		g.pushRange(st, f.Hdr)
+		g.pushRange(data, f.Hdr)
 
 	case KindRdvNack:
 		// The peer lost (or never had) its half of a rendezvous this
@@ -510,7 +479,7 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 }
 
 // failRendezvousNack fails the local half of a NACKed rendezvous —
-// the send waiting for a FIN/CTS, or the receive waiting for data,
+// the send waiting for a FIN, or the receive waiting for data,
 // per the NACK's direction field. The two halves must not be guessed
 // between: a gate's send and receive directions share the msgID
 // keyspace, so the wrong guess would kill an unrelated healthy
@@ -566,64 +535,19 @@ func (g *Gate) matchOrStash(u inbound) {
 	g.mu.Unlock()
 }
 
-// sendRdvData stripes the rendezvous payload across the gate's alive
-// rails (multirail distribution, sized by Gate.stripe) and ships each
-// fragment as its own packet task, executed in parallel when idle
-// cores exist. The state is recycled: the packets carry the request.
-func (g *Gate) sendRdvData(st *sendRdvState, cts Header) {
-	req, data := st.req, st.data
-	g.eng.putSendRdv(st)
-	sc := g.stripeScratch()
-	chunks := g.stripeInto(sc, len(data), nil)
-	if len(chunks) == 0 {
-		g.putStripeScratch(sc)
-		req.complete(errAllRailsDead)
-		return
-	}
-	req.remaining.Add(int32(len(chunks))) // plus the initial 1 consumed below
-	for i, c := range chunks {
-		if req.traceID != 0 {
-			// Per-fragment chunk span, keyed by fragment index in the
-			// aux bits; wire-out closes it in completeAll.
-			g.eng.rec.Record(g.id, trace.EvChunkBegin,
-				g.spanID(trace.DirSend, uint8(i), cts.MsgID), uint64(c.hi-c.lo))
-		}
-		p := g.packet()
-		p.Hdr = Header{
-			Kind: KindData, Tag: cts.Tag, MsgID: cts.MsgID,
-			FragIdx: uint32(i), FragCnt: uint32(len(chunks)),
-			Offset: uint32(c.lo), Total: uint32(len(data)),
-		}
-		p.Payload = data[c.lo:c.hi]
-		p.rail = c.rail
-		p.req = req
-		g.eng.rdvData.Add(1)
-		g.sendPacket(p)
-	}
-	g.putStripeScratch(sc)
-	// Consume the placeholder count from newRequest.
-	if req.decRemaining() {
-		if req.traceID != 0 {
-			// All fragments hit the wire before the placeholder was
-			// consumed; completeAll skipped the transfer close, do it now.
-			g.eng.rec.Record(g.id, trace.EvTransferEnd, req.traceID, 0)
-		}
-		req.complete(nil)
-	}
-}
-
 // pushRange answers a KindRdvPush: stripe the requested byte range of
-// a pull-mode rendezvous across the alive rails and ship it as
-// ordinary data frames. The frames carry no request — the transfer
-// completes through the receiver's FIN — so a frame failure routes to
-// the rendezvous state via failRendezvous instead.
-func (g *Gate) pushRange(st *sendRdvState, push Header) {
+// a rendezvous payload across the alive rails (multirail
+// distribution, sized by stripeInto) and ship each fragment as its own
+// packet task, executed in parallel when idle cores exist. The frames
+// carry no request — the transfer completes through the receiver's
+// FIN — so a frame failure routes to the rendezvous state via
+// failRendezvous instead.
+func (g *Gate) pushRange(data []byte, push Header) {
 	lo := int(push.Offset)
 	n := int(push.Total)
-	if lo < 0 || n <= 0 || lo+n > len(st.data) {
+	if lo < 0 || n <= 0 || lo+n > len(data) {
 		return // malformed request; ignore
 	}
-	g.eng.rdvPushRanges.Add(1)
 	sc := g.stripeScratch()
 	chunks := g.stripeInto(sc, n, nil)
 	for i, c := range chunks {
@@ -631,9 +555,9 @@ func (g *Gate) pushRange(st *sendRdvState, push Header) {
 		p.Hdr = Header{
 			Kind: KindData, Tag: push.Tag, MsgID: push.MsgID,
 			FragIdx: uint32(i), FragCnt: uint32(len(chunks)),
-			Offset: uint32(lo + c.lo), Total: uint32(len(st.data)),
+			Offset: uint32(lo + c.lo), Total: uint32(len(data)),
 		}
-		p.Payload = st.data[lo+c.lo : lo+c.hi]
+		p.Payload = data[lo+c.lo : lo+c.hi]
 		p.rail = c.rail
 		g.eng.rdvData.Add(1)
 		g.sendPacket(p)

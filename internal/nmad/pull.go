@@ -1,23 +1,25 @@
 package nmad
 
-// Receiver-driven rendezvous: the RMA-read pull protocol.
+// The rendezvous protocol: receiver-driven, one state machine.
 //
-// The classic (push) rendezvous moves every byte three times — the
-// sender stages the payload into the provider's registered region,
-// the wire frame carries its own copy, and the receiver memcpys each
-// fragment into the posted buffer. The pull protocol moves it zero
-// times on either host: the sender registers the *user* payload once
-// per rail domain through the gate's registration cache and announces
-// per-rail remote keys in the RTS imm extension; the receiver stripes
-// the transfer across its own rails (it knows its side's live
-// capabilities best), posts one RMARead per chunk directly into
-// req.Data[lo:hi], and sends a single FIN when every byte is home so
-// the sender releases its regions and completes. Rails that cannot
-// pull — classic frame drivers, rails whose key went stale, rails
-// that die mid-transfer — degrade per chunk to a KindRdvPush request,
-// which the sender answers with ordinary KindData frames; the KindData
-// reassembly path and the pull completions feed the same byte counter,
-// so mixed transfers finish exactly once.
+// A pushed payload moves every byte three times — the sender stages
+// it into the provider's registered region, the wire frame carries its
+// own copy, and the receiver memcpys each fragment into the posted
+// buffer. A pulled one moves zero times on either host: the sender
+// registers the *user* payload once per rail domain through the gate's
+// registration cache and announces per-rail remote keys in the RTS imm
+// extension; the receiver stripes the transfer across its own rails
+// (it knows its side's live capabilities best), posts one RMARead per
+// chunk directly into req.Data[lo:hi], and sends a single FIN when
+// every byte is home so the sender releases its regions and completes.
+// Whatever cannot be pulled is asked for as a KindRdvPush request,
+// which the sender answers with ordinary KindData frames striped over
+// its alive rails: the whole payload, as one chunk, when no rail can
+// read (classic mem/TCP gates, no usable offer), and single chunks
+// whose rail cannot — key gone stale, rail died mid-transfer. The
+// KindData reassembly path and the pull completions feed the same byte
+// counter and end in the same FIN, so every transfer, pulled, pushed
+// or mixed, finishes exactly once.
 //
 // Lock order: recvRdvState.mu may be taken under Gate.mu, never the
 // other way round (the full order is written at Gate.mu).
@@ -30,7 +32,7 @@ import (
 	"pioman/internal/trace"
 )
 
-// chunk states of a pull-mode transfer. chunkPending is deliberately
+// chunk states of a rendezvous receive. chunkPending is deliberately
 // the zero value: a freshly materialized chunk has no read outstanding.
 const (
 	chunkPending uint8 = iota // materialized, not yet issued
@@ -50,13 +52,12 @@ type pullChunk struct {
 	state  uint8
 }
 
-// recvRdvState tracks one inbound rendezvous, push or pull.
+// recvRdvState tracks one inbound rendezvous.
 type recvRdvState struct {
 	req   *Request
 	gate  *Gate
 	msgID uint64
 	tag   uint64
-	pull  bool
 
 	// retryTimer drives the handshake-timeout sweep; guarded by Gate.mu
 	// like the rdvRecv map that holds the state.
@@ -85,22 +86,21 @@ func (st *recvRdvState) markFailed() {
 }
 
 // beginSweep reports whether the transfer can continue after a rail
-// died — it is pull-mode (push-mode state is failed conservatively),
+// died — its chunk table is built (startPull fills it after the state
+// is already visible in g.rdvRecv, so it is read under st.mu) and
 // every chunk is pulled (re-issuable — this side knows exactly where
-// each one rides), and none has degraded to a sender push whose
+// each one rides), none having been requested as a sender push whose
 // frames could have been striped onto any rail, sender-side,
 // invisibly to us — and, when it can, takes a sweep reference that
 // blocks the state from being pool-recycled until endSweep: the last
 // chunk's completion may finish the transfer between the sweep's
 // decision (under Gate.mu) and its re-issue pass (after), and
 // re-issuing against a recycled state would corrupt whatever
-// rendezvous took it from the pool. The pull flag is read under st.mu
-// because startPull sets it after the state is already visible in
-// g.rdvRecv.
+// rendezvous took it from the pool.
 func (st *recvRdvState) beginSweep() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.failed || !st.pull {
+	if st.failed || len(st.chunks) == 0 {
 		return false
 	}
 	for i := range st.chunks {
@@ -137,7 +137,6 @@ func (e *Engine) putRecvRdv(st *recvRdvState) {
 	st.gate = nil
 	st.msgID = 0
 	st.tag = 0
-	st.pull = false
 	st.retryTimer = retryTimer{}
 	st.absDeadline = 0
 	st.chunks = st.chunks[:0]
@@ -157,11 +156,11 @@ var errPullRejected = errors.New("nmad: peer rejected the rendezvous (no matchin
 // matched message.
 var errShortRecvBuffer = errors.New("nmad: receive buffer shorter than the matched message")
 
-// startPull begins pull-mode reception for a matched RTS: parse the
-// offer, stripe across pull-capable rails, post the reads. Returns
-// false when nothing was pullable (the caller falls back to CTS).
-// Called after the state is registered in g.rdvRecv.
-func (e *Engine) startPull(g *Gate, st *recvRdvState, ext []byte) bool {
+// startPull begins reception for a matched RTS: parse the offer (if
+// any), build the chunk table — striped across the rails this side can
+// read through, or one push chunk when there are none — and issue
+// every chunk. Called after the state is registered in g.rdvRecv.
+func (e *Engine) startPull(g *Gate, st *recvRdvState, ext []byte) {
 	// Decode the offer into a per-rail key table (index = our rail).
 	if cap(st.keys) < len(g.rails) {
 		st.keys = make([]fabric.RKey, len(g.rails))
@@ -171,7 +170,6 @@ func (e *Engine) startPull(g *Gate, st *recvRdvState, ext []byte) bool {
 			st.keys[i] = 0
 		}
 	}
-	usable := false
 	for i := 0; ; i++ {
 		railIdx, key, ok := offerEntry(ext, i)
 		if !ok {
@@ -185,27 +183,16 @@ func (e *Engine) startPull(g *Gate, st *recvRdvState, ext []byte) bool {
 			continue
 		}
 		st.keys[railIdx] = fabric.RKey(key)
-		usable = true
 	}
-	if !usable {
-		return false
-	}
-	if !g.stripePullChunks(st, len(st.req.Data)) {
-		return false
-	}
-	st.mu.Lock()
-	st.pull = true // st is already visible in g.rdvRecv; racing sweeps read under st.mu
-	n := len(st.chunks)
-	st.mu.Unlock()
+	n := g.stripePullChunks(st, len(st.req.Data))
 	for i := 0; i < n; i++ {
 		e.issuePull(g, st, i)
 	}
-	return true
 }
 
-// issuePull posts (or re-posts) chunk i of a pull transfer: RMARead on
-// the chunk's rail, falling over to another offered rail when the post
-// fails, and to a sender push as the last resort.
+// issuePull posts (or re-posts) chunk i of a rendezvous receive:
+// RMARead on the chunk's rail, falling over to another offered rail
+// when the post fails, and to a sender push as the last resort.
 func (e *Engine) issuePull(g *Gate, st *recvRdvState, i int) {
 	// Read the clock before taking st.mu: Clock may reach into provider
 	// state, and holding the lock across it is needless coupling.
@@ -386,15 +373,15 @@ func (e *Engine) pullDone(g *Gate, railIdx int, ev fabric.Event) {
 }
 
 // finishRecvRdv completes a rendezvous receive whose byte count just
-// filled: remove the state, send the FIN (pull mode — the sender is
-// waiting to release its regions), complete the request, recycle.
+// filled: remove the state, complete the request, send the FIN (the
+// sender is waiting to release its regions and complete), recycle.
 func (e *Engine) finishRecvRdv(st *recvRdvState) {
 	g := st.gate
 	if g.takeRecvRdv(st.msgID, st) == nil {
 		return // a failure sweep got here first
 	}
 	st.mu.Lock()
-	req, pull, tag, msgID := st.req, st.pull, st.tag, st.msgID
+	req, tag, msgID := st.req, st.tag, st.msgID
 	// A re-issued chunk's original read may in principle still be
 	// pending on a closed rail, and a rail-death sweep may hold a
 	// reference it has yet to re-issue against; either way leave the
@@ -408,17 +395,15 @@ func (e *Engine) finishRecvRdv(st *recvRdvState) {
 		e.rec.Record(g.id, trace.EvTransferEnd, req.traceID, 0)
 	}
 	req.complete(nil)
-	if pull {
-		e.rdvFins.Add(1)
-		g.sendControl(KindFin, tag, msgID, 0, 0)
-	}
+	e.rdvFins.Add(1)
+	g.sendControl(KindFin, tag, msgID, 0, 0)
 	if canRecycle {
 		e.putRecvRdv(st)
 	}
 }
 
-// sendControl ships one request-less control frame (CTS, FIN,
-// RdvPush, RdvNack). Offset/extra land in the header's Offset/Total
+// sendControl ships one request-less control frame (FIN, RdvPush,
+// RdvNack). Offset/extra land in the header's Offset/Total
 // fields, whose meaning is per kind.
 func (g *Gate) sendControl(kind Kind, tag uint64, msgID uint64, offset, extra uint32) {
 	rail := g.pickEager()

@@ -18,8 +18,9 @@ import (
 // from RMA-read DMA, and the engines count receive-path memcpys — and
 // by the deterministic virtual clock.
 
-// pullRig is a two-engine pair over two RMA-capable simulated rails
-// with manually driven progression, so runs replay deterministically.
+// pullRig is a two-engine pair over two simulated rails with manually
+// driven progression, so runs replay deterministically. The sender's
+// side is RMA-capable; the receiver's is too unless the rig forces push.
 type pullRig struct {
 	f                *fabric.SimFabric
 	sender, receiver *Engine
@@ -34,11 +35,13 @@ func newPullRig(t testing.TB, pull bool) *pullRig {
 	slow := fabric.Capabilities{Latency: 5 * simtime.Microsecond, Bandwidth: 1e9, MaxInject: 16 << 10, RMA: true}
 	for i, caps := range []fabric.Capabilities{fast, slow} {
 		a := r.f.OpenDomain(caps)
-		b := r.f.OpenDomain(caps)
+		recvCaps := caps
+		recvCaps.RMA = pull
+		b := r.f.OpenDomain(recvCaps)
 		r.sEps[i], r.rEps[i] = fabric.Connect(a, b)
 	}
-	r.sender = NewEngine(Config{NoAutoProgress: true, NoRdvPull: !pull})
-	r.receiver = NewEngine(Config{NoAutoProgress: true, NoRdvPull: !pull})
+	r.sender = NewEngine(Config{NoAutoProgress: true})
+	r.receiver = NewEngine(Config{NoAutoProgress: true})
 	var err error
 	if r.ga, err = r.sender.NewGateEndpoints(r.sEps[0], r.sEps[1]); err != nil {
 		t.Fatal(err)
@@ -90,7 +93,8 @@ func TestPullZeroCopyBeatsPush(t *testing.T) {
 		payload[i] = byte(i*31 + i>>9)
 	}
 
-	// Push ablation first (NoRdvPull): the classic CTS/KindData path.
+	// Push first: a receiver whose rails cannot read asks for the whole
+	// payload as KindData frames.
 	push := newPullRig(t, false)
 	rreq := push.transfer(t, 1, payload, nil)
 	if !bytes.Equal(rreq.Data, payload) {
@@ -209,7 +213,7 @@ func TestPullSenderRegionsReleasedOnFinLoss(t *testing.T) {
 	}
 
 	// A rail dies under the sender (its poll errors out). The sweep
-	// kills the CTS/FIN-waiting rendezvous conservatively — the FIN
+	// kills the FIN-waiting rendezvous conservatively — the FIN
 	// may have been in flight on the dead rail — and must drop the
 	// region references with it.
 	r.sEps[0].Close()
@@ -493,14 +497,19 @@ func TestIrecvIntoEagerCopies(t *testing.T) {
 
 // ---- Benchmarks: the steady-state allocation bar ----
 
-// pullBenchRig wires two engines over loopback-RMA rails (wall clock,
-// no simulation) for the allocation benchmarks.
+// pullBenchRig wires two engines over two loopback rails (wall clock,
+// no simulation) for the allocation benchmarks: RMA-capable for pull,
+// plain for push.
 func pullBenchRig(b *testing.B, pull bool) (*Engine, *Engine, *Gate, *Gate) {
 	b.Helper()
-	la0, lb0 := fabric.NewLoopbackRMA()
-	la1, lb1 := fabric.NewLoopbackRMA()
-	sender := NewEngine(Config{NoRdvPull: !pull})
-	receiver := NewEngine(Config{NoRdvPull: !pull})
+	pair := fabric.NewLoopback
+	if pull {
+		pair = fabric.NewLoopbackRMA
+	}
+	la0, lb0 := pair()
+	la1, lb1 := pair()
+	sender := NewEngine(Config{})
+	receiver := NewEngine(Config{})
 	ga, err := sender.NewGateEndpoints(la0, la1)
 	if err != nil {
 		b.Fatal(err)
@@ -555,9 +564,9 @@ func benchRdv(b *testing.B, pull bool) {
 // bar is 0 allocs/op after warm-up.
 func BenchmarkRdvPull(b *testing.B) { benchRdv(b, true) }
 
-// BenchmarkRdvPush is the push-path ablation of BenchmarkRdvPull: the
-// same transfer through CTS/KindData, with its per-frame payload
-// copies.
+// BenchmarkRdvPush is the push-path counterpart of BenchmarkRdvPull:
+// the same transfer over rails that cannot read, so the receiver asks
+// for KindData frames, with their per-frame payload copies.
 func BenchmarkRdvPush(b *testing.B) { benchRdv(b, false) }
 
 // BenchmarkAggr measures the aggregation strategy's steady state: a

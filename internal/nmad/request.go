@@ -34,10 +34,6 @@ type Request struct {
 	// rendezvous pulls land in it directly, eager payloads are copied.
 	userBuf []byte
 
-	// remaining counts outstanding wire operations (rendezvous fragments
-	// striped over rails); the request completes when it reaches zero.
-	remaining atomic.Int32
-
 	// recv matching state
 	gate  *Gate
 	tag   uint64
@@ -72,12 +68,8 @@ func newRequest(e *Engine) *Request {
 		r = &Request{}
 	}
 	r.eng = e
-	r.remaining.Store(1)
 	return r
 }
-
-// decRemaining reports whether this was the last outstanding operation.
-func (r *Request) decRemaining() bool { return r.remaining.Add(-1) == 0 }
 
 // complete finishes the request exactly once.
 func (r *Request) complete(err error) {
@@ -234,7 +226,6 @@ func (r *Request) Free() {
 	r.err = nil
 	r.Data = nil
 	r.userBuf = nil
-	r.remaining.Store(0)
 	r.gate = nil
 	r.tag = 0
 	r.total = 0

@@ -9,11 +9,12 @@ package nmad
 // same instant: chunk sizes proportional to per-rail bandwidth. Rails
 // whose completion queue exceeds their bandwidth-delay product are
 // deprioritized (their effective bandwidth is already spoken for),
-// and rails that have died are excluded entirely; Config.EvenStripe
-// restores the seed split for ablation benchmarks.
+// and rails that have died are excluded entirely. Rails reporting an
+// unknown bandwidth split equally — the Capabilities contract, and the
+// seed split the ablation benchmarks reproduce by hiding bandwidth.
 //
-// Both directions stripe: the sender for push-mode data frames, the
-// receiver for pull-mode RMA reads (it sees its own side's live
+// Both directions stripe: the sender for the byte ranges it is asked
+// to push, the receiver for its RMA reads (it sees its own side's live
 // capability estimates, which is exactly what a receiver-driven
 // protocol wants). The arithmetic is shared; eligibility differs — a
 // pull additionally needs the rail to be RMA-capable and covered by
@@ -67,8 +68,8 @@ func (g *Gate) putStripeScratch(sc *stripeScratchT) {
 }
 
 // stripe splits a payload of the given size across the gate's alive
-// rails in proportion to their capability bandwidth (equal shares
-// under Config.EvenStripe). Backpressured rails are skipped while an
+// rails in proportion to their capability bandwidth (equal shares when
+// any bandwidth is unknown). Backpressured rails are skipped while an
 // uncongested rail exists; shares below minStripeChunk fold into the
 // fastest rail. Returns nil when every rail is dead. This convenience
 // wrapper allocates its result; the protocol paths use stripeInto
@@ -113,7 +114,7 @@ func (g *Gate) stripeInto(sc *stripeScratchT, total int, eligible func(int) bool
 			unknown = true
 		}
 	}
-	if unknown || g.eng.cfg.EvenStripe {
+	if unknown {
 		for i := range ready {
 			ready[i].w = 1
 		}
@@ -156,24 +157,26 @@ func (g *Gate) stripeInto(sc *stripeScratchT, total int, eligible func(int) bool
 	return out
 }
 
-// stripePullChunks stripes a pull-mode transfer across the rails the
+// stripePullChunks stripes a rendezvous receive across the rails the
 // sender's offer covers and this side can read through, materializing
-// the result as the state's chunk table (pooled storage). Reports
-// false when no rail qualifies — the caller falls back to CTS/push.
-func (g *Gate) stripePullChunks(st *recvRdvState, total int) bool {
+// the result as the state's chunk table (pooled storage), and returns
+// the chunk count. When no rail qualifies — no offer, a classic
+// mem/TCP gate — the table is one chunk [0, total) with no key behind
+// it, which issuePull turns into a push request.
+func (g *Gate) stripePullChunks(st *recvRdvState, total int) int {
 	sc := g.stripeScratch()
 	defer g.putStripeScratch(sc)
 	chunks := g.stripeInto(sc, total, func(i int) bool {
 		return st.keys[i] != 0 && g.rails[i].rma != nil
 	})
-	if len(chunks) == 0 {
-		return false
-	}
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	st.chunks = st.chunks[:0]
 	for i, c := range chunks {
 		st.chunks = append(st.chunks, pullChunk{st: st, rail: c.rail, idx: i, lo: c.lo, hi: c.hi})
 	}
-	st.mu.Unlock()
-	return true
+	if len(st.chunks) == 0 {
+		st.chunks = append(st.chunks, pullChunk{st: st, hi: total})
+	}
+	return len(st.chunks)
 }

@@ -26,9 +26,32 @@ func (f *fakeEndpoint) Poll() (fabric.Event, bool, error) { return fabric.Event{
 func (f *fakeEndpoint) Backlog() int                      { return f.backlog }
 func (f *fakeEndpoint) Close() error                      { return nil }
 
+// evenRail hides a simulated rail's bandwidth: Capabilities reports 0,
+// so striping over it splits equally (the fabric.Capabilities
+// contract) — the seed's even split for the ablation rigs. The modelled
+// timing still comes from the domain, and the RMA and Domain faces are
+// promoted, so a wrapped rail still pulls.
+type evenRail struct{ *fabric.SimEndpoint }
+
+func (r evenRail) Capabilities() fabric.Capabilities {
+	caps := r.SimEndpoint.Capabilities()
+	caps.Bandwidth = 0
+	return caps
+}
+
+// evenIf wraps simulated rails in evenRail when on is set.
+func evenIf(on bool, eps ...fabric.Endpoint) []fabric.Endpoint {
+	if on {
+		for i, ep := range eps {
+			eps[i] = evenRail{ep.(*fabric.SimEndpoint)}
+		}
+	}
+	return eps
+}
+
 // stripeGate builds a bare gate (no engine goroutines) over fake rails.
-func stripeGate(even bool, eps ...*fakeEndpoint) *Gate {
-	g := &Gate{eng: &Engine{cfg: Config{EvenStripe: even}}}
+func stripeGate(eps ...*fakeEndpoint) *Gate {
+	g := &Gate{eng: &Engine{}}
 	for _, ep := range eps {
 		g.rails = append(g.rails, &rail{ep: ep})
 	}
@@ -45,7 +68,7 @@ func chunkSizes(chunks []chunk) map[int]int {
 }
 
 func TestStripeProportionalToBandwidth(t *testing.T) {
-	g := stripeGate(false,
+	g := stripeGate(
 		&fakeEndpoint{caps: fabric.Capabilities{Bandwidth: 8e9}},
 		&fakeEndpoint{caps: fabric.Capabilities{Bandwidth: 2e9}},
 	)
@@ -65,9 +88,12 @@ func TestStripeProportionalToBandwidth(t *testing.T) {
 	}
 }
 
+// TestStripeEvenAblation: one rail hiding its bandwidth makes the whole
+// split equal — how the ablation rigs (evenRail) get the seed's even
+// split.
 func TestStripeEvenAblation(t *testing.T) {
-	g := stripeGate(true,
-		&fakeEndpoint{caps: fabric.Capabilities{Bandwidth: 8e9}},
+	g := stripeGate(
+		&fakeEndpoint{caps: fabric.Capabilities{}},
 		&fakeEndpoint{caps: fabric.Capabilities{Bandwidth: 2e9}},
 	)
 	sizes := chunkSizes(g.stripe(1 << 20))
@@ -79,7 +105,7 @@ func TestStripeEvenAblation(t *testing.T) {
 func TestStripeSkipsBackpressuredRail(t *testing.T) {
 	// The fakes report no latency, so their backpressure threshold is
 	// the unknown-rail default.
-	g := stripeGate(false,
+	g := stripeGate(
 		&fakeEndpoint{caps: fabric.Capabilities{Bandwidth: 8e9}, backlog: defaultBackpressureLimit + 1},
 		&fakeEndpoint{caps: fabric.Capabilities{Bandwidth: 2e9}},
 	)
@@ -98,7 +124,7 @@ func TestBackpressureLimitTracksBDP(t *testing.T) {
 	// 8 GB/s × 50 µs = 400 KB in flight; at the measured 4 KiB average
 	// frame size that is ~97 frames of headroom.
 	fast := &fakeEndpoint{caps: fabric.Capabilities{Bandwidth: 8e9, Latency: 50 * simtime.Microsecond}}
-	g := stripeGate(false, fast)
+	g := stripeGate(fast)
 	r := g.rails[0]
 	r.frames.Store(10)
 	r.bytes.Store(10 * 4096)
@@ -124,7 +150,7 @@ func TestBackpressureLimitTracksBDP(t *testing.T) {
 }
 
 func TestStripeFoldsTinyShares(t *testing.T) {
-	g := stripeGate(false,
+	g := stripeGate(
 		&fakeEndpoint{caps: fabric.Capabilities{Bandwidth: 100e9}},
 		&fakeEndpoint{caps: fabric.Capabilities{Bandwidth: 1e9}},
 	)
@@ -137,7 +163,7 @@ func TestStripeFoldsTinyShares(t *testing.T) {
 }
 
 func TestStripeExcludesDeadRails(t *testing.T) {
-	g := stripeGate(false,
+	g := stripeGate(
 		&fakeEndpoint{caps: fabric.Capabilities{Bandwidth: 8e9}},
 		&fakeEndpoint{caps: fabric.Capabilities{Bandwidth: 8e9}},
 	)
@@ -253,16 +279,16 @@ func heterogeneousTransferTime(t *testing.T, even bool, payload []byte) simtime.
 	ea1, eb1 := simPair(f, slow)
 
 	// Pull-mode rendezvous stripes on the receiver, so the ablation
-	// knob applies there too.
-	sender := NewEngine(Config{EvenStripe: even})
-	receiver := NewEngine(Config{EvenStripe: even})
+	// hides bandwidth there too.
+	sender := NewEngine(Config{})
+	receiver := NewEngine(Config{})
 	defer sender.Close()
 	defer receiver.Close()
-	ga, err := sender.NewGateEndpoints(ea0, ea1)
+	ga, err := sender.NewGateEndpoints(evenIf(even, ea0, ea1)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := receiver.NewGateEndpoints(eb0, eb1)
+	gb, err := receiver.NewGateEndpoints(evenIf(even, eb0, eb1)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,8 +442,8 @@ func TestRailStatsTieOut(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Σ per-rail payload bytes == Σ request payload bytes (RTS/CTS
-	// carry none), and Σ per-rail frames == engine FramesSent.
+	// Σ per-rail payload bytes == Σ request payload bytes (control
+	// frames carry none), and Σ per-rail frames == engine FramesSent.
 	var bytesSum, framesSum uint64
 	for _, r := range ga.RailStats() {
 		bytesSum += r.Bytes
@@ -447,15 +473,15 @@ func benchStripe(b *testing.B, even bool) {
 	slow := fabric.Capabilities{Latency: 5 * simtime.Microsecond, Bandwidth: 5e8, MaxInject: 16 << 10, RMA: true}
 	ea0, eb0 := simPair(f, fast)
 	ea1, eb1 := simPair(f, slow)
-	sender := NewEngine(Config{EvenStripe: even})
-	receiver := NewEngine(Config{EvenStripe: even})
+	sender := NewEngine(Config{})
+	receiver := NewEngine(Config{})
 	defer sender.Close()
 	defer receiver.Close()
-	ga, err := sender.NewGateEndpoints(ea0, ea1)
+	ga, err := sender.NewGateEndpoints(evenIf(even, ea0, ea1)...)
 	if err != nil {
 		b.Fatal(err)
 	}
-	gb, err := receiver.NewGateEndpoints(eb0, eb1)
+	gb, err := receiver.NewGateEndpoints(evenIf(even, eb0, eb1)...)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,27 +11,26 @@ import (
 
 // Rendezvous handshake timeouts.
 //
-// The rendezvous protocol is a conversation — RTS, then CTS or pulls,
-// then data or FIN — and on a lossy fabric any line of it can vanish
-// while both rails stay perfectly alive. Before this file existed that
-// meant a silent mutual hang: the sender pinned its payload waiting
-// for a reply that was never coming, the receiver held a reassembly
-// waiting for bytes that were never sent. Rail death was handled
-// (PR 2/5); frame loss on a live rail was not.
+// The rendezvous protocol is a conversation — RTS, then reads or push
+// requests, then data, then FIN — and on a lossy fabric any line of it
+// can vanish while both rails stay perfectly alive. Before this file
+// existed that meant a silent mutual hang: the sender pinned its
+// payload waiting for a reply that was never coming, the receiver held
+// a reassembly waiting for bytes that were never sent. Rail death was
+// handled (PR 2/5); frame loss on a live rail was not.
 //
 // The cure is the classic one: every open rendezvous half carries a
 // deadline on the engine's clock. A sweep task (one per engine, riding
 // the same task engine as the polling work) retransmits the stalled
-// step with exponential backoff — the sender re-sends its RTS, a
-// pull-mode receiver re-issues its outstanding reads and re-requests
-// its pushed ranges, a push-mode receiver re-sends its CTS — and after
-// RdvRetries fruitless rounds fails the request visibly with
-// ErrRdvTimeout and best-effort NACKs the peer, so neither side waits
-// forever and nothing stays pinned.
+// step with exponential backoff — the sender re-sends its RTS, the
+// receiver re-issues its outstanding reads and re-requests its pushed
+// ranges — and after RdvRetries fruitless rounds fails the request
+// visibly with ErrRdvTimeout and best-effort NACKs the peer, so neither
+// side waits forever and nothing stays pinned.
 //
 // Retransmission makes duplicates a fact of life, so the protocol
 // handlers are hardened to be idempotent: a second RTS for a live
-// handshake re-answers instead of re-matching, a settled-rendezvous
+// handshake is ignored instead of re-matched, a settled-rendezvous
 // log (bounded, per gate) lets late control frames for finished
 // handshakes be answered or ignored instead of NACKing a healthy peer,
 // and data-frame reassembly counts byte *coverage* rather than frame
@@ -157,7 +156,7 @@ func (st *recvRdvState) refForRetry() bool {
 }
 
 // retryTimer is the timeout state every in-flight protocol state
-// carries — a send rendezvous waiting on its CTS or FIN, a receive
+// carries — a send rendezvous waiting on its FIN, a receive
 // rendezvous waiting on bytes, an unacknowledged eager message: the
 // current attempt's deadline on the engine clock (0: unarmed) and the
 // retransmissions already burned. Guarded by the owning Gate.mu.
@@ -211,7 +210,6 @@ type sweepAct struct {
 
 	offer []byte        // send retry: the RTS pull offer
 	recv  *recvRdvState // recv retry: the state to re-drive, sweep-referenced
-	pull  bool          // recv retry: pull mode (re-drive chunks) or push (re-send CTS)
 	data  []byte        // eager retry: the payload
 }
 
@@ -330,9 +328,6 @@ func (g *Gate) dueRendezvous(now int64, sends, recvs []sweepAct) ([]sweepAct, []
 				continue
 			}
 			a.recv, a.retries = st, st.retries
-			st.mu.Lock()
-			a.pull, a.total = st.pull, st.req.total
-			st.mu.Unlock()
 		default:
 			// The retry budget is spent, or the sender's propagated
 			// deadline passed: stop reassembling bytes whose submitter
@@ -399,17 +394,11 @@ func (e *Engine) sweepRecv(a sweepAct) {
 	if r := e.rec; r != nil {
 		r.Record(g.id, trace.EvRetransmit, g.spanID(trace.DirRecv, 0, a.msgID), uint64(a.retries))
 	}
-	if !a.pull {
-		// Push mode: the CTS may have been lost. A sender that already
-		// answered it has settled the handshake and ignores the
-		// duplicate.
-		g.sendControl(KindCTS, a.tag, a.msgID, 0, a.total)
-		return
-	}
-	// Pull mode: re-drive every unsettled chunk — blackholed reads are
-	// re-posted, lost push requests re-asked. chunkDone chunks are
-	// skipped; duplicate data from a re-asked range is absorbed by
-	// coverage accounting.
+	// Re-drive every unsettled chunk — blackholed reads are re-posted,
+	// lost push requests (or their lost data) re-asked. chunkDone
+	// chunks are skipped; duplicate data from a re-asked range is
+	// absorbed by coverage accounting, and a sender that already
+	// settled the handshake ignores the late request.
 	st.mu.Lock()
 	var reissue []int
 	var pushes []span

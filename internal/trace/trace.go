@@ -65,8 +65,6 @@ const (
 	// EvRdvRTS is an inbound rendezvous request-to-send: A = span id,
 	// B = total message bytes.
 	EvRdvRTS
-	// EvRdvCTS is an inbound clear-to-send: A = span id, B unused.
-	EvRdvCTS
 	// EvRdvFin is an inbound rendezvous completion: A = span id,
 	// B unused.
 	EvRdvFin
@@ -114,16 +112,16 @@ const (
 	// id, B = 0.
 	EvMatchEnd
 	// EvHandshakeBegin opens the rendezvous handshake phase. Sender
-	// side: RTS sent → CTS received (push) or → FIN received (pull,
-	// where the handshake span covers the whole remote pull): A = span
-	// id, B = message bytes.
+	// side: RTS sent → FIN received (the span covers the whole
+	// receiver-driven transfer, pulled or pushed): A = span id,
+	// B = message bytes.
 	EvHandshakeBegin
 	// EvHandshakeEnd closes the handshake phase: A = span id, B = 0 on
 	// success, 1 on error.
 	EvHandshakeEnd
-	// EvTransferBegin opens the data-movement phase: sender push
-	// (CTS → last fragment on the wire) or receiver pull (match → all
-	// chunks landed): A = span id, B = bytes moved in the phase.
+	// EvTransferBegin opens the receiver's data-movement phase (match →
+	// every byte landed, pulled or pushed): A = span id, B = bytes
+	// moved in the phase.
 	EvTransferBegin
 	// EvTransferEnd closes the data-movement phase: A = span id,
 	// B = 0 on success, 1 on error.
@@ -162,7 +160,6 @@ var kindNames = [...]string{
 	EvTaskRun:        "task-run",
 	EvTaskSteal:      "task-steal",
 	EvRdvRTS:         "rdv-rts",
-	EvRdvCTS:         "rdv-cts",
 	EvRdvFin:         "rdv-fin",
 	EvRetransmit:     "retransmit",
 	EvEagerRetry:     "eager-retry",
