@@ -4,15 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"pioman/internal/fabric"
 	"pioman/internal/simtime"
 )
 
 // Rendezvous under frame loss: the handshake-timeout acceptance tests.
-// Every test runs both engines on the fabric's virtual clock, so
-// timeouts fire at exact modelled instants and failures are bounded in
-// virtual time, not wall time.
+// Every test runs on a virtual clock — the fabric's, or one the test
+// steps by hand — so timeouts fire at exact modelled instants and
+// failures are bounded in virtual time, not wall time.
 
 const chaosRdvTimeout = 2 * simtime.Millisecond
 
@@ -174,6 +175,140 @@ func TestRdvTimeoutRecoversDroppedPushRequest(t *testing.T) {
 	requireClean(t, "receiver", r.gb)
 }
 
+// slowPush is a pushed payload whose single wire frame (one rail, 4
+// GB/s) takes about 1.6 chaosRdvTimeout to land.
+const slowPush = 12 << 20
+
+// TestRdvSlowPushNotReasked pushes two payloads that each stay on the
+// wire longer than RdvTimeout, the second queued behind the first on
+// the one rail, with no loss at all: the receiver may not mistake a
+// slow or queued push for a lost one, so nothing is re-asked or pushed
+// twice. (The sender may re-send an RTS, a control frame the live
+// receive ignores: on this free-running fabric an empty poll jumps the
+// clock to the next delivery, so the first FIN can leave only once
+// the second push lands.)
+func TestRdvSlowPushNotReasked(t *testing.T) {
+	r := newChaosRig(t, fabric.FaultConfig{}, false)
+	defer r.close()
+	payload := chaosPayload(slowPush)
+
+	var reqs []*Request
+	for tag := uint64(1); tag <= 2; tag++ {
+		reqs = append(reqs, r.gb.IrecvInto(tag, make([]byte, slowPush)), r.ga.Isend(tag, payload))
+	}
+	if !r.drive(64*chaosRdvTimeout, reqs...) {
+		t.Fatal("slow pushes did not complete")
+	}
+	for i, q := range reqs {
+		if q.Err() != nil {
+			t.Fatalf("request %d failed: %v", i, q.Err())
+		}
+		if i%2 == 0 && !bytes.Equal(q.Data, payload) {
+			t.Fatalf("receive %d corrupted", i/2)
+		}
+	}
+	ss, rs := r.sender.Stats(), r.receiver.Stats()
+	if rs.RdvRetries != 0 || ss.RdvTimeouts != 0 {
+		t.Errorf("receiver retries %d, sender timeouts %d; want 0 on a lossless link", rs.RdvRetries, ss.RdvTimeouts)
+	}
+	if ss.RdvData != 2 || rs.RecvCopiedBytes != 2*slowPush {
+		t.Errorf("sender pushed %d frames, receiver copied %d B; want 2 frames, %d B", ss.RdvData, rs.RecvCopiedBytes, 2*slowPush)
+	}
+	requireClean(t, "sender", r.ga)
+	requireClean(t, "receiver", r.gb)
+}
+
+// TestRdvLatePostThenSlowPush posts the receive just before the
+// sender's whole retry budget runs out, then pushes a payload slower
+// than the time left: the push request answers the handshake and
+// restarts the sender's budget, so the transfer completes instead of
+// the sender timing out — and NACKing a healthy receive — mid-push.
+// The restarted deadline covers the push's wire time, so the sender
+// does not re-send its RTS while the bytes are moving either.
+func TestRdvLatePostThenSlowPush(t *testing.T) {
+	r := newChaosRig(t, fabric.FaultConfig{}, false)
+	defer r.close()
+	payload := chaosPayload(slowPush)
+
+	// RTS retries back off T, 2T, … 2^RdvRetries·T: give-up at 31T.
+	budget := chaosRdvTimeout * (1<<(r.sender.cfg.RdvRetries+1) - 1)
+	sreq := r.ga.Isend(1, payload)
+	for r.f.Now() < simtime.Time(budget-chaosRdvTimeout/2) {
+		r.schedule()
+		r.f.Advance(chaosRdvTimeout / 4)
+	}
+	if sreq.Test() {
+		t.Fatalf("send finished before the receive was posted: %v", sreq.Err())
+	}
+	rtsRetries := r.sender.Stats().RdvRetries
+	rreq := r.gb.IrecvInto(1, make([]byte, slowPush))
+	if !r.drive(64*chaosRdvTimeout, sreq, rreq) {
+		t.Fatal("late-posted slow push did not complete")
+	}
+	if sreq.Err() != nil || rreq.Err() != nil {
+		t.Fatalf("transfer failed: send %v, recv %v", sreq.Err(), rreq.Err())
+	}
+	if !bytes.Equal(rreq.Data, payload) {
+		t.Fatal("payload corrupted")
+	}
+	if ss := r.sender.Stats(); ss.RdvData != 1 || ss.RdvRetries != rtsRetries {
+		t.Errorf("sender pushed %d frames and retried %d times mid-push, want 1 and 0", ss.RdvData, ss.RdvRetries-rtsRetries)
+	}
+	requireClean(t, "sender", r.ga)
+	requireClean(t, "receiver", r.gb)
+}
+
+// TestRdvPushProgressRearms drives a pushed receive by hand over a mem
+// rail whose far end the test plays: a third of the payload lands ¾,
+// 1½ and 2¼ RdvTimeout after the push request. Each landing restarts
+// the receiver's timer, so a push that keeps moving is never re-asked.
+func TestRdvPushProgressRearms(t *testing.T) {
+	const timeout = int64(time.Millisecond)
+	var now int64
+	e := NewEngine(Config{NoAutoProgress: true, Clock: func() int64 { return now }, RdvTimeout: timeout})
+	defer e.Close()
+	near, far := MemPair()
+	g, err := e.NewGate(near)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(clock int64) {
+		now = clock
+		for i := 0; i < 8; i++ {
+			e.Tasks().Schedule(0)
+		}
+	}
+	const part = 16 << 10
+	payload := chaosPayload(3 * part)
+	req := g.IrecvInto(1, make([]byte, len(payload)))
+	hdr := Header{Kind: KindRTS, Tag: 1, MsgID: 7, Total: uint32(len(payload))}
+	if err := far.Send(hdr, nil); err != nil {
+		t.Fatal(err)
+	}
+	at(0)
+	hdr.Kind = KindData
+	for i := 0; i < 3; i++ {
+		hdr.Offset = uint32(i * part)
+		if err := far.Send(hdr, payload[i*part:(i+1)*part]); err != nil {
+			t.Fatal(err)
+		}
+		at(int64(i+1) * 3 * timeout / 4)
+	}
+	asks := 0
+	for f, ok, _ := far.Poll(); ok; f, ok, _ = far.Poll() {
+		if f.Hdr.Kind == KindRdvPush {
+			asks++
+		}
+	}
+	if !req.Test() || req.Err() != nil || !bytes.Equal(req.Data, payload) {
+		t.Fatalf("receive done=%v err=%v, or payload corrupted", req.Test(), req.Err())
+	}
+	if retries := e.Stats().RdvRetries; asks != 1 || retries != 0 {
+		t.Errorf("push asked %d times, %d retries; want 1 and 0", asks, retries)
+	}
+	requireClean(t, "receiver", g)
+}
+
 // TestRdvTimeoutFailsVisibly makes the receiver's outbound direction
 // permanently lossy: the RTS arrives, every reply dies forever. Both
 // halves must fail visibly within the bounded retry budget — virtual
@@ -196,11 +331,11 @@ func TestRdvTimeoutFailsVisibly(t *testing.T) {
 		t.Errorf("send error = %v, want ErrRdvTimeout", sreq.Err())
 	}
 	// The receiver either exhausts its own budget (ErrRdvTimeout) or is
-	// told first by the sender's parting NACK (errPullRejected) —
+	// told first by the sender's parting NACK (errRdvRejected) —
 	// whichever lands first, the failure must be visible.
 	if err := rreq.Err(); err == nil {
 		t.Error("recv completed silently; want a visible failure")
-	} else if !errors.Is(err, ErrRdvTimeout) && !errors.Is(err, errPullRejected) {
+	} else if !errors.Is(err, ErrRdvTimeout) && !errors.Is(err, errRdvRejected) {
 		t.Errorf("recv error = %v, want ErrRdvTimeout or a rendezvous NACK", err)
 	}
 	if got := r.sender.Stats().RdvTimeouts; got == 0 {

@@ -619,11 +619,11 @@ type Gate struct {
 	// mu guards the gate's protocol state: posted receives and
 	// unexpected arrivals by tag (O(1) matching, FIFO per tag), both
 	// rendezvous halves and the eager ack window by msgID (including
-	// their retryTimers), and the three dedup logs. Lock order:
-	// Engine.mu → Gate.mu → recvRdvState.mu; admitPlane.mu is taken
-	// under none of them and takes none of them. mu is never held across
-	// Request.complete, sendControl/sendPacket, issuePull or an endpoint
-	// call — each of them can re-enter the gate.
+	// their retryTimers), the three dedup logs and the push horizons.
+	// Lock order: Engine.mu → Gate.mu → recvRdvState.mu; admitPlane.mu
+	// is taken under none of them and takes none of them. mu is never
+	// held across Request.complete, sendControl/sendPacket, issueChunk or
+	// an endpoint call — each of them can re-enter the gate.
 	mu          sync.Mutex
 	recvQ       map[uint64]*fifo[*Request]
 	unexpected  map[uint64]*fifo[inbound]
@@ -633,6 +633,10 @@ type Gate struct {
 	settledSend settledLog
 	settledRecv settledLog
 	seenEager   settledLog
+	// pushedIn/pushedOut estimate (Clock) when the pushes asked of the
+	// peer, and asked of us, finish on the wire: rendezvous deadlines
+	// start from them (askPush, the KindRdvPush handler).
+	pushedIn, pushedOut int64
 
 	aggMu       sync.Mutex
 	aggPending  []pendingSend
@@ -823,13 +827,13 @@ func (g *Gate) railDown(i int) int {
 //     over another offered key, or requested as a push — and the
 //     transfer survives.
 //   - Everything else is failed conservatively — a receive with a
-//     pushed chunk (or no chunk table yet), and every send waiting on
-//     its FIN: inbound frames already in flight on the dead rail (a
-//     data fragment toward a reassembly, a FIN toward a sender) are
-//     lost, and nothing records which rails the sender striped a push
-//     onto, so waiting would at best ride out a handshake timeout. A
-//     prompt, retriable error beats that wait — at the cost of
-//     spuriously failing a transfer that never touched the dead rail.
+//     pushed chunk, and every send waiting on its FIN: inbound frames
+//     already in flight on the dead rail (a data fragment toward a
+//     reassembly, a FIN toward a sender) are lost, and nothing
+//     records which rails the sender striped a push onto, so waiting
+//     would at best ride out a handshake timeout. A prompt, retriable
+//     error beats that wait — at the cost of spuriously failing a
+//     transfer that never touched the dead rail.
 //
 // The dead endpoint is also closed, which is how the peer finds out:
 // its next send into the closed transport fails, its own rail-death
@@ -1162,29 +1166,21 @@ func (p *Packet) completeAll(err error) {
 		if rec := g.eng.rec; rec != nil {
 			// Wire-out is a phase boundary: an ack-tracked eager frame
 			// leaving the wire ends its injection phase and starts the
-			// ack wait; a fire-and-forget eager/aggregate frame just
-			// ends injection. Retransmitted frames re-record — the
-			// analyzer folds duplicates as first-begin/last-end.
+			// ack wait; a fire-and-forget eager/aggregate frame — the
+			// only frames that carry requests — just ends injection.
+			// Retransmitted frames re-record — the analyzer folds
+			// duplicates as first-begin/last-end.
 			for _, id := range p.pend {
 				sid := g.spanID(trace.DirSend, 0, id)
 				rec.Record(g.id, trace.EvInjectEnd, sid, 0)
 				rec.Record(g.id, trace.EvAckWaitBegin, sid, 0)
 			}
-			switch p.Hdr.Kind {
-			case KindEager:
-				if p.req != nil && p.req.traceID != 0 {
-					rec.Record(g.id, trace.EvInjectEnd, p.req.traceID, 0)
-				}
-				for _, r := range p.reqs {
-					if r.traceID != 0 {
-						rec.Record(g.id, trace.EvInjectEnd, r.traceID, 0)
-					}
-				}
-			case KindAggr:
-				for _, r := range p.reqs {
-					if r.traceID != 0 {
-						rec.Record(g.id, trace.EvInjectEnd, r.traceID, 0)
-					}
+			if p.req != nil && p.req.traceID != 0 {
+				rec.Record(g.id, trace.EvInjectEnd, p.req.traceID, 0)
+			}
+			for _, r := range p.reqs {
+				if r.traceID != 0 {
+					rec.Record(g.id, trace.EvInjectEnd, r.traceID, 0)
 				}
 			}
 		}

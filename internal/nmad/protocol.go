@@ -332,27 +332,7 @@ func (e *Engine) deliver(req *Request, u inbound) {
 		st.tag = u.hdr.Tag
 		st.deadline = e.clock() + e.cfg.RdvTimeout
 		st.absDeadline = absDeadline
-		g.mu.Lock()
-		g.rdvRecv[u.hdr.MsgID] = st
-		g.mu.Unlock()
-		if g.pickEager() < 0 || g.alive.Load() <= 0 {
-			// Every rail died around this handshake. The failGate
-			// sweep may have run before the entry above was inserted,
-			// so clean it up here rather than leaving the receive
-			// hanging on a sweep that will never run again.
-			g.mu.Lock()
-			delete(g.rdvRecv, u.hdr.MsgID)
-			g.mu.Unlock()
-			st.markFailed()
-			req.complete(errAllRailsDead)
-			return
-		}
-		if req.traceID != 0 {
-			// Transfer phase: match → every byte home (pull reads or
-			// pushed data frames alike); finishRecvRdv closes it.
-			e.rec.Record(g.id, trace.EvTransferBegin, req.traceID, uint64(u.hdr.Total))
-		}
-		e.startPull(g, st, u.ext)
+		e.startRecvRdv(g, st, u.ext)
 	default:
 		req.complete(fmt.Errorf("nmad: unexpected frame kind %v matched a receive", u.hdr.Kind))
 	}
@@ -424,9 +404,22 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 		// fragment lands its bytes again but must not advance the
 		// completion counter past what is actually home.
 		fresh := st.addCovered(int(f.Hdr.Offset), int(f.Hdr.Offset)+n)
-		if fresh > 0 && req.got.Add(uint32(fresh)) >= req.total {
-			e.finishRecvRdv(st)
+		if fresh == 0 {
+			return
 		}
+		if req.got.Add(uint32(fresh)) >= req.total {
+			e.finishRecvRdv(st)
+			return
+		}
+		// New bytes: the push is moving. Restart the retry budget so a
+		// re-ask fires only once it stalls for RdvTimeout; coverage only
+		// grows, so this cannot keep a transfer alive forever.
+		d := e.clock() + e.cfg.RdvTimeout
+		g.mu.Lock()
+		if g.rdvRecv[f.Hdr.MsgID] == st {
+			st.retryTimer = retryTimer{deadline: max(st.deadline, d)}
+		}
+		g.mu.Unlock()
 
 	case KindFin:
 		// Rendezvous complete: the receiver has every byte, pulled
@@ -451,14 +444,21 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 		// Offset+Total); push it as ordinary data frames. The
 		// rendezvous stays open — other chunks may still be pulling,
 		// and the FIN settles everything.
+		// The request answers the handshake, so the send's retry
+		// budget restarts, now timing the FIN from the instant the
+		// range should have left, queued behind our other pushes to
+		// this peer (askPush's mirror).
 		// The payload is captured under the gate lock: a FIN racing a
 		// duplicated push request recycles the state.
 		var data []byte
+		now, wire := e.clock(), g.wireTime(int(f.Hdr.Total))
 		g.mu.Lock()
 		st := g.sendRdv[f.Hdr.MsgID]
 		settled := st == nil && g.settledSend.has(f.Hdr.MsgID)
 		if st != nil {
 			data = st.data
+			g.pushedOut = max(g.pushedOut, now) + wire
+			st.retryTimer = retryTimer{deadline: g.pushedOut + e.cfg.RdvTimeout}
 		}
 		g.mu.Unlock()
 		if st == nil {
@@ -486,9 +486,9 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 // transfer carrying the same id.
 func (e *Engine) failRendezvousNack(g *Gate, hdr Header) {
 	if hdr.Offset == nackSend {
-		g.failSendRdv(hdr.MsgID, errPullRejected)
+		g.failSendRdv(hdr.MsgID, errRdvRejected)
 	} else {
-		g.failRecvRdv(hdr.MsgID, errPullRejected)
+		g.failRecvRdv(hdr.MsgID, errRdvRejected)
 	}
 }
 

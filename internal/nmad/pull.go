@@ -41,10 +41,11 @@ const (
 	chunkPushed               // requested as a sender push (KindData)
 )
 
-// pullChunk is one receiver-side chunk assignment: payload[lo:hi]
-// pulled over rail. Its address is the RMARead context, so completions
-// route back without allocation.
-type pullChunk struct {
+// rdvChunk is one receiver-side chunk assignment: payload[lo:hi]
+// pulled over rail, or requested as a sender push when no rail can
+// read it. Its address is the RMARead context, so completions route
+// back without allocation.
+type rdvChunk struct {
 	st     *recvRdvState
 	rail   int
 	idx    int // position in st.chunks; the chunk span's aux id
@@ -65,11 +66,11 @@ type recvRdvState struct {
 
 	// absDeadline is the sender's propagated request deadline (the RTS
 	// offer's sentinel entry), 0 for none. Immutable after the state is
-	// published, so the sweep and issuePull read it freely.
+	// published, so the sweep and issueChunk read it freely.
 	absDeadline int64
 
 	mu      sync.Mutex
-	chunks  []pullChunk // fixed length once issued; entries mutate in place
+	chunks  []rdvChunk // fixed length once issued; entries mutate in place
 	keys    []fabric.RKey
 	covered []span // merged byte ranges landed via KindData (dup dedup)
 	reading int    // chunks with an outstanding RMARead
@@ -86,11 +87,9 @@ func (st *recvRdvState) markFailed() {
 }
 
 // beginSweep reports whether the transfer can continue after a rail
-// died — its chunk table is built (startPull fills it after the state
-// is already visible in g.rdvRecv, so it is read under st.mu) and
-// every chunk is pulled (re-issuable — this side knows exactly where
-// each one rides), none having been requested as a sender push whose
-// frames could have been striped onto any rail, sender-side,
+// died — every chunk is pulled (re-issuable — this side knows exactly
+// where each one rides), none having been requested as a sender push
+// whose frames could have been striped onto any rail, sender-side,
 // invisibly to us — and, when it can, takes a sweep reference that
 // blocks the state from being pool-recycled until endSweep: the last
 // chunk's completion may finish the transfer between the sweep's
@@ -100,7 +99,7 @@ func (st *recvRdvState) markFailed() {
 func (st *recvRdvState) beginSweep() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.failed || len(st.chunks) == 0 {
+	if st.failed {
 		return false
 	}
 	for i := range st.chunks {
@@ -148,19 +147,22 @@ func (e *Engine) putRecvRdv(st *recvRdvState) {
 	e.recvRdvPool.Put(st)
 }
 
-// errPullRejected reports a rendezvous the peer had no state for (it
+// errRdvRejected reports a rendezvous the peer had no state for (it
 // answered with a NACK): the handshake lost its other half.
-var errPullRejected = errors.New("nmad: peer rejected the rendezvous (no matching state)")
+var errRdvRejected = errors.New("nmad: peer rejected the rendezvous (no matching state)")
 
 // errShortRecvBuffer reports an IrecvInto whose buffer cannot hold the
 // matched message.
 var errShortRecvBuffer = errors.New("nmad: receive buffer shorter than the matched message")
 
-// startPull begins reception for a matched RTS: parse the offer (if
-// any), build the chunk table — striped across the rails this side can
-// read through, or one push chunk when there are none — and issue
-// every chunk. Called after the state is registered in g.rdvRecv.
-func (e *Engine) startPull(g *Gate, st *recvRdvState, ext []byte) {
+// startRecvRdv begins reception for a matched RTS: parse the offer (if
+// any) and build the chunk table — striped across the rails this side
+// can read through, or one push chunk when there are none — then
+// publish the state in g.rdvRecv and issue every chunk. The tables are
+// complete before anything else can see the state; only the issuing
+// must follow publication, because pushed data may arrive as soon as
+// it is asked for.
+func (e *Engine) startRecvRdv(g *Gate, st *recvRdvState, ext []byte) {
 	// Decode the offer into a per-rail key table (index = our rail).
 	if cap(st.keys) < len(g.rails) {
 		st.keys = make([]fabric.RKey, len(g.rails))
@@ -184,16 +186,37 @@ func (e *Engine) startPull(g *Gate, st *recvRdvState, ext []byte) {
 		}
 		st.keys[railIdx] = fabric.RKey(key)
 	}
-	n := g.stripePullChunks(st, len(st.req.Data))
+	g.stripeRecvChunks(st, len(st.req.Data))
+	n, req, msgID := len(st.chunks), st.req, st.msgID
+	g.mu.Lock()
+	g.rdvRecv[msgID] = st
+	g.mu.Unlock()
+	if g.pickEager() < 0 || g.alive.Load() <= 0 {
+		// Every rail died around this handshake. The failGate sweep may
+		// have run before the entry above was inserted, so clean it up
+		// here rather than leaving the receive hanging on a sweep that
+		// will never run again.
+		g.mu.Lock()
+		delete(g.rdvRecv, msgID)
+		g.mu.Unlock()
+		st.markFailed()
+		req.complete(errAllRailsDead)
+		return
+	}
+	if req.traceID != 0 {
+		// Transfer phase: match → every byte home (pull reads or pushed
+		// data frames alike); finishRecvRdv closes it.
+		e.rec.Record(g.id, trace.EvTransferBegin, req.traceID, uint64(req.total))
+	}
 	for i := 0; i < n; i++ {
-		e.issuePull(g, st, i)
+		e.issueChunk(g, st, i)
 	}
 }
 
-// issuePull posts (or re-posts) chunk i of a rendezvous receive:
+// issueChunk posts (or re-posts) chunk i of a rendezvous receive:
 // RMARead on the chunk's rail, falling over to another offered rail
 // when the post fails, and to a sender push as the last resort.
-func (e *Engine) issuePull(g *Gate, st *recvRdvState, i int) {
+func (e *Engine) issueChunk(g *Gate, st *recvRdvState, i int) {
 	// Read the clock before taking st.mu: Clock may reach into provider
 	// state, and holding the lock across it is needless coupling.
 	var now int64
@@ -279,7 +302,7 @@ func (e *Engine) issuePull(g *Gate, st *recvRdvState, i int) {
 				st.reading--
 			}
 			c.state = chunkPushed
-			lo, hi := c.lo, c.hi
+			lo, hi, tag, msgID := c.lo, c.hi, st.tag, st.msgID
 			st.mu.Unlock()
 			if sid != 0 {
 				// Degraded to a sender push: close the chunk span
@@ -290,17 +313,35 @@ func (e *Engine) issuePull(g *Gate, st *recvRdvState, i int) {
 				e.rec.Record(g.id, trace.EvChunkEnd, sid, 2)
 			}
 			e.rdvPushRanges.Add(1)
-			g.sendControl(KindRdvPush, st.tag, st.msgID, uint32(lo), uint32(hi-lo))
+			g.askPush(st, tag, msgID, lo, hi)
 			return
 		}
 		c.rail = next
 	}
 }
 
+// askPush requests payload[lo:hi] from the sender as a push, first
+// moving the live receive's deadline to RdvTimeout past the instant the
+// range should land, queued behind the pushes already asked of this
+// peer: a pushed frame is invisible here until it lands, so without
+// that allowance a push merely slower than RdvTimeout would read as a
+// lost one and be asked for — and sent — again.
+func (g *Gate) askPush(st *recvRdvState, tag, msgID uint64, lo, hi int) {
+	e := g.eng
+	now, wire := e.clock(), g.wireTime(hi-lo)
+	g.mu.Lock()
+	g.pushedIn = max(g.pushedIn, now) + wire
+	if g.rdvRecv[msgID] == st {
+		st.deadline = max(st.deadline, g.pushedIn+e.cfg.RdvTimeout)
+	}
+	g.mu.Unlock()
+	g.sendControl(KindRdvPush, tag, msgID, uint32(lo), uint32(hi-lo))
+}
+
 // reissueDeadRailChunks re-posts every chunk of a surviving pull
 // transfer that was outstanding on the dead rail. Those reads will
 // never complete — the endpoint is closed, its completion queue is
-// gone — so their slots are free to re-issue; issuePull skips the dead
+// gone — so their slots are free to re-issue; issueChunk skips the dead
 // rail and keeps the outstanding-read accounting straight. The caller
 // holds a beginSweep reference, released here.
 func (e *Engine) reissueDeadRailChunks(g *Gate, st *recvRdvState, idx int) {
@@ -316,7 +357,7 @@ func (e *Engine) reissueDeadRailChunks(g *Gate, st *recvRdvState, idx int) {
 	}
 	st.mu.Unlock()
 	for _, i := range stale {
-		e.issuePull(g, st, i)
+		e.issueChunk(g, st, i)
 	}
 }
 
@@ -339,7 +380,7 @@ func (e *Engine) expireRecvDeadline(g *Gate, st *recvRdvState) {
 // pullDone handles one EventRMADone: account the landed chunk and
 // finish the transfer when it was the last byte.
 func (e *Engine) pullDone(g *Gate, railIdx int, ev fabric.Event) {
-	c, ok := ev.Context.(*pullChunk)
+	c, ok := ev.Context.(*rdvChunk)
 	if !ok || c == nil {
 		return
 	}

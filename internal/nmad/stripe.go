@@ -157,26 +157,40 @@ func (g *Gate) stripeInto(sc *stripeScratchT, total int, eligible func(int) bool
 	return out
 }
 
-// stripePullChunks stripes a rendezvous receive across the rails the
+// stripeRecvChunks stripes a rendezvous receive across the rails the
 // sender's offer covers and this side can read through, materializing
-// the result as the state's chunk table (pooled storage), and returns
-// the chunk count. When no rail qualifies — no offer, a classic
-// mem/TCP gate — the table is one chunk [0, total) with no key behind
-// it, which issuePull turns into a push request.
-func (g *Gate) stripePullChunks(st *recvRdvState, total int) int {
+// the result as the state's chunk table (pooled storage). When no rail
+// qualifies — no offer, a classic mem/TCP gate — the table is one
+// chunk [0, total) with no key behind it, which issueChunk turns into
+// a push request. The state is not yet published, so no lock is held.
+func (g *Gate) stripeRecvChunks(st *recvRdvState, total int) {
 	sc := g.stripeScratch()
 	defer g.putStripeScratch(sc)
 	chunks := g.stripeInto(sc, total, func(i int) bool {
 		return st.keys[i] != 0 && g.rails[i].rma != nil
 	})
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.chunks = st.chunks[:0]
 	for i, c := range chunks {
-		st.chunks = append(st.chunks, pullChunk{st: st, rail: c.rail, idx: i, lo: c.lo, hi: c.hi})
+		st.chunks = append(st.chunks, rdvChunk{st: st, rail: c.rail, idx: i, lo: c.lo, hi: c.hi})
 	}
 	if len(st.chunks) == 0 {
-		st.chunks = append(st.chunks, pullChunk{st: st, hi: total})
+		st.chunks = append(st.chunks, rdvChunk{st: st, hi: total})
 	}
-	return len(st.chunks)
+}
+
+// wireTime estimates, in Clock nanoseconds, how long n bytes striped
+// over the gate's alive rails spend on the wire, from the bandwidths
+// they advertise (0 when none does). Retry deadlines add it so a large
+// transfer that is merely slow is not mistaken for a lost one.
+func (g *Gate) wireTime(n int) int64 {
+	bw := 0.0
+	for _, r := range g.rails {
+		if !r.dead.Load() {
+			bw += r.ep.Capabilities().Bandwidth
+		}
+	}
+	if bw <= 0 {
+		return 0
+	}
+	return int64(float64(n) / bw * 1e9)
 }

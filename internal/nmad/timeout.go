@@ -398,7 +398,9 @@ func (e *Engine) sweepRecv(a sweepAct) {
 	// lost push requests (or their lost data) re-asked. chunkDone
 	// chunks are skipped; duplicate data from a re-asked range is
 	// absorbed by coverage accounting, and a sender that already
-	// settled the handshake ignores the late request.
+	// settled the handshake ignores the late request. A push is only
+	// re-asked once it stalled: askPush's deadline covers its wire
+	// time, and fresh pushed bytes re-arm the timer.
 	st.mu.Lock()
 	var reissue []int
 	var pushes []span
@@ -413,10 +415,10 @@ func (e *Engine) sweepRecv(a sweepAct) {
 	}
 	st.mu.Unlock()
 	for _, i := range reissue {
-		e.issuePull(g, st, i)
+		e.issueChunk(g, st, i)
 	}
 	for _, r := range pushes {
-		g.sendControl(KindRdvPush, a.tag, a.msgID, uint32(r.lo), uint32(r.hi-r.lo))
+		g.askPush(st, a.tag, a.msgID, r.lo, r.hi)
 	}
 }
 
