@@ -2,7 +2,9 @@
 // evaluation, plus ablations for the design choices called out in
 // DESIGN.md. Tables I/II run the simmachine cost model (sim-ns/task) and
 // Figures 5-7 the real nmad engine on a virtual clock (overlap ratio);
-// everything else reports real wall-clock costs on the host.
+// everything else reports real wall-clock costs on the host. Message
+// latency, bandwidth and rate through the full stack are the bench
+// module's workloads (bash bench/run.sh), not benchmarks here.
 //
 // Run with: go test -bench=. -benchmem
 package pioman_test
@@ -15,8 +17,6 @@ import (
 	"pioman/internal/core"
 	"pioman/internal/cpuset"
 	"pioman/internal/experiments"
-	"pioman/internal/mpi"
-	"pioman/internal/nmad"
 	"pioman/internal/simmachine"
 	"pioman/internal/stats"
 	"pioman/internal/topology"
@@ -541,147 +541,5 @@ func BenchmarkEmbeddedTaskReuse(b *testing.B) {
 		p.task.Reset()
 		e.MustSubmit(&p.task)
 		e.Schedule(0)
-	}
-}
-
-// ---- Real communication stack ----
-
-func newBenchPair(b *testing.B) (*mpi.Comm, *mpi.Comm, func()) {
-	comms, engines, err := mpi.LocalCluster(2, nmad.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cleanup := func() {
-		for _, e := range engines {
-			e.Close()
-		}
-	}
-	return comms[0], comms[1], cleanup
-}
-
-// BenchmarkPingPongEager measures small-message round-trip latency on
-// the real stack over in-process rails.
-func BenchmarkPingPongEager(b *testing.B) {
-	c0, c1, cleanup := newBenchPair(b)
-	defer cleanup()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			data, _, err := c1.Recv(0, 1)
-			if err != nil {
-				return
-			}
-			if len(data) == 0 {
-				return // stop marker
-			}
-			if err := c1.Send(0, 2, data); err != nil {
-				return
-			}
-		}
-	}()
-	msg := []byte{1, 2, 3, 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c0.Send(1, 1, msg); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := c0.Recv(1, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	_ = c0.Send(1, 1, nil)
-	<-done
-}
-
-// BenchmarkRendezvous1MB measures large-message throughput through the
-// RTS/push/data/FIN rendezvous on the real stack.
-func BenchmarkRendezvous1MB(b *testing.B) {
-	c0, c1, cleanup := newBenchPair(b)
-	defer cleanup()
-	payload := make([]byte, 1<<20)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			data, _, err := c1.Recv(0, 1)
-			if err != nil || len(data) == 0 {
-				return
-			}
-		}
-	}()
-	b.SetBytes(1 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c0.Send(1, 1, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	_ = c0.Send(1, 1, nil)
-	<-done
-}
-
-// BenchmarkAggregationThroughput compares small-message streams with
-// and without the aggregation strategy.
-func BenchmarkAggregationThroughput(b *testing.B) {
-	for _, strat := range []nmad.StrategyKind{nmad.StrategyDefault, nmad.StrategyAggreg} {
-		name := "default"
-		if strat == nmad.StrategyAggreg {
-			name = "aggregation"
-		}
-		b.Run(name, func(b *testing.B) {
-			comms, engines, err := mpi.LocalCluster(2, nmad.Config{Strategy: strat})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				for _, e := range engines {
-					e.Close()
-				}
-			}()
-			c0, c1 := comms[0], comms[1]
-			msg := make([]byte, 64)
-			const batch = 32
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for {
-					// Drain one batch, then acknowledge so the sender
-					// cannot outrun the receiver unboundedly.
-					for j := 0; j < batch; j++ {
-						if _, _, err := c1.Recv(0, 1); err != nil {
-							return
-						}
-					}
-					if err := c1.Send(0, 2, nil); err != nil {
-						return
-					}
-				}
-			}()
-			reqs := make([]*mpi.Request, batch)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range reqs {
-					r, err := c0.Isend(1, 1, msg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					reqs[j] = r
-				}
-				if err := mpi.Waitall(reqs...); err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := c0.Recv(1, 2); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			for _, e := range engines {
-				e.Close()
-			}
-			<-done
-		})
 	}
 }

@@ -1,8 +1,11 @@
 // Package pioman is a Go reproduction of "A scalable and generic task
 // scheduling system for communication libraries" (Trahay & Denis, IEEE
-// Cluster 2009) — the PIOMan I/O manager, the Marcel-style scheduler
-// hooks it relies on, and the NewMadeleine-style communication engine
-// built on top of it.
+// Cluster 2009) — the PIOMan I/O manager and the NewMadeleine-style
+// communication engine built on top of it. The keypoints where the
+// paper's Marcel thread scheduler calls into PIOMan are real code paths
+// here: a request's Wait loop, the communication engine's background
+// progression loop, and the explicit Schedule drivers of the experiment
+// harnesses and the chaos cluster.
 //
 // The implementation lives under internal/:
 //
@@ -23,8 +26,6 @@
 //     shards) and controllers behind adaptive drain batching
 //     (Config.AdaptiveDrain), steal-window feedback (Steal.Adaptive)
 //     and online rail calibration;
-//   - internal/sched — lightweight threads with idle / context-switch /
-//     timer keypoint hooks driving the task engine;
 //   - internal/fabric — the libfabric-shaped provider layer (domains,
 //     endpoints, completion queues, registered memory, per-rail
 //     Capabilities), including an RDMA-style simulated rail with eager

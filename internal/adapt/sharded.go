@@ -96,9 +96,6 @@ func (s *Sharded) Value() (float64, bool) {
 	return sum / weight, true
 }
 
-// Shards returns the shard count.
-func (s *Sharded) Shards() int { return len(s.shards) }
-
 // Reset discards every shard's samples.
 func (s *Sharded) Reset() {
 	for i := range s.shards {

@@ -231,13 +231,6 @@ func (l *Ledger) Inflight() (reqs int, bytes int64) {
 	return l.reqs, l.bytes
 }
 
-// Limits returns the current budgets.
-func (l *Ledger) Limits() (maxReqs int, maxBytes int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.maxReqs, l.maxBytes
-}
-
 // Idle reports whether the ledger holds no credits — the post-quiesce
 // invariant: every admitted request returned what it took.
 func (l *Ledger) Idle() bool {

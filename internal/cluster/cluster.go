@@ -26,6 +26,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 
 	"pioman/internal/admit"
@@ -73,13 +74,10 @@ type Options struct {
 	// SharedIngress serializes each node's inbound frames through one
 	// ingress port — the incast model.
 	SharedIngress bool
-	// NoRdvTimeout disables the rendezvous handshake timeout on every
-	// engine: the broken-control ablation.
-	NoRdvTimeout bool
-	// NoEagerRetry disables the eager retransmission window on every
-	// engine: the fire-and-forget ablation, under which lossy
-	// scenarios must lose eager traffic.
-	NoEagerRetry bool
+	// noRetransmit pushes every engine's retransmission deadline past
+	// any scenario's horizon, so nothing lost is ever re-sent: the two
+	// negative scenarios (broken-control, broken-eager) must then hang.
+	noRetransmit bool
 	// RdvRetries overrides the per-engine retry budget (0 → 4). Lossy
 	// high-drop scenarios raise it so independent per-hop loss cannot
 	// exhaust a transfer's budget by bad luck alone.
@@ -171,6 +169,10 @@ func newHarness(opt Options) *harness {
 	if opt.RdvRetries <= 0 {
 		opt.RdvRetries = 4
 	}
+	timeout := int64(rdvTimeout)
+	if opt.noRetransmit {
+		timeout = math.MaxInt64 / 4
+	}
 	topo, err := topology.Build(topology.Spec{
 		Name:            "cluster-driver",
 		NUMANodes:       1,
@@ -212,10 +214,8 @@ func newHarness(opt Options) *harness {
 				Tasks:          h.tasks,
 				NoAutoProgress: true,
 				Clock:          clock,
-				RdvTimeout:     int64(rdvTimeout),
+				RdvTimeout:     timeout,
 				RdvRetries:     opt.RdvRetries,
-				NoRdvTimeout:   opt.NoRdvTimeout,
-				NoEagerRetry:   opt.NoEagerRetry,
 				Trace:          rec,
 				Admit:          opt.Admit,
 				AdmitPolicy:    opt.AdmitPolicy,

@@ -27,9 +27,8 @@ func suiteFilter() (func(string) bool, int) {
 }
 
 // TestScenarioInvariants runs the suite once: every scenario must
-// satisfy its invariant contract — including broken-control, whose
-// contract is that the hang invariant trips, and broken-eager, whose
-// contract is that traffic is lost.
+// satisfy its invariant contract — including broken-control and
+// broken-eager, whose contract is that the hang invariant trips.
 func TestScenarioInvariants(t *testing.T) {
 	filter, want := suiteFilter()
 	results := Run(1, filter)
@@ -99,8 +98,8 @@ func TestPartitionAndHeal(t *testing.T) {
 }
 
 // TestBrokenControlTripsHangInvariant: the ablation without handshake
-// timeouts must be caught — hung requests detected, scenario counted
-// as passing only because hanging is its contract.
+// retransmission must be caught — hung requests detected, scenario
+// counted as passing only because hanging is its contract.
 func TestBrokenControlTripsHangInvariant(t *testing.T) {
 	r := runBrokenControl(1)
 	if r.Hung == 0 {

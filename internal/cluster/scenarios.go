@@ -432,12 +432,12 @@ func runMixedJitter(seed int64) Result {
 }
 
 // runBrokenControl is the harness proving itself: rendezvous traffic
-// into a permanent partition with the handshake timeout DISABLED. The
-// scenario passes only if the hang invariant trips — if this scenario
-// ever "succeeds", the harness has stopped catching hangs.
+// into a permanent partition with every retransmission pushed past the
+// horizon. The scenario passes only if the hang invariant trips — if
+// this scenario ever "succeeds", the harness has stopped catching hangs.
 func runBrokenControl(seed int64) Result {
 	res := Result{Seed: seed}
-	h := newHarness(Options{Nodes: 4, NoRdvTimeout: true})
+	h := newHarness(Options{Nodes: 4, noRetransmit: true})
 	for d := 1; d < 4; d++ {
 		h.nodes[d].dom.SetPartition(1)
 	}
@@ -604,17 +604,17 @@ func runLinkFlap(seed int64) Result {
 }
 
 // runBrokenEager is the eager ablation proving the retransmission
-// window is load-bearing: ring gossip through 15% drop with
-// NoEagerRetry — fire-and-forget frames, no acks, no redelivery. The
-// scenario passes only if traffic is actually lost; if it ever
-// delivers everything, the reliability layer has stopped mattering
-// (or the fault plane has stopped dropping).
+// window is load-bearing: ring gossip through 15% drop with every
+// retransmission pushed past the horizon, so a dropped frame or ack is
+// never re-sent. The scenario passes only if the hang invariant trips;
+// if it ever delivers everything, the reliability layer has stopped
+// mattering (or the fault plane has stopped dropping).
 func runBrokenEager(seed int64) Result {
 	res := Result{Seed: seed}
 	n := 16
 	h := newHarness(Options{
 		Topo:         Ring(n),
-		NoEagerRetry: true,
+		noRetransmit: true,
 		Faults: fabric.FaultConfig{
 			Seed:     mixSeed(seed, 31),
 			DropProb: 0.15,
@@ -626,12 +626,7 @@ func runBrokenEager(seed int64) Result {
 		}
 	}
 	h.drive(100 * rdvTimeout)
-	out := finish(h, &res, expect{minVisibleFailures: 1, maxLinks: n})
-	if out.Completed == out.Transfers {
-		out.Violations = append(out.Violations,
-			"fire-and-forget eager lost nothing under 15% drop: the ablation proves nothing")
-	}
-	return out
+	return finish(h, &res, expect{expectHang: true})
 }
 
 // postIncastOverload posts the overload deck incast-overload and its
@@ -813,7 +808,7 @@ func Scenarios() []Scenario {
 		{"torus-halo", "8×8 torus halo exchange under jitter", false, runTorusHalo},
 		{"sparse-shuffle", "random 4-regular shuffle of 64 under 5% drop", false, runSparseShuffle},
 		{"link-flap", "32-ring with one edge direction cut and healed", false, runLinkFlap},
-		{"broken-eager", "fire-and-forget eager vs 15% drop (must lose traffic)", false, runBrokenEager},
+		{"broken-eager", "no eager retransmission vs 15% drop (must hang)", false, runBrokenEager},
 		{"incast-overload", "32→1 storm at 6× the gate budget under fail-fast admission", false, runIncastOverload},
 		{"slow-receiver", "blocking admission backpressure into a 10×-degraded sink", false, runSlowReceiverBackpressure},
 		{"burst-then-drain", "degraded-mode shedding, recovery, and a clean second wave", false, runBurstThenDrain},

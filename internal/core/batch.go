@@ -1,22 +1,18 @@
 package core
 
-import "pioman/internal/cpuset"
-
 // Batch submission.
 //
 // A communication strategy that flushes a burst of packets — the
 // aggregation strategy's send path is the motivating case — would pay
-// one queue-lock round-trip and one notifier wakeup per packet under
-// Submit. SubmitAll amortizes both across the burst: consecutive
-// same-queue tasks are appended as one chain under a single lock
-// acquisition (the producer-side mirror of the consumer's batched
-// drain), and the wakeup notifier fires once for the whole batch with
-// the union of the tasks' CPU sets.
+// one queue-lock round-trip per packet under Submit. SubmitAll
+// amortizes it across the burst: consecutive same-queue tasks are
+// appended as one chain under a single lock acquisition (the
+// producer-side mirror of the consumer's batched drain).
 
 // SubmitAll submits a batch of tasks as one operation. Placement is
 // identical to per-task Submit (deepest covering queue per task), but
 // runs of consecutive tasks bound for the same queue share one locked
-// chain append and the notifier fires once per batch.
+// chain append.
 //
 // The batch is all-or-nothing with respect to validation: every task
 // is checked and transitioned first, and if any is invalid (nil Fn, or
@@ -47,8 +43,6 @@ func (e *Engine) SubmitAll(tasks ...*Task) error {
 		}
 		head, tail, n = nil, nil, 0
 	}
-	union := cpuset.Set{}
-	anyCPU := false
 	for _, t := range tasks {
 		var q *Queue
 		if cpu, ok := t.CPUSet.Single(); ok && cpu < len(e.leaf) {
@@ -68,22 +62,8 @@ func (e *Engine) SubmitAll(tasks ...*Task) error {
 		}
 		tail = t
 		n++
-		if t.CPUSet.IsEmpty() {
-			anyCPU = true
-		} else {
-			union = cpuset.Or(union, t.CPUSet)
-		}
 	}
 	flush()
-
-	if fn := e.notify.Load(); fn != nil {
-		if anyCPU {
-			// An unconstrained task is runnable anywhere: wake as for
-			// the empty set.
-			union = cpuset.Set{}
-		}
-		(*fn)(union)
-	}
 	return nil
 }
 

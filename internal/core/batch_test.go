@@ -93,43 +93,6 @@ func TestSubmitAllInvalidMidBatchIsAllOrNothing(t *testing.T) {
 	}
 }
 
-func TestSubmitAllNotifierFiresOncePerBatch(t *testing.T) {
-	e := New(Config{Topology: topology.Kwak()})
-	var calls atomic.Int64
-	var last atomic.Value
-	e.SetNotifier(func(cs cpuset.Set) {
-		calls.Add(1)
-		last.Store(cs)
-	})
-	pinnedBatch := []*Task{
-		{Fn: func(any) bool { return true }, CPUSet: cpuset.New(1)},
-		{Fn: func(any) bool { return true }, CPUSet: cpuset.New(2)},
-	}
-	if err := e.SubmitAll(pinnedBatch...); err != nil {
-		t.Fatal(err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("notifier fired %d times for one batch, want 1", got)
-	}
-	if got := last.Load().(cpuset.Set); !got.Equal(cpuset.New(1, 2)) {
-		t.Errorf("notified set = %v, want the batch union {1,2}", got)
-	}
-	// A batch containing an unconstrained task wakes as for "any CPU".
-	mixed := []*Task{
-		{Fn: func(any) bool { return true }, CPUSet: cpuset.New(3)},
-		{Fn: func(any) bool { return true }},
-	}
-	if err := e.SubmitAll(mixed...); err != nil {
-		t.Fatal(err)
-	}
-	if got := last.Load().(cpuset.Set); !got.IsEmpty() {
-		t.Errorf("notified set = %v, want the empty (any-CPU) set", got)
-	}
-	for cpu := 0; cpu < e.Topology().NCPUs; cpu++ {
-		e.Schedule(cpu)
-	}
-}
-
 func TestSubmitAllEmptyAndSingleton(t *testing.T) {
 	e := New(Config{Topology: topology.Kwak()})
 	if err := e.SubmitAll(); err != nil {

@@ -131,11 +131,6 @@ func TestStatsMatchQueueCounters(t *testing.T) {
 			skippy := &Task{Fn: func(any) bool { return true }, CPUSet: cpuset.New(3, 4)}
 			e.MustSubmit(skippy)
 			submits++
-			// An urgent task, so the urgent queue participates in totals.
-			if err := e.SubmitUrgent(&Task{Fn: func(any) bool { return true }, CPUSet: cpuset.New(0)}); err != nil {
-				t.Fatal(err)
-			}
-			submits++
 
 			e.Schedule(0) // skips skippy at the global queue
 			for cpu := 0; cpu < 16; cpu++ {
@@ -160,10 +155,6 @@ func TestStatsMatchQueueCounters(t *testing.T) {
 			for _, q := range e.Queues() {
 				enq += q.Enqueues()
 				deq += q.Dequeues()
-			}
-			if uq := e.urgentQ.Load(); uq != nil {
-				enq += uq.Enqueues()
-				deq += uq.Dequeues()
 			}
 			if enq != s.Submitted+s.Requeues+s.Skips {
 				t.Errorf("Σenqueues = %d, want Submitted+Requeues+Skips = %d",
@@ -398,7 +389,7 @@ func TestCachedPlacementMatchesFindCovering(t *testing.T) {
 }
 
 // TestResetStatsClearsAllInstrumentation is the regression test for the
-// ResetStats fix: after a workload on each queue kind — urgent queue
+// ResetStats fix: after a workload on each queue kind — global queue
 // included — every counter the engine reports must read zero.
 func TestResetStatsClearsAllInstrumentation(t *testing.T) {
 	for _, kind := range []QueueKind{QueueSpinlock, QueueMutex, QueueLockFree} {
@@ -407,9 +398,7 @@ func TestResetStatsClearsAllInstrumentation(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				e.MustSubmit(&Task{Fn: func(any) bool { return true }, CPUSet: cpuset.New(i % 16)})
 			}
-			if err := e.SubmitUrgent(&Task{Fn: func(any) bool { return true }}); err != nil {
-				t.Fatal(err)
-			}
+			e.MustSubmit(&Task{Fn: func(any) bool { return true }})
 			for cpu := 0; cpu < 16; cpu++ {
 				for e.Schedule(cpu) > 0 {
 				}

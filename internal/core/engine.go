@@ -222,13 +222,7 @@ type Engine struct {
 	// the feedback adds no cross-core traffic to the steal path.
 	stealRate *adapt.Sharded
 
-	idle   []paddedBool
-	notify atomic.Pointer[func(cpuset.Set)]
-
-	// Urgent (preemptive) task support — see urgent.go.
-	urgentQ     atomic.Pointer[Queue]
-	interrupt   atomic.Pointer[func(cs cpuset.Set)]
-	urgentCount atomic.Uint64
+	idle []paddedBool
 
 	// shards holds the engine-wide execution-side counters sharded per
 	// CPU; each scheduling core only ever touches its own cache line.
@@ -379,28 +373,14 @@ func (e *Engine) Submit(t *Task) error {
 }
 
 // submitTo is the shared tail of every submission entry point: record
-// the home queue, enqueue, and fire the wakeup notifier. The caller has
-// already validated the task and transitioned it to StateSubmitted.
+// the home queue and enqueue. The caller has already validated the task
+// and transitioned it to StateSubmitted.
 func (e *Engine) submitTo(t *Task, q *Queue) {
 	if rec := e.rec; rec != nil {
 		t.submitTS = rec.Now()
 	}
 	t.home = q
 	q.enqueue(t)
-	if fn := e.notify.Load(); fn != nil {
-		(*fn)(t.CPUSet)
-	}
-}
-
-// SetNotifier installs a callback invoked after every successful Submit
-// with the task's CPU set. The thread scheduler uses it to wake idle VPs
-// that may run the new task. Safe to call concurrently with Submit.
-func (e *Engine) SetNotifier(fn func(cpuset.Set)) {
-	if fn == nil {
-		e.notify.Store(nil)
-		return
-	}
-	e.notify.Store(&fn)
 }
 
 // MustSubmit is Submit that panics on error, for call sites where a
@@ -424,8 +404,9 @@ func (e *Engine) SubmitToIdle(t *Task, home int) error {
 	return e.Submit(t)
 }
 
-// SetIdle records whether a CPU is currently idle. The thread scheduler
-// calls this from its idle hook.
+// SetIdle records whether a CPU is currently idle. The progression loops
+// (nmad's progressLoop, iomgr's loop) mark their CPU idle around each
+// sleep after a pass that ran nothing.
 func (e *Engine) SetIdle(cpu int, idle bool) {
 	if cpu >= 0 && cpu < len(e.idle) {
 		e.idle[cpu].v.Store(idle)
@@ -486,8 +467,9 @@ func (e *Engine) Schedule(cpu int) int {
 }
 
 // ScheduleOne executes at most one task on behalf of cpu, returning
-// whether one ran. Thread-scheduler hooks with tight latency budgets
-// (context switches, timer ticks) use this entry point.
+// whether one ran. A caller that interleaves progression with its own
+// work and wants each call short (examples/steal's workers) uses this
+// entry point; under AdaptiveDrain it is the latency signal.
 func (e *Engine) ScheduleOne(cpu int) bool {
 	return e.schedule(cpu, 1) > 0
 }
@@ -496,11 +478,7 @@ func (e *Engine) schedule(cpu int, max int) int {
 	if cpu < 0 || cpu >= len(e.paths) {
 		return 0
 	}
-	// Urgent (preemptive) tasks run before anything hierarchical.
-	ran := e.scheduleUrgent(cpu, max)
-	if max > 0 && ran >= max {
-		return ran
-	}
+	ran := 0
 	for _, q := range e.paths[cpu] {
 		// Fast skip of empty queues keeps Algorithm 1's common case — a
 		// scan over an idle hierarchy — free of calls and locks: one
@@ -518,10 +496,10 @@ func (e *Engine) schedule(cpu int, max int) int {
 		}
 		if e.latShards != nil {
 			start := time.Now()
-			ran += e.drainQueue(q, cpu, budget, nil)
+			ran += e.drainQueue(q, cpu, budget)
 			e.latShards[cpu].record(false, time.Since(start))
 		} else {
-			ran += e.drainQueue(q, cpu, budget, nil)
+			ran += e.drainQueue(q, cpu, budget)
 		}
 		if max > 0 && ran >= max {
 			return ran
@@ -551,14 +529,8 @@ func (e *Engine) schedule(cpu int, max int) int {
 // owner can never run it, any scan that touches it repairs the
 // placement instead of bouncing it on the same unreachable queue.
 // Task.home follows, so Repeat re-enqueues stay repaired.
-//
-// A non-nil pin overrides the placement rule: every task goes back to
-// that queue and keeps its home. The urgent queue needs this — an
-// urgent task skipped by a CPU outside its set must stay urgent, not
-// be demoted into the hierarchy.
 type rehomeChain struct {
 	e          *Engine
-	pin        *Queue
 	head, tail *Task
 	dest       *Queue
 	n          int // tasks in the open chain
@@ -568,11 +540,8 @@ type rehomeChain struct {
 // add appends a mismatched task; consecutive same-destination tasks
 // share one locked append.
 func (c *rehomeChain) add(t *Task) {
-	dest := c.pin
-	if dest == nil {
-		dest = c.e.QueueFor(t.CPUSet)
-		t.home = dest
-	}
+	dest := c.e.QueueFor(t.CPUSet)
+	t.home = dest
 	if dest != c.dest {
 		c.flush()
 		c.dest = dest
@@ -606,15 +575,11 @@ func (c *rehomeChain) flush() {
 // during the scan (repeats, put-backs) are not reconsidered until the
 // next call, so a persistent Repeat task cannot livelock the caller.
 //
-// pin, when non-nil, forces every put-back onto that queue instead of
-// re-homing by CPU set (see rehomeChain); the urgent queue drains with
-// pin == itself so skipped urgent tasks keep their priority.
-//
 // Under Config.AdaptiveDrain the batch size is the queue's controller
 // value instead of the engine constant, and the pass reports back: a
 // budgeted drain that ran something is a latency signal, an unbudgeted
 // drain that processed more than one full batch is a backlog signal.
-func (e *Engine) drainQueue(q *Queue, cpu int, budget int, pin *Queue) int {
+func (e *Engine) drainQueue(q *Queue, cpu int, budget int) int {
 	bound := q.Len()
 	if bound == 0 {
 		if !e.cfg.AlwaysLock {
@@ -628,7 +593,7 @@ func (e *Engine) drainQueue(q *Queue, cpu int, budget int, pin *Queue) int {
 		batch = q.ctrl.Batch()
 	}
 	ran, processed := 0, 0
-	pb := rehomeChain{e: e, pin: pin}
+	pb := rehomeChain{e: e}
 	for processed < bound {
 		n := bound - processed
 		if n > batch {
@@ -719,14 +684,11 @@ func (e *Engine) WaitActive(t *Task, cpu int) {
 }
 
 // Pending returns the total number of tasks currently enqueued across
-// all queues, urgent queue included (approximate under concurrency).
+// all queues (approximate under concurrency).
 func (e *Engine) Pending() int {
 	n := 0
 	for _, q := range e.queues {
 		n += q.Len()
-	}
-	if uq := e.urgentQ.Load(); uq != nil {
-		n += uq.Len()
 	}
 	return n
 }
@@ -750,9 +712,9 @@ type Stats struct {
 	StealPerCPU []uint64
 
 	// BatchGrows and BatchShrinks count adaptive drain-batch moves
-	// across all queues (urgent queue included): doublings under
-	// sustained backlog and halvings under sustained latency-budgeted
-	// draining. Zero unless Config.AdaptiveDrain is set.
+	// across all queues: doublings under sustained backlog and halvings
+	// under sustained latency-budgeted draining. Zero unless
+	// Config.AdaptiveDrain is set.
 	BatchGrows   uint64
 	BatchShrinks uint64
 }
@@ -793,11 +755,6 @@ func (e *Engine) Stats() Stats {
 		s.BatchGrows += q.ctrl.Grows()
 		s.BatchShrinks += q.ctrl.Shrinks()
 	}
-	if uq := e.urgentQ.Load(); uq != nil {
-		enq += uq.Enqueues()
-		s.BatchGrows += uq.ctrl.Grows()
-		s.BatchShrinks += uq.ctrl.Shrinks()
-	}
 	if total := s.Requeues + s.Skips; enq >= total {
 		s.Submitted = enq - total
 	}
@@ -829,11 +786,11 @@ func (e *Engine) mergeLatency(steal bool) stats.Histogram {
 }
 
 // ResetStats zeroes the engine counters and every queue's
-// instrumentation — spinlock, mutex and lock-free alike, the urgent
-// queue included — so ablation runs start from clean counters. Tasks
-// still queued at reset time stay schedulable and are accounted as if
-// submitted after the reset (warmup-then-reset with a Repeat poll task
-// in flight is the expected usage).
+// instrumentation — spinlock, mutex and lock-free alike — so ablation
+// runs start from clean counters. Tasks still queued at reset time stay
+// schedulable and are accounted as if submitted after the reset
+// (warmup-then-reset with a Repeat poll task in flight is the expected
+// usage).
 func (e *Engine) ResetStats() {
 	for i := range e.shards {
 		sh := &e.shards[i]
@@ -846,9 +803,6 @@ func (e *Engine) ResetStats() {
 	}
 	for _, q := range e.queues {
 		q.resetStats()
-	}
-	if uq := e.urgentQ.Load(); uq != nil {
-		uq.resetStats()
 	}
 	for i := range e.latShards {
 		sh := &e.latShards[i]

@@ -285,45 +285,6 @@ func TestFruitlessVictimNotRedrained(t *testing.T) {
 	}
 }
 
-// TestUrgentSkipStaysUrgent: an urgent task skipped by a CPU outside
-// its set goes back on the urgent queue, not into the hierarchy — it
-// must still run ahead of hierarchically queued tasks once an allowed
-// CPU arrives. Guards the rehomeChain pin against priority demotion.
-func TestUrgentSkipStaysUrgent(t *testing.T) {
-	e := stealEngine(StealFullTree)
-	urgent := &Task{Fn: func(any) bool { return true }, CPUSet: cpuset.New(3)}
-	if err := e.SubmitUrgent(urgent); err != nil {
-		t.Fatal(err)
-	}
-	uq := e.urgentQ.Load()
-	// CPU 0 may not run it: skipped, but still urgent.
-	if n := e.Schedule(0); n != 0 {
-		t.Fatalf("CPU 0 ran %d urgent tasks outside its set", n)
-	}
-	if urgent.home != uq {
-		t.Fatalf("skipped urgent task demoted to %v", urgent.home.Node())
-	}
-	if uq.Len() != 1 {
-		t.Fatalf("urgent queue length = %d, want 1", uq.Len())
-	}
-	// CPU 3 has ordinary local work too; the urgent task must win.
-	var order []string
-	local := &Task{Fn: func(any) bool { order = append(order, "local"); return true }, CPUSet: cpuset.New(3)}
-	urgent2 := &Task{Fn: func(any) bool { order = append(order, "urgent"); return true }, CPUSet: cpuset.New(3)}
-	e.MustSubmit(local)
-	if err := e.SubmitUrgent(urgent2); err != nil {
-		t.Fatal(err)
-	}
-	for e.Schedule(3) > 0 {
-	}
-	if !urgent.Done() {
-		t.Error("skipped urgent task never executed")
-	}
-	if len(order) != 2 || order[0] != "urgent" {
-		t.Errorf("execution order = %v, want urgent first", order)
-	}
-}
-
 // TestBudgetClippedStealDoesNotMarkFruitless: a ScheduleOne steal that
 // draws one pinned task from a victim must not write off the victim —
 // stealable work may sit right behind the pinned head.

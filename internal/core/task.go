@@ -11,8 +11,10 @@
 // as the deepest topology domain covering the task's CPU set, so that
 // locality is preserved and lock contention stays within a memory domain.
 //
-// The thread scheduler invokes Engine.Schedule at keypoints (idle cores,
-// context switches, timer ticks); Schedule implements the paper's
+// Engine.Schedule runs at the paper's keypoints, which here are real
+// code paths: a request's Wait loop, the communication engine's
+// background progression loop, and explicit drivers (the experiment
+// harnesses, the chaos cluster). Schedule implements the paper's
 // Algorithm 1 (scan queues from the local per-core queue up to the global
 // queue) and each queue's drain implements a batched generalisation of
 // Algorithm 2 (double-checked locking so empty queues are scanned

@@ -177,9 +177,6 @@ func Calibrate(ep Endpoint, cfg CalibratorConfig) *CalibratedEndpoint {
 	return c
 }
 
-// Inner returns the wrapped endpoint.
-func (c *CalibratedEndpoint) Inner() Endpoint { return c.inner }
-
 // Provider names the wrapped backend.
 func (c *CalibratedEndpoint) Provider() string { return c.inner.Provider() }
 

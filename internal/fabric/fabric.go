@@ -73,12 +73,6 @@ func (c Capabilities) NsPerByte() float64 {
 	return 1e9 / c.Bandwidth
 }
 
-// TransferTime returns the modelled wire time for a message of the
-// given size: one latency plus the serialization delay.
-func (c Capabilities) TransferTime(size int) simtime.Duration {
-	return c.Latency + simtime.Duration(float64(size)*c.NsPerByte())
-}
-
 // String renders the envelope compactly for stats tables.
 func (c Capabilities) String() string {
 	return fmt.Sprintf("lat=%v bw=%.2fGB/s inject≤%d rma=%v",

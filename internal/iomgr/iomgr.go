@@ -31,8 +31,8 @@ type Config struct {
 	// engine is created when nil.
 	Tasks *core.Engine
 	// NoAutoProgress disables the background progression goroutine (use
-	// when a sched.Runtime or an nmad engine already drives the task
-	// engine).
+	// when an nmad engine's progression loop or an explicit Schedule
+	// loop already drives the task engine; Request.Wait drives it too).
 	NoAutoProgress bool
 	// ProgressIdle is the background goroutine's sleep when idle
 	// (default 50 µs).

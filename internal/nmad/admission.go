@@ -371,8 +371,8 @@ func (e *Engine) admitDrain() {
 }
 
 // sweepAdmit expires parked submissions that waited past their budget.
-// Runs from the deadline sweep whenever admission is on, regardless of
-// the timeout ablation knobs — a blocked submitter must never hang.
+// Runs from the deadline sweep whenever admission is on — a blocked
+// submitter must never hang.
 func (e *Engine) sweepAdmit(now int64) {
 	p := e.admit
 	var expired []*admitWaiter

@@ -3,6 +3,7 @@ package nmad
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -345,17 +346,17 @@ func TestRdvTimeoutFailsVisibly(t *testing.T) {
 	requireClean(t, "receiver", r.gb)
 }
 
-// TestNoRdvTimeoutHangs is the broken-control ablation: with the sweep
-// disabled, the same permanent loss leaves both requests pending
-// forever and the sender's registrations pinned — the exact failure
-// mode the timeout exists to kill.
+// TestNoRdvTimeoutHangs is the broken-control ablation: with the
+// handshake deadline pushed past the horizon, the same permanent loss
+// leaves both requests pending forever and the sender's registrations
+// pinned — the exact failure mode the timeout exists to kill.
 func TestNoRdvTimeoutHangs(t *testing.T) {
 	f := fabric.NewSimFabric(fabric.SimConfig{})
 	caps := fabric.Capabilities{Latency: simtime.Microsecond, Bandwidth: 4e9, MaxInject: 16 << 10, RMA: true}
 	da, db := f.OpenDomain(caps), f.OpenDomain(caps)
 	ea, eb := fabric.Connect(da, db)
 	clock := func() int64 { return int64(f.Now()) }
-	cfg := Config{NoAutoProgress: true, Clock: clock, RdvTimeout: int64(chaosRdvTimeout), NoRdvTimeout: true}
+	cfg := Config{NoAutoProgress: true, Clock: clock, RdvTimeout: math.MaxInt64 / 4}
 	sender, receiver := NewEngine(cfg), NewEngine(cfg)
 	defer sender.Close()
 	defer receiver.Close()
@@ -377,7 +378,7 @@ func TestNoRdvTimeoutHangs(t *testing.T) {
 		f.Advance(10 * chaosRdvTimeout)
 	}
 	if sreq.Test() || rreq.Test() {
-		t.Fatal("requests completed without a timeout sweep; the ablation is broken")
+		t.Fatal("requests completed without a handshake retransmission; the ablation is broken")
 	}
 	rep := ga.CheckIdle()
 	if rep.SendRendezvous == 0 {

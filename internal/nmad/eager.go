@@ -38,10 +38,10 @@ import (
 // The send request consequently completes on acknowledgement, not on
 // wire-out: "done" now means delivered (or visibly failed), which is
 // what lets a chaos scenario assert that eager traffic either arrives
-// byte-exact or fails loudly. Config.NoEagerRetry restores the old
-// fire-and-forget behaviour as an ablation — under it, a lossy
-// scenario must lose traffic, which is how the chaos suite proves the
-// mechanism is load-bearing.
+// byte-exact or fails loudly. There is no fire-and-forget mode: the
+// chaos suite's broken-eager scenario proves the window load-bearing by
+// pushing every retransmission past its horizon, under which a lossy
+// run must hang.
 //
 // The dedup log is bounded (settledLogSize entries, FIFO eviction)
 // like the rendezvous settled logs: a duplicate arriving after
@@ -99,22 +99,19 @@ func (e *Engine) trackEager(g *Gate, msgID, tag uint64, data []byte, req *Reques
 }
 
 // recvEager handles one inbound eager message (plain or unpacked from
-// an aggregate): acknowledge, dedup, deliver. Under NoEagerRetry it is
-// the old fire-and-forget path — no ack, no dedup.
+// an aggregate): acknowledge, dedup, deliver.
 func (e *Engine) recvEager(g *Gate, hdr Header, payload []byte) {
-	if !e.cfg.NoEagerRetry {
-		g.mu.Lock()
-		dup := g.seenEager.has(hdr.MsgID)
-		if !dup {
-			g.seenEager.add(hdr.MsgID)
-		}
-		g.mu.Unlock()
-		// Ack duplicates too: a re-ack is exactly what a sender whose
-		// previous ack was lost is waiting for.
-		g.sendControl(KindEagerAck, hdr.Tag, hdr.MsgID, 0, 0)
-		if dup {
-			return
-		}
+	g.mu.Lock()
+	dup := g.seenEager.has(hdr.MsgID)
+	if !dup {
+		g.seenEager.add(hdr.MsgID)
+	}
+	g.mu.Unlock()
+	// Ack duplicates too: a re-ack is exactly what a sender whose
+	// previous ack was lost is waiting for.
+	g.sendControl(KindEagerAck, hdr.Tag, hdr.MsgID, 0, 0)
+	if dup {
+		return
 	}
 	g.matchOrStash(inbound{hdr: hdr, payload: payload})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"pioman/internal/fabric"
@@ -151,11 +152,12 @@ func TestEagerPermanentLossVisible(t *testing.T) {
 	requireClean(t, "receiver", r.gb)
 }
 
-// TestNoEagerRetryLosesSilently is the ablation proving the window is
-// load-bearing: fire-and-forget eager through the same permanent loss
-// reports SUCCESS to the sender while the receiver waits forever — the
-// silent-loss failure mode the ack window exists to kill.
-func TestNoEagerRetryLosesSilently(t *testing.T) {
+// TestNoEagerRetryHangs is the ablation proving the window is
+// load-bearing: with the retransmission deadline pushed past the
+// horizon, eager through the same permanent loss never completes on
+// either side — the hang the ack window's retransmission exists to
+// kill — while the lost message stays visible in the sender's window.
+func TestNoEagerRetryHangs(t *testing.T) {
 	f := fabric.NewSimFabric(fabric.SimConfig{})
 	caps := fabric.Capabilities{Latency: simtime.Microsecond, Bandwidth: 4e9, MaxInject: 16 << 10, RMA: true}
 	da, db := f.OpenDomain(caps), f.OpenDomain(caps)
@@ -164,9 +166,8 @@ func TestNoEagerRetryLosesSilently(t *testing.T) {
 	cfg := Config{
 		NoAutoProgress: true,
 		Clock:          clock,
-		RdvTimeout:     int64(chaosRdvTimeout),
+		RdvTimeout:     math.MaxInt64 / 4,
 		RdvRetries:     4,
-		NoEagerRetry:   true,
 	}
 	sender, receiver := NewEngine(cfg), NewEngine(cfg)
 	defer sender.Close()
@@ -188,19 +189,21 @@ func TestNoEagerRetryLosesSilently(t *testing.T) {
 		receiver.Tasks().Schedule(0)
 		f.Advance(4 * chaosRdvTimeout)
 	}
-	if !sreq.Test() || sreq.Err() != nil {
-		t.Fatalf("fire-and-forget send should report wire-out success, got done=%v err=%v", sreq.Test(), sreq.Err())
+	if sreq.Test() {
+		t.Fatalf("send completed across a dead link without retransmission (err %v); the ablation is broken", sreq.Err())
 	}
 	if rreq.Test() {
 		t.Fatal("receive completed across a dead link without retransmission; the ablation is broken")
 	}
-	if sender.Stats().EagerRetries != 0 {
-		t.Error("ablation retransmitted; NoEagerRetry is not honored")
+	if n := sender.Stats().EagerRetries; n != 0 {
+		t.Errorf("ablation retransmitted %d times; the deadline is not past the horizon", n)
+	}
+	if n := ga.CheckIdle().EagerPending; n != 1 {
+		t.Errorf("sender window holds %d pending messages, want the lost one visible", n)
 	}
 	if !rreq.Cancel() {
 		t.Fatal("Cancel refused the orphaned receive")
 	}
-	requireClean(t, "sender", ga)
 	requireClean(t, "receiver", gb)
 }
 

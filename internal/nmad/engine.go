@@ -56,9 +56,11 @@ type Config struct {
 	// the calibrator runs disabled on its Assume seed (see
 	// fabric.CalibratedEndpoint.Sampling).
 	Calibrate bool
-	// AutoProgress starts a background progression goroutine (default
-	// on; disable when an external sched.Runtime drives the task
-	// engine). Zero value means on; set NoAutoProgress to disable.
+	// NoAutoProgress disables the background progression goroutine
+	// (progressLoop, on by default). Progression then happens only where
+	// someone calls the task engine's Schedule: Request.Wait, or an
+	// explicit driver such as the chaos cluster or the experiment
+	// harnesses, which step a deterministic clock themselves.
 	NoAutoProgress bool
 	// ProgressIdle is how long the background progression goroutine
 	// sleeps when no task ran (default 20 µs).
@@ -76,21 +78,6 @@ type Config struct {
 	// RdvRetries is how many retransmissions a stalled rendezvous half
 	// attempts before failing with ErrRdvTimeout (default 3).
 	RdvRetries int
-	// NoEagerRetry disables reliable eager delivery (eager.go): eager
-	// and aggregate frames revert to fire-and-forget buffered
-	// semantics — no acknowledgements, no receiver dedup, no
-	// retransmission — so a dropped frame silently loses the message.
-	// The pre-reliability behaviour, kept as the chaos harness's
-	// ablation: a lossy scenario that loses traffic under this knob
-	// proves the retransmission window is load-bearing.
-	NoEagerRetry bool
-	// NoRdvTimeout disables the handshake timeout entirely — the
-	// pre-timeout behaviour, where a lost control frame on a live rail
-	// hangs both peers forever. Kept as the chaos harness's
-	// deliberately-broken control: a scenario that fails its no-hung-
-	// requests invariant under this knob proves the invariant detects
-	// what the timeout exists to fix.
-	NoRdvTimeout bool
 	// Trace attaches a flight recorder: rendezvous RTS/FIN arrivals,
 	// retransmissions, permanent timeouts, and rail deaths are recorded
 	// under the owning gate's ring, stamped on Clock.
@@ -354,12 +341,9 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.Admit != nil {
 		e.admit = newAdmitPlane(cfg)
 	}
-	// The sweeper serves every deadline family — rendezvous handshakes,
-	// the eager retransmission window, and the admission wait queue —
-	// so it runs unless all of them are disabled.
-	if !cfg.NoRdvTimeout || !cfg.NoEagerRetry || e.admit != nil {
-		e.startSweeper()
-	}
+	// The sweeper serves every deadline family: rendezvous handshakes,
+	// the eager retransmission window, and the admission wait queue.
+	e.startSweeper()
 	if !cfg.NoAutoProgress {
 		e.wg.Add(1)
 		go e.progressLoop()
@@ -367,8 +351,9 @@ func NewEngine(cfg Config) *Engine {
 	return e
 }
 
-// Tasks exposes the underlying task engine (for wiring into a
-// sched.Runtime or for WaitActive-style helpers).
+// Tasks exposes the underlying task engine, for callers that drive
+// progression themselves (explicit Schedule loops under NoAutoProgress,
+// WaitActive-style helpers) or share it with another engine.
 func (e *Engine) Tasks() *core.Engine { return e.tasks }
 
 // Gates returns a snapshot of the engine's open gates, for observers
@@ -655,7 +640,6 @@ type Gate struct {
 type pendingSend struct {
 	hdr     Header
 	payload []byte
-	req     *Request
 }
 
 // NewGate attaches a connection made of the given classic driver rails,
@@ -956,9 +940,6 @@ func (g *Gate) spanID(dir uint64, aux uint8, msgID uint64) uint64 {
 	return trace.PackSpanID(g.traceNode, g.tracePeer, dir, aux, msgID)
 }
 
-// Rails returns the number of rails of the gate.
-func (g *Gate) Rails() int { return len(g.rails) }
-
 // ID returns the gate's engine-local identifier — the ring its flight-
 // recorder events land under and the label its metrics export carries.
 func (g *Gate) ID() int { return g.id }
@@ -1109,10 +1090,7 @@ func sendPacketTask(arg any) bool {
 			g.eng.framesSent.Add(1)
 			if p.Hdr.Kind == KindAggr {
 				g.eng.aggrFrames.Add(1)
-				// Packed messages carry their requests directly
-				// (fire-and-forget) or ride the ack window (reliable
-				// eager) — exactly one of the two lists is populated.
-				g.eng.aggregated.Add(uint64(len(p.reqs) + len(p.pend)))
+				g.eng.aggregated.Add(uint64(len(p.pend)))
 			}
 			p.completeAll(nil)
 			return true
@@ -1123,9 +1101,8 @@ func sendPacketTask(arg any) bool {
 			// on it (a receiver counting bytes, a FIN-waiting sender,
 			// a NACK's hanging target), so it requeues itself and
 			// retries while the ring drains, up to a budget; past the
-			// budget — or for an eager/aggregate frame, which either
-			// fails fast (fire-and-forget contract) or is re-driven by
-			// its own retransmission window — the outcome surfaces
+			// budget — or for an eager/aggregate frame, which its own
+			// retransmission window re-drives — the outcome surfaces
 			// locally.
 			switch p.Hdr.Kind {
 			case KindRTS, KindData, KindFin, KindRdvPush, KindRdvNack:
@@ -1154,20 +1131,18 @@ func sendPacketTask(arg any) bool {
 	}
 }
 
-// completeAll routes the send outcome to every request attached to the
-// packet: the fire-and-forget eager request and, for aggregate frames,
-// each packed message's request. A failed rendezvous frame (RTS, push
-// request, pushed data) carries no request of its own, but the
-// rendezvous state behind it is waiting on a reply that will now never
-// come — fail it visibly instead of leaving both sides hanging.
+// completeAll routes the send outcome of the packet. An eager or
+// aggregate frame carries the msgIDs of its ack-tracked messages, whose
+// requests the pending window owns. A failed rendezvous frame (RTS,
+// push request, pushed data) carries none, but the rendezvous state
+// behind it is waiting on a reply that will now never come — fail it
+// visibly instead of leaving both sides hanging.
 func (p *Packet) completeAll(err error) {
 	g := p.gate
 	if err == nil {
 		if rec := g.eng.rec; rec != nil {
-			// Wire-out is a phase boundary: an ack-tracked eager frame
-			// leaving the wire ends its injection phase and starts the
-			// ack wait; a fire-and-forget eager/aggregate frame — the
-			// only frames that carry requests — just ends injection.
+			// Wire-out is a phase boundary: an eager frame leaving the
+			// wire ends its injection phase and starts the ack wait.
 			// Retransmitted frames re-record — the analyzer folds
 			// duplicates as first-begin/last-end.
 			for _, id := range p.pend {
@@ -1175,34 +1150,21 @@ func (p *Packet) completeAll(err error) {
 				rec.Record(g.id, trace.EvInjectEnd, sid, 0)
 				rec.Record(g.id, trace.EvAckWaitBegin, sid, 0)
 			}
-			if p.req != nil && p.req.traceID != 0 {
-				rec.Record(g.id, trace.EvInjectEnd, p.req.traceID, 0)
-			}
-			for _, r := range p.reqs {
-				if r.traceID != 0 {
-					rec.Record(g.id, trace.EvInjectEnd, r.traceID, 0)
-				}
-			}
 		}
+		return
 	}
-	if err != nil && len(p.pend) > 0 && !errors.Is(err, ErrBackpressure) {
-		// Ack-tracked eager messages whose frame could not be sent at
-		// all: fail them now. A transiently backpressured frame is
-		// simply dropped instead — the pending entries stay in the
-		// window and the deadline sweep retransmits once the peer's
-		// ring drains.
+	if len(p.pend) == 0 {
+		g.eng.failRendezvous(g, p.Hdr, err)
+		return
+	}
+	if !errors.Is(err, ErrBackpressure) {
+		// Eager messages whose frame could not be sent at all: fail them
+		// now. A transiently backpressured frame is simply dropped
+		// instead — the pending entries stay in the window and the
+		// deadline sweep retransmits once the peer's ring drains.
 		for _, id := range p.pend {
-			p.gate.eng.failEager(p.gate, id, err)
+			g.eng.failEager(g, id, err)
 		}
-	}
-	if p.req != nil {
-		p.req.complete(err)
-	}
-	for _, r := range p.reqs {
-		r.complete(err)
-	}
-	if err != nil && p.req == nil && len(p.reqs) == 0 && len(p.pend) == 0 {
-		p.gate.eng.failRendezvous(p.gate, p.Hdr, err)
 	}
 }
 

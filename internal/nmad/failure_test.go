@@ -9,6 +9,9 @@ import (
 	"time"
 )
 
+// errInjectedSend is the error faultyDriver's failKth send returns.
+var errInjectedSend = errors.New("injected send failure")
+
 // faultyDriver wraps a driver and injects failures on demand.
 type faultyDriver struct {
 	inner   Driver
@@ -16,6 +19,8 @@ type faultyDriver struct {
 	pollErr atomic.Pointer[error]
 	sends   atomic.Int64
 	failKth int64 // fail the k-th send (1-based); 0 = never
+	// failedKind records the frame kind the failKth send carried.
+	failedKind atomic.Uint32
 }
 
 func (d *faultyDriver) Name() string { return "faulty" }
@@ -26,7 +31,8 @@ func (d *faultyDriver) Send(hdr Header, payload []byte) error {
 		return *ep
 	}
 	if d.failKth > 0 && n == d.failKth {
-		return errors.New("injected send failure")
+		d.failedKind.Store(uint32(hdr.Kind))
+		return errInjectedSend
 	}
 	return d.inner.Send(hdr, payload)
 }
@@ -40,19 +46,53 @@ func (d *faultyDriver) Poll() (Frame, bool, error) {
 
 func (d *faultyDriver) Close() error { return d.inner.Close() }
 
+// TestSendFailureCompletesRequestWithError: eager sends whose first
+// frame dies on a failing rail complete with that error — one frame per
+// message under the default strategy, one aggregate frame carrying all
+// of them under aggregation. Either way the requests are owned by the
+// ack window, so the failure must also leave the window empty.
 func TestSendFailureCompletesRequestWithError(t *testing.T) {
-	da, db := MemPair()
-	_ = db
-	fd := &faultyDriver{inner: da, failKth: 1}
-	e := NewEngine(Config{})
-	defer e.Close()
-	g, err := e.NewGate(fd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := g.Isend(1, []byte("doomed"))
-	if err := req.Wait(); err == nil {
-		t.Fatal("send over failing rail should report an error")
+	for _, tc := range []struct {
+		name     string
+		strategy StrategyKind
+		frame    Kind // what the failing frame must be
+	}{
+		{"default", StrategyDefault, KindEager},
+		{"aggreg", StrategyAggreg, KindAggr},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			da, db := MemPair()
+			_ = db
+			fd := &faultyDriver{inner: da, failKth: 1}
+			// Explicit progression: every Isend is queued before the first
+			// Schedule, so the aggregation flush packs all of them into
+			// the one frame that fails.
+			e := NewEngine(Config{Strategy: tc.strategy, NoAutoProgress: true})
+			defer e.Close()
+			g, err := e.NewGate(fd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs := []*Request{
+				g.Isend(1, []byte("doomed")),
+				g.Isend(2, []byte("also doomed")),
+				g.Isend(3, []byte("doomed too")),
+			}
+			for i, req := range reqs {
+				if err := req.Wait(); !errors.Is(err, errInjectedSend) {
+					t.Errorf("send %d over failing rail = %v, want the injected failure", i, err)
+				}
+			}
+			if n := g.CheckIdle().EagerPending; n != 0 {
+				t.Errorf("%d failed sends left in the ack window", n)
+			}
+			if n := fd.sends.Load(); n != 1 {
+				t.Errorf("%d frames reached the driver, want the one that failed", n)
+			}
+			if k := Kind(fd.failedKind.Load()); k != tc.frame {
+				t.Errorf("failing frame was %v, want %v", k, tc.frame)
+			}
+		})
 	}
 }
 
@@ -84,60 +124,73 @@ func TestSendDeathOnLastRailFailsGate(t *testing.T) {
 	}
 }
 
+// fillPeerRing fills the 4096-slot rx ring behind a MemPair end with raw
+// driver frames, below any engine: nothing drains the peer, so the next
+// frame sent on d meets backpressure.
+func fillPeerRing(t *testing.T, d Driver) {
+	t.Helper()
+	for i := 0; i < 4096; i++ {
+		hdr := Header{Kind: KindEager, Tag: 1, MsgID: uint64(i + 1), Total: 1}
+		if err := d.Send(hdr, []byte{1}); err != nil {
+			t.Fatalf("raw frame %d into a non-full ring: %v", i, err)
+		}
+	}
+}
+
 func TestBackpressureDoesNotKillRail(t *testing.T) {
 	da, db := MemPair()
-	// Fire-and-forget eager: nothing polls the peer ring, so the
-	// ack-tracked path would (correctly) time every send out. This
-	// test is about the transient backpressure contract of buffered
-	// sends.
-	e := NewEngine(Config{NoEagerRetry: true})
+	fillPeerRing(t, da)
+	// Explicit progression: each Schedule pass runs the pending packet
+	// task once, and the wall-clock retransmission deadline (500 ms) is
+	// far beyond the test.
+	e := NewEngine(Config{NoAutoProgress: true})
 	defer e.Close()
 	g, err := e.NewGate(da)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fill the peer's 4096-slot rx ring (nothing drains db), then one
-	// more send must fail with the transient backpressure error while
-	// the rail stays alive.
-	for i := 0; i < 4096; i++ {
-		if err := g.Isend(1, []byte{1}).Wait(); err != nil {
-			t.Fatalf("send %d into a non-full ring: %v", i, err)
-		}
+	// The eager frame meets the full ring: a transient condition, so the
+	// rail stays alive and the message stays in the ack window for the
+	// sweep to retransmit once the ring drains.
+	req := g.Isend(1, []byte{1})
+	for i := 0; i < 4; i++ {
+		e.Tasks().Schedule(0)
 	}
-	if err := g.Isend(1, []byte{1}).Wait(); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("send into full ring = %v, want ErrBackpressure", err)
+	if req.Test() {
+		t.Fatalf("backpressured eager send completed (err %v); it belongs to the ack window", req.Err())
 	}
 	if g.RailStats()[0].Dead {
 		t.Fatal("transient backpressure marked the rail dead")
 	}
-	// Drain one slot: the rail works again.
+	if n := g.CheckIdle().EagerPending; n != 1 {
+		t.Fatalf("ack window holds %d messages, want the backpressured one", n)
+	}
+	// Drain one slot: the rail carries frames again.
 	if _, ok, _ := db.Poll(); !ok {
 		t.Fatal("peer ring unexpectedly empty")
 	}
-	if err := g.Isend(1, []byte{2}).Wait(); err != nil {
-		t.Fatalf("send after drain: %v", err)
+	g.Isend(1, []byte{2})
+	for i := 0; i < 4; i++ {
+		e.Tasks().Schedule(0)
+	}
+	if n := e.Stats().FramesSent; n != 1 {
+		t.Fatalf("%d frames sent after the drain, want 1", n)
 	}
 }
 
 func TestBackpressuredRendezvousFailsVisibly(t *testing.T) {
 	da, db := MemPair()
 	_ = db
-	// Fire-and-forget eager for the ring-filling prelude: nothing
-	// polls the peer ring, so ack-tracked sends would time out.
-	e := NewEngine(Config{NoEagerRetry: true})
+	fillPeerRing(t, da)
+	e := NewEngine(Config{})
 	defer e.Close()
 	g, err := e.NewGate(da)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fill the ring, then start a rendezvous: its RTS control frame
-	// hits backpressure and, carrying no request of its own, must fail
-	// the waiting send instead of leaving it hanging forever.
-	for i := 0; i < 4096; i++ {
-		if err := g.Isend(1, []byte{1}).Wait(); err != nil {
-			t.Fatalf("send %d into a non-full ring: %v", i, err)
-		}
-	}
+	// The ring is full, so the rendezvous' RTS control frame hits
+	// backpressure and, carrying no request of its own, must fail the
+	// waiting send instead of leaving it hanging forever.
 	req := g.Isend(2, make([]byte, 1<<20))
 	select {
 	case <-req.Done():

@@ -185,12 +185,10 @@ type Packet struct {
 
 	gate    *Gate
 	rail    int
-	retries int        // backpressure requeues consumed (sendPacketTask)
-	req     *Request   // request to complete once the frame is on the wire
-	reqs    []*Request // per-message requests of an aggregate frame
-	pend    []uint64   // msgIDs of ack-tracked eager messages the frame carries
-	ext     []byte     // imm extension appended after the encoded header
-	scratch []byte     // pooled aggregate payload buffer, returned on recycle
+	retries int      // backpressure requeues consumed (sendPacketTask)
+	pend    []uint64 // msgIDs of the eager messages the frame carries
+	ext     []byte   // imm extension appended after the encoded header
+	scratch []byte   // pooled aggregate payload buffer, returned on recycle
 
 	immBuf [immBufBytes]byte // header+ext assembly space, so sends allocate nothing
 }
@@ -203,11 +201,6 @@ func (p *Packet) reset() {
 	p.gate = nil
 	p.rail = 0
 	p.retries = 0
-	p.req = nil
-	for i := range p.reqs {
-		p.reqs[i] = nil
-	}
-	p.reqs = p.reqs[:0]
 	p.pend = p.pend[:0]
 	p.ext = nil
 	p.scratch = nil

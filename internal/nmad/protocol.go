@@ -13,9 +13,7 @@ import (
 // announce a rendezvous with an RTS, and the receiver pulls the payload
 // or asks for it to be pushed, striped across the gate's rails. The
 // returned request completes once the peer holds every byte: its ack
-// (eager; see eager.go) or its FIN (rendezvous). Under
-// Config.NoEagerRetry, eager sends revert to buffered semantics and
-// complete when the frame is on the wire.
+// (eager; see eager.go) or its FIN (rendezvous).
 func (g *Gate) Isend(tag uint64, data []byte) *Request {
 	return g.IsendDeadline(tag, data, 0)
 }
@@ -26,9 +24,7 @@ func (g *Gate) Isend(tag uint64, data []byte) *Request {
 // doomed rendezvous or eager message is failed with ErrDeadlineExpired
 // instead of retransmitted), and propagated to the receiver inside the
 // RTS pull offer so it stops posting RMA reads for expired work. The
-// in-flight sweeps ride the handshake-timeout machinery, so
-// Config.NoRdvTimeout/NoEagerRetry disable them along with the
-// retransmissions they gate.
+// in-flight checks ride the handshake-timeout sweep.
 func (g *Gate) IsendDeadline(tag uint64, data []byte, deadline int64) *Request {
 	e := g.eng
 	req := newRequest(e)
@@ -64,32 +60,25 @@ func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 			rec.Record(g.id, trace.EvSendBegin, sid, uint64(len(data)))
 			rec.Record(g.id, trace.EvInjectBegin, sid, uint64(len(data)))
 		}
+		// Ack-tracked: the pending entry owns the request's completion
+		// (peer ack, sweep timeout, or wire failure), not the frame's
+		// wire-out.
+		e.trackEager(g, msgID, tag, data, req)
 		hdr := Header{Kind: KindEager, Tag: tag, MsgID: msgID, Total: uint32(len(data))}
 		if e.cfg.Strategy == StrategyAggreg {
-			if !e.cfg.NoEagerRetry {
-				e.trackEager(g, msgID, tag, data, req)
-			}
-			g.aggPush(hdr, data, req)
+			g.aggPush(hdr, data)
 			return
 		}
 		rail := g.pickEager()
 		if rail < 0 {
-			req.complete(errAllRailsDead)
+			e.failEager(g, msgID, errAllRailsDead)
 			return
 		}
 		p := g.packet()
 		p.Hdr = hdr
 		p.Payload = data
 		p.rail = rail
-		if e.cfg.NoEagerRetry {
-			p.req = req
-		} else {
-			// Ack-tracked: the pending entry owns the request's
-			// completion (peer ack, sweep timeout, or wire failure),
-			// not the frame's wire-out.
-			e.trackEager(g, msgID, tag, data, req)
-			p.pend = append(p.pend[:0], msgID)
-		}
+		p.pend = append(p.pend, msgID)
 		g.sendPacket(p)
 		return
 	}
@@ -569,9 +558,9 @@ func (g *Gate) pushRange(data []byte, push Header) {
 
 // aggPush queues a small message for aggregation and ensures a flush
 // task is pending.
-func (g *Gate) aggPush(hdr Header, payload []byte, req *Request) {
+func (g *Gate) aggPush(hdr Header, payload []byte) {
 	g.aggMu.Lock()
-	g.aggPending = append(g.aggPending, pendingSend{hdr: hdr, payload: payload, req: req})
+	g.aggPending = append(g.aggPending, pendingSend{hdr: hdr, payload: payload})
 	start := !g.aggFlushing
 	if start {
 		g.aggFlushing = true
@@ -589,8 +578,9 @@ func (g *Gate) aggPush(hdr Header, payload []byte, req *Request) {
 // aggFlush drains the pending queue, packs it into aggregate frames
 // bounded by MaxAggr (singletons stay plain), and submits every
 // frame's packet task in one core.SubmitAll batch: the burst of frames
-// a flush produces pays one queue-lock chain append and one notifier
-// wakeup instead of one of each per frame.
+// a flush produces pays one queue-lock chain append instead of one per
+// frame. Every queued message is already in the ack window, which owns
+// its request from here on.
 func (g *Gate) aggFlush() {
 	e := g.eng
 	for {
@@ -604,17 +594,10 @@ func (g *Gate) aggFlush() {
 		g.aggPending = nil
 		g.aggMu.Unlock()
 
-		reliable := !e.cfg.NoEagerRetry
 		rail := g.pickEager()
 		if rail < 0 {
 			for _, m := range pending {
-				if reliable {
-					// The pending window owns the request; route the
-					// failure through it so the entry is removed too.
-					e.failEager(g, m.hdr.MsgID, errAllRailsDead)
-				} else {
-					m.req.complete(errAllRailsDead)
-				}
+				e.failEager(g, m.hdr.MsgID, errAllRailsDead)
 			}
 			continue
 		}
@@ -640,17 +623,9 @@ func (g *Gate) aggFlush() {
 				p.Payload = payload
 				p.scratch = payload // returned to the gate pool on recycle
 			}
-			if reliable {
-				// Completion rides the per-message acks, not wire-out.
-				for _, m := range batch {
-					p.pend = append(p.pend, m.hdr.MsgID)
-				}
-			} else if len(batch) == 1 {
-				p.req = batch[0].req
-			} else {
-				for _, m := range batch {
-					p.reqs = append(p.reqs, m.req)
-				}
+			// Completion rides the per-message acks, not wire-out.
+			for _, m := range batch {
+				p.pend = append(p.pend, m.hdr.MsgID)
 			}
 			tasks = append(tasks, g.preparePacket(p))
 		}

@@ -270,17 +270,10 @@ func (e *Engine) sweepDeadlines() {
 	e.nextSweep.Store(now + e.cfg.RdvTimeout/8)
 
 	if e.admit != nil {
-		// Parked submissions expire regardless of the timeout ablation
-		// knobs: a blocked submitter must never hang.
 		e.sweepAdmit(now)
 	}
 	gates := e.Gates()
-	if !e.cfg.NoEagerRetry {
-		e.sweepEager(now, gates)
-	}
-	if e.cfg.NoRdvTimeout {
-		return
-	}
+	e.sweepEager(now, gates)
 	var sends, recvs []sweepAct
 	for _, g := range gates {
 		sends, recvs = g.dueRendezvous(now, sends, recvs)

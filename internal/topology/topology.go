@@ -90,9 +90,6 @@ type Topology struct {
 	NUMAOf []int
 }
 
-// Cores returns the Core node for each CPU index.
-func (t *Topology) Cores() []*Node { return t.cores }
-
 // CoreNode returns the Core node of the given CPU, or nil if out of range.
 func (t *Topology) CoreNode(cpu int) *Node {
 	if cpu < 0 || cpu >= len(t.cores) {
