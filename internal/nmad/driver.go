@@ -9,14 +9,15 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"pioman/internal/fabric"
 )
 
 // Driver abstracts one network rail: a point-to-point link to a peer
 // engine. Send may block briefly (handing the frame to the wire); Poll
 // must never block — it is called from PIOMan polling tasks.
 //
-// Implementations: MemPair (in-process), TCP (stdlib net), and the
-// simulation drivers in the experiments.
+// Implementations: MemPair (in-process) and TCP (stdlib net).
 type Driver interface {
 	// Name identifies the driver kind ("mem", "tcp").
 	Name() string
@@ -42,19 +43,27 @@ var ErrBackpressure = errors.New("nmad: rail backpressure")
 // ---- In-process memory driver ----
 
 // memDriver is one endpoint of an in-process rail: frames written by the
-// peer land in rx.
+// peer land in rx. Its RMA face forwards to this side of a fabric
+// loopback RMA pair, so region keys, bounds checks and the read itself
+// stay fabric's.
 type memDriver struct {
 	rx     chan Frame
 	peer   *memDriver
 	closed atomic.Bool
+	rma    *fabric.LoopbackEndpoint
+	// reads counts RMA reads posted whose completions are not yet
+	// polled, so an empty poll is one atomic load and no lock.
+	reads atomic.Int32
 }
 
 // MemPair returns two connected in-process rails — the loopback
 // equivalent of a NIC pair, used by tests, examples and single-process
-// benchmarks.
+// benchmarks. NewGate runs them as pull-capable rails; wrapped with
+// WrapDriver they stay frame-only.
 func MemPair() (Driver, Driver) {
-	a := &memDriver{rx: make(chan Frame, 4096)}
-	b := &memDriver{rx: make(chan Frame, 4096)}
+	ra, rb := fabric.NewLoopbackRMA()
+	a := &memDriver{rx: make(chan Frame, 4096), rma: ra}
+	b := &memDriver{rx: make(chan Frame, 4096), rma: rb}
 	a.peer = b
 	b.peer = a
 	return a, b
@@ -63,18 +72,7 @@ func MemPair() (Driver, Driver) {
 func (d *memDriver) Name() string { return "mem" }
 
 func (d *memDriver) Send(hdr Header, payload []byte) error {
-	if d.closed.Load() || d.peer.closed.Load() {
-		return ErrClosed
-	}
-	// Copy the payload: the wire owns its bytes, like a real DMA.
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	select {
-	case d.peer.rx <- Frame{Hdr: hdr, Payload: cp}:
-		return nil
-	default:
-		return fmt.Errorf("mem rail rx ring full: %w", ErrBackpressure)
-	}
+	return (*memEndpoint)(d).SendFrame(hdr, nil, payload)
 }
 
 func (d *memDriver) Poll() (Frame, bool, error) {
@@ -91,8 +89,103 @@ func (d *memDriver) Poll() (Frame, bool, error) {
 
 func (d *memDriver) Close() error {
 	d.closed.Store(true)
-	return nil
+	return d.rma.Close()
 }
+
+// memEndpoint is a mem rail's own endpoint, the one NewGate uses: the
+// driver's frames, extension included, plus the RMA face. It shares
+// the driver's state; only the method set differs.
+type memEndpoint memDriver
+
+// Provider names the backend.
+func (ep *memEndpoint) Provider() string { return "mem" }
+
+// Capabilities returns the assumed mem envelope plus the RMA bit.
+func (ep *memEndpoint) Capabilities() fabric.Capabilities {
+	caps := memCaps
+	caps.RMA = true
+	return caps
+}
+
+// Domain is the loopback rail's domain, where send buffers register.
+func (ep *memEndpoint) Domain() fabric.Domain { return ep.rma.Domain() }
+
+// SendFrame hands one frame to the peer's ring.
+func (ep *memEndpoint) SendFrame(hdr Header, ext, payload []byte) error {
+	if ep.closed.Load() || ep.peer.closed.Load() {
+		return ErrClosed
+	}
+	// Copy the payload and extension: the wire owns its bytes, like a
+	// real DMA.
+	f := Frame{Hdr: hdr, Payload: make([]byte, len(payload))}
+	copy(f.Payload, payload)
+	if len(ext) > 0 {
+		f.Ext = append([]byte(nil), ext...)
+	}
+	select {
+	case ep.peer.rx <- f:
+		return nil
+	default:
+		return fmt.Errorf("mem rail rx ring full: %w", ErrBackpressure)
+	}
+}
+
+// PollFrame pops the next received frame.
+func (ep *memEndpoint) PollFrame() (Frame, bool, error) { return (*memDriver)(ep).Poll() }
+
+// RMARead reads a peer region through the loopback rail, counting the
+// read until its completion is polled.
+func (ep *memEndpoint) RMARead(key fabric.RKey, offset int, local []byte, ctx any) error {
+	ep.reads.Add(1)
+	err := ep.rma.RMARead(key, offset, local, ctx)
+	if err != nil {
+		ep.reads.Add(-1)
+	}
+	return err
+}
+
+// PollRead pops the next read completion.
+func (ep *memEndpoint) PollRead() (fabric.Event, bool, error) {
+	if ep.reads.Load() == 0 {
+		return fabric.Event{}, false, nil
+	}
+	ev, ok, err := ep.rma.Poll()
+	if ok {
+		ep.reads.Add(-1)
+	}
+	return ev, ok, err
+}
+
+// Send is the generic face (a calibrated gate): the header is decoded
+// and the rest of imm travels as the extension.
+func (ep *memEndpoint) Send(imm, payload []byte) error {
+	hdr, err := decodeHeader(imm)
+	if err != nil {
+		return err
+	}
+	return ep.SendFrame(hdr, imm[headerBytes:], payload)
+}
+
+// Poll is the generic face: a read completion, else the next frame as
+// an EventRecv.
+func (ep *memEndpoint) Poll() (fabric.Event, bool, error) {
+	if ev, ok, err := ep.PollRead(); ok || err != nil {
+		return ev, ok, err
+	}
+	f, ok, err := ep.PollFrame()
+	if err != nil || !ok {
+		return fabric.Event{}, false, err
+	}
+	imm := make([]byte, headerBytes, headerBytes+len(f.Ext))
+	f.Hdr.encode(imm)
+	return fabric.Event{Kind: fabric.EventRecv, Imm: append(imm, f.Ext...), Payload: f.Payload, From: -1}, true, nil
+}
+
+// Backlog is always zero: sends and reads finish inside the call.
+func (ep *memEndpoint) Backlog() int { return 0 }
+
+// Close shuts the rail down.
+func (ep *memEndpoint) Close() error { return (*memDriver)(ep).Close() }
 
 // ---- TCP driver ----
 

@@ -506,8 +506,8 @@ type rail struct {
 	// the rail cannot register memory.
 	cache *fabric.RegCache
 	// canExt reports that the endpoint carries immediate-byte
-	// extensions (the generic byte path); classic frame drivers do
-	// not, so pull offers never route onto them.
+	// extensions; wrapped frame drivers do not, so pull offers never
+	// route onto them.
 	canExt    bool
 	mu        sync.Mutex
 	dead      atomic.Bool
@@ -642,14 +642,18 @@ type pendingSend struct {
 	payload []byte
 }
 
-// NewGate attaches a connection made of the given classic driver rails,
-// wrapping each in the fabric adapter with its assumed capability
-// envelope. Equivalent to NewGateEndpoints(WrapDriver(d, ...) ...);
-// mem/TCP gates work exactly as before.
+// NewGate attaches a connection made of the given classic driver rails.
+// A MemPair rail brings its own pull-capable endpoint; every other
+// driver is wrapped frame-only, as NewGateEndpoints(WrapDriver(d,
+// ...) ...) would, with its assumed capability envelope.
 func (e *Engine) NewGate(drivers ...Driver) (*Gate, error) {
 	eps := make([]fabric.Endpoint, len(drivers))
 	for i, d := range drivers {
-		eps[i] = WrapDriver(d, capsForDriver(d))
+		if m, ok := d.(*memDriver); ok {
+			eps[i] = (*memEndpoint)(m)
+		} else {
+			eps[i] = WrapDriver(d, capsForDriver(d))
+		}
 	}
 	return e.NewGateEndpoints(eps...)
 }
@@ -726,9 +730,9 @@ func (e *Engine) NewGateEndpoints(eps ...fabric.Endpoint) (*Gate, error) {
 	for i := range g.rails {
 		r := g.rails[i]
 		idx := i
-		// The driver adapter moves decoded Headers through the
-		// package-internal fast path, preserving the classic rails'
-		// codec-free, allocation-free frame handling.
+		// Classic rails move decoded Headers through the
+		// package-internal fast path, preserving their codec-free,
+		// allocation-free frame handling.
 		fe, _ := r.ep.(frameEndpoint)
 		// A rail marked dead by the send path keeps being polled:
 		// send and receive capability fail independently, and frames
@@ -741,14 +745,20 @@ func (e *Engine) NewGateEndpoints(eps ...fabric.Endpoint) (*Gate, error) {
 			Fn: func(any) bool {
 				var hdr Header
 				var payload, ext []byte
+				var ev fabric.Event
 				var got bool
 				var err error
 				if fe != nil {
-					var f Frame
-					f, got, err = fe.PollFrame()
-					hdr, payload = f.Hdr, f.Payload
+					if ev, got, err = fe.PollRead(); got {
+						// A pull-mode rendezvous chunk landed.
+						e.pullDone(g, idx, ev)
+						got = false
+					} else if err == nil {
+						var f Frame
+						f, got, err = fe.PollFrame()
+						hdr, payload, ext = f.Hdr, f.Payload, f.Ext
+					}
 				} else {
-					var ev fabric.Event
 					ev, got, err = r.ep.Poll()
 					if err == nil && got {
 						switch ev.Kind {
@@ -1065,12 +1075,12 @@ func sendPacketTask(arg any) bool {
 		if r.dead.Load() {
 			err = errAllRailsDead
 		} else if fe, ok := r.ep.(frameEndpoint); ok {
-			// Classic driver fast path: the decoded Header moves
-			// straight through, no codec round-trip. Frame drivers
-			// carry no imm extension; a re-routed pull offer is simply
-			// dropped and the receiver falls back to push.
+			// Classic rail fast path: the decoded Header moves
+			// straight through, no codec round-trip. A wrapped driver
+			// drops the imm extension; a re-routed pull offer is then
+			// lost and the receiver falls back to push.
 			r.mu.Lock()
-			err = fe.SendFrame(p.Hdr, p.Payload)
+			err = fe.SendFrame(p.Hdr, p.ext, p.Payload)
 			r.mu.Unlock()
 		} else {
 			// Assemble header + extension in the packet's own buffer:

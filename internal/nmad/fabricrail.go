@@ -7,18 +7,22 @@ import (
 
 // This file adapts the classic frame Drivers (mem, TCP) to the fabric
 // provider layer, so a Gate built from Drivers and a Gate built from
-// fabric endpoints run the same code path: NewGate wraps each driver
-// in a driverEndpoint and hands it to the endpoint-based gate.
+// fabric endpoints run the same code path: NewGate hands a mem driver
+// its own endpoint (memEndpoint, frames plus an RMA face) and wraps
+// every other driver in a frame-only driverEndpoint.
 
 // Assumed capability envelopes for the classic drivers. The paper's
 // NewMadeleine samples each rail's latency/bandwidth at startup; here
 // the envelopes are static per driver kind, chosen so an in-process
 // rail outranks a TCP rail for small messages and the two split large
 // payloads evenly when paired with themselves.
-var driverCaps = map[string]fabric.Capabilities{
-	"mem": {Latency: 200 * simtime.Nanosecond, Bandwidth: 8e9, MaxInject: 16 << 10},
-	"tcp": {Latency: 30 * simtime.Microsecond, Bandwidth: 1e9, MaxInject: 8 << 10},
-}
+var (
+	memCaps    = fabric.Capabilities{Latency: 200 * simtime.Nanosecond, Bandwidth: 8e9, MaxInject: 16 << 10}
+	driverCaps = map[string]fabric.Capabilities{
+		"mem": memCaps,
+		"tcp": {Latency: 30 * simtime.Microsecond, Bandwidth: 1e9, MaxInject: 8 << 10},
+	}
+)
 
 // capsForDriver returns the assumed envelope for a driver, defaulting
 // to a generic middle-of-the-road rail for unknown kinds.
@@ -39,17 +43,20 @@ func WrapDriver(d Driver, caps fabric.Capabilities) fabric.Endpoint {
 	return &driverEndpoint{d: d, caps: caps}
 }
 
-// frameEndpoint is the package-internal fast path of the driver
-// adapter: the gate moves decoded Headers straight through, skipping
-// the imm encode/decode round-trip and its allocation, so the classic
+// frameEndpoint is the package-internal fast path of the classic
+// rails: the gate moves decoded Headers straight through, skipping the
+// imm encode/decode round-trip and its allocation, so the classic
 // rails keep their codec-free frame path (§IV-B zero-allocation
 // submission). External fabric endpoints use the generic byte-
 // oriented Send/Poll instead.
 type frameEndpoint interface {
-	// SendFrame transmits one decoded frame.
-	SendFrame(hdr Header, payload []byte) error
+	// SendFrame transmits one decoded frame with its imm extension
+	// (an RTS pull offer); rails that declare NoExt drop ext.
+	SendFrame(hdr Header, ext, payload []byte) error
 	// PollFrame pops the next received frame.
 	PollFrame() (Frame, bool, error)
+	// PollRead pops the next RMA read completion.
+	PollRead() (fabric.Event, bool, error)
 }
 
 // driverEndpoint is the adapter provider: fabric messages map 1:1 onto
@@ -67,14 +74,19 @@ func (ep *driverEndpoint) Provider() string { return ep.d.Name() }
 func (ep *driverEndpoint) Capabilities() fabric.Capabilities { return ep.caps }
 
 // SendFrame hands a decoded frame straight to the driver (the
-// frameEndpoint fast path).
-func (ep *driverEndpoint) SendFrame(hdr Header, payload []byte) error {
+// frameEndpoint fast path); the driver carries no extension.
+func (ep *driverEndpoint) SendFrame(hdr Header, _, payload []byte) error {
 	return ep.d.Send(hdr, payload)
 }
 
 // PollFrame pops the next driver frame (the frameEndpoint fast path).
 func (ep *driverEndpoint) PollFrame() (Frame, bool, error) {
 	return ep.d.Poll()
+}
+
+// PollRead reports nothing: a wrapped driver cannot read.
+func (ep *driverEndpoint) PollRead() (fabric.Event, bool, error) {
+	return fabric.Event{}, false, nil
 }
 
 // Send decodes the immediate bytes back into a frame header and hands

@@ -10,6 +10,7 @@ import (
 
 	"pioman/internal/admit"
 	"pioman/internal/core"
+	"pioman/internal/fabric"
 	"pioman/internal/topology"
 )
 
@@ -153,7 +154,7 @@ func TestRendezvousLargeMessage(t *testing.T) {
 }
 
 func TestMultirailStripesData(t *testing.T) {
-	ea, ga, _, gb := enginePair(t, 2, StrategyDefault)
+	ea, ga, eb, gb := enginePair(t, 2, StrategyDefault)
 	big := make([]byte, 300<<10)
 	for i := range big {
 		big[i] = byte(i ^ (i >> 8))
@@ -175,8 +176,17 @@ func TestMultirailStripesData(t *testing.T) {
 	if !bytes.Equal(recvd, big) {
 		t.Fatal("multirail payload corrupted")
 	}
-	if got := ea.Stats().RdvData; got != 2 {
-		t.Errorf("rendezvous data fragments = %d, want 2 (one per rail)", got)
+	// The receiver stripes the pull over both rails; nothing is pushed.
+	if got := ea.Stats().RdvData; got != 0 {
+		t.Errorf("rendezvous data fragments = %d, want 0 (pulled)", got)
+	}
+	if got := eb.Stats().RdvPulls; got != 2 {
+		t.Errorf("RMA reads = %d, want 2 (one per rail)", got)
+	}
+	for i, r := range gb.RailStats() {
+		if r.PullBytes == 0 {
+			t.Errorf("rail %d pulled no bytes; striping did not spread the payload", i)
+		}
 	}
 }
 
@@ -395,11 +405,13 @@ func TestTCPDriverEndToEnd(t *testing.T) {
 	}
 }
 
-// TestClassicRailRendezvous: over rails that cannot read (mem, TCP) a
-// rendezvous is the receiver's chunk table with one push chunk — one
-// push request for the whole payload, data frames striped by the
-// sender, one FIN — so the send completes only once the receiver holds
-// every byte, and both gates quiesce clean.
+// TestClassicRailRendezvous: over MemPair rails a rendezvous is pulled
+// — one RMA read per rail straight into the posted buffer, nothing
+// copied, no data frame — and over rails that cannot read (a wrapped
+// mem driver, TCP) it is the receiver's chunk table with one push chunk:
+// one push request for the whole payload, data frames striped by the
+// sender. Either way one FIN completes the send only once the receiver
+// holds every byte, and both gates quiesce clean.
 func TestClassicRailRendezvous(t *testing.T) {
 	memRails := func(n int) func(*testing.T) ([]Driver, []Driver) {
 		return func(*testing.T) (send, recv []Driver) {
@@ -431,6 +443,18 @@ func TestClassicRailRendezvous(t *testing.T) {
 		}
 		return []Driver{dialer}, []Driver{acc}
 	}
+	// gate attaches the rails through NewGate, or — wrap — as
+	// WrapDriver endpoints, which are frame-only.
+	gate := func(e *Engine, rails []Driver, wrap bool) (*Gate, error) {
+		if !wrap {
+			return e.NewGate(rails...)
+		}
+		eps := make([]fabric.Endpoint, len(rails))
+		for i, d := range rails {
+			eps[i] = WrapDriver(d, capsForDriver(d))
+		}
+		return e.NewGateEndpoints(eps...)
+	}
 	const size = 1 << 20
 	payload := make([]byte, size)
 	for i := range payload {
@@ -439,22 +463,28 @@ func TestClassicRailRendezvous(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		rails func(*testing.T) (send, recv []Driver)
-		frags uint64 // data fragments the sender stripes the payload into
+		wrap  bool
+		cfg   Config
+		pulls uint64 // RMA reads the receiver posts; 0 means one push range
+		frags uint64 // data fragments the sender stripes a push into
 	}{
-		{"mem", memRails(1), 1},
-		{"mem-x2", memRails(2), 2},
-		{"tcp", tcpRail, 1},
+		{"mem", memRails(1), false, Config{}, 1, 0},
+		{"mem-x2", memRails(2), false, Config{}, 2, 0},
+		// Calibrated rails reach mem through the generic Send/Poll face.
+		{"mem-x2-calibrated", memRails(2), false, Config{Calibrate: true}, 2, 0},
+		{"mem-wrapped", memRails(1), true, Config{}, 0, 1},
+		{"tcp", tcpRail, false, Config{}, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sendRails, recvRails := tc.rails(t)
-			sender, receiver := NewEngine(Config{}), NewEngine(Config{})
+			sender, receiver := NewEngine(tc.cfg), NewEngine(tc.cfg)
 			defer sender.Close()
 			defer receiver.Close()
-			ga, err := sender.NewGate(sendRails...)
+			ga, err := gate(sender, sendRails, tc.wrap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gb, err := receiver.NewGate(recvRails...)
+			gb, err := gate(receiver, recvRails, tc.wrap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -470,9 +500,13 @@ func TestClassicRailRendezvous(t *testing.T) {
 			if !bytes.Equal(rreq.Data, payload) {
 				t.Fatal("payload corrupted")
 			}
-			if st := receiver.Stats(); st.RdvPulls != 0 || st.RdvPushRanges != 1 || st.RdvFins != 1 || st.RecvCopiedBytes != size {
-				t.Errorf("receiver: %d pulls, %d push ranges, %d FINs, %d bytes copied; want 0, 1, 1, %d",
-					st.RdvPulls, st.RdvPushRanges, st.RdvFins, st.RecvCopiedBytes, size)
+			var pushes, copied uint64 = 1, size
+			if tc.pulls > 0 {
+				pushes, copied = 0, 0
+			}
+			if st := receiver.Stats(); st.RdvPulls != tc.pulls || st.RdvPushRanges != pushes || st.RdvFins != 1 || st.RecvCopiedBytes != copied {
+				t.Errorf("receiver: %d pulls, %d push ranges, %d FINs, %d bytes copied; want %d, %d, 1, %d",
+					st.RdvPulls, st.RdvPushRanges, st.RdvFins, st.RecvCopiedBytes, tc.pulls, pushes, copied)
 			}
 			if got := sender.Stats().RdvData; got != tc.frags {
 				t.Errorf("sender data fragments = %d, want %d", got, tc.frags)

@@ -39,8 +39,8 @@ const (
 	KindFin
 	// KindRdvPush asks the sender to push one byte range of a
 	// rendezvous as KindData frames — whatever the receiver cannot pull:
-	// the whole payload when no rail of the gate can read (classic
-	// mem/TCP rails), or one chunk whose rail cannot (or can no longer)
+	// the whole payload when no rail of the gate can read (TCP or
+	// wrapped-driver rails), or one chunk whose rail cannot (or can no longer)
 	// read it. Offset is the range start and Total its length.
 	KindRdvPush
 	// KindEagerAck acknowledges the delivery of one eager message

@@ -91,8 +91,8 @@ func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 	// buffer skip re-registration entirely — and the RTS imm extension
 	// offers the remote keys, so an RMA-capable receiver pulls the
 	// bytes straight out of the user buffer. Whatever it cannot pull —
-	// the whole payload on classic mem/TCP rails — it asks us to push
-	// (KindRdvPush).
+	// the whole payload on TCP and wrapped-driver rails — it asks us to
+	// push (KindRdvPush).
 	st := e.getSendRdv()
 	st.data, st.req = data, req
 	rail := -1

@@ -15,8 +15,9 @@ package nmad
 // Whatever cannot be pulled is asked for as a KindRdvPush request,
 // which the sender answers with ordinary KindData frames striped over
 // its alive rails: the whole payload, as one chunk, when no rail can
-// read (classic mem/TCP gates, no usable offer), and single chunks
-// whose rail cannot — key gone stale, rail died mid-transfer. The
+// read (TCP or wrapped-driver gates, no usable offer), and single
+// chunks whose rail cannot — key gone stale, rail died mid-transfer.
+// MemPair rails read: their RMA face is a fabric loopback RMA pair. The
 // KindData reassembly path and the pull completions feed the same byte
 // counter and end in the same FIN, so every transfer, pulled, pushed
 // or mixed, finishes exactly once.

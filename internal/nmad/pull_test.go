@@ -189,6 +189,57 @@ func TestPullRegistrationCacheReuse(t *testing.T) {
 	}
 }
 
+// TestMemRailPullReusesBuffers: MemPair rails read. 64 rendezvous of
+// growing size over a two-rail mem gate are pulled straight out of one
+// reused send buffer, which the sender rewrites as soon as each Send
+// returns — every receive must still be byte-exact, so nothing reads
+// the region after the FIN. Closing the engines leaves no region
+// registered on either loopback pair and both gates idle.
+func TestMemRailPullReusesBuffers(t *testing.T) {
+	ea, ga, eb, gb := enginePair(t, 2, StrategyDefault)
+	const msgs, lo, hi = 64, 8<<10 + 1, 1 << 20
+	sendBuf, recvBuf := make([]byte, hi), make([]byte, hi)
+	fill := func(b []byte, seed int) {
+		for i := range b {
+			b[i] = byte(i*7 + i>>9 + seed*31)
+		}
+	}
+	want := make([]byte, hi)
+	for m := 0; m < msgs; m++ {
+		n := lo + m*(hi-lo)/(msgs-1)
+		fill(sendBuf[:n], m)
+		copy(want, sendBuf[:n])
+		rreq := gb.IrecvInto(uint64(m), recvBuf)
+		if err := ga.Send(uint64(m), sendBuf[:n]); err != nil {
+			t.Fatalf("send %d: %v", m, err)
+		}
+		fill(sendBuf, ^m) // the buffer is the caller's again
+		if err := rreq.Wait(); err != nil {
+			t.Fatalf("recv %d: %v", m, err)
+		}
+		if !bytes.Equal(rreq.Data, want[:n]) {
+			t.Fatalf("message %d (%d B) corrupted", m, n)
+		}
+	}
+	st := eb.Stats()
+	if st.RdvPulls < msgs || st.RdvPushRanges != 0 || st.RecvCopiedBytes != 0 {
+		t.Errorf("receiver: %d pulls, %d push ranges, %d bytes copied; want >= %d, 0, 0",
+			st.RdvPulls, st.RdvPushRanges, st.RecvCopiedBytes, msgs)
+	}
+	if got := ea.Stats().RdvData; got != 0 {
+		t.Errorf("sender data fragments = %d, want 0", got)
+	}
+	ea.Close()
+	eb.Close()
+	for i, r := range ga.rails {
+		if n := r.ep.(*memEndpoint).rma.Regions(); n != 0 {
+			t.Errorf("rail %d: %d regions registered after Close", i, n)
+		}
+	}
+	requireClean(t, "sender", ga)
+	requireClean(t, "receiver", gb)
+}
+
 // TestPullSenderRegionsReleasedOnFinLoss: when the gate fails mid-pull
 // (every rail dies before the FIN can arrive), the failure sweep
 // releases the sender's region references — nothing stays pinned by a

@@ -160,7 +160,7 @@ func (g *Gate) stripeInto(sc *stripeScratchT, total int, eligible func(int) bool
 // stripeRecvChunks stripes a rendezvous receive across the rails the
 // sender's offer covers and this side can read through, materializing
 // the result as the state's chunk table (pooled storage). When no rail
-// qualifies — no offer, a classic mem/TCP gate — the table is one
+// qualifies — no offer, a TCP or wrapped-driver gate — the table is one
 // chunk [0, total) with no key behind it, which issueChunk turns into
 // a push request. The state is not yet published, so no lock is held.
 func (g *Gate) stripeRecvChunks(st *recvRdvState, total int) {

@@ -442,11 +442,14 @@ func TestRailStatsTieOut(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Σ per-rail payload bytes == Σ request payload bytes (control
-	// frames carry none), and Σ per-rail frames == engine FramesSent.
+	// Σ sender per-rail payload bytes + Σ receiver per-rail pulled
+	// bytes == Σ request payload bytes (eager frames carry the small
+	// messages, RMA reads the large one, control frames carry none),
+	// and Σ per-rail frames == engine FramesSent.
 	var bytesSum, framesSum uint64
-	for _, r := range ga.RailStats() {
-		bytesSum += r.Bytes
+	sendStats, recvStats := ga.RailStats(), gb.RailStats()
+	for i, r := range sendStats {
+		bytesSum += r.Bytes + recvStats[i].PullBytes
 		framesSum += r.Frames
 	}
 	if bytesSum != uint64(sent) {
@@ -455,9 +458,9 @@ func TestRailStatsTieOut(t *testing.T) {
 	if st := sender.Stats(); framesSum != st.FramesSent {
 		t.Errorf("Σ per-rail frames = %d, want FramesSent = %d", framesSum, st.FramesSent)
 	}
-	// Both rails carried rendezvous data.
-	for i, r := range ga.RailStats() {
-		if r.Bytes == 0 {
+	// Both rails carried some of the payload.
+	for i, r := range sendStats {
+		if r.Bytes+recvStats[i].PullBytes == 0 {
 			t.Errorf("rail %d carried no bytes; striping did not spread the payload", i)
 		}
 	}
