@@ -5,11 +5,12 @@
 // completion timings, then re-converges after the two rails swap
 // effective bandwidths mid-stream.
 //
-// The receiver's rails cannot serve RMA reads, so it asks the sender
-// to push every payload and the sender's striping — the thing being
-// calibrated — moves every byte. Progression is driven from this
-// goroutine on a free-running virtual clock, so the run is
-// deterministic and the printed times are exact modelled durations.
+// The receiver stripes its RMA reads — the thing being calibrated —
+// across the two rails, and its calibrators learn each rail's
+// bandwidth from the reads' completions and its latency from the small
+// frames it sends. Progression is driven from this goroutine on a
+// free-running virtual clock, so the run is deterministic and the
+// printed times are exact modelled durations.
 // Three configurations are compared on the same workload: even
 // striping (the seed behaviour: the rails hide their bandwidth), the
 // oracle (capability-aware striping told the true envelopes up front),
@@ -43,12 +44,6 @@ func (r evenRail) Capabilities() fabric.Capabilities {
 	return caps
 }
 
-// noRMA is an envelope whose rail cannot serve RMA reads.
-func noRMA(caps fabric.Capabilities) fabric.Capabilities {
-	caps.RMA = false
-	return caps
-}
-
 // rig is one sender/receiver pair over the fast+slow rail pair.
 type rig struct {
 	f                *fabric.SimFabric
@@ -62,16 +57,16 @@ func newRig(calibrate, even bool) *rig {
 	var sEps, rEps [2]fabric.Endpoint
 	for i, caps := range []fabric.Capabilities{fastCaps, slowCaps} {
 		a := r.f.OpenDomain(caps)
-		b := r.f.OpenDomain(noRMA(caps))
+		b := r.f.OpenDomain(caps)
 		ea, eb := fabric.Connect(a, b)
 		sEps[i], rEps[i] = ea, eb
 		if even {
-			sEps[i] = evenRail{ea}
+			rEps[i] = evenRail{eb}
 		}
 		r.doms[i] = [2]*fabric.SimDomain{a, b}
 	}
-	r.sender = nmad.NewEngine(nmad.Config{NoAutoProgress: true, Calibrate: calibrate})
-	r.receiver = nmad.NewEngine(nmad.Config{NoAutoProgress: true})
+	r.sender = nmad.NewEngine(nmad.Config{NoAutoProgress: true})
+	r.receiver = nmad.NewEngine(nmad.Config{NoAutoProgress: true, Calibrate: calibrate})
 	var err error
 	if r.ga, err = r.sender.NewGateEndpoints(sEps[0], sEps[1]); err != nil {
 		panic(err)
@@ -122,7 +117,7 @@ func estRow(t *stats.Table, name string, rs nmad.RailStat, truth fabric.Capabili
 		fmt.Sprintf("%.0f%%", 100*stats.RelError(rs.Caps.Bandwidth, truth.Bandwidth)),
 		fmt.Sprintf("%v", rs.Caps.Latency),
 		fmt.Sprintf("%v", truth.Latency),
-		fmt.Sprintf("%d KiB", rs.Bytes>>10),
+		fmt.Sprintf("%d KiB", rs.PullBytes>>10),
 	)
 }
 
@@ -150,9 +145,9 @@ func main() {
 
 	est := stats.Table{
 		Title:  "calibrated estimates after 32 messages",
-		Header: []string{"rail", "est bw", "true bw", "err", "est lat", "true lat", "bytes carried"},
+		Header: []string{"rail", "est bw", "true bw", "err", "est lat", "true lat", "bytes read"},
 	}
-	rails := cr.ga.RailStats()
+	rails := cr.gb.RailStats()
 	estRow(&est, "fast", rails[0], fastCaps)
 	estRow(&est, "slow", rails[1], slowCaps)
 	fmt.Println(est.String())
@@ -161,11 +156,13 @@ func main() {
 	// gate keeps running and must re-converge.
 	degraded, upgraded := fastCaps, slowCaps
 	degraded.Bandwidth, upgraded.Bandwidth = slowCaps.Bandwidth, fastCaps.Bandwidth
-	cr.doms[0][0].SetCapabilities(degraded)
-	cr.doms[0][1].SetCapabilities(noRMA(degraded))
-	cr.doms[1][0].SetCapabilities(upgraded)
-	cr.doms[1][1].SetCapabilities(noRMA(upgraded))
-	before := cr.ga.RailStats()
+	for _, d := range cr.doms[0] {
+		d.SetCapabilities(degraded)
+	}
+	for _, d := range cr.doms[1] {
+		d.SetCapabilities(upgraded)
+	}
+	before := cr.gb.RailStats()
 	shiftStart := cr.f.Now()
 	cr.transfer(500, 64, 256<<10)
 	shiftTime := simtime.Duration(cr.f.Now() - shiftStart)
@@ -174,12 +171,12 @@ func main() {
 	fmt.Println()
 	re := stats.Table{
 		Title:  "re-converged estimates",
-		Header: []string{"rail", "est bw", "true bw", "err", "est lat", "true lat", "bytes carried"},
+		Header: []string{"rail", "est bw", "true bw", "err", "est lat", "true lat", "bytes read"},
 	}
-	after := cr.ga.RailStats()
+	after := cr.gb.RailStats()
 	shifted := [2]nmad.RailStat{after[0], after[1]}
 	for i := range shifted {
-		shifted[i].Bytes -= before[i].Bytes
+		shifted[i].PullBytes -= before[i].PullBytes
 	}
 	estRow(&re, "was-fast (now 1 GB/s)", shifted[0], degraded)
 	estRow(&re, "was-slow (now 8 GB/s)", shifted[1], upgraded)

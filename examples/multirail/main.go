@@ -4,20 +4,18 @@
 // Two engines are connected by two simulated RDMA rails with very
 // different envelopes — an 8 GB/s low-latency rail and a 1 GB/s
 // high-latency one, the shape of the paper's BORDERLINE nodes carrying
-// both ConnectX IB and Myri-10G. A large message is sent three times.
-// The first two go to a receiver whose rails cannot serve RMA reads,
-// so it asks the sender to push the whole payload: once with the seed's
-// even striping (the rails hide their bandwidth, so half the payload
-// rides each and the slow rail dominates completion), once with
-// capability-aware striping (chunks proportional to per-rail bandwidth,
-// so both rails finish together). The third goes to an RMA-capable
-// receiver: the RTS offers per-rail remote keys, and the receiver
-// stripes and RMA-reads the chunks straight out of the sender's user
-// buffer. The fabric's virtual clock reports the modelled transfer
-// times, its copy counters prove where the bytes moved — host memcpy
-// vs. NIC DMA — and the per-rail statistics show where they went.
-// Small messages ride the lowest-latency rail either way. Progression
-// is driven from this goroutine, so every run prints the same numbers.
+// both ConnectX IB and Myri-10G. A large message is sent twice. Each
+// time the RTS offers per-rail remote keys, and the receiver stripes
+// and RMA-reads the chunks straight out of the sender's user buffer:
+// once with the seed's even striping (the rails hide their bandwidth,
+// so half the payload rides each and the slow rail dominates
+// completion), once with capability-aware striping (chunks
+// proportional to per-rail bandwidth, so both rails finish together).
+// The fabric's virtual clock reports the modelled transfer times, its
+// copy counters prove where the bytes moved — host memcpy vs. NIC DMA
+// — and the per-rail statistics show where they went. Small messages
+// ride the lowest-latency rail either way. Progression is driven from
+// this goroutine, so every run prints the same numbers.
 //
 // Run with: go run ./examples/multirail
 package main
@@ -57,15 +55,13 @@ type result struct {
 }
 
 // transfer sends one large payload over a fresh fast+slow gate pair.
-// Striping runs on whichever side moves the bytes — the sender for a
-// push, the receiver for a pull — so even hides bandwidth on both.
-func transfer(even, pull bool, payload []byte) result {
+// The receiver stripes its reads, so even hides bandwidth there (and,
+// for symmetry, on the sender's rails too).
+func transfer(even bool, payload []byte) result {
 	f := fabric.NewSimFabric(fabric.SimConfig{}) // free-running virtual time
 	var sEps, rEps []fabric.Endpoint
 	for _, caps := range []fabric.Capabilities{fastCaps, slowCaps} {
-		recvCaps := caps
-		recvCaps.RMA = pull
-		ea, eb := fabric.Connect(f.OpenDomain(caps), f.OpenDomain(recvCaps))
+		ea, eb := fabric.Connect(f.OpenDomain(caps), f.OpenDomain(caps))
 		if even {
 			sEps, rEps = append(sEps, evenRail{ea}), append(rEps, evenRail{eb})
 		} else {
@@ -118,41 +114,33 @@ func main() {
 	payload := make([]byte, 8<<20)
 	fmt.Printf("8 MiB over two rails: 8 GB/s @ 1µs  +  1 GB/s @ 5µs\n\n")
 
-	evenPush := transfer(true, false, payload)
-	capPush := transfer(false, false, payload)
-	capPull := transfer(false, true, payload)
+	even := transfer(true, payload)
+	capAware := transfer(false, payload)
 
 	show := func(name string, r result) {
 		fmt.Printf("%-28s %10v modelled transfer\n", name, simtime.Time(r.time))
 		for i, rs := range r.sendGate.RailStats() {
 			pull := r.recvGate.RailStats()[i].PullBytes
-			fmt.Printf("  rail %d (%s, %s): %d frames, %.2f MiB pushed, %.2f MiB pulled\n",
+			fmt.Printf("  rail %d (%s, %s): %d frames, %.2f MiB pulled\n",
 				i, rs.Provider, []fabric.Capabilities{fastCaps, slowCaps}[i], rs.Frames,
-				float64(rs.Bytes)/(1<<20), float64(pull)/(1<<20))
+				float64(pull)/(1<<20))
 		}
 	}
-	show("even striping (push)", evenPush)
-	show("capability-aware push", capPush)
-	show("receiver-driven pull", capPull)
+	show("even striping", even)
+	show("capability-aware striping", capAware)
 
 	fmt.Printf("\ncapability-aware completes in %.0f%% of even striping's time\n",
-		100*float64(capPush.time)/float64(evenPush.time))
-	fmt.Printf("(rendezvous handshakes: %d, data fragments: %d, eager sends: %d)\n",
-		capPush.sent.RdvStarted, capPush.sent.RdvData, capPush.sent.EagerSent)
+		100*float64(capAware.time)/float64(even.time))
+	fmt.Printf("(rendezvous handshakes: %d, eager sends: %d)\n",
+		capAware.sent.RdvStarted, capAware.sent.EagerSent)
 
-	fmt.Printf("\npull vs push, same capability-aware split (copy counters, 8 MiB payload):\n")
-	fmt.Printf("  %-30s %12s %14s %12s %10s\n", "", "staged(host)", "recv-memcpy", "DMA(read)", "time")
-	row := func(name string, r result) {
-		fmt.Printf("  %-30s %9.1f MiB %11.1f MiB %9.1f MiB %10v\n", name,
-			float64(r.sim.StagedCopiedBytes)/(1<<20),
-			float64(r.recv.RecvCopiedBytes)/(1<<20),
-			float64(r.sim.RMAReadBytes)/(1<<20),
-			simtime.Time(r.time))
-	}
-	row("push (receiver without RMA)", capPush)
-	row("pull", capPull)
-	fmt.Printf("  (pull: %d RMA reads, %d FIN; registrations interned by the cache: %d)\n",
-		capPull.recv.RdvPulls, capPull.recv.RdvFins, capPull.sim.Registrations)
+	fmt.Printf("\ncopy counters, capability-aware split (8 MiB payload):\n")
+	fmt.Printf("  staged(host) %.1f MiB, recv-memcpy %.1f MiB, DMA(read) %.1f MiB\n",
+		float64(capAware.sim.StagedCopiedBytes)/(1<<20),
+		float64(capAware.recv.RecvCopiedBytes)/(1<<20),
+		float64(capAware.sim.RMAReadBytes)/(1<<20))
+	fmt.Printf("  (%d RMA reads, %d FIN; registrations interned by the cache: %d)\n",
+		capAware.recv.RdvPulls, capAware.recv.RdvFins, capAware.sim.Registrations)
 
 	fmt.Println("\n=> chunk sizes proportional to per-rail bandwidth make both rails finish together,")
 	fmt.Println("   and the receiver-driven rendezvous moves them with zero host copies on either side")

@@ -13,8 +13,8 @@ import (
 //
 // The paper's NewMadeleine drives rail selection with per-rail latency
 // and bandwidth figures sampled at startup; this repo's providers so
-// far carried *assumed* envelopes instead (driverCaps in nmad, the
-// SimDomain configuration). The Calibrator closes the loop at runtime:
+// far carried *assumed* envelopes instead (the mem and TCP rail
+// envelopes in nmad, the SimDomain configuration). The Calibrator closes the loop at runtime:
 // it wraps any Endpoint, timestamps every send, attributes completions
 // back to sends in FIFO order, and folds the observed timings into
 // live estimators —
@@ -43,7 +43,7 @@ import (
 // post EventSendDone entries (SimFabric with SendCompletions, a future
 // verbs binding with signaled sends) are attributed from those events,
 // using the provider's own completion Stamp when present. Synchronous
-// providers — Loopback, the classic frame drivers — finish the wire
+// providers — Loopback, nmad's mem and TCP rails — finish the wire
 // write inside Send, so the send is sampled around the call itself.
 
 // calPending is one in-flight send awaiting its completion event. seq
@@ -80,9 +80,9 @@ type CalibratorConfig struct {
 	ProbeMax int
 	// Assume seeds the published envelope before any sample arrives.
 	// Latency and Bandwidth are taken as given (zero means unknown —
-	// the calibration-from-nothing scenario); a zero MaxInject, false
-	// RMA and false NoExt are filled in from the wrapped endpoint,
-	// since those are structural properties, not measurements.
+	// the calibration-from-nothing scenario); a zero MaxInject and a
+	// false RMA are filled in from the wrapped endpoint, since those
+	// are structural properties, not measurements.
 	Assume Capabilities
 }
 
@@ -170,9 +170,6 @@ func Calibrate(ep Endpoint, cfg CalibratorConfig) *CalibratedEndpoint {
 	}
 	if !c.base.RMA {
 		c.base.RMA = inner.RMA
-	}
-	if !c.base.NoExt {
-		c.base.NoExt = inner.NoExt
 	}
 	return c
 }

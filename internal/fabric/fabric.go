@@ -10,15 +10,17 @@
 // The paper's NewMadeleine stack is explicitly multi-backend: the
 // scheduler is generic and the NIC drivers (Myrinet/MX, IB verbs, TCP)
 // plug in underneath, with rail selection driven by sampled per-rail
-// latency and bandwidth. This package is that seam. Two providers
-// exist today: nmad's adapter wrapping its classic frame drivers
-// (shared-memory and TCP rails), and the RDMA-style simulated provider
-// in simrdma.go, which supplies the paper's IB-verbs scenario — queue
-// pairs, registered buffers, eager inject vs. rendezvous-by-RMA-read —
-// without hardware, with completion latency modelled in virtual time
-// via internal/simtime. Future backends (a real libfabric binding, a
-// UCX-shaped transport, a loopback-perf rail) slot in behind the same
-// interfaces.
+// latency and bandwidth. This package is that seam. Every provider
+// reads: nmad's own mem and TCP rails (frames plus an RMA face — the
+// mem rail reads through a loopback RMA pair, the TCP rail serves reads
+// from a RegionTable over its socket, as libfabric's tcp/rxm emulates
+// RMA), the wall-clock loopback pair in loopback.go, and the RDMA-style
+// simulated provider in simrdma.go, which supplies the paper's IB-verbs
+// scenario — queue pairs, registered buffers, eager inject vs.
+// rendezvous-by-RMA-read — without hardware, with completion latency
+// modelled in virtual time via internal/simtime. Future backends (a
+// real libfabric binding, a UCX-shaped transport) slot in behind the
+// same interfaces.
 package fabric
 
 import (
@@ -55,13 +57,6 @@ type Capabilities struct {
 	// RMA reports whether the provider supports remote memory access
 	// (RegisterMemory on its domain, RMARead on its endpoints).
 	RMA bool
-	// NoExt reports that the transport truncates immediate bytes to
-	// its own fixed header — frames must not carry protocol extensions
-	// (a rendezvous pull offer) beyond it. False (the default) means
-	// arbitrary imm bytes travel intact. A declared capability rather
-	// than wrapper type knowledge, so decorating an endpoint (e.g.
-	// calibration) cannot hide it.
-	NoExt bool
 }
 
 // NsPerByte returns the inverse bandwidth in nanoseconds per byte, or 0
@@ -178,7 +173,7 @@ type Endpoint interface {
 	// Send transmits one message: imm (small header bytes, delivered
 	// verbatim) plus payload. Both are owned by the caller again when
 	// Send returns — providers buffer or finish the wire write before
-	// returning (buffered-send semantics, like the classic drivers).
+	// returning (buffered-send semantics, like nmad's mem and TCP rails).
 	Send(imm, payload []byte) error
 	// Poll pops the next completion-queue entry, reporting false when
 	// the queue is empty. A non-nil error means the rail is dead.
@@ -224,7 +219,7 @@ type Domained interface {
 // send returns before the wire time has elapsed) implement it so a
 // calibrator can attribute completion timing; synchronous providers —
 // whose Send returns only after the wire write finished, like the
-// loopback rail and the classic frame drivers — do not, and are
+// loopback rail and nmad's mem and TCP rails — do not, and are
 // sampled around the Send call itself.
 type SendCompleter interface {
 	// SendCompletions reports whether the endpoint currently posts

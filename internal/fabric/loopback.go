@@ -13,7 +13,7 @@ import "sync"
 // what a calibrator should discover.
 //
 // The provider is synchronous: Send finishes the "wire" write before
-// returning (like the classic frame drivers), so it posts no
+// returning (like nmad's mem and TCP rails), so it posts no
 // EventSendDone — a Calibrator samples it around the Send call.
 //
 // Buffer ownership: delivered Payload slices are owned by the consumer
@@ -48,12 +48,71 @@ type loopEvent struct {
 // loopbackPair is the shared state of two connected endpoints: one
 // lock covering both directions, matching the provider's scale (an
 // in-process rail has no per-direction parallelism to preserve), plus
-// the pair's registered-memory table when the rail was built RMA.
+// the pair's registered-memory table, used when the rail was built RMA.
 type loopbackPair struct {
 	mu      sync.Mutex
 	rma     bool
+	regions RegionTable
+}
+
+// RegionTable is a registered-memory table: the regions one side of a
+// rail serves RMA reads from, by key. The loopback RMA pair keeps its
+// regions in one, and so does a provider that emulates RMA in software
+// by answering read requests from registered bytes. The zero value is
+// empty and ready; all methods are safe for concurrent use.
+type RegionTable struct {
+	mu      sync.Mutex
 	nextKey RKey
 	regions map[RKey][]byte
+}
+
+// Register adds buf to the table and returns its region handle.
+func (t *RegionTable) Register(buf []byte) MemoryRegion {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.regions == nil {
+		t.regions = make(map[RKey][]byte)
+	}
+	t.nextKey++
+	t.regions[t.nextKey] = buf
+	return &tableRegion{t: t, key: t.nextKey}
+}
+
+// Slice returns the n registered bytes at offset off of region key:
+// the registered memory itself, not a copy. ErrNoRegion reports an
+// unknown key or a range past the region's end.
+func (t *RegionTable) Slice(key RKey, off, n int) ([]byte, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	src, ok := t.regions[key]
+	if !ok || off < 0 || n < 0 || off+n > len(src) {
+		return nil, ErrNoRegion
+	}
+	return src[off : off+n], nil
+}
+
+// count reports how many regions are registered — the leak check.
+func (t *RegionTable) count() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.regions)
+}
+
+// tableRegion is one registered buffer of a RegionTable.
+type tableRegion struct {
+	t   *RegionTable
+	key RKey
+}
+
+// Key returns the remote key peers present to RMARead.
+func (m *tableRegion) Key() RKey { return m.key }
+
+// Close deregisters the region.
+func (m *tableRegion) Close() error {
+	m.t.mu.Lock()
+	defer m.t.mu.Unlock()
+	delete(m.t.regions, m.key)
+	return nil
 }
 
 // LoopbackEndpoint is one side of an in-process wall-clock rail. It
@@ -93,7 +152,6 @@ func NewLoopback() (*LoopbackEndpoint, *LoopbackEndpoint) {
 func NewLoopbackRMA() (*LoopbackEndpoint, *LoopbackEndpoint) {
 	a, b := NewLoopback()
 	a.pair.rma = true
-	a.pair.regions = make(map[RKey][]byte)
 	return a, b
 }
 
@@ -160,11 +218,11 @@ func (ep *LoopbackEndpoint) RMARead(key RKey, offset int, local []byte, ctx any)
 	if ep.closed || ep.peer.closed {
 		return ErrClosed
 	}
-	src, ok := p.regions[key]
-	if !ok || offset < 0 || offset+len(local) > len(src) {
-		return ErrNoRegion
+	src, err := p.regions.Slice(key, offset, len(local))
+	if err != nil {
+		return err
 	}
-	n := copy(local, src[offset:offset+len(local)])
+	n := copy(local, src)
 	ep.push(loopEvent{kind: EventRMADone, payload: local[:n], ctx: ctx})
 	return nil
 }
@@ -251,36 +309,14 @@ func (d *LoopbackDomain) RegisterMemory(buf []byte) (MemoryRegion, error) {
 	if d.ep.closed {
 		return nil, ErrClosed
 	}
-	p.nextKey++
-	p.regions[p.nextKey] = buf
-	return &loopbackMR{pair: p, key: p.nextKey}, nil
+	return p.regions.Register(buf), nil
 }
 
 // Close closes the domain's endpoint.
 func (d *LoopbackDomain) Close() error { return d.ep.Close() }
 
-// loopbackMR is a registered buffer on a loopback pair.
-type loopbackMR struct {
-	pair *loopbackPair
-	key  RKey
-}
-
-// Key returns the remote key peers present to RMARead.
-func (m *loopbackMR) Key() RKey { return m.key }
-
-// Close deregisters the region.
-func (m *loopbackMR) Close() error {
-	m.pair.mu.Lock()
-	defer m.pair.mu.Unlock()
-	delete(m.pair.regions, m.key)
-	return nil
-}
-
 // Regions reports how many regions are currently registered on the
 // pair — the loopback leak check.
 func (ep *LoopbackEndpoint) Regions() int {
-	p := ep.pair
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.regions)
+	return ep.pair.regions.count()
 }

@@ -14,7 +14,10 @@ import (
 
 // Online rail calibration: a gate over rails whose capabilities it was
 // never told must converge to capability-aware striping from observed
-// completions alone, deterministically on the virtual clock.
+// completions alone, deterministically on the virtual clock. The
+// receiver stripes its reads, so the receiver's gate is the one that
+// calibrates: bandwidth from its RMA-read completions (EventRMADone),
+// latency from the small frames it sends.
 
 // calRig is one sender/receiver pair over a fast+slow simulated rail
 // pair, with progression driven manually from the test goroutine so
@@ -36,37 +39,28 @@ var (
 	calSlow = fabric.Capabilities{Latency: 2 * simtime.Microsecond, Bandwidth: 1e9, MaxInject: 16 << 10, RMA: true}
 )
 
-// noRMA is an envelope whose rail cannot serve RMA reads.
-func noRMA(caps fabric.Capabilities) fabric.Capabilities {
-	caps.RMA = false
-	return caps
-}
-
-// newCalRig builds the rig. calibrate makes the sender's gate measure
-// its rails from zero knowledge; even hides the true bandwidths from
-// the sender (evenRail), forcing the seed's even split.
+// newCalRig builds the rig. calibrate makes the receiver's gate
+// measure its rails from zero knowledge; even hides the true
+// bandwidths from the receiver (evenRail), forcing the seed's even
+// split.
 func newCalRig(t testing.TB, calibrate, even bool) *calRig {
 	t.Helper()
 	r := &calRig{f: fabric.NewSimFabric(fabric.SimConfig{SendCompletions: true})}
 	var sEps, rEps [2]fabric.Endpoint
 	for i, caps := range []fabric.Capabilities{calFast, calSlow} {
-		// The receiver's rails cannot read, so it asks for every
-		// payload to be pushed: these rigs measure the sender's
-		// striping and calibration path. Receiver-side pull calibration
-		// has its own test (TestCalibratedPullConverges).
 		a := r.f.OpenDomain(caps)
-		b := r.f.OpenDomain(noRMA(caps))
+		b := r.f.OpenDomain(caps)
 		ea, eb := fabric.Connect(a, b)
 		r.doms[i] = [2]*fabric.SimDomain{a, b}
 		sEps[i], rEps[i] = ea, eb
 	}
-	r.sender = NewEngine(Config{NoAutoProgress: true, Calibrate: calibrate})
-	r.receiver = NewEngine(Config{NoAutoProgress: true})
+	r.sender = NewEngine(Config{NoAutoProgress: true})
+	r.receiver = NewEngine(Config{NoAutoProgress: true, Calibrate: calibrate})
 	var err error
-	if r.ga, err = r.sender.NewGateEndpoints(evenIf(even, sEps[0], sEps[1])...); err != nil {
+	if r.ga, err = r.sender.NewGateEndpoints(sEps[0], sEps[1]); err != nil {
 		t.Fatal(err)
 	}
-	if r.gb, err = r.receiver.NewGateEndpoints(rEps[0], rEps[1]); err != nil {
+	if r.gb, err = r.receiver.NewGateEndpoints(evenIf(even, rEps[0], rEps[1])...); err != nil {
 		t.Fatal(err)
 	}
 	return r
@@ -130,7 +124,7 @@ func TestCalibratedStripingConvergesOnUnknownRails(t *testing.T) {
 	r := newCalRig(t, true, false)
 	defer r.close()
 	// Before traffic: the calibrated gate knows nothing.
-	for i, rs := range r.ga.RailStats() {
+	for i, rs := range r.gb.RailStats() {
 		if rs.Caps.Bandwidth != 0 || rs.Caps.Latency != 0 {
 			t.Fatalf("rail %d starts with assumed caps %v, want unknown", i, rs.Caps)
 		}
@@ -148,7 +142,7 @@ func TestCalibratedStripingConvergesOnUnknownRails(t *testing.T) {
 	}
 
 	truths := []fabric.Capabilities{calFast, calSlow}
-	for i, rs := range r.ga.RailStats() {
+	for i, rs := range r.gb.RailStats() {
 		if off := relOff(rs.Caps.Bandwidth, truths[i].Bandwidth); off > 0.2 {
 			t.Errorf("rail %d bandwidth estimate %.3g vs true %.3g: %.0f%% off, want ≤ 20%%",
 				i, rs.Caps.Bandwidth, truths[i].Bandwidth, 100*off)
@@ -160,10 +154,10 @@ func TestCalibratedStripingConvergesOnUnknownRails(t *testing.T) {
 	}
 	// The split actually went proportional: the fast rail carried the
 	// bulk of the bytes.
-	rails := r.ga.RailStats()
-	if rails[0].Bytes < 3*rails[1].Bytes {
+	rails := r.gb.RailStats()
+	if rails[0].PullBytes < 3*rails[1].PullBytes {
 		t.Errorf("byte split %d/%d, want the fast rail carrying ≥ 3× the slow rail",
-			rails[0].Bytes, rails[1].Bytes)
+			rails[0].PullBytes, rails[1].PullBytes)
 	}
 }
 
@@ -186,7 +180,7 @@ func TestCalibrationReconvergesAfterBandwidthShift(t *testing.T) {
 	defer r.close()
 	r.transfer(t, 100, 32, 256<<10)
 
-	before := r.ga.RailStats()
+	before := r.gb.RailStats()
 	if before[0].Caps.Bandwidth < before[1].Caps.Bandwidth {
 		t.Fatalf("pre-shift estimates not converged: %v vs %v",
 			before[0].Caps.Bandwidth, before[1].Caps.Bandwidth)
@@ -196,14 +190,16 @@ func TestCalibrationReconvergesAfterBandwidthShift(t *testing.T) {
 	// 8 GB/s (latencies unchanged).
 	degraded, upgraded := calFast, calSlow
 	degraded.Bandwidth, upgraded.Bandwidth = calSlow.Bandwidth, calFast.Bandwidth
-	r.doms[0][0].SetCapabilities(degraded)
-	r.doms[0][1].SetCapabilities(noRMA(degraded))
-	r.doms[1][0].SetCapabilities(upgraded)
-	r.doms[1][1].SetCapabilities(noRMA(upgraded))
+	for _, d := range r.doms[0] {
+		d.SetCapabilities(degraded)
+	}
+	for _, d := range r.doms[1] {
+		d.SetCapabilities(upgraded)
+	}
 
-	base := r.ga.RailStats()
+	base := r.gb.RailStats()
 	r.transfer(t, 500, 64, 256<<10)
-	after := r.ga.RailStats()
+	after := r.gb.RailStats()
 
 	if off := relOff(after[0].Caps.Bandwidth, 1e9); off > 0.25 {
 		t.Errorf("degraded rail estimate %.3g vs true 1e9: %.0f%% off, want ≤ 25%%",
@@ -215,8 +211,8 @@ func TestCalibrationReconvergesAfterBandwidthShift(t *testing.T) {
 	}
 	// The split followed the shift: post-shift traffic favours the
 	// newly fast rail.
-	d0 := after[0].Bytes - base[0].Bytes
-	d1 := after[1].Bytes - base[1].Bytes
+	d0 := after[0].PullBytes - base[0].PullBytes
+	d1 := after[1].PullBytes - base[1].PullBytes
 	if d1 < 2*d0 {
 		t.Errorf("post-shift byte split %d/%d, want the upgraded rail carrying ≥ 2× the degraded one",
 			d0, d1)
@@ -225,18 +221,16 @@ func TestCalibrationReconvergesAfterBandwidthShift(t *testing.T) {
 
 // TestCalibratedGateUnderRace runs concurrent flows through a
 // calibrated gate with background progression (run with -race): the
-// calibrators sit on the shared send/poll paths, so this is the
+// calibrators sit on the shared read/send/poll paths, so this is the
 // estimators-under-concurrent-completions guard at the protocol level.
 func TestCalibratedGateUnderRace(t *testing.T) {
 	f := fabric.NewSimFabric(fabric.SimConfig{SendCompletions: true})
 	var sEps, rEps [2]fabric.Endpoint
 	for i, caps := range []fabric.Capabilities{calFast, calSlow} {
-		a := f.OpenDomain(caps)
-		b := f.OpenDomain(noRMA(caps))
-		sEps[i], rEps[i] = fabric.Connect(a, b)
+		sEps[i], rEps[i] = fabric.Connect(f.OpenDomain(caps), f.OpenDomain(caps))
 	}
-	sender := NewEngine(Config{Calibrate: true})
-	receiver := NewEngine(Config{})
+	sender := NewEngine(Config{})
+	receiver := NewEngine(Config{Calibrate: true})
 	defer sender.Close()
 	defer receiver.Close()
 	ga, err := sender.NewGateEndpoints(sEps[0], sEps[1])
@@ -276,14 +270,12 @@ func TestCalibratedGateUnderRace(t *testing.T) {
 	}
 	wg.Wait()
 
-	// The calibrators were live on both rails. Recv returning proves
-	// the bytes arrived, not that the sender has polled its own
-	// EventSendDone completions yet — give background progression a
-	// bounded window to drain them before judging.
+	// The calibrators were live on both rails: every read completion
+	// was polled before its Recv returned.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		missing := -1
-		for i, rs := range ga.RailStats() {
+		for i, rs := range gb.RailStats() {
 			if rs.Caps.Bandwidth <= 0 {
 				missing = i
 			}
@@ -305,12 +297,10 @@ func benchCalibrated(b *testing.B, msgs, size int) {
 	f := fabric.NewSimFabric(fabric.SimConfig{TimeScale: 1, SendCompletions: true})
 	var sEps, rEps [2]fabric.Endpoint
 	for i, caps := range []fabric.Capabilities{calFast, calSlow} {
-		da := f.OpenDomain(caps)
-		db := f.OpenDomain(noRMA(caps))
-		sEps[i], rEps[i] = fabric.Connect(da, db)
+		sEps[i], rEps[i] = fabric.Connect(f.OpenDomain(caps), f.OpenDomain(caps))
 	}
-	sender := NewEngine(Config{Calibrate: true})
-	receiver := NewEngine(Config{})
+	sender := NewEngine(Config{})
+	receiver := NewEngine(Config{Calibrate: true})
 	defer sender.Close()
 	defer receiver.Close()
 	ga, err := sender.NewGateEndpoints(sEps[0], sEps[1])
@@ -341,7 +331,7 @@ func benchCalibrated(b *testing.B, msgs, size int) {
 		}
 	}
 	b.StopTimer()
-	rails := ga.RailStats()
+	rails := gb.RailStats()
 	b.ReportMetric(rails[0].Caps.Bandwidth/1e9, "est-fast-GB/s")
 	b.ReportMetric(rails[1].Caps.Bandwidth/1e9, "est-slow-GB/s")
 }
@@ -357,14 +347,14 @@ func BenchmarkCalibratedStripeConvergence(b *testing.B) {
 }
 
 // BenchmarkCalibratedStripeLoopback runs a calibrated two-rail gate
-// over fabric.Loopback — real elapsed time, no simulated clock at all:
-// the calibrators measure whatever this host's memory system actually
-// delivers and the split follows.
+// over fabric loopback RMA pairs — real elapsed time, no simulated
+// clock at all: the calibrators measure whatever this host's memory
+// system actually delivers and the split follows.
 func BenchmarkCalibratedStripeLoopback(b *testing.B) {
-	la0, lb0 := fabric.NewLoopback()
-	la1, lb1 := fabric.NewLoopback()
-	sender := NewEngine(Config{Calibrate: true})
-	receiver := NewEngine(Config{})
+	la0, lb0 := fabric.NewLoopbackRMA()
+	la1, lb1 := fabric.NewLoopbackRMA()
+	sender := NewEngine(Config{})
+	receiver := NewEngine(Config{Calibrate: true})
 	defer sender.Close()
 	defer receiver.Close()
 	ga, err := sender.NewGateEndpoints(la0, la1)
@@ -393,7 +383,7 @@ func BenchmarkCalibratedStripeLoopback(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	rails := ga.RailStats()
+	rails := gb.RailStats()
 	b.ReportMetric(rails[0].Caps.Bandwidth/1e9, "est-rail0-GB/s")
 	b.ReportMetric(rails[1].Caps.Bandwidth/1e9, "est-rail1-GB/s")
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"pioman/internal/fabric"
 	"pioman/internal/simtime"
@@ -18,9 +17,8 @@ import (
 
 const chaosRdvTimeout = 2 * simtime.Millisecond
 
-// chaosRig is a two-engine pair over one rail whose rendezvous
-// deadlines ride the fabric clock. The sender's side is RMA-capable;
-// the receiver's is too unless the rig forces push.
+// chaosRig is a two-engine pair over one RMA rail whose rendezvous
+// deadlines ride the fabric clock.
 type chaosRig struct {
 	f                *fabric.SimFabric
 	da, db           *fabric.SimDomain
@@ -28,12 +26,11 @@ type chaosRig struct {
 	ga, gb           *Gate
 }
 
-func newChaosRig(t testing.TB, fc fabric.FaultConfig, pull bool) *chaosRig {
+func newChaosRig(t testing.TB, fc fabric.FaultConfig) *chaosRig {
 	t.Helper()
 	r := &chaosRig{f: fabric.NewSimFabric(fabric.SimConfig{Faults: fc})}
 	caps := fabric.Capabilities{Latency: simtime.Microsecond, Bandwidth: 4e9, MaxInject: 16 << 10, RMA: true}
 	r.da = r.f.OpenDomain(caps)
-	caps.RMA = pull
 	r.db = r.f.OpenDomain(caps)
 	ea, eb := fabric.Connect(r.da, r.db)
 	clock := func() int64 { return int64(r.f.Now()) }
@@ -114,7 +111,7 @@ func requireClean(t *testing.T, name string, g *Gate) {
 // during a window covering the RTS, then heals the link: the timeout
 // sweep retransmits the RTS and the transfer completes byte-exact.
 func TestRdvTimeoutRecoversDroppedRTS(t *testing.T) {
-	r := newChaosRig(t, fabric.FaultConfig{}, true)
+	r := newChaosRig(t, fabric.FaultConfig{})
 	defer r.close()
 	payload := chaosPayload(64 << 10)
 
@@ -143,185 +140,25 @@ func TestRdvTimeoutRecoversDroppedRTS(t *testing.T) {
 	requireClean(t, "receiver", r.gb)
 }
 
-// TestRdvTimeoutRecoversDroppedPushRequest runs a pushed rendezvous
-// (the receiver cannot read) and drops the receiver's push request:
-// the receiver-side sweep re-asks it (and a sender-side RTS retry is
-// ignored idempotently), so the transfer still completes.
-func TestRdvTimeoutRecoversDroppedPushRequest(t *testing.T) {
-	r := newChaosRig(t, fabric.FaultConfig{}, false)
-	defer r.close()
-	payload := chaosPayload(64 << 10)
-
-	// Only the receiver's outbound direction is lossy: the RTS arrives,
-	// the push request answering it dies on the wire.
-	r.db.SetFaults(&fabric.FaultConfig{DropProb: 1})
-	rreq := r.gb.Irecv(1)
-	sreq := r.ga.Isend(1, payload)
-	r.schedule()
-	r.db.SetFaults(nil)
-
-	if !r.drive(64*chaosRdvTimeout, sreq, rreq) {
-		t.Fatal("transfer did not recover from a dropped push request")
-	}
-	if sreq.Err() != nil || rreq.Err() != nil {
-		t.Fatalf("transfer failed: send %v, recv %v", sreq.Err(), rreq.Err())
-	}
-	if !bytes.Equal(rreq.Data, payload) {
-		t.Fatal("payload corrupted across retransmission")
-	}
-	if r.sender.Stats().RdvRetries+r.receiver.Stats().RdvRetries == 0 {
-		t.Error("recovery without a counted retransmission")
-	}
-	requireClean(t, "sender", r.ga)
-	requireClean(t, "receiver", r.gb)
-}
-
-// slowPush is a pushed payload whose single wire frame (one rail, 4
-// GB/s) takes about 1.6 chaosRdvTimeout to land.
-const slowPush = 12 << 20
-
-// TestRdvSlowPushNotReasked pushes two payloads that each stay on the
-// wire longer than RdvTimeout, the second queued behind the first on
-// the one rail, with no loss at all: the receiver may not mistake a
-// slow or queued push for a lost one, so nothing is re-asked or pushed
-// twice. (The sender may re-send an RTS, a control frame the live
-// receive ignores: on this free-running fabric an empty poll jumps the
-// clock to the next delivery, so the first FIN can leave only once
-// the second push lands.)
-func TestRdvSlowPushNotReasked(t *testing.T) {
-	r := newChaosRig(t, fabric.FaultConfig{}, false)
-	defer r.close()
-	payload := chaosPayload(slowPush)
-
-	var reqs []*Request
-	for tag := uint64(1); tag <= 2; tag++ {
-		reqs = append(reqs, r.gb.IrecvInto(tag, make([]byte, slowPush)), r.ga.Isend(tag, payload))
-	}
-	if !r.drive(64*chaosRdvTimeout, reqs...) {
-		t.Fatal("slow pushes did not complete")
-	}
-	for i, q := range reqs {
-		if q.Err() != nil {
-			t.Fatalf("request %d failed: %v", i, q.Err())
-		}
-		if i%2 == 0 && !bytes.Equal(q.Data, payload) {
-			t.Fatalf("receive %d corrupted", i/2)
-		}
-	}
-	ss, rs := r.sender.Stats(), r.receiver.Stats()
-	if rs.RdvRetries != 0 || ss.RdvTimeouts != 0 {
-		t.Errorf("receiver retries %d, sender timeouts %d; want 0 on a lossless link", rs.RdvRetries, ss.RdvTimeouts)
-	}
-	if ss.RdvData != 2 || rs.RecvCopiedBytes != 2*slowPush {
-		t.Errorf("sender pushed %d frames, receiver copied %d B; want 2 frames, %d B", ss.RdvData, rs.RecvCopiedBytes, 2*slowPush)
-	}
-	requireClean(t, "sender", r.ga)
-	requireClean(t, "receiver", r.gb)
-}
-
-// TestRdvLatePostThenSlowPush posts the receive just before the
-// sender's whole retry budget runs out, then pushes a payload slower
-// than the time left: the push request answers the handshake and
-// restarts the sender's budget, so the transfer completes instead of
-// the sender timing out — and NACKing a healthy receive — mid-push.
-// The restarted deadline covers the push's wire time, so the sender
-// does not re-send its RTS while the bytes are moving either.
-func TestRdvLatePostThenSlowPush(t *testing.T) {
-	r := newChaosRig(t, fabric.FaultConfig{}, false)
-	defer r.close()
-	payload := chaosPayload(slowPush)
-
-	// RTS retries back off T, 2T, … 2^RdvRetries·T: give-up at 31T.
-	budget := chaosRdvTimeout * (1<<(r.sender.cfg.RdvRetries+1) - 1)
-	sreq := r.ga.Isend(1, payload)
-	for r.f.Now() < simtime.Time(budget-chaosRdvTimeout/2) {
-		r.schedule()
-		r.f.Advance(chaosRdvTimeout / 4)
-	}
-	if sreq.Test() {
-		t.Fatalf("send finished before the receive was posted: %v", sreq.Err())
-	}
-	rtsRetries := r.sender.Stats().RdvRetries
-	rreq := r.gb.IrecvInto(1, make([]byte, slowPush))
-	if !r.drive(64*chaosRdvTimeout, sreq, rreq) {
-		t.Fatal("late-posted slow push did not complete")
-	}
-	if sreq.Err() != nil || rreq.Err() != nil {
-		t.Fatalf("transfer failed: send %v, recv %v", sreq.Err(), rreq.Err())
-	}
-	if !bytes.Equal(rreq.Data, payload) {
-		t.Fatal("payload corrupted")
-	}
-	if ss := r.sender.Stats(); ss.RdvData != 1 || ss.RdvRetries != rtsRetries {
-		t.Errorf("sender pushed %d frames and retried %d times mid-push, want 1 and 0", ss.RdvData, ss.RdvRetries-rtsRetries)
-	}
-	requireClean(t, "sender", r.ga)
-	requireClean(t, "receiver", r.gb)
-}
-
-// TestRdvPushProgressRearms drives a pushed receive by hand over a mem
-// rail whose far end the test plays: a third of the payload lands ¾,
-// 1½ and 2¼ RdvTimeout after the push request. Each landing restarts
-// the receiver's timer, so a push that keeps moving is never re-asked.
-func TestRdvPushProgressRearms(t *testing.T) {
-	const timeout = int64(time.Millisecond)
-	var now int64
-	e := NewEngine(Config{NoAutoProgress: true, Clock: func() int64 { return now }, RdvTimeout: timeout})
-	defer e.Close()
-	near, far := MemPair()
-	g, err := e.NewGate(near)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := func(clock int64) {
-		now = clock
-		for i := 0; i < 8; i++ {
-			e.Tasks().Schedule(0)
-		}
-	}
-	const part = 16 << 10
-	payload := chaosPayload(3 * part)
-	req := g.IrecvInto(1, make([]byte, len(payload)))
-	hdr := Header{Kind: KindRTS, Tag: 1, MsgID: 7, Total: uint32(len(payload))}
-	if err := far.Send(hdr, nil); err != nil {
-		t.Fatal(err)
-	}
-	at(0)
-	hdr.Kind = KindData
-	for i := 0; i < 3; i++ {
-		hdr.Offset = uint32(i * part)
-		if err := far.Send(hdr, payload[i*part:(i+1)*part]); err != nil {
-			t.Fatal(err)
-		}
-		at(int64(i+1) * 3 * timeout / 4)
-	}
-	asks := 0
-	for f, ok, _ := far.Poll(); ok; f, ok, _ = far.Poll() {
-		if f.Hdr.Kind == KindRdvPush {
-			asks++
-		}
-	}
-	if !req.Test() || req.Err() != nil || !bytes.Equal(req.Data, payload) {
-		t.Fatalf("receive done=%v err=%v, or payload corrupted", req.Test(), req.Err())
-	}
-	if retries := e.Stats().RdvRetries; asks != 1 || retries != 0 {
-		t.Errorf("push asked %d times, %d retries; want 1 and 0", asks, retries)
-	}
-	requireClean(t, "receiver", g)
-}
-
-// TestRdvTimeoutFailsVisibly makes the receiver's outbound direction
-// permanently lossy: the RTS arrives, every reply dies forever. Both
-// halves must fail visibly within the bounded retry budget — virtual
-// time, no wall-clock involved — and release every pinned resource.
+// TestRdvTimeoutFailsVisibly lets the RTS cross, then makes the link
+// permanently lossy both ways: every read, FIN and retransmission dies
+// forever. Both halves must fail visibly within the bounded retry
+// budget — virtual time, no wall-clock involved — and release every
+// pinned resource.
 func TestRdvTimeoutFailsVisibly(t *testing.T) {
-	r := newChaosRig(t, fabric.FaultConfig{}, false)
+	r := newChaosRig(t, fabric.FaultConfig{})
 	defer r.close()
 	payload := chaosPayload(64 << 10)
 
-	r.db.SetFaults(&fabric.FaultConfig{DropProb: 1})
 	rreq := r.gb.Irecv(1)
 	sreq := r.ga.Isend(1, payload)
+	// The RTS leaves loss-free (faults are drawn at send time); the
+	// receiver's reads draw theirs from the serving side, da.
+	for i := 0; i < 8; i++ {
+		r.sender.Tasks().Schedule(0)
+	}
+	r.da.SetFaults(&fabric.FaultConfig{DropProb: 1})
+	r.db.SetFaults(&fabric.FaultConfig{DropProb: 1})
 
 	// Budget: retries back off exponentially (T, 2T, 4T, 8T, 16T for 4
 	// retries), so 256 timeouts of virtual time is comfortable.
@@ -407,7 +244,7 @@ func TestRdvChaosSoup(t *testing.T) {
 		DropProb:    0.15,
 		DupProb:     0.10,
 		DelayJitter: 20 * simtime.Microsecond,
-	}, true)
+	})
 	defer r.close()
 
 	const n = 12

@@ -2,7 +2,9 @@ package nmad
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,12 +51,12 @@ type Config struct {
 	// completions are observed — the paper's sampled rail selection,
 	// done online. Endpoints already wrapped in a CalibratedEndpoint
 	// are used as-is, so callers may pre-seed or share calibrators.
-	// Classic driver rails lose their codec-free frame fast path when
-	// calibrated (frames pass through the generic byte interface to be
-	// timed). Asynchronous providers must post send completions to be
-	// measurable — for SimFabric, set SimConfig.SendCompletions — or
-	// the calibrator runs disabled on its Assume seed (see
-	// fabric.CalibratedEndpoint.Sampling).
+	// The package's own rails (MemPair, TCP) lose their codec-free
+	// frame fast path when calibrated (frames pass through the generic
+	// byte interface to be timed). Asynchronous providers must post
+	// send completions to be measurable — for SimFabric, set
+	// SimConfig.SendCompletions — or the calibrator runs disabled on
+	// its Assume seed (see fabric.CalibratedEndpoint.Sampling).
 	Calibrate bool
 	// NoAutoProgress disables the background progression goroutine
 	// (progressLoop, on by default). Progression then happens only where
@@ -109,11 +111,9 @@ type Stats struct {
 	Aggregated      uint64 // messages that travelled inside an aggregate
 	AggrFrames      uint64 // aggregate frames sent
 	RdvStarted      uint64 // rendezvous handshakes initiated
-	RdvData         uint64 // rendezvous data fragments sent
-	Restripes       uint64 // fragments re-routed onto a surviving rail
+	Restripes       uint64 // frames re-routed onto a surviving rail
 	RdvPulls        uint64 // RMA reads posted by rendezvous receives
 	RdvPullBytes    uint64 // payload bytes landed by RMA reads
-	RdvPushRanges   uint64 // byte ranges a rendezvous receive asked the sender to push
 	RdvFins         uint64 // rendezvous receives completed (FIN sent)
 	RecvCopiedBytes uint64 // payload bytes memcpy'd on the receive path
 	RdvRetries      uint64 // rendezvous steps retransmitted after a timeout
@@ -165,8 +165,8 @@ type Engine struct {
 
 	msgsSent, msgsRecv, framesSent, framesRecv atomic.Uint64
 	eagerSent, aggregated, aggrFrames          atomic.Uint64
-	rdvStarted, rdvData, restripes             atomic.Uint64
-	rdvPulls, rdvPullBytes, rdvPushRanges      atomic.Uint64
+	rdvStarted, restripes                      atomic.Uint64
+	rdvPulls, rdvPullBytes                     atomic.Uint64
 	rdvFins, recvCopied                        atomic.Uint64
 	rdvRetries, rdvTimeouts                    atomic.Uint64
 	eagerRetries, eagerTimeouts, eagerAcks     atomic.Uint64
@@ -248,15 +248,14 @@ type inbound struct {
 }
 
 type sendRdvState struct {
-	data []byte
-	req  *Request
+	req *Request
 	// retryTimer drives the handshake-timeout sweep; guarded by Gate.mu
 	// like the sendRdv map that holds the state.
 	retryTimer
 
-	// Pull-mode fields: the interned registrations backing the RTS
-	// offer, and the offer bytes themselves (rides the RTS imm
-	// extension; storage reused across rendezvous).
+	// The interned registrations backing the RTS offer, and the offer
+	// bytes themselves (rides the RTS imm extension; storage reused
+	// across rendezvous).
 	regs  []*fabric.CachedRegion
 	offer []byte
 
@@ -290,13 +289,8 @@ func (e *Engine) getSendRdv() *sendRdvState {
 // paths recycle; failure sweeps leave the state to the garbage
 // collector, because in-flight packets may still reference its offer.
 func (e *Engine) putSendRdv(st *sendRdvState) {
-	st.data = nil
-	st.req = nil
 	st.releaseRegs()
-	st.offer = st.offer[:0]
-	st.tag = 0
-	st.total = 0
-	st.retryTimer = retryTimer{}
+	*st = sendRdvState{regs: st.regs, offer: st.offer[:0]}
 	e.sendRdvPool.Put(st)
 }
 
@@ -470,12 +464,10 @@ func (e *Engine) Stats() Stats {
 		Aggregated: e.aggregated.Load(),
 		AggrFrames: e.aggrFrames.Load(),
 		RdvStarted: e.rdvStarted.Load(),
-		RdvData:    e.rdvData.Load(),
 		Restripes:  e.restripes.Load(),
 
 		RdvPulls:        e.rdvPulls.Load(),
 		RdvPullBytes:    e.rdvPullBytes.Load(),
-		RdvPushRanges:   e.rdvPushRanges.Load(),
 		RdvFins:         e.rdvFins.Load(),
 		RecvCopiedBytes: e.recvCopied.Load(),
 		RdvRetries:      e.rdvRetries.Load(),
@@ -498,17 +490,16 @@ func (e *Engine) Stats() Stats {
 // the counters feed RailStats and the Σ per-rail bytes invariant.
 type rail struct {
 	ep fabric.Endpoint
-	// rma is the endpoint's RMA face when the rail can serve pull-mode
-	// rendezvous reads; nil otherwise.
+	// rma is the endpoint's RMA face when the rail can serve rendezvous
+	// reads; nil otherwise.
 	rma fabric.RMAEndpoint
 	// cache interns sender-side registrations on the rail's domain
 	// (shared between rails of one gate that share a domain); nil when
 	// the rail cannot register memory.
 	cache *fabric.RegCache
-	// canExt reports that the endpoint carries immediate-byte
-	// extensions; wrapped frame drivers do not, so pull offers never
-	// route onto them.
-	canExt    bool
+	// tcp is a TCP rail's own endpoint, under any calibration wrapper:
+	// it cannot lose a read while it lives (timeout.go). Nil otherwise.
+	tcp       *tcpEndpoint
 	mu        sync.Mutex
 	dead      atomic.Bool
 	frames    atomic.Uint64
@@ -578,9 +569,10 @@ type RailStat struct {
 
 // Gate is a connection to one peer over one or more rails (fabric
 // endpoints). Small messages are routed to the lowest-latency alive
-// rail; large rendezvous payloads are striped across alive rails in
-// proportion to their bandwidth (multirail), with backpressured rails
-// deprioritized and fragments re-routed when a rail dies mid-request.
+// rail; large rendezvous payloads are read striped across alive rails
+// in proportion to their bandwidth (multirail), with backpressured
+// rails deprioritized, frames re-routed when a rail dies under a send
+// and reads re-issued when one dies under a read.
 type Gate struct {
 	eng       *Engine
 	id        int
@@ -604,7 +596,7 @@ type Gate struct {
 	// mu guards the gate's protocol state: posted receives and
 	// unexpected arrivals by tag (O(1) matching, FIFO per tag), both
 	// rendezvous halves and the eager ack window by msgID (including
-	// their retryTimers), the three dedup logs and the push horizons.
+	// their retryTimers) and the three dedup logs.
 	// Lock order: Engine.mu → Gate.mu → recvRdvState.mu; admitPlane.mu
 	// is taken under none of them and takes none of them. mu is never
 	// held across Request.complete, sendControl/sendPacket, issueChunk or
@@ -618,18 +610,13 @@ type Gate struct {
 	settledSend settledLog
 	settledRecv settledLog
 	seenEager   settledLog
-	// pushedIn/pushedOut estimate (Clock) when the pushes asked of the
-	// peer, and asked of us, finish on the wire: rendezvous deadlines
-	// start from them (askPush, the KindRdvPush handler).
-	pushedIn, pushedOut int64
 
 	aggMu       sync.Mutex
 	aggPending  []pendingSend
 	aggFlushing bool
 	aggBufs     [][]byte // pooled aggregate payload buffers
 
-	pktPool    sync.Pool
-	stripePool sync.Pool // *stripeScratch
+	pktPool sync.Pool
 
 	// admitL is the gate's admission ledger when the engine runs
 	// admission control (nil otherwise); its budgets track the rails'
@@ -642,31 +629,49 @@ type pendingSend struct {
 	payload []byte
 }
 
-// NewGate attaches a connection made of the given classic driver rails.
-// A MemPair rail brings its own pull-capable endpoint; every other
-// driver is wrapped frame-only, as NewGateEndpoints(WrapDriver(d,
-// ...) ...) would, with its assumed capability envelope.
+// NewGate attaches a connection made of the package's own driver
+// rails (MemPair, NewTCP): each brings its own endpoint, frames plus an
+// RMA face, with its assumed capability envelope. Any other Driver is
+// rejected; foreign providers attach through NewGateEndpoints.
 func (e *Engine) NewGate(drivers ...Driver) (*Gate, error) {
 	eps := make([]fabric.Endpoint, len(drivers))
 	for i, d := range drivers {
-		if m, ok := d.(*memDriver); ok {
-			eps[i] = (*memEndpoint)(m)
-		} else {
-			eps[i] = WrapDriver(d, capsForDriver(d))
+		ep := endpointOf(d)
+		if ep == nil {
+			return nil, fmt.Errorf("nmad: NewGate: %T is not one of the package's drivers", d)
 		}
+		eps[i] = ep
 	}
 	return e.NewGateEndpoints(eps...)
+}
+
+// endpointOf returns the own endpoint of one of the package's drivers,
+// nil for any other Driver.
+func endpointOf(d Driver) fabric.Endpoint {
+	switch d := d.(type) {
+	case *memDriver:
+		return (*memEndpoint)(d)
+	case *tcpDriver:
+		return (*tcpEndpoint)(d)
+	}
+	return nil
 }
 
 // NewGateEndpoints attaches a connection made of the given fabric
 // endpoints and starts one repeated polling task per rail. Polling
 // tasks run until the engine closes or their rail dies; they are
 // unconstrained, so they live on the root queue every CPU's scan ends
-// at and whichever core has a scheduling hole runs them.
+// at and whichever core has a scheduling hole runs them. At least one
+// rail must be able to read (Capabilities.RMA on an RMAEndpoint): the
+// rendezvous moves its payload by RMA reads only.
 func (e *Engine) NewGateEndpoints(eps ...fabric.Endpoint) (*Gate, error) {
 	if len(eps) == 0 {
 		return nil, errors.New("nmad: gate needs at least one rail")
 	}
+	if !slices.ContainsFunc(eps, canRead) {
+		return nil, errors.New("nmad: gate needs a rail that can serve RMA reads")
+	}
+	own := eps
 	if e.cfg.Calibrate {
 		// Wrap into a fresh slice: the variadic parameter may alias the
 		// caller's backing array, which must not see its endpoints
@@ -693,16 +698,11 @@ func (e *Engine) NewGateEndpoints(eps ...fabric.Endpoint) (*Gate, error) {
 		ac := e.admit.cfg
 		g.admitL = admit.NewLedger(ac.GateRequests, ac.GateBytes, ac.HighWater, ac.LowWater)
 	}
-	for _, ep := range eps {
+	for i, ep := range eps {
 		r := &rail{ep: ep}
-		// Ext capability is declared by the transport's envelope, not
-		// inferred from wrapper types: a calibrated (or otherwise
-		// decorated) driver rail still drops imm bytes beyond the
-		// fixed header, and routing the RTS pull offer onto it would
-		// silently strip the offer and disable pull for the gate.
-		r.canExt = !ep.Capabilities().NoExt
-		if rma, ok := ep.(fabric.RMAEndpoint); ok && ep.Capabilities().RMA {
-			r.rma = rma
+		r.tcp, _ = own[i].(*tcpEndpoint)
+		if canRead(ep) {
+			r.rma = ep.(fabric.RMAEndpoint)
 			if dd, ok := ep.(fabric.Domained); ok {
 				if dom := dd.Domain(); dom != nil {
 					if g.regCaches == nil {
@@ -730,15 +730,14 @@ func (e *Engine) NewGateEndpoints(eps ...fabric.Endpoint) (*Gate, error) {
 	for i := range g.rails {
 		r := g.rails[i]
 		idx := i
-		// Classic rails move decoded Headers through the
-		// package-internal fast path, preserving their codec-free,
+		// The package's own rails move decoded Headers through the
+		// internal fast path, preserving their codec-free,
 		// allocation-free frame handling.
 		fe, _ := r.ep.(frameEndpoint)
 		// A rail marked dead by the send path keeps being polled:
 		// send and receive capability fail independently, and frames
-		// already in flight toward us (a FIN, a data fragment) must
-		// still land. Polling stops only on a receive-side error or
-		// engine close.
+		// already in flight toward us (a FIN, a NACK) must still land.
+		// Polling stops only on a receive-side error or engine close.
 		pollTask := &core.Task{
 			Options: core.Repeat,
 			CPUSet:  cpuset.Set{},
@@ -797,6 +796,12 @@ func (e *Engine) NewGateEndpoints(eps ...fabric.Endpoint) (*Gate, error) {
 	return g, nil
 }
 
+// canRead reports whether ep can serve rendezvous reads.
+func canRead(ep fabric.Endpoint) bool {
+	_, ok := ep.(fabric.RMAEndpoint)
+	return ok && ep.Capabilities().RMA
+}
+
 // railDown marks a rail dead and returns how many rails remain alive.
 // The first caller to kill a given rail decrements the alive count.
 func (g *Gate) railDown(i int) int {
@@ -815,25 +820,21 @@ func (g *Gate) railDown(i int) int {
 // do, the gate's in-flight rendezvous state is judged by what this
 // side can see:
 //
-//   - A receive whose chunks are all RMA reads knows exactly which
-//     ride which rails (this side posted them), so chunks outstanding
-//     on the dead rail are re-issued on the survivors — pulled again
-//     over another offered key, or requested as a push — and the
+//   - A receive knows exactly which of its reads ride which rails
+//     (this side posted them), so chunks outstanding on the dead rail
+//     are re-issued on the survivors — read again over another
+//     offered key, or failed visibly when none is left — and the
 //     transfer survives.
-//   - Everything else is failed conservatively — a receive with a
-//     pushed chunk, and every send waiting on its FIN: inbound frames
-//     already in flight on the dead rail (a data fragment toward a
-//     reassembly, a FIN toward a sender) are lost, and nothing
-//     records which rails the sender striped a push onto, so waiting
-//     would at best ride out a handshake timeout. A prompt, retriable
-//     error beats that wait — at the cost of spuriously failing a
-//     transfer that never touched the dead rail.
+//   - Every send waiting on its FIN is failed conservatively: a FIN
+//     already in flight on the dead rail is lost, so waiting would at
+//     best ride out a handshake timeout. A prompt, retriable error
+//     beats that wait — at the cost of spuriously failing a transfer
+//     whose FIN never touched the dead rail.
 //
 // The dead endpoint is also closed, which is how the peer finds out:
 // its next send into the closed transport fails, its own rail-death
-// path marks the rail dead for sending, and its striping re-routes
-// onto the survivors instead of feeding fragments to a ring nobody
-// polls.
+// path marks the rail dead for sending, and its frames re-route onto
+// the survivors instead of feeding a ring nobody polls.
 func (e *Engine) railFailed(g *Gate, idx int, err error) {
 	if g.railDown(idx) == 0 {
 		e.failGate(g, err)
@@ -864,7 +865,9 @@ func (e *Engine) railFailed(g *Gate, idx int, err error) {
 	// order for seeded chaos runs to replay exactly.
 	sort.Slice(repull, func(i, j int) bool { return repull[i].msgID < repull[j].msgID })
 	for _, st := range repull {
-		e.reissueDeadRailChunks(g, st, idx)
+		// Those reads will never complete — the endpoint is closed, its
+		// completion queue gone — so their slots are free to re-issue.
+		e.reissue(g, st, func(c *rdvChunk) bool { return c.state == chunkReading && c.rail == idx })
 	}
 }
 
@@ -994,18 +997,14 @@ const (
 
 // pickEager returns the alive rail with the lowest latency, preferring
 // rails whose completion queue is under their backpressure limit; -1
-// when every rail is dead. Small messages ride this rail, so they
-// never queue behind a bulk transfer on a congested or slow rail.
-func (g *Gate) pickEager() int { return g.pickControl(false) }
-
-// pickControl is pickEager with an optional restriction to rails that
-// carry immediate-byte extensions — the rails a pull-offering RTS may
-// ride without losing its offer.
-func (g *Gate) pickControl(needExt bool) int {
+// when every rail is dead. Small messages and control frames ride this
+// rail, so they never queue behind a bulk transfer on a congested or
+// slow rail.
+func (g *Gate) pickEager() int {
 	best, bestCongested := -1, -1
 	var bestLat, bestCLat int64
 	for i, r := range g.rails {
-		if r.dead.Load() || (needExt && !r.canExt) {
+		if r.dead.Load() {
 			continue
 		}
 		caps := r.ep.Capabilities()
@@ -1075,10 +1074,8 @@ func sendPacketTask(arg any) bool {
 		if r.dead.Load() {
 			err = errAllRailsDead
 		} else if fe, ok := r.ep.(frameEndpoint); ok {
-			// Classic rail fast path: the decoded Header moves
-			// straight through, no codec round-trip. A wrapped driver
-			// drops the imm extension; a re-routed pull offer is then
-			// lost and the receiver falls back to push.
+			// The package's rails: the decoded Header moves straight
+			// through, no codec round-trip.
 			r.mu.Lock()
 			err = fe.SendFrame(p.Hdr, p.ext, p.Payload)
 			r.mu.Unlock()
@@ -1108,14 +1105,14 @@ func sendPacketTask(arg any) bool {
 		if errors.Is(err, ErrBackpressure) {
 			// Transient rail-full condition; the rail stays alive
 			// either way. A rendezvous frame has remote state waiting
-			// on it (a receiver counting bytes, a FIN-waiting sender,
-			// a NACK's hanging target), so it requeues itself and
+			// on it (a receiver waiting on its RTS, a FIN-waiting
+			// sender, a NACK's hanging target), so it requeues itself and
 			// retries while the ring drains, up to a budget; past the
 			// budget — or for an eager/aggregate frame, which its own
 			// retransmission window re-drives — the outcome surfaces
 			// locally.
 			switch p.Hdr.Kind {
-			case KindRTS, KindData, KindFin, KindRdvPush, KindRdvNack:
+			case KindRTS, KindFin, KindRdvNack:
 				if p.retries < maxSendRetries {
 					p.retries++
 					return false
@@ -1143,10 +1140,9 @@ func sendPacketTask(arg any) bool {
 
 // completeAll routes the send outcome of the packet. An eager or
 // aggregate frame carries the msgIDs of its ack-tracked messages, whose
-// requests the pending window owns. A failed rendezvous frame (RTS,
-// push request, pushed data) carries none, but the rendezvous state
-// behind it is waiting on a reply that will now never come — fail it
-// visibly instead of leaving both sides hanging.
+// requests the pending window owns. A failed RTS carries none, but the
+// send behind it is waiting on a reply that will now never come — fail
+// it visibly instead of leaving both sides hanging.
 func (p *Packet) completeAll(err error) {
 	g := p.gate
 	if err == nil {
@@ -1164,7 +1160,11 @@ func (p *Packet) completeAll(err error) {
 		return
 	}
 	if len(p.pend) == 0 {
-		g.eng.failRendezvous(g, p.Hdr, err)
+		// A failed FIN or NACK has no local state left to fail — the
+		// peer's half is handled by its sweeps.
+		if p.Hdr.Kind == KindRTS {
+			g.failSendRdv(p.Hdr.MsgID, err)
+		}
 		return
 	}
 	if !errors.Is(err, ErrBackpressure) {
@@ -1175,20 +1175,6 @@ func (p *Packet) completeAll(err error) {
 		for _, id := range p.pend {
 			g.eng.failEager(g, id, err)
 		}
-	}
-}
-
-// failRendezvous completes the rendezvous state attached to a failed
-// control frame: the sender's waiting entry for an RTS or pushed data
-// frame, the receiver's reassembly for a push request. A failed FIN or
-// NACK has no local state left to fail — the peer's half is handled by
-// the rail-death sweeps.
-func (e *Engine) failRendezvous(g *Gate, hdr Header, err error) {
-	switch hdr.Kind {
-	case KindRTS, KindData:
-		g.failSendRdv(hdr.MsgID, err)
-	case KindRdvPush:
-		g.failRecvRdv(hdr.MsgID, err)
 	}
 }
 
@@ -1230,7 +1216,7 @@ func (g *Gate) failSendRdv(id uint64, err error) {
 	}
 }
 
-// failRecvRdv fails the receive reassembling rendezvous id, if any.
+// failRecvRdv fails the receive reading rendezvous id, if any.
 func (g *Gate) failRecvRdv(id uint64, err error) {
 	if st := g.takeRecvRdv(id, nil); st != nil {
 		st.markFailed()

@@ -4,47 +4,103 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pioman/internal/fabric"
+	"pioman/internal/simtime"
 )
 
-// errInjectedSend is the error faultyDriver's failKth send returns.
+// errInjectedSend is the error faultyEndpoint's injected sends return.
 var errInjectedSend = errors.New("injected send failure")
 
-// faultyDriver wraps a driver and injects failures on demand.
-type faultyDriver struct {
-	inner   Driver
-	sendErr atomic.Pointer[error]
-	pollErr atomic.Pointer[error]
-	sends   atomic.Int64
-	failKth int64 // fail the k-th send (1-based); 0 = never
-	// failedKind records the frame kind the failKth send carried.
+// faultyEndpoint wraps a reading rail and injects failures on demand.
+// Being a foreign endpoint type, it also hides the package rails' frame
+// fast path: the gate reaches the rail through the generic Send/Poll
+// face.
+type faultyEndpoint struct {
+	fabric.Endpoint
+	sendErr  atomic.Pointer[error]
+	pollErr  atomic.Pointer[error]
+	sends    atomic.Int64
+	failKth  int64 // fail the k-th send (1-based); 0 = never
+	failKind Kind  // fail every frame of this kind; 0 = none
+	// failedKind records the frame kind an injected send failure carried.
 	failedKind atomic.Uint32
+
+	// holdReads parks read completions in held instead of delivering
+	// them, so a read stays in flight; releasing delivers them.
+	holdReads atomic.Bool
+	mu        sync.Mutex
+	held      []fabric.Event
 }
 
-func (d *faultyDriver) Name() string { return "faulty" }
+// faultyLoopback returns a loopback RMA pair whose near end is wrapped
+// in a faultyEndpoint; the far end is the test's to play.
+func faultyLoopback() (*faultyEndpoint, *fabric.LoopbackEndpoint) {
+	near, far := fabric.NewLoopbackRMA()
+	return &faultyEndpoint{Endpoint: near}, far
+}
 
-func (d *faultyDriver) Send(hdr Header, payload []byte) error {
-	n := d.sends.Add(1)
-	if ep := d.sendErr.Load(); ep != nil {
+func (f *faultyEndpoint) Send(imm, payload []byte) error {
+	n := f.sends.Add(1)
+	if ep := f.sendErr.Load(); ep != nil {
 		return *ep
 	}
-	if d.failKth > 0 && n == d.failKth {
-		d.failedKind.Store(uint32(hdr.Kind))
+	if (f.failKth > 0 && n == f.failKth) || (f.failKind != 0 && Kind(imm[0]) == f.failKind) {
+		f.failedKind.Store(uint32(imm[0]))
 		return errInjectedSend
 	}
-	return d.inner.Send(hdr, payload)
+	return f.Endpoint.Send(imm, payload)
 }
 
-func (d *faultyDriver) Poll() (Frame, bool, error) {
-	if ep := d.pollErr.Load(); ep != nil {
-		return Frame{}, false, *ep
+func (f *faultyEndpoint) Poll() (fabric.Event, bool, error) {
+	if ep := f.pollErr.Load(); ep != nil {
+		return fabric.Event{}, false, *ep
 	}
-	return d.inner.Poll()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.holdReads.Load() && len(f.held) > 0 {
+		ev := f.held[0]
+		f.held = f.held[1:]
+		return ev, true, nil
+	}
+	ev, ok, err := f.Endpoint.Poll()
+	if ok && ev.Kind == fabric.EventRMADone && f.holdReads.Load() {
+		f.held = append(f.held, ev)
+		return fabric.Event{}, false, nil
+	}
+	return ev, ok, err
 }
 
-func (d *faultyDriver) Close() error { return d.inner.Close() }
+func (f *faultyEndpoint) RMARead(key fabric.RKey, offset int, local []byte, ctx any) error {
+	return f.Endpoint.(fabric.RMAEndpoint).RMARead(key, offset, local, ctx)
+}
+
+func (f *faultyEndpoint) Domain() fabric.Domain { return f.Endpoint.(fabric.Domained).Domain() }
+
+// sendRaw puts one frame (header, optional offer extension, payload)
+// on a rail's far end, below any engine.
+func sendRaw(t *testing.T, ep fabric.Endpoint, hdr Header, ext, payload []byte) {
+	t.Helper()
+	imm := make([]byte, headerBytes, headerBytes+len(ext))
+	hdr.encode(imm)
+	if err := ep.Send(append(imm, ext...), payload); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pollRaw pops the next frame header a rail's far end received.
+func pollRaw(ep fabric.Endpoint) (Header, bool) {
+	ev, ok, _ := ep.Poll()
+	if !ok || ev.Kind != fabric.EventRecv {
+		return Header{}, false
+	}
+	hdr, err := decodeHeader(ev.Imm)
+	return hdr, err == nil
+}
 
 // TestSendFailureCompletesRequestWithError: eager sends whose first
 // frame dies on a failing rail complete with that error — one frame per
@@ -61,15 +117,14 @@ func TestSendFailureCompletesRequestWithError(t *testing.T) {
 		{"aggreg", StrategyAggreg, KindAggr},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			da, db := MemPair()
-			_ = db
-			fd := &faultyDriver{inner: da, failKth: 1}
+			fd, _ := faultyLoopback()
+			fd.failKth = 1
 			// Explicit progression: every Isend is queued before the first
 			// Schedule, so the aggregation flush packs all of them into
 			// the one frame that fails.
 			e := NewEngine(Config{Strategy: tc.strategy, NoAutoProgress: true})
 			defer e.Close()
-			g, err := e.NewGate(fd)
+			g, err := e.NewGateEndpoints(fd)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,14 +152,12 @@ func TestSendFailureCompletesRequestWithError(t *testing.T) {
 }
 
 func TestSendDeathOnLastRailFailsGate(t *testing.T) {
-	da, db := MemPair()
-	_ = db
-	fd := &faultyDriver{inner: da}
+	fd, _ := faultyLoopback()
 	boom := errors.New("wire gone")
 	fd.sendErr.Store(&boom)
 	e := NewEngine(Config{})
 	defer e.Close()
-	g, err := e.NewGate(fd)
+	g, err := e.NewGateEndpoints(fd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,28 +258,39 @@ func TestBackpressuredRendezvousFailsVisibly(t *testing.T) {
 	}
 }
 
+// latencyRail gives a loopback rail a latency, so eager routing prefers
+// the rail without one. The RMA and Domain faces are promoted.
+type latencyRail struct{ *fabric.LoopbackEndpoint }
+
+func (r latencyRail) Capabilities() fabric.Capabilities {
+	caps := r.LoopbackEndpoint.Capabilities()
+	caps.Latency = simtime.Microsecond
+	return caps
+}
+
 func TestReceiveSideDeathPropagatesToPeer(t *testing.T) {
-	da0, db0 := MemPair()
-	da1, db1 := MemPair()
-	fd := &faultyDriver{inner: db1}
+	la0, lb0 := fabric.NewLoopbackRMA()
+	la1, lb1 := fabric.NewLoopbackRMA()
+	fd := &faultyEndpoint{Endpoint: lb1}
 	sender := NewEngine(Config{})
 	receiver := NewEngine(Config{})
 	defer sender.Close()
 	defer receiver.Close()
-	ga, err := sender.NewGate(da0, da1)
+	// The sender's control frames prefer rail 1, the one about to die.
+	ga, err := sender.NewGateEndpoints(latencyRail{la0}, la1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := capsForDriver(db0)
-	gb, err := receiver.NewGateEndpoints(WrapDriver(db0, caps), WrapDriver(fd, caps))
+	gb, err := receiver.NewGateEndpoints(lb0, fd)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Rail 1 dies on the receiver's side only. The sender still thinks
 	// it is alive, but the death closed the transport, so the sender's
-	// next striped fragment onto rail 1 fails at Send time and is
-	// re-routed — no fragments feed a ring nobody polls.
+	// RTS onto rail 1 fails at Send time and is re-routed — no frame
+	// feeds a ring nobody polls — and the receiver reads the payload
+	// over its surviving rail.
 	boom := errors.New("receiver rail 1 down")
 	fd.pollErr.Store(&boom)
 	deadline := time.Now().Add(5 * time.Second)
@@ -254,7 +318,7 @@ func TestReceiveSideDeathPropagatesToPeer(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("rendezvous hung: fragments went to the dead rail")
+		t.Fatal("rendezvous hung: frames went to the dead rail")
 	}
 	if recvErr != nil {
 		t.Fatal(recvErr)
@@ -263,71 +327,83 @@ func TestReceiveSideDeathPropagatesToPeer(t *testing.T) {
 		t.Fatal("payload corrupted after re-route")
 	}
 	if st := sender.Stats(); st.Restripes == 0 {
-		t.Error("sender never re-striped onto the surviving rail")
+		t.Error("sender never re-routed onto the surviving rail")
+	}
+	if rs := gb.RailStats(); rs[0].PullBytes != uint64(len(payload)) {
+		t.Errorf("surviving rail read %d bytes, want the whole payload", rs[0].PullBytes)
 	}
 }
 
+// TestPartialRailDeathFailsReassemblyKeepsGate: a receive whose only
+// offered rail dies mid-read has no rail left to read through, so it
+// fails visibly (and NACKs the sender) — but the gate survives on its
+// other rail.
 func TestPartialRailDeathFailsReassemblyKeepsGate(t *testing.T) {
-	da0, db0 := MemPair()
-	da1, db1 := MemPair()
-	_ = da1
-	fd := &faultyDriver{inner: db1}
+	near0, far0 := fabric.NewLoopbackRMA()
+	fd, far1 := faultyLoopback()
+	fd.holdReads.Store(true)
 	e := NewEngine(Config{})
 	defer e.Close()
-	caps := capsForDriver(db0)
-	g, err := e.NewGateEndpoints(WrapDriver(db0, caps), WrapDriver(fd, caps))
+	g, err := e.NewGateEndpoints(near0, fd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recv := g.Irecv(7)
 
-	// Hand-deliver an RTS on the healthy rail: the engine sets up a
-	// reassembly and asks for the payload to be pushed.
-	rts := Header{Kind: KindRTS, Tag: 7, MsgID: 1, Total: 1 << 20}
-	if err := da0.Send(rts, nil); err != nil {
+	// Hand-deliver an RTS on the healthy rail whose offer covers rail 1
+	// only: the engine posts its read there, and the read stays in
+	// flight.
+	payload := make([]byte, 1<<20)
+	reg, err := far1.Domain().RegisterMemory(payload)
+	if err != nil {
 		t.Fatal(err)
 	}
+	rts := Header{Kind: KindRTS, Tag: 7, MsgID: 1, Total: uint32(len(payload))}
+	sendRaw(t, far0, rts, appendOfferEntry(nil, 1, uint64(reg.Key())), nil)
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if g.CheckIdle().RecvRendezvous == 1 {
-			break
-		}
+	for e.Stats().RdvPulls == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("reassembly never set up")
+			t.Fatal("read never posted")
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// Rail 1 dies. Its in-flight fragments are lost forever, so the
-	// reassembly must fail promptly instead of hanging — but the gate
-	// survives on rail 0.
+	// Rail 1 dies. Its read never completes and no other rail is
+	// offered, so the receive must fail promptly instead of hanging —
+	// but the gate survives on rail 0.
 	boom := errors.New("rail 1 down")
 	fd.pollErr.Store(&boom)
 	select {
 	case <-recv.Done():
-		if recv.Err() == nil {
-			t.Error("reassembly should fail when a carrying rail dies")
+		if !errors.Is(recv.Err(), errNoReadRail) {
+			t.Errorf("receive failed with %v, want errNoReadRail", recv.Err())
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("reassembly hung after partial rail death")
+		t.Fatal("receive hung after partial rail death")
+	}
+	// The sender is told: a NACK for its half.
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		if h, ok := pollRaw(far0); ok && h.Kind == KindRdvNack && h.MsgID == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no NACK reached the sender")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	// Eager traffic still flows over the survivor.
-	eager := Header{Kind: KindEager, Tag: 8, MsgID: 2, Total: 10}
-	if err := da0.Send(eager, []byte("still here")); err != nil {
-		t.Fatal(err)
-	}
+	sendRaw(t, far0, Header{Kind: KindEager, Tag: 8, MsgID: 2, Total: 10}, nil, []byte("still here"))
 	if got, err := g.Recv(8); err != nil || string(got) != "still here" {
 		t.Fatalf("post-death Recv = %q, %v", got, err)
 	}
 }
 
 func TestPollFailureFailsOutstandingRequests(t *testing.T) {
-	da, db := MemPair()
-	_ = db
-	fd := &faultyDriver{inner: da}
+	fd, _ := faultyLoopback()
 	e := NewEngine(Config{})
 	defer e.Close()
-	g, err := e.NewGate(fd)
+	g, err := e.NewGateEndpoints(fd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,12 +422,10 @@ func TestPollFailureFailsOutstandingRequests(t *testing.T) {
 }
 
 func TestPollFailureFailsRendezvousSender(t *testing.T) {
-	da, db := MemPair()
-	_ = db
-	fd := &faultyDriver{inner: da}
+	fd, _ := faultyLoopback()
 	e := NewEngine(Config{})
 	defer e.Close()
-	g, err := e.NewGate(fd)
+	g, err := e.NewGateEndpoints(fd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,9 +485,8 @@ func TestHealthyGateUnaffectedByFailingGate(t *testing.T) {
 	e := NewEngine(Config{})
 	defer e.Close()
 	// Gate A fails; gate B (same engine) keeps working.
-	da, _ := MemPair()
-	fd := &faultyDriver{inner: da}
-	ga, err := e.NewGate(fd)
+	fd, _ := faultyLoopback()
+	ga, err := e.NewGateEndpoints(fd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,20 +533,20 @@ func TestGateFailureTouchesOnlyItsOwnState(t *testing.T) {
 	big := bytes.Repeat([]byte{0xB6}, 32<<10) // past the eager threshold
 	small := []byte("small")
 
-	// side is one gate, its four requests, the far end of its rail and
-	// the frames the engine has put on it so far, by kind.
+	// side is one gate, its four requests, the far end of its rail,
+	// the payload the far end offers for reading, and the frames the
+	// engine has put on the rail so far, by kind.
 	type side struct {
-		g    *Gate
-		fd   *faultyDriver
-		peer Driver
-		reqs []*Request
-		sent map[Kind]Header
+		g     *Gate
+		fd    *faultyEndpoint
+		peer  *fabric.LoopbackEndpoint
+		offer []byte
+		reqs  []*Request
+		sent  map[Kind]Header
 	}
 	send := func(s *side, hdr Header, payload []byte) {
 		t.Helper()
-		if err := s.peer.Send(hdr, payload); err != nil {
-			t.Fatal(err)
-		}
+		sendRaw(t, s.peer, hdr, nil, payload)
 	}
 	states := []struct {
 		name   string
@@ -491,15 +564,15 @@ func TestGateFailureTouchesOnlyItsOwnState(t *testing.T) {
 			},
 		},
 		{
-			name: "reassembling receive",
+			// The gate's read completions are held, so the read stays
+			// in flight until finish releases them.
+			name: "reading receive",
 			post: func(g *Gate) *Request { return g.Irecv(11) },
 			feed: func(s *side) {
-				send(s, Header{Kind: KindRTS, Tag: 11, MsgID: 1, Total: uint32(len(big))}, nil)
+				sendRaw(t, s.peer, Header{Kind: KindRTS, Tag: 11, MsgID: 1, Total: uint32(len(big))}, s.offer, nil)
 			},
-			count: func(r IdleReport) int { return r.RecvRendezvous },
-			finish: func(s *side) {
-				send(s, Header{Kind: KindData, Tag: 11, MsgID: 1, FragCnt: 1, Total: uint32(len(big))}, big)
-			},
+			count:  func(r IdleReport) int { return r.RecvRendezvous },
+			finish: func(s *side) { s.fd.holdReads.Store(false) },
 		},
 		{
 			name:  "unacked eager",
@@ -521,10 +594,14 @@ func TestGateFailureTouchesOnlyItsOwnState(t *testing.T) {
 
 	var sides [2]*side
 	for i := range sides {
-		near, far := MemPair()
-		s := &side{fd: &faultyDriver{inner: near}, peer: far, sent: map[Kind]Header{}}
-		var err error
-		if s.g, err = e.NewGate(s.fd); err != nil {
+		fd, far := faultyLoopback()
+		fd.holdReads.Store(true)
+		reg, err := far.Domain().RegisterMemory(big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &side{fd: fd, peer: far, offer: appendOfferEntry(nil, 0, uint64(reg.Key())), sent: map[Kind]Header{}}
+		if s.g, err = e.NewGateEndpoints(s.fd); err != nil {
 			t.Fatal(err)
 		}
 		for _, st := range states {
@@ -537,8 +614,8 @@ func TestGateFailureTouchesOnlyItsOwnState(t *testing.T) {
 	}
 	pump()
 	for _, s := range sides {
-		for f, ok, _ := s.peer.Poll(); ok; f, ok, _ = s.peer.Poll() {
-			s.sent[f.Hdr.Kind] = f.Hdr
+		for h, ok := pollRaw(s.peer); ok; h, ok = pollRaw(s.peer) {
+			s.sent[h.Kind] = h
 		}
 	}
 	a, b := sides[0], sides[1]
@@ -582,7 +659,7 @@ func TestGateFailureTouchesOnlyItsOwnState(t *testing.T) {
 		}
 	}
 	if got := b.reqs[1].Data; !bytes.Equal(got, big) {
-		t.Errorf("gate B reassembled %d bytes, corrupted or short", len(got))
+		t.Errorf("gate B read %d bytes, corrupted or short", len(got))
 	}
 	if !b.g.CheckIdle().Clean() {
 		t.Errorf("surviving gate leaked: %+v", b.g.CheckIdle())

@@ -154,7 +154,7 @@ func TestRendezvousLargeMessage(t *testing.T) {
 }
 
 func TestMultirailStripesData(t *testing.T) {
-	ea, ga, eb, gb := enginePair(t, 2, StrategyDefault)
+	_, ga, eb, gb := enginePair(t, 2, StrategyDefault)
 	big := make([]byte, 300<<10)
 	for i := range big {
 		big[i] = byte(i ^ (i >> 8))
@@ -176,9 +176,9 @@ func TestMultirailStripesData(t *testing.T) {
 	if !bytes.Equal(recvd, big) {
 		t.Fatal("multirail payload corrupted")
 	}
-	// The receiver stripes the pull over both rails; nothing is pushed.
-	if got := ea.Stats().RdvData; got != 0 {
-		t.Errorf("rendezvous data fragments = %d, want 0 (pulled)", got)
+	// The receiver stripes the pull over both rails; nothing is copied.
+	if got := eb.Stats().RecvCopiedBytes; got != 0 {
+		t.Errorf("receive-path copies = %d bytes, want 0 (pulled)", got)
 	}
 	if got := eb.Stats().RdvPulls; got != 2 {
 		t.Errorf("RMA reads = %d, want 2 (one per rail)", got)
@@ -336,30 +336,7 @@ func TestGateNeedsRails(t *testing.T) {
 }
 
 func TestTCPDriverEndToEnd(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	type acceptResult struct {
-		d   Driver
-		err error
-	}
-	acceptCh := make(chan acceptResult, 1)
-	go func() {
-		d, err := AcceptTCP(ln)
-		acceptCh <- acceptResult{d, err}
-	}()
-	dialer, err := DialTCP(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc := <-acceptCh
-	if acc.err != nil {
-		t.Fatal(acc.err)
-	}
-
+	dialer, accepted := tcpPair(t)
 	ea := NewEngine(Config{})
 	eb := NewEngine(Config{})
 	defer ea.Close()
@@ -368,7 +345,7 @@ func TestTCPDriverEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := eb.NewGate(acc.d)
+	gb, err := eb.NewGate(accepted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,15 +380,18 @@ func TestTCPDriverEndToEnd(t *testing.T) {
 	if !bytes.Equal(recvd, big) {
 		t.Fatal("TCP rendezvous payload corrupted")
 	}
+	// The TCP rail reads: the payload landed by RMA read, not a copy.
+	if st := eb.Stats(); st.RdvPulls < 1 || st.RecvCopiedBytes != 0 {
+		t.Errorf("receiver: %d pulls, %d bytes copied; want ≥ 1 and 0", st.RdvPulls, st.RecvCopiedBytes)
+	}
 }
 
-// TestClassicRailRendezvous: over MemPair rails a rendezvous is pulled
-// — one RMA read per rail straight into the posted buffer, nothing
-// copied, no data frame — and over rails that cannot read (a wrapped
-// mem driver, TCP) it is the receiver's chunk table with one push chunk:
-// one push request for the whole payload, data frames striped by the
-// sender. Either way one FIN completes the send only once the receiver
-// holds every byte, and both gates quiesce clean.
+// TestClassicRailRendezvous: over the package's own rails — MemPair
+// and TCP, attached by NewGate, calibrated or behind a foreign endpoint
+// type that hides their frame fast path — a rendezvous is pulled: one
+// RMA read per rail straight into the posted buffer, nothing copied.
+// One FIN completes the send only once the receiver holds every byte,
+// and both gates quiesce clean.
 func TestClassicRailRendezvous(t *testing.T) {
 	memRails := func(n int) func(*testing.T) ([]Driver, []Driver) {
 		return func(*testing.T) (send, recv []Driver) {
@@ -423,35 +403,19 @@ func TestClassicRailRendezvous(t *testing.T) {
 		}
 	}
 	tcpRail := func(t *testing.T) ([]Driver, []Driver) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		accepted := make(chan Driver, 1)
-		go func() {
-			d, _ := AcceptTCP(ln)
-			accepted <- d
-		}()
-		dialer, err := DialTCP(ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc := <-accepted
-		if acc == nil {
-			t.Fatal("accept failed")
-		}
-		return []Driver{dialer}, []Driver{acc}
+		dialer, accepted := tcpPair(t)
+		return []Driver{dialer}, []Driver{accepted}
 	}
-	// gate attaches the rails through NewGate, or — wrap — as
-	// WrapDriver endpoints, which are frame-only.
+	// gate attaches the rails through NewGate, or — wrap — behind a
+	// faultyEndpoint with no fault armed, reached through the generic
+	// Send/Poll face.
 	gate := func(e *Engine, rails []Driver, wrap bool) (*Gate, error) {
 		if !wrap {
 			return e.NewGate(rails...)
 		}
 		eps := make([]fabric.Endpoint, len(rails))
 		for i, d := range rails {
-			eps[i] = WrapDriver(d, capsForDriver(d))
+			eps[i] = &faultyEndpoint{Endpoint: endpointOf(d)}
 		}
 		return e.NewGateEndpoints(eps...)
 	}
@@ -465,15 +429,14 @@ func TestClassicRailRendezvous(t *testing.T) {
 		rails func(*testing.T) (send, recv []Driver)
 		wrap  bool
 		cfg   Config
-		pulls uint64 // RMA reads the receiver posts; 0 means one push range
-		frags uint64 // data fragments the sender stripes a push into
+		pulls uint64 // RMA reads the receiver posts
 	}{
-		{"mem", memRails(1), false, Config{}, 1, 0},
-		{"mem-x2", memRails(2), false, Config{}, 2, 0},
+		{"mem", memRails(1), false, Config{}, 1},
+		{"mem-x2", memRails(2), false, Config{}, 2},
 		// Calibrated rails reach mem through the generic Send/Poll face.
-		{"mem-x2-calibrated", memRails(2), false, Config{Calibrate: true}, 2, 0},
-		{"mem-wrapped", memRails(1), true, Config{}, 0, 1},
-		{"tcp", tcpRail, false, Config{}, 0, 1},
+		{"mem-x2-calibrated", memRails(2), false, Config{Calibrate: true}, 2},
+		{"mem-wrapped", memRails(1), true, Config{}, 1},
+		{"tcp", tcpRail, false, Config{}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sendRails, recvRails := tc.rails(t)
@@ -500,16 +463,9 @@ func TestClassicRailRendezvous(t *testing.T) {
 			if !bytes.Equal(rreq.Data, payload) {
 				t.Fatal("payload corrupted")
 			}
-			var pushes, copied uint64 = 1, size
-			if tc.pulls > 0 {
-				pushes, copied = 0, 0
-			}
-			if st := receiver.Stats(); st.RdvPulls != tc.pulls || st.RdvPushRanges != pushes || st.RdvFins != 1 || st.RecvCopiedBytes != copied {
-				t.Errorf("receiver: %d pulls, %d push ranges, %d FINs, %d bytes copied; want %d, %d, 1, %d",
-					st.RdvPulls, st.RdvPushRanges, st.RdvFins, st.RecvCopiedBytes, tc.pulls, pushes, copied)
-			}
-			if got := sender.Stats().RdvData; got != tc.frags {
-				t.Errorf("sender data fragments = %d, want %d", got, tc.frags)
+			if st := receiver.Stats(); st.RdvPulls != tc.pulls || st.RdvPullBytes != size || st.RdvFins != 1 || st.RecvCopiedBytes != 0 {
+				t.Errorf("receiver: %d pulls, %d bytes read, %d FINs, %d bytes copied; want %d, %d, 1, 0",
+					st.RdvPulls, st.RdvPullBytes, st.RdvFins, st.RecvCopiedBytes, tc.pulls, size)
 			}
 			requireClean(t, "sender", ga)
 			requireClean(t, "receiver", gb)
@@ -541,7 +497,7 @@ func TestNetPipeDriver(t *testing.T) {
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
-	h := Header{Kind: KindData, Tag: 0xDEADBEEF, MsgID: 42, FragIdx: 3, FragCnt: 7, Offset: 1024, Total: 4096}
+	h := Header{Kind: KindRTS, Tag: 0xDEADBEEF, MsgID: 42, FragIdx: 3, FragCnt: 7, Offset: 1024, Total: 4096}
 	var buf [headerBytes]byte
 	h.encode(buf[:])
 	got, err := decodeHeader(buf[:])
@@ -647,7 +603,7 @@ func TestNackDirectionSelectsVictim(t *testing.T) {
 	g.rdvRecv[msgID] = rst
 	g.mu.Unlock()
 
-	e.failRendezvousNack(g, Header{Kind: KindRdvNack, MsgID: msgID, Offset: nackRecv})
+	e.handleFrame(g, Frame{Hdr: Header{Kind: KindRdvNack, MsgID: msgID, Offset: nackRecv}})
 	if !rst.req.Test() {
 		t.Error("nackRecv must fail the receive half")
 	}
@@ -655,7 +611,7 @@ func TestNackDirectionSelectsVictim(t *testing.T) {
 		t.Error("nackRecv must not touch the healthy send sharing the msgID")
 	}
 
-	e.failRendezvousNack(g, Header{Kind: KindRdvNack, MsgID: msgID, Offset: nackSend})
+	e.handleFrame(g, Frame{Hdr: Header{Kind: KindRdvNack, MsgID: msgID, Offset: nackSend}})
 	if !sst.req.Test() {
 		t.Error("nackSend must fail the send half")
 	}

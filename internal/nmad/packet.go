@@ -31,18 +31,14 @@ const (
 	// Its imm extension may carry a pull offer: per-rail remote keys
 	// the receiver can RMA-read the payload through.
 	KindRTS
-	// KindData carries one fragment of a pushed rendezvous byte range.
+	// KindData is sent by no engine code: every rendezvous payload
+	// moves by RMA read. The kind stays for raw Driver traffic, which
+	// carries any kind, and an engine ignores it on arrival.
 	KindData
-	// KindFin ends a rendezvous: the receiver has every byte (RMA-read
-	// or pushed), so the sender may release its registered regions and
-	// complete its request.
+	// KindFin ends a rendezvous: the receiver has read every byte, so
+	// the sender may release its registered regions and complete its
+	// request.
 	KindFin
-	// KindRdvPush asks the sender to push one byte range of a
-	// rendezvous as KindData frames — whatever the receiver cannot pull:
-	// the whole payload when no rail of the gate can read (TCP or
-	// wrapped-driver rails), or one chunk whose rail cannot (or can no longer)
-	// read it. Offset is the range start and Total its length.
-	KindRdvPush
 	// KindEagerAck acknowledges the delivery of one eager message
 	// (plain or unpacked from an aggregate) back to its sender, which
 	// releases the message from its retransmission window (eager.go).
@@ -78,8 +74,6 @@ func (k Kind) String() string {
 		return "data"
 	case KindFin:
 		return "fin"
-	case KindRdvPush:
-		return "rdv-push"
 	case KindEagerAck:
 		return "eager-ack"
 	case KindRdvNack:
@@ -94,9 +88,9 @@ type Header struct {
 	Kind    Kind
 	Tag     uint64 // application tag
 	MsgID   uint64 // per-gate message id (sender-assigned)
-	FragIdx uint32 // fragment index (KindData)
-	FragCnt uint32 // total fragments (KindData)
-	Offset  uint32 // byte offset of this fragment in the full payload
+	FragIdx uint32 // unused by the engine; carried for raw Driver frames
+	FragCnt uint32 // unused by the engine; carried for raw Driver frames
+	Offset  uint32 // KindRdvNack: the side to fail; else unused by the engine
 	Total   uint32 // total message size in bytes
 }
 

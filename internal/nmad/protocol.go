@@ -10,8 +10,8 @@ import (
 
 // Isend starts a non-blocking send of data to the gate's peer under the
 // given tag. Small payloads go eagerly (possibly aggregated); large ones
-// announce a rendezvous with an RTS, and the receiver pulls the payload
-// or asks for it to be pushed, striped across the gate's rails. The
+// announce a rendezvous with an RTS, and the receiver reads the payload
+// straight out of data, striped across the gate's rails. The
 // returned request completes once the peer holds every byte: its ack
 // (eager; see eager.go) or its FIN (rendezvous).
 func (g *Gate) Isend(tag uint64, data []byte) *Request {
@@ -85,61 +85,53 @@ func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 
 	// Rendezvous: announce with an RTS; the receiver drives everything
 	// after it (handled by polling tasks) and answers with a FIN once
-	// every byte is home. When pull-capable rails exist, the user
-	// payload is registered once per rail domain through the gate's
-	// registration cache — no staging copy; repeated sends of one
-	// buffer skip re-registration entirely — and the RTS imm extension
-	// offers the remote keys, so an RMA-capable receiver pulls the
-	// bytes straight out of the user buffer. Whatever it cannot pull —
-	// the whole payload on TCP and wrapped-driver rails — it asks us to
-	// push (KindRdvPush).
+	// every byte is home. The user payload is registered once per rail
+	// domain through the gate's registration cache — no staging copy;
+	// repeated sends of one buffer skip re-registration entirely — and
+	// the RTS imm extension offers the remote keys, so the receiver
+	// reads the bytes straight out of the user buffer.
+	rail := g.pickEager()
+	if rail < 0 {
+		req.complete(errAllRailsDead)
+		return
+	}
 	st := e.getSendRdv()
-	st.data, st.req = data, req
-	rail := -1
-	if extRail := g.pickControl(true); extRail >= 0 {
-		// A deadline rides the offer as a sentinel entry, costing one
-		// real offer slot.
-		offerLimit := maxOfferRails
-		if req.deadline != 0 {
-			offerLimit--
+	st.req = req
+	// A deadline rides the offer as a sentinel entry, costing one real
+	// offer slot.
+	offerLimit := maxOfferRails
+	if req.deadline != 0 {
+		offerLimit--
+	}
+	offered := 0
+	for i, r := range g.rails {
+		if r.cache == nil || r.dead.Load() {
+			continue
 		}
-		offered := 0
-		for i, r := range g.rails {
-			if r.rma == nil || r.cache == nil || r.dead.Load() {
-				continue
-			}
-			reg, err := r.cache.Get(data)
-			if err != nil {
-				continue
-			}
-			st.regs = append(st.regs, reg)
-			st.offer = appendOfferEntry(st.offer, uint32(i), uint64(reg.Key()))
-			if offered++; offered == offerLimit {
-				break
-			}
+		reg, err := r.cache.Get(data)
+		if err != nil {
+			continue
 		}
-		if offered > 0 {
-			rail = extRail
-			if req.deadline != 0 {
-				// Propagate the deadline to the receiver: decoders that
-				// predate it skip the sentinel as an out-of-range rail
-				// index.
-				st.offer = appendOfferEntry(st.offer, deadlineRailSentinel, uint64(req.deadline))
-			}
+		st.regs = append(st.regs, reg)
+		st.offer = appendOfferEntry(st.offer, uint32(i), uint64(reg.Key()))
+		if offered++; offered == offerLimit {
+			break
 		}
 	}
-	if rail < 0 {
-		if rail = g.pickEager(); rail < 0 {
-			e.putSendRdv(st)
-			req.complete(errAllRailsDead)
-			return
-		}
+	if offered == 0 {
+		e.putSendRdv(st)
+		req.complete(errNoReadRail)
+		return
+	}
+	if req.deadline != 0 {
+		// Propagate the deadline to the receiver: decoders that predate
+		// it skip the sentinel as an out-of-range rail index.
+		st.offer = appendOfferEntry(st.offer, deadlineRailSentinel, uint64(req.deadline))
 	}
 	e.rdvStarted.Add(1) // counted only once a handshake actually leaves
 	if rec := e.rec; rec != nil {
 		// Open the whole-message span and the handshake phase: RTS out
-		// → FIN back (the handshake span covers the whole transfer,
-		// pulled or pushed).
+		// → FIN back (the handshake span covers the whole transfer).
 		sid := g.spanID(trace.DirSend, 0, msgID)
 		req.traceID, req.traceRing = sid, int32(g.id)
 		rec.Record(g.id, trace.EvSendBegin, sid, uint64(len(data)))
@@ -170,11 +162,10 @@ func (g *Gate) Irecv(tag uint64) *Request {
 }
 
 // IrecvInto posts a non-blocking receive that lands in the caller's
-// buffer: rendezvous payloads are pulled or reassembled directly into
-// buf (true zero-copy on pull-capable rails) and eager payloads are
-// copied into it. The matched message must fit in buf or the request
-// fails with a short-buffer error. On completion Request.Data aliases
-// buf's filled prefix.
+// buffer: rendezvous payloads are read directly into buf (true
+// zero-copy) and eager payloads are copied into it. The matched
+// message must fit in buf or the request fails with a short-buffer
+// error. On completion Request.Data aliases buf's filled prefix.
 func (g *Gate) IrecvInto(tag uint64, buf []byte) *Request {
 	return g.irecv(tag, buf)
 }
@@ -361,8 +352,8 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 		settled := g.settledRecv.has(f.Hdr.MsgID)
 		g.mu.Unlock()
 		if live {
-			// Nothing to answer: the reads and push requests are ours to
-			// drive, and the timeout sweep re-drives them.
+			// Nothing to answer: the reads are ours to drive, and the
+			// timeout sweep re-drives them.
 			return
 		}
 		if settled {
@@ -373,47 +364,10 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 		}
 		g.matchOrStash(inbound{hdr: f.Hdr, payload: nil, ext: f.Ext})
 
-	case KindData:
-		g.mu.Lock()
-		st := g.rdvRecv[f.Hdr.MsgID]
-		var req *Request
-		if st != nil {
-			// Capture under the gate lock: the last fragment's
-			// handler recycles the state, so st is off limits after
-			// our Add unless we are that handler.
-			req = st.req
-		}
-		g.mu.Unlock()
-		if st == nil {
-			return
-		}
-		n := copy(req.Data[f.Hdr.Offset:], f.Payload)
-		e.recvCopied.Add(uint64(n))
-		// Count coverage, not arrivals: a duplicated or retransmitted
-		// fragment lands its bytes again but must not advance the
-		// completion counter past what is actually home.
-		fresh := st.addCovered(int(f.Hdr.Offset), int(f.Hdr.Offset)+n)
-		if fresh == 0 {
-			return
-		}
-		if req.got.Add(uint32(fresh)) >= req.total {
-			e.finishRecvRdv(st)
-			return
-		}
-		// New bytes: the push is moving. Restart the retry budget so a
-		// re-ask fires only once it stalls for RdvTimeout; coverage only
-		// grows, so this cannot keep a transfer alive forever.
-		d := e.clock() + e.cfg.RdvTimeout
-		g.mu.Lock()
-		if g.rdvRecv[f.Hdr.MsgID] == st {
-			st.retryTimer = retryTimer{deadline: max(st.deadline, d)}
-		}
-		g.mu.Unlock()
-
 	case KindFin:
-		// Rendezvous complete: the receiver has every byte, pulled
-		// straight out of our user buffer or pushed. Release the
-		// interned registrations and finish the send.
+		// Rendezvous complete: the receiver has every byte, read
+		// straight out of our user buffer. Release the interned
+		// registrations and finish the send.
 		st, _ := g.takeSendRdv(f.Hdr.MsgID)
 		if st == nil {
 			return
@@ -422,62 +376,24 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 		req := st.req
 		e.putSendRdv(st)
 		if req.traceID != 0 {
-			// The handshake phase spans RTS → FIN: the remote pull, or
-			// the pushes it asked for, happen entirely inside it.
+			// The handshake phase spans RTS → FIN: the remote reads
+			// happen entirely inside it.
 			e.rec.Record(g.id, trace.EvHandshakeEnd, req.traceID, 0)
 		}
 		req.complete(nil)
 
-	case KindRdvPush:
-		// The receiver cannot pull the byte range [Offset,
-		// Offset+Total); push it as ordinary data frames. The
-		// rendezvous stays open — other chunks may still be pulling,
-		// and the FIN settles everything.
-		// The request answers the handshake, so the send's retry
-		// budget restarts, now timing the FIN from the instant the
-		// range should have left, queued behind our other pushes to
-		// this peer (askPush's mirror).
-		// The payload is captured under the gate lock: a FIN racing a
-		// duplicated push request recycles the state.
-		var data []byte
-		now, wire := e.clock(), g.wireTime(int(f.Hdr.Total))
-		g.mu.Lock()
-		st := g.sendRdv[f.Hdr.MsgID]
-		settled := st == nil && g.settledSend.has(f.Hdr.MsgID)
-		if st != nil {
-			data = st.data
-			g.pushedOut = max(g.pushedOut, now) + wire
-			st.retryTimer = retryTimer{deadline: g.pushedOut + e.cfg.RdvTimeout}
-		}
-		g.mu.Unlock()
-		if st == nil {
-			if settled {
-				return // late push request for a finished handshake
-			}
-			// The push request came from a receive waiting for data.
-			g.sendControl(KindRdvNack, f.Hdr.Tag, f.Hdr.MsgID, nackRecv, 0)
-			return
-		}
-		g.pushRange(data, f.Hdr)
-
 	case KindRdvNack:
 		// The peer lost (or never had) its half of a rendezvous this
-		// engine is party to: fail whichever side is waiting.
-		e.failRendezvousNack(g, f.Hdr)
-	}
-}
-
-// failRendezvousNack fails the local half of a NACKed rendezvous —
-// the send waiting for a FIN, or the receive waiting for data,
-// per the NACK's direction field. The two halves must not be guessed
-// between: a gate's send and receive directions share the msgID
-// keyspace, so the wrong guess would kill an unrelated healthy
-// transfer carrying the same id.
-func (e *Engine) failRendezvousNack(g *Gate, hdr Header) {
-	if hdr.Offset == nackSend {
-		g.failSendRdv(hdr.MsgID, errRdvRejected)
-	} else {
-		g.failRecvRdv(hdr.MsgID, errRdvRejected)
+		// engine is party to: fail the local half the NACK names — the
+		// send waiting for a FIN, or the receive waiting on its reads.
+		// The two must not be guessed between: a gate's send and
+		// receive directions share the msgID keyspace, so the wrong
+		// guess would kill an unrelated healthy transfer.
+		if f.Hdr.Offset == nackSend {
+			g.failSendRdv(f.Hdr.MsgID, errRdvRejected)
+		} else {
+			g.failRecvRdv(f.Hdr.MsgID, errRdvRejected)
+		}
 	}
 }
 
@@ -522,36 +438,6 @@ func (g *Gate) matchOrStash(u inbound) {
 	}
 	q.push(u)
 	g.mu.Unlock()
-}
-
-// pushRange answers a KindRdvPush: stripe the requested byte range of
-// a rendezvous payload across the alive rails (multirail
-// distribution, sized by stripeInto) and ship each fragment as its own
-// packet task, executed in parallel when idle cores exist. The frames
-// carry no request — the transfer completes through the receiver's
-// FIN — so a frame failure routes to the rendezvous state via
-// failRendezvous instead.
-func (g *Gate) pushRange(data []byte, push Header) {
-	lo := int(push.Offset)
-	n := int(push.Total)
-	if lo < 0 || n <= 0 || lo+n > len(data) {
-		return // malformed request; ignore
-	}
-	sc := g.stripeScratch()
-	chunks := g.stripeInto(sc, n, nil)
-	for i, c := range chunks {
-		p := g.packet()
-		p.Hdr = Header{
-			Kind: KindData, Tag: push.Tag, MsgID: push.MsgID,
-			FragIdx: uint32(i), FragCnt: uint32(len(chunks)),
-			Offset: uint32(lo + c.lo), Total: uint32(len(data)),
-		}
-		p.Payload = data[lo+c.lo : lo+c.hi]
-		p.rail = c.rail
-		g.eng.rdvData.Add(1)
-		g.sendPacket(p)
-	}
-	g.putStripeScratch(sc)
 }
 
 // ---- Aggregation strategy ----

@@ -1,32 +1,29 @@
 package nmad
 
-// The rendezvous protocol: receiver-driven, one state machine.
+// The rendezvous protocol: receiver-driven, one state machine, one
+// transfer path.
 //
-// A pushed payload moves every byte three times — the sender stages
-// it into the provider's registered region, the wire frame carries its
-// own copy, and the receiver memcpys each fragment into the posted
-// buffer. A pulled one moves zero times on either host: the sender
-// registers the *user* payload once per rail domain through the gate's
-// registration cache and announces per-rail remote keys in the RTS imm
-// extension; the receiver stripes the transfer across its own rails
-// (it knows its side's live capabilities best), posts one RMARead per
-// chunk directly into req.Data[lo:hi], and sends a single FIN when
-// every byte is home so the sender releases its regions and completes.
-// Whatever cannot be pulled is asked for as a KindRdvPush request,
-// which the sender answers with ordinary KindData frames striped over
-// its alive rails: the whole payload, as one chunk, when no rail can
-// read (TCP or wrapped-driver gates, no usable offer), and single
-// chunks whose rail cannot — key gone stale, rail died mid-transfer.
-// MemPair rails read: their RMA face is a fabric loopback RMA pair. The
-// KindData reassembly path and the pull completions feed the same byte
-// counter and end in the same FIN, so every transfer, pulled, pushed
-// or mixed, finishes exactly once.
+// The sender registers the *user* payload once per rail domain through
+// the gate's registration cache and announces per-rail remote keys in
+// the RTS imm extension. The receiver stripes the transfer across its
+// own rails (it knows its side's live capabilities best), posts one
+// RMARead per chunk directly into req.Data[lo:hi], and sends a single
+// FIN when every byte is home so the sender releases its regions and
+// completes. No payload byte is copied on either host. Every rail a
+// gate is built from reads: SimFabric RMA rails natively, MemPair rails
+// through a fabric loopback RMA pair, TCP rails through the rail's own
+// read-request frames, served from the registered bytes by the peer
+// rail's goroutines. A chunk whose read cannot be posted moves to
+// another offered rail (key gone stale, rail died mid-transfer); when
+// no rail is left to read it through, the receive fails visibly and
+// NACKs the sender.
 //
 // Lock order: recvRdvState.mu may be taken under Gate.mu, never the
 // other way round (the full order is written at Gate.mu).
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"pioman/internal/fabric"
@@ -39,12 +36,10 @@ const (
 	chunkPending uint8 = iota // materialized, not yet issued
 	chunkReading              // RMARead posted, completion pending
 	chunkDone                 // bytes landed
-	chunkPushed               // requested as a sender push (KindData)
 )
 
-// rdvChunk is one receiver-side chunk assignment: payload[lo:hi]
-// pulled over rail, or requested as a sender push when no rail can
-// read it. Its address is the RMARead context, so completions route
+// rdvChunk is one receiver-side chunk assignment: payload[lo:hi] read
+// over rail. Its address is the RMARead context, so completions route
 // back without allocation.
 type rdvChunk struct {
 	st     *recvRdvState
@@ -73,40 +68,78 @@ type recvRdvState struct {
 	mu      sync.Mutex
 	chunks  []rdvChunk // fixed length once issued; entries mutate in place
 	keys    []fabric.RKey
-	covered []span // merged byte ranges landed via KindData (dup dedup)
-	reading int    // chunks with an outstanding RMARead
-	sweeps  int    // rail-death sweeps holding a reference (blocks recycling)
-	failed  bool   // state abandoned; late completions are ignored
+	reading int  // chunks with an outstanding RMARead
+	sweeps  int  // sweeps holding a reference (blocks recycling)
+	failed  bool // state abandoned; late completions are ignored
 }
 
 // markFailed flags the state so late RMA completions fall on the
-// floor. Safe to call under Gate.mu (lock order: state after gate).
+// floor, and drops its reads still posted on a TCP rail, so nothing
+// lands in the buffer once the receive fails. Safe to call under
+// Gate.mu (lock order: state after gate).
 func (st *recvRdvState) markFailed() {
 	st.mu.Lock()
 	st.failed = true
+	for i := range st.chunks {
+		c := &st.chunks[i]
+		if tcp := st.gate.rails[c.rail].tcp; tcp != nil && c.state == chunkReading {
+			tcp.drop(c)
+		}
+	}
 	st.mu.Unlock()
 }
 
-// beginSweep reports whether the transfer can continue after a rail
-// died — every chunk is pulled (re-issuable — this side knows exactly
-// where each one rides), none having been requested as a sender push
-// whose frames could have been striped onto any rail, sender-side,
-// invisibly to us — and, when it can, takes a sweep reference that
-// blocks the state from being pool-recycled until endSweep: the last
-// chunk's completion may finish the transfer between the sweep's
-// decision (under Gate.mu) and its re-issue pass (after), and
-// re-issuing against a recycled state would corrupt whatever
-// rendezvous took it from the pool.
+// readsInFlight reports whether every unsettled chunk of st is reading
+// on a live TCP rail, which cannot lose the read: the receive is slow,
+// not stalled. Caller holds g.mu.
+func (g *Gate) readsInFlight(st *recvRdvState) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i := range st.chunks {
+		c := &st.chunks[i]
+		r := g.rails[c.rail]
+		if c.state == chunkDone {
+			continue
+		}
+		if r.tcp == nil || c.state != chunkReading || r.dead.Load() || !r.tcp.inFlight(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// offerServing reports whether a TCP rail is answering a peer read of
+// a region the offer names: the receiver is reading the payload.
+// Caller holds g.mu.
+func (g *Gate) offerServing(offer []byte) bool {
+	for i := 0; ; i++ {
+		idx, key, ok := offerEntry(offer, i)
+		if !ok {
+			return false
+		}
+		if int(idx) >= len(g.rails) {
+			continue // the deadline sentinel
+		}
+		if tcp := g.rails[idx].tcp; tcp != nil && tcp.serving(fabric.RKey(key)) {
+			return true
+		}
+	}
+}
+
+// beginSweep takes a sweep reference — a rail-death or timeout sweep
+// about to re-issue the state's chunks — unless the state was
+// abandoned. The reference blocks the state from being pool-recycled
+// until endSweep: the last chunk's completion may finish the transfer
+// between the sweep's decision (under Gate.mu) and its re-issue pass
+// (after), and re-issuing against a recycled state would corrupt
+// whatever rendezvous took it from the pool. Must be called under
+// Gate.mu while the state is still in g.rdvRecv — that is what
+// guarantees it has not completed and been recycled under a new owner.
 func (st *recvRdvState) beginSweep() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.failed {
 		return false
-	}
-	for i := range st.chunks {
-		if st.chunks[i].state == chunkPushed {
-			return false
-		}
 	}
 	st.sweeps++
 	return true
@@ -133,18 +166,7 @@ func (e *Engine) getRecvRdv() *recvRdvState {
 // state to the garbage collector because a closed rail's completion
 // queue may still hold contexts pointing at it.
 func (e *Engine) putRecvRdv(st *recvRdvState) {
-	st.req = nil
-	st.gate = nil
-	st.msgID = 0
-	st.tag = 0
-	st.retryTimer = retryTimer{}
-	st.absDeadline = 0
-	st.chunks = st.chunks[:0]
-	st.keys = st.keys[:0]
-	st.covered = st.covered[:0]
-	st.reading = 0
-	st.sweeps = 0
-	st.failed = false
+	*st = recvRdvState{chunks: st.chunks[:0], keys: st.keys[:0]}
 	e.recvRdvPool.Put(st)
 }
 
@@ -156,23 +178,17 @@ var errRdvRejected = errors.New("nmad: peer rejected the rendezvous (no matching
 // matched message.
 var errShortRecvBuffer = errors.New("nmad: receive buffer shorter than the matched message")
 
-// startRecvRdv begins reception for a matched RTS: parse the offer (if
-// any) and build the chunk table — striped across the rails this side
-// can read through, or one push chunk when there are none — then
-// publish the state in g.rdvRecv and issue every chunk. The tables are
-// complete before anything else can see the state; only the issuing
-// must follow publication, because pushed data may arrive as soon as
-// it is asked for.
+// startRecvRdv begins reception for a matched RTS: parse the offer and
+// build the chunk table — striped across the rails this side can read
+// through, or one keyless chunk when there are none, which issueChunk
+// fails — then publish the state in g.rdvRecv and issue every chunk.
+// The tables are complete before anything else can see the state; the
+// issuing follows publication, because a completion (or a failure)
+// looks the state up there.
 func (e *Engine) startRecvRdv(g *Gate, st *recvRdvState, ext []byte) {
 	// Decode the offer into a per-rail key table (index = our rail).
-	if cap(st.keys) < len(g.rails) {
-		st.keys = make([]fabric.RKey, len(g.rails))
-	} else {
-		st.keys = st.keys[:len(g.rails)]
-		for i := range st.keys {
-			st.keys[i] = 0
-		}
-	}
+	st.keys = slices.Grow(st.keys[:0], len(g.rails))[:len(g.rails)]
+	clear(st.keys)
 	for i := 0; ; i++ {
 		railIdx, key, ok := offerEntry(ext, i)
 		if !ok {
@@ -205,8 +221,8 @@ func (e *Engine) startRecvRdv(g *Gate, st *recvRdvState, ext []byte) {
 		return
 	}
 	if req.traceID != 0 {
-		// Transfer phase: match → every byte home (pull reads or pushed
-		// data frames alike); finishRecvRdv closes it.
+		// Transfer phase: match → every byte home; finishRecvRdv
+		// closes it.
 		e.rec.Record(g.id, trace.EvTransferBegin, req.traceID, uint64(req.total))
 	}
 	for i := 0; i < n; i++ {
@@ -216,7 +232,8 @@ func (e *Engine) startRecvRdv(g *Gate, st *recvRdvState, ext []byte) {
 
 // issueChunk posts (or re-posts) chunk i of a rendezvous receive:
 // RMARead on the chunk's rail, falling over to another offered rail
-// when the post fails, and to a sender push as the last resort.
+// when the post fails, and failing the receive visibly when no rail is
+// left to read it through.
 func (e *Engine) issueChunk(g *Gate, st *recvRdvState, i int) {
 	// Read the clock before taking st.mu: Clock may reach into provider
 	// state, and holding the lock across it is needless coupling.
@@ -236,7 +253,9 @@ func (e *Engine) issueChunk(g *Gate, st *recvRdvState, i int) {
 		// instead (lock order: the cleanup takes Gate.mu, so release
 		// st.mu first).
 		st.mu.Unlock()
-		e.expireRecvDeadline(g, st)
+		if e.abandonRecv(g, st, ErrDeadlineExpired) {
+			e.deadlineExpired.Add(1)
+		}
 		return
 	}
 	// Capture the chunk span identity under st.mu — st.req is off
@@ -269,18 +288,15 @@ func (e *Engine) issueChunk(g *Gate, st *recvRdvState, i int) {
 			if errors.Is(err, fabric.ErrNoRegion) {
 				// The sender's registration is gone (invalidated or
 				// released); the key is dead on every rail that shares
-				// its domain, but retrying others is harmless and the
-				// push fallback catches the rest.
+				// its domain, but retrying others is harmless.
 				st.keys[c.rail] = 0
 			} else {
 				// The rail cannot serve reads anymore; it is dead for
 				// our purposes (the send path will discover its own
 				// half independently). When it was the gate's last
 				// rail, fail the gate exactly as a poll error on the
-				// last rail would — the push fallback below would
-				// sendControl into a dead gate and hang this receive
-				// forever. Lock order: failGate takes Gate.mu and
-				// this state's mutex, so release st.mu first.
+				// last rail would. Lock order: failGate takes Gate.mu
+				// and this state's mutex, so release st.mu first.
 				if g.railDown(c.rail) == 0 {
 					st.mu.Unlock()
 					e.failGate(g, err)
@@ -297,85 +313,53 @@ func (e *Engine) issueChunk(g *Gate, st *recvRdvState, i int) {
 			}
 		}
 		if next < 0 {
-			// Nothing left to pull through: ask the sender to push
-			// this range.
-			if wasReading {
-				st.reading--
-			}
-			c.state = chunkPushed
-			lo, hi, tag, msgID := c.lo, c.hi, st.tag, st.msgID
+			// Nothing left to read through: the transfer cannot
+			// finish. Fail the receive and tell the sender (lock
+			// order: the cleanup takes Gate.mu).
 			st.mu.Unlock()
-			if sid != 0 {
-				// Degraded to a sender push: close the chunk span
-				// immediately (B=2 marks the degradation) — the pushed
-				// bytes are tracked by the transfer span's byte counter,
-				// not per-chunk, so an open span here would never end.
-				e.rec.Record(g.id, trace.EvChunkBegin, sid, uint64(chunkLen))
-				e.rec.Record(g.id, trace.EvChunkEnd, sid, 2)
-			}
-			e.rdvPushRanges.Add(1)
-			g.askPush(st, tag, msgID, lo, hi)
+			e.abandonRecv(g, st, errNoReadRail)
 			return
 		}
 		c.rail = next
 	}
 }
 
-// askPush requests payload[lo:hi] from the sender as a push, first
-// moving the live receive's deadline to RdvTimeout past the instant the
-// range should land, queued behind the pushes already asked of this
-// peer: a pushed frame is invisible here until it lands, so without
-// that allowance a push merely slower than RdvTimeout would read as a
-// lost one and be asked for — and sent — again.
-func (g *Gate) askPush(st *recvRdvState, tag, msgID uint64, lo, hi int) {
-	e := g.eng
-	now, wire := e.clock(), g.wireTime(hi-lo)
-	g.mu.Lock()
-	g.pushedIn = max(g.pushedIn, now) + wire
-	if g.rdvRecv[msgID] == st {
-		st.deadline = max(st.deadline, g.pushedIn+e.cfg.RdvTimeout)
-	}
-	g.mu.Unlock()
-	g.sendControl(KindRdvPush, tag, msgID, uint32(lo), uint32(hi-lo))
-}
-
-// reissueDeadRailChunks re-posts every chunk of a surviving pull
-// transfer that was outstanding on the dead rail. Those reads will
-// never complete — the endpoint is closed, its completion queue is
-// gone — so their slots are free to re-issue; issueChunk skips the dead
-// rail and keeps the outstanding-read accounting straight. The caller
-// holds a beginSweep reference, released here.
-func (e *Engine) reissueDeadRailChunks(g *Gate, st *recvRdvState, idx int) {
+// reissue re-posts the chunks of st that pick selects — the reads a
+// dead rail will never complete, or every unsettled chunk of a stalled
+// receive — then returns the caller's beginSweep reference. issueChunk
+// skips dead rails and keeps the outstanding-read accounting straight.
+func (e *Engine) reissue(g *Gate, st *recvRdvState, pick func(c *rdvChunk) bool) {
 	defer st.endSweep()
 	st.mu.Lock()
-	st.keys[idx] = 0
-	var stale []int
+	var todo []int
 	for i := range st.chunks {
-		c := &st.chunks[i]
-		if c.state == chunkReading && c.rail == idx {
-			stale = append(stale, i)
+		if pick(&st.chunks[i]) {
+			todo = append(todo, i)
 		}
 	}
 	st.mu.Unlock()
-	for _, i := range stale {
+	for _, i := range todo {
 		e.issueChunk(g, st, i)
 	}
 }
 
-// expireRecvDeadline fails a rendezvous receive whose sender-propagated
-// deadline passed before every read could be posted: remove the state,
-// NACK the sender (its half fails promptly instead of waiting out its
-// own sweep), complete the receive with ErrDeadlineExpired. Idempotent
-// against racing sweeps through the same remove-first pattern as
-// finishRecvRdv.
-func (e *Engine) expireRecvDeadline(g *Gate, st *recvRdvState) {
+// errNoReadRail reports a rendezvous chunk no rail of the gate can read
+// any more: none is alive, pull-capable and covered by the offer.
+var errNoReadRail = errors.New("nmad: no rail left to read the rendezvous through")
+
+// abandonRecv fails a rendezvous receive that cannot finish: remove the
+// state, NACK the sender (its half fails promptly instead of waiting
+// out its own sweep), complete the receive with err. Idempotent against
+// racing sweeps through the same remove-first pattern as
+// finishRecvRdv; reports whether this call did it.
+func (e *Engine) abandonRecv(g *Gate, st *recvRdvState, err error) bool {
 	if g.takeRecvRdv(st.msgID, st) == nil {
-		return // completed or failed by another path first
+		return false // completed or failed by another path first
 	}
 	st.markFailed()
-	e.deadlineExpired.Add(1)
 	g.sendControl(KindRdvNack, st.tag, st.msgID, nackSend, 0)
-	st.req.complete(ErrDeadlineExpired)
+	st.req.complete(err)
+	return true
 }
 
 // pullDone handles one EventRMADone: account the landed chunk and
@@ -444,9 +428,9 @@ func (e *Engine) finishRecvRdv(st *recvRdvState) {
 	}
 }
 
-// sendControl ships one request-less control frame (FIN, RdvPush,
-// RdvNack). Offset/extra land in the header's Offset/Total
-// fields, whose meaning is per kind.
+// sendControl ships one request-less control frame (FIN, RdvNack).
+// Offset/extra land in the header's Offset/Total fields, whose meaning
+// is per kind.
 func (g *Gate) sendControl(kind Kind, tag uint64, msgID uint64, offset, extra uint32) {
 	rail := g.pickEager()
 	if rail < 0 {

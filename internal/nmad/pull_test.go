@@ -18,9 +18,8 @@ import (
 // from RMA-read DMA, and the engines count receive-path memcpys — and
 // by the deterministic virtual clock.
 
-// pullRig is a two-engine pair over two simulated rails with manually
-// driven progression, so runs replay deterministically. The sender's
-// side is RMA-capable; the receiver's is too unless the rig forces push.
+// pullRig is a two-engine pair over two simulated RMA rails with
+// manually driven progression, so runs replay deterministically.
 type pullRig struct {
 	f                *fabric.SimFabric
 	sender, receiver *Engine
@@ -28,17 +27,13 @@ type pullRig struct {
 	sEps, rEps       [2]*fabric.SimEndpoint
 }
 
-func newPullRig(t testing.TB, pull bool) *pullRig {
+func newPullRig(t testing.TB) *pullRig {
 	t.Helper()
 	r := &pullRig{f: fabric.NewSimFabric(fabric.SimConfig{})}
 	fast := fabric.Capabilities{Latency: simtime.Microsecond, Bandwidth: 8e9, MaxInject: 16 << 10, RMA: true}
 	slow := fabric.Capabilities{Latency: 5 * simtime.Microsecond, Bandwidth: 1e9, MaxInject: 16 << 10, RMA: true}
 	for i, caps := range []fabric.Capabilities{fast, slow} {
-		a := r.f.OpenDomain(caps)
-		recvCaps := caps
-		recvCaps.RMA = pull
-		b := r.f.OpenDomain(recvCaps)
-		r.sEps[i], r.rEps[i] = fabric.Connect(a, b)
+		r.sEps[i], r.rEps[i] = fabric.Connect(r.f.OpenDomain(caps), r.f.OpenDomain(caps))
 	}
 	r.sender = NewEngine(Config{NoAutoProgress: true})
 	r.receiver = NewEngine(Config{NoAutoProgress: true})
@@ -81,50 +76,27 @@ func (r *pullRig) transfer(t testing.TB, tag uint64, payload, recvBuf []byte) *R
 	return rreq
 }
 
-// TestPullZeroCopyBeatsPush is the tentpole acceptance test: an 8 MiB
-// rendezvous over two RMA-capable rails moves the payload with zero
-// receive-path host copies and no sender staging copy, against the
-// push path's 3× payload bytes of host copying — and the pull
-// protocol's modelled completion time is no worse.
+// TestPullZeroCopyBeatsPush is the zero-copy acceptance test: an
+// 8 MiB rendezvous over two RMA-capable rails moves the payload with
+// zero receive-path host copies and no sender staging copy — every byte
+// by RMA read — with a handshake of a few control frames. (The push
+// path it was once measured against is gone: every rail reads.)
 func TestPullZeroCopyBeatsPush(t *testing.T) {
 	const size = 8 << 20
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i*31 + i>>9)
 	}
-
-	// Push first: a receiver whose rails cannot read asks for the whole
-	// payload as KindData frames.
-	push := newPullRig(t, false)
-	rreq := push.transfer(t, 1, payload, nil)
-	if !bytes.Equal(rreq.Data, payload) {
-		t.Fatal("push payload corrupted")
-	}
-	pushTime := simtime.Duration(push.f.Now())
-	pushSim := push.f.Stats()
-	pushRecv := push.receiver.Stats()
-	push.close()
-	if pushSim.StagedCopiedBytes < size {
-		t.Errorf("push staging copies = %d bytes, expected ≥ payload (%d)", pushSim.StagedCopiedBytes, size)
-	}
-	if pushRecv.RecvCopiedBytes != size {
-		t.Errorf("push receive-path copies = %d bytes, want exactly the payload (%d)", pushRecv.RecvCopiedBytes, size)
-	}
-
-	// Pull mode: the same transfer, receiver-driven.
-	pull := newPullRig(t, true)
+	pull := newPullRig(t)
 	defer pull.close()
-	rreq = pull.transfer(t, 1, payload, nil)
+	rreq := pull.transfer(t, 1, payload, nil)
 	if !bytes.Equal(rreq.Data, payload) {
 		t.Fatal("pull payload corrupted")
 	}
-	pullTime := simtime.Duration(pull.f.Now())
 	pullSim := pull.f.Stats()
 	pullRecv := pull.receiver.Stats()
-
-	t.Logf("8 MiB rendezvous: push %v (staged %d B, recv-copied %d B) vs pull %v (staged %d B, recv-copied %d B, RMA-read %d B)",
-		pushTime, pushSim.StagedCopiedBytes, pushRecv.RecvCopiedBytes,
-		pullTime, pullSim.StagedCopiedBytes, pullRecv.RecvCopiedBytes, pullSim.RMAReadBytes)
+	t.Logf("8 MiB rendezvous: pull %v (staged %d B, recv-copied %d B, RMA-read %d B)",
+		simtime.Duration(pull.f.Now()), pullSim.StagedCopiedBytes, pullRecv.RecvCopiedBytes, pullSim.RMAReadBytes)
 
 	if pullSim.StagedCopiedBytes != 0 {
 		t.Errorf("pull staged %d bytes; the sender must not stage", pullSim.StagedCopiedBytes)
@@ -141,9 +113,6 @@ func TestPullZeroCopyBeatsPush(t *testing.T) {
 	if pullRecv.RdvPulls == 0 || pullRecv.RdvFins != 1 {
 		t.Errorf("pull protocol counters off: %+v", pullRecv)
 	}
-	if pullTime > pushTime {
-		t.Errorf("pull took %v, push %v; pull must be no slower on the modelled clock", pullTime, pushTime)
-	}
 }
 
 // TestPullRegistrationCacheReuse: repeated sends of one buffer
@@ -151,7 +120,7 @@ func TestPullZeroCopyBeatsPush(t *testing.T) {
 // — and closing the engines releases every region (no MemoryRegion
 // leaks after N pull-mode rendezvous).
 func TestPullRegistrationCacheReuse(t *testing.T) {
-	r := newPullRig(t, true)
+	r := newPullRig(t)
 	payload := make([]byte, 1<<20)
 	recvBuf := make([]byte, 1<<20)
 	const msgs = 16
@@ -222,12 +191,9 @@ func TestMemRailPullReusesBuffers(t *testing.T) {
 		}
 	}
 	st := eb.Stats()
-	if st.RdvPulls < msgs || st.RdvPushRanges != 0 || st.RecvCopiedBytes != 0 {
-		t.Errorf("receiver: %d pulls, %d push ranges, %d bytes copied; want >= %d, 0, 0",
-			st.RdvPulls, st.RdvPushRanges, st.RecvCopiedBytes, msgs)
-	}
-	if got := ea.Stats().RdvData; got != 0 {
-		t.Errorf("sender data fragments = %d, want 0", got)
+	if st.RdvPulls < msgs || st.RecvCopiedBytes != 0 {
+		t.Errorf("receiver: %d pulls, %d bytes copied; want >= %d, 0",
+			st.RdvPulls, st.RecvCopiedBytes, msgs)
 	}
 	ea.Close()
 	eb.Close()
@@ -245,7 +211,7 @@ func TestMemRailPullReusesBuffers(t *testing.T) {
 // releases the sender's region references — nothing stays pinned by a
 // handshake that will never finish.
 func TestPullSenderRegionsReleasedOnFinLoss(t *testing.T) {
-	r := newPullRig(t, true)
+	r := newPullRig(t)
 	defer r.close()
 	payload := make([]byte, 1<<20)
 
@@ -367,7 +333,7 @@ func TestPullRailDeathReissuesOnSurvivor(t *testing.T) {
 		t.Fatalf("sender should complete via FIN: %v", err)
 	}
 	st := receiver.Stats()
-	if st.RdvPulls < 3 && st.RdvPushRanges == 0 {
+	if st.RdvPulls < 3 {
 		t.Errorf("no re-issued chunk recorded after rail death: %+v", st)
 	}
 	if !gb.RailStats()[0].Dead {
@@ -452,26 +418,24 @@ func TestConcurrentPullsWithCapabilitySwapUnderRace(t *testing.T) {
 }
 
 // TestPullMixedRailsFallsBackPerRail: a gate mixing one RMA rail with
-// one classic mem rail pulls over the RMA rail only — the offer names
-// just the pullable rail, and the whole payload arrives through it.
+// one rail that cannot read pulls over the RMA rail only — the offer
+// names just the readable rail, and the whole payload arrives through
+// it.
 func TestPullMixedRailsFallsBackPerRail(t *testing.T) {
 	f := fabric.NewSimFabric(fabric.SimConfig{})
 	caps := fabric.Capabilities{Latency: simtime.Microsecond, Bandwidth: 8e9, MaxInject: 16 << 10, RMA: true}
-	a := f.OpenDomain(caps)
-	b := f.OpenDomain(caps)
-	ea, eb := fabric.Connect(a, b)
-	da, db := MemPair()
+	ea, eb := fabric.Connect(f.OpenDomain(caps), f.OpenDomain(caps))
+	la, lb := fabric.NewLoopback()
 
 	sender := NewEngine(Config{})
 	receiver := NewEngine(Config{})
 	defer sender.Close()
 	defer receiver.Close()
-	mcaps := capsForDriver(da)
-	ga, err := sender.NewGateEndpoints(ea, WrapDriver(da, mcaps))
+	ga, err := sender.NewGateEndpoints(ea, la)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := receiver.NewGateEndpoints(eb, WrapDriver(db, mcaps))
+	gb, err := receiver.NewGateEndpoints(eb, lb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,13 +464,16 @@ func TestPullMixedRailsFallsBackPerRail(t *testing.T) {
 	if st.RdvPulls == 0 || st.RdvPullBytes != uint64(len(payload)) {
 		t.Errorf("expected the whole payload pulled over the RMA rail: %+v", st)
 	}
+	if rs := gb.RailStats(); rs[0].PullBytes != uint64(len(payload)) || rs[1].PullBytes != 0 {
+		t.Errorf("pull bytes per rail %d/%d, want everything on the RMA rail", rs[0].PullBytes, rs[1].PullBytes)
+	}
 }
 
 // TestIrecvIntoShortBufferFailsBothSides: a posted buffer too small
 // for the matched rendezvous fails the receive locally and NACKs the
 // sender, which fails too instead of waiting for a FIN forever.
 func TestIrecvIntoShortBufferFailsBothSides(t *testing.T) {
-	r := newPullRig(t, true)
+	r := newPullRig(t)
 	defer r.close()
 	payload := make([]byte, 256<<10)
 	rreq := r.gb.IrecvInto(7, make([]byte, 1024))
@@ -531,7 +498,7 @@ func TestIrecvIntoShortBufferFailsBothSides(t *testing.T) {
 // TestIrecvIntoEagerCopies: eager messages land in the caller's buffer
 // by one counted copy.
 func TestIrecvIntoEagerCopies(t *testing.T) {
-	r := newPullRig(t, true)
+	r := newPullRig(t)
 	defer r.close()
 	buf := make([]byte, 64)
 	rreq := r.transfer(t, 3, []byte("into the user buffer"), buf)
@@ -548,17 +515,13 @@ func TestIrecvIntoEagerCopies(t *testing.T) {
 
 // ---- Benchmarks: the steady-state allocation bar ----
 
-// pullBenchRig wires two engines over two loopback rails (wall clock,
-// no simulation) for the allocation benchmarks: RMA-capable for pull,
-// plain for push.
-func pullBenchRig(b *testing.B, pull bool) (*Engine, *Engine, *Gate, *Gate) {
-	b.Helper()
-	pair := fabric.NewLoopback
-	if pull {
-		pair = fabric.NewLoopbackRMA
-	}
-	la0, lb0 := pair()
-	la1, lb1 := pair()
+// BenchmarkRdvPull measures the steady-state pull-mode rendezvous on
+// two loopback-RMA rails (wall clock, no simulation): repeated sends of
+// one buffer ride the registration cache and the pooled
+// requests/states/packets, so the bar is 0 allocs/op after warm-up.
+func BenchmarkRdvPull(b *testing.B) {
+	la0, lb0 := fabric.NewLoopbackRMA()
+	la1, lb1 := fabric.NewLoopbackRMA()
 	sender := NewEngine(Config{})
 	receiver := NewEngine(Config{})
 	ga, err := sender.NewGateEndpoints(la0, la1)
@@ -569,11 +532,6 @@ func pullBenchRig(b *testing.B, pull bool) (*Engine, *Engine, *Gate, *Gate) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return sender, receiver, ga, gb
-}
-
-func benchRdv(b *testing.B, pull bool) {
-	sender, receiver, ga, gb := pullBenchRig(b, pull)
 	defer sender.Close()
 	defer receiver.Close()
 	payload := make([]byte, 256<<10)
@@ -608,17 +566,6 @@ func benchRdv(b *testing.B, pull bool) {
 		rreq.Free()
 	}
 }
-
-// BenchmarkRdvPull measures the steady-state pull-mode rendezvous on
-// loopback-RMA rails: repeated sends of one buffer ride the
-// registration cache and the pooled requests/states/packets, so the
-// bar is 0 allocs/op after warm-up.
-func BenchmarkRdvPull(b *testing.B) { benchRdv(b, true) }
-
-// BenchmarkRdvPush is the push-path counterpart of BenchmarkRdvPull:
-// the same transfer over rails that cannot read, so the receiver asks
-// for KindData frames, with their per-frame payload copies.
-func BenchmarkRdvPush(b *testing.B) { benchRdv(b, false) }
 
 // BenchmarkAggr measures the aggregation strategy's steady state: a
 // burst of small messages packed into aggregate frames, with the
@@ -678,8 +625,7 @@ func (f *erroringReadEndpoint) RMARead(key fabric.RKey, offset int, local []byte
 
 // TestPullLastRailDeathFailsGate: when the gate's only rail dies
 // through the RMARead post path, the receive must fail promptly via
-// failGate — not fall back to a push request sent into a dead gate
-// and hang forever.
+// failGate — not NACK into a dead gate and hang forever.
 func TestPullLastRailDeathFailsGate(t *testing.T) {
 	f := fabric.NewSimFabric(fabric.SimConfig{})
 	caps := fabric.Capabilities{Latency: simtime.Microsecond, Bandwidth: 8e9, MaxInject: 16 << 10, RMA: true}
@@ -715,35 +661,33 @@ func TestPullLastRailDeathFailsGate(t *testing.T) {
 	}
 }
 
-// TestCalibratedDriverRailKeepsPullAlive: wrapping rails in a
-// calibrator must not hide the classic drivers' ext incapability —
-// the RTS pull offer would be routed onto a rail that silently strips
-// it, disabling zero-copy for the whole gate. The ext probe looks
-// through the calibrator, so a calibrated mixed gate still pulls.
+// TestCalibratedDriverRailKeepsPullAlive: wrapping the package's own
+// rails in a calibrator moves them onto the generic Send/Poll face,
+// which must keep the RTS pull offer (the imm extension) and the RMA
+// face intact — so a calibrated gate mixing a simulated rail with a
+// MemPair rail still pulls over both.
 func TestCalibratedDriverRailKeepsPullAlive(t *testing.T) {
 	f := fabric.NewSimFabric(fabric.SimConfig{})
 	caps := fabric.Capabilities{Latency: simtime.Microsecond, Bandwidth: 8e9, MaxInject: 16 << 10, RMA: true}
-	a := f.OpenDomain(caps)
-	b := f.OpenDomain(caps)
-	ea, eb := fabric.Connect(a, b)
+	ea, eb := fabric.Connect(f.OpenDomain(caps), f.OpenDomain(caps))
 	da, db := MemPair()
 
 	sender := NewEngine(Config{Calibrate: true})
 	receiver := NewEngine(Config{Calibrate: true})
 	defer sender.Close()
 	defer receiver.Close()
-	mcaps := capsForDriver(da)
-	ga, err := sender.NewGateEndpoints(ea, WrapDriver(da, mcaps))
+	ga, err := sender.NewGateEndpoints(ea, endpointOf(da))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := receiver.NewGateEndpoints(eb, WrapDriver(db, mcaps))
+	gb, err := receiver.NewGateEndpoints(eb, endpointOf(db))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ga.rails[0].canExt != true || ga.rails[1].canExt != false {
-		t.Fatalf("ext capability must probe through the calibrator: sim=%v mem=%v",
-			ga.rails[0].canExt, ga.rails[1].canExt)
+	for i, r := range gb.rails {
+		if _, ok := r.ep.(*fabric.CalibratedEndpoint); !ok || r.rma == nil {
+			t.Fatalf("rail %d: %T, reads %v; want a calibrated reading rail", i, r.ep, r.rma != nil)
+		}
 	}
 
 	payload := make([]byte, 256<<10)
@@ -766,7 +710,10 @@ func TestCalibratedDriverRailKeepsPullAlive(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("calibrated mixed-rail transfer corrupted the payload")
 	}
-	if st := receiver.Stats(); st.RdvPulls == 0 {
-		t.Errorf("calibrated gate should still engage pull mode: %+v", st)
+	if st := receiver.Stats(); st.RdvPulls != 2 || st.RecvCopiedBytes != 0 {
+		t.Errorf("calibrated gate should pull over both rails: %+v", st)
+	}
+	if rs := gb.RailStats(); rs[1].PullBytes == 0 {
+		t.Error("the calibrated mem rail read nothing: its offer or RMA face was lost")
 	}
 }

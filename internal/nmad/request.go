@@ -209,7 +209,7 @@ func (r *Request) Cancel() bool {
 // Free returns a successfully completed request to the engine's pool;
 // the caller must not touch it afterwards. Calling Free before
 // completion, or after a completion with an error, is a no-op: failure
-// paths may still hold references to the handle (a re-striped fragment
+// paths may still hold references to the handle (a re-issued read
 // completing late, a conservative failure sweep), so only the clean
 // path recycles. Free is optional — unfreed requests are simply
 // garbage collected.

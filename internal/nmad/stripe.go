@@ -13,184 +13,92 @@ package nmad
 // unknown bandwidth split equally — the Capabilities contract, and the
 // seed split the ablation benchmarks reproduce by hiding bandwidth.
 //
-// Both directions stripe: the sender for the byte ranges it is asked
-// to push, the receiver for its RMA reads (it sees its own side's live
+// The receiver stripes its RMA reads: it sees its own side's live
 // capability estimates, which is exactly what a receiver-driven
-// protocol wants). The arithmetic is shared; eligibility differs — a
-// pull additionally needs the rail to be RMA-capable and covered by
-// the sender's key offer.
+// protocol wants. A rail is eligible when it is alive, can read, and is
+// covered by the sender's key offer.
 
-// chunk is one rendezvous fragment assignment: payload[lo:hi] rides
-// the given rail.
-type chunk struct {
-	rail   int
-	lo, hi int
-}
+import "slices"
 
-// minStripeChunk is the smallest fragment worth a frame of its own:
-// below this, per-frame latency dominates the bandwidth gain of using
-// an extra rail, so sub-minimum shares fold into the fastest rail.
+// minStripeChunk is the smallest chunk worth a read of its own: below
+// this, per-read latency dominates the bandwidth gain of using an
+// extra rail, so sub-minimum shares fold into the fastest rail.
 const minStripeChunk = 4 << 10
 
-// stripeCand is one candidate rail of a split under construction.
+// stripeCand is one candidate rail of a split under construction: its
+// weight, then its share.
 type stripeCand struct {
 	rail int
 	w    float64
+	n    int
 }
 
-// stripeScratchT holds the working storage of one striping pass, so
-// the hot paths (every rendezvous, both directions) allocate nothing.
-type stripeScratchT struct {
-	ready     []stripeCand
-	congested []stripeCand
-	sizes     []int
-	chunks    []chunk
-}
-
-// stripeScratch takes a scratch from the gate's pool.
-func (g *Gate) stripeScratch() *stripeScratchT {
-	sc, _ := g.stripePool.Get().(*stripeScratchT)
-	if sc == nil {
-		sc = &stripeScratchT{}
-	}
-	return sc
-}
-
-// putStripeScratch recycles a scratch. The chunks it returned from
-// stripeInto become invalid — callers copy them out first when they
-// outlive the pass.
-func (g *Gate) putStripeScratch(sc *stripeScratchT) {
-	sc.ready = sc.ready[:0]
-	sc.congested = sc.congested[:0]
-	sc.sizes = sc.sizes[:0]
-	sc.chunks = sc.chunks[:0]
-	g.stripePool.Put(sc)
-}
-
-// stripe splits a payload of the given size across the gate's alive
-// rails in proportion to their capability bandwidth (equal shares when
-// any bandwidth is unknown). Backpressured rails are skipped while an
-// uncongested rail exists; shares below minStripeChunk fold into the
-// fastest rail. Returns nil when every rail is dead. This convenience
-// wrapper allocates its result; the protocol paths use stripeInto
-// with a pooled scratch.
-func (g *Gate) stripe(total int) []chunk {
-	sc := g.stripeScratch()
-	defer g.putStripeScratch(sc)
-	return append([]chunk(nil), g.stripeInto(sc, total, nil)...)
-}
-
-// stripeInto computes the split into sc's storage, considering only
-// alive rails accepted by eligible (nil accepts all). The returned
-// slice aliases sc and dies with it.
-func (g *Gate) stripeInto(sc *stripeScratchT, total int, eligible func(int) bool) []chunk {
+// stripeRecvChunks splits a rendezvous receive of total bytes across
+// the alive rails the sender's offer covers (st.keys), in proportion
+// to their capability bandwidth (equal shares when any bandwidth is
+// unknown), into the state's chunk table (pooled storage).
+// Backpressured rails are skipped while an uncongested rail qualifies;
+// shares below minStripeChunk fold into the fastest rail. When no rail
+// qualifies — no usable offer — the table is one chunk [0, total) with
+// no key behind it, which issueChunk fails visibly. The state is not
+// yet published, so no lock is held; the candidates live on the stack,
+// so the hot path allocates nothing.
+func (g *Gate) stripeRecvChunks(st *recvRdvState, total int) {
+	var readyBuf, congestedBuf [8]stripeCand
+	ready, congested := readyBuf[:0], congestedBuf[:0]
 	for i, r := range g.rails {
-		if r.dead.Load() || (eligible != nil && !eligible(i)) {
+		if r.dead.Load() || st.keys[i] == 0 {
 			continue
 		}
 		caps := r.ep.Capabilities()
-		w := caps.Bandwidth
 		if r.backpressured(caps) {
-			sc.congested = append(sc.congested, stripeCand{rail: i, w: w})
+			congested = append(congested, stripeCand{rail: i, w: caps.Bandwidth})
 		} else {
-			sc.ready = append(sc.ready, stripeCand{rail: i, w: w})
+			ready = append(ready, stripeCand{rail: i, w: caps.Bandwidth})
 		}
 	}
-	ready := sc.ready
 	if len(ready) == 0 {
-		ready = sc.congested
+		ready = congested
 	}
+	st.chunks = st.chunks[:0]
 	if len(ready) == 0 {
-		return nil
+		st.chunks = append(st.chunks, rdvChunk{st: st, hi: total})
+		return
 	}
 	// A participating rail with an unknown bandwidth makes a
 	// proportional split meaningless (its share would be ~0 against
 	// absolute bytes/s weights): fall back to equal weights, as the
 	// Capabilities contract documents. Judged over the rails actually
 	// in the split, not ones excluded as congested or dead.
-	unknown := false
-	for _, c := range ready {
-		if c.w <= 0 {
-			unknown = true
-		}
-	}
-	if unknown {
+	if slices.ContainsFunc(ready, func(c stripeCand) bool { return c.w <= 0 }) {
 		for i := range ready {
 			ready[i].w = 1
 		}
 	}
-
-	sumW := 0.0
-	fastest := 0
+	sumW, fastest := 0.0, 0
 	for i, c := range ready {
 		sumW += c.w
 		if c.w > ready[fastest].w {
 			fastest = i
 		}
 	}
-	sizes := sc.sizes[:0]
 	assigned := 0
-	for _, c := range ready {
-		s := int(float64(total) * c.w / sumW)
-		sizes = append(sizes, s)
-		assigned += s
+	for i := range ready {
+		ready[i].n = int(float64(total) * ready[i].w / sumW)
+		assigned += ready[i].n
 	}
-	sizes[fastest] += total - assigned // rounding remainder
-	for i := range sizes {
-		if i != fastest && sizes[i] < minStripeChunk {
-			sizes[fastest] += sizes[i]
-			sizes[i] = 0
+	ready[fastest].n += total - assigned // rounding remainder
+	for i := range ready {
+		if i != fastest && ready[i].n < minStripeChunk {
+			ready[fastest].n += ready[i].n
+			ready[i].n = 0
 		}
 	}
-	sc.sizes = sizes
-
-	out := sc.chunks[:0]
 	lo := 0
-	for i, c := range ready {
-		if sizes[i] == 0 {
-			continue
-		}
-		out = append(out, chunk{rail: c.rail, lo: lo, hi: lo + sizes[i]})
-		lo += sizes[i]
-	}
-	sc.chunks = out
-	return out
-}
-
-// stripeRecvChunks stripes a rendezvous receive across the rails the
-// sender's offer covers and this side can read through, materializing
-// the result as the state's chunk table (pooled storage). When no rail
-// qualifies — no offer, a TCP or wrapped-driver gate — the table is one
-// chunk [0, total) with no key behind it, which issueChunk turns into
-// a push request. The state is not yet published, so no lock is held.
-func (g *Gate) stripeRecvChunks(st *recvRdvState, total int) {
-	sc := g.stripeScratch()
-	defer g.putStripeScratch(sc)
-	chunks := g.stripeInto(sc, total, func(i int) bool {
-		return st.keys[i] != 0 && g.rails[i].rma != nil
-	})
-	st.chunks = st.chunks[:0]
-	for i, c := range chunks {
-		st.chunks = append(st.chunks, rdvChunk{st: st, rail: c.rail, idx: i, lo: c.lo, hi: c.hi})
-	}
-	if len(st.chunks) == 0 {
-		st.chunks = append(st.chunks, rdvChunk{st: st, hi: total})
-	}
-}
-
-// wireTime estimates, in Clock nanoseconds, how long n bytes striped
-// over the gate's alive rails spend on the wire, from the bandwidths
-// they advertise (0 when none does). Retry deadlines add it so a large
-// transfer that is merely slow is not mistaken for a lost one.
-func (g *Gate) wireTime(n int) int64 {
-	bw := 0.0
-	for _, r := range g.rails {
-		if !r.dead.Load() {
-			bw += r.ep.Capabilities().Bandwidth
+	for _, c := range ready {
+		if c.n > 0 {
+			st.chunks = append(st.chunks, rdvChunk{st: st, rail: c.rail, idx: len(st.chunks), lo: lo, hi: lo + c.n})
+			lo += c.n
 		}
 	}
-	if bw <= 0 {
-		return 0
-	}
-	return int64(float64(n) / bw * 1e9)
 }

@@ -2,9 +2,7 @@ package nmad
 
 import (
 	"bytes"
-	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"pioman/internal/core"
@@ -59,7 +57,18 @@ func stripeGate(eps ...*fakeEndpoint) *Gate {
 	return g
 }
 
-func chunkSizes(chunks []chunk) map[int]int {
+// stripe splits a payload of the given size across every alive rail,
+// as for a receive whose offer covers them all.
+func (g *Gate) stripe(total int) []rdvChunk {
+	st := &recvRdvState{keys: make([]fabric.RKey, len(g.rails))}
+	for i := range st.keys {
+		st.keys[i] = 1
+	}
+	g.stripeRecvChunks(st, total)
+	return st.chunks
+}
+
+func chunkSizes(chunks []rdvChunk) map[int]int {
 	out := map[int]int{}
 	for _, c := range chunks {
 		out[c.rail] += c.hi - c.lo
@@ -172,9 +181,11 @@ func TestStripeExcludesDeadRails(t *testing.T) {
 	if len(chunks) != 1 || chunks[0].rail != 1 {
 		t.Fatalf("chunks = %+v, want everything on the surviving rail", chunks)
 	}
+	// No rail left: the one fallback chunk covers the payload, and
+	// issueChunk fails it for want of a rail to read through.
 	g.rails[1].dead.Store(true)
-	if chunks := g.stripe(1 << 20); chunks != nil {
-		t.Fatalf("stripe over dead gate = %+v, want nil", chunks)
+	if chunks := g.stripe(1 << 20); len(chunks) != 1 || chunks[0].lo != 0 || chunks[0].hi != 1<<20 {
+		t.Fatalf("stripe over dead gate = %+v, want the single fallback chunk", chunks)
 	}
 }
 
@@ -319,45 +330,29 @@ func TestHeterogeneousStripingBeatsEven(t *testing.T) {
 	}
 }
 
-// flakyEndpoint injects send failures for payloads above a threshold,
-// so the rendezvous handshake survives and only a data chunk trips the
-// rail-death path.
-type flakyEndpoint struct {
-	fabric.Endpoint
-	failAbove int
-	failed    atomic.Bool
-}
-
-func (f *flakyEndpoint) Send(imm, payload []byte) error {
-	if len(payload) > f.failAbove {
-		f.failed.Store(true)
-		return errors.New("injected rail failure")
-	}
-	return f.Endpoint.Send(imm, payload)
-}
-
+// TestRailDeathRestripesInFlightChunks: a rail whose send fails
+// mid-rendezvous is marked dead and the frame re-routed onto the
+// survivor. Here the sender's preferred rail rejects the RTS; the
+// re-routed RTS still offers both rails' keys, the receiver reads the
+// payload, and the request completes cleanly instead of failing.
 func TestRailDeathRestripesInFlightChunks(t *testing.T) {
-	da0, db0 := MemPair()
-	da1, db1 := MemPair()
-	caps := capsForDriver(da0)
-	flaky := &flakyEndpoint{Endpoint: WrapDriver(da0, caps), failAbove: 8 << 10}
+	la0, lb0 := fabric.NewLoopbackRMA()
+	la1, lb1 := fabric.NewLoopbackRMA()
+	flaky := &faultyEndpoint{Endpoint: la0, failKind: KindRTS}
 
 	sender := NewEngine(Config{})
 	receiver := NewEngine(Config{})
 	defer sender.Close()
 	defer receiver.Close()
-	ga, err := sender.NewGateEndpoints(flaky, WrapDriver(da1, caps))
+	ga, err := sender.NewGateEndpoints(flaky, la1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := receiver.NewGate(db0, db1)
+	gb, err := receiver.NewGateEndpoints(lb0, lb1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// 256 KiB stripes ~128 KiB onto each rail; the flaky rail rejects
-	// its chunk, which must be re-routed to the survivor — the request
-	// completes cleanly instead of failing.
 	payload := make([]byte, 256<<10)
 	for i := range payload {
 		payload[i] = byte(i * 31)
@@ -377,13 +372,13 @@ func TestRailDeathRestripesInFlightChunks(t *testing.T) {
 		t.Fatal(recvErr)
 	}
 	if !bytes.Equal(got, payload) {
-		t.Fatal("re-striped payload corrupted")
+		t.Fatal("payload corrupted after the re-route")
 	}
-	if !flaky.failed.Load() {
+	if Kind(flaky.failedKind.Load()) != KindRTS {
 		t.Fatal("test did not exercise the failure path")
 	}
 	if st := sender.Stats(); st.Restripes == 0 {
-		t.Error("no re-striped fragments recorded")
+		t.Error("no re-routed frames recorded")
 	}
 	rails := ga.RailStats()
 	if !rails[0].Dead {

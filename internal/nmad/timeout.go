@@ -11,31 +11,35 @@ import (
 
 // Rendezvous handshake timeouts.
 //
-// The rendezvous protocol is a conversation — RTS, then reads or push
-// requests, then data, then FIN — and on a lossy fabric any line of it
-// can vanish while both rails stay perfectly alive. Before this file
-// existed that meant a silent mutual hang: the sender pinned its
-// payload waiting for a reply that was never coming, the receiver held
-// a reassembly waiting for bytes that were never sent. Rail death was
-// handled (PR 2/5); frame loss on a live rail was not.
+// The rendezvous protocol is a conversation — RTS, then the receiver's
+// reads, then FIN — and on a lossy fabric any line of it can vanish
+// while both rails stay perfectly alive. Without a deadline that is a
+// silent mutual hang: the sender pins its payload waiting for a FIN
+// that is never coming, the receiver holds a half-read buffer waiting
+// for reads that were swallowed. Rail death is handled separately
+// (railFailed); this file handles loss on a live rail.
 //
 // The cure is the classic one: every open rendezvous half carries a
 // deadline on the engine's clock. A sweep task (one per engine, riding
 // the same task engine as the polling work) retransmits the stalled
 // step with exponential backoff — the sender re-sends its RTS, the
-// receiver re-issues its outstanding reads and re-requests its pushed
-// ranges — and after RdvRetries fruitless rounds fails the request
-// visibly with ErrRdvTimeout and best-effort NACKs the peer, so neither
-// side waits forever and nothing stays pinned.
+// receiver re-issues its outstanding reads — and after RdvRetries
+// fruitless rounds fails the request visibly with ErrRdvTimeout and
+// best-effort NACKs the peer, so neither side waits forever and nothing
+// stays pinned.
+//
+// A TCP rail cannot lose a read while it lives, so on TCP a transfer is
+// slow, never lost: a receive whose unsettled reads are all in flight
+// there gives its retry back, and a send whose payload its TCP rail is
+// serving disarms its timer. A transfer of any length fits any budget.
 //
 // Retransmission makes duplicates a fact of life, so the protocol
 // handlers are hardened to be idempotent: a second RTS for a live
-// handshake is ignored instead of re-matched, a settled-rendezvous
-// log (bounded, per gate) lets late control frames for finished
-// handshakes be answered or ignored instead of NACKing a healthy peer,
-// and data-frame reassembly counts byte *coverage* rather than frame
-// arrivals so replayed or overlapping fragments cannot complete a
-// request before every byte is truly home.
+// handshake is ignored instead of re-matched, a settled-rendezvous log
+// (bounded, per gate) lets late control frames for finished handshakes
+// be answered or ignored instead of NACKing a healthy peer, and a read
+// completion counts only for a chunk still reading, so a re-posted read
+// cannot count its bytes twice.
 //
 // The clock is pluggable (Config.Clock) so a deterministic harness can
 // run the whole state machine on a virtual fabric clock: timeouts then
@@ -91,68 +95,6 @@ func (l *settledLog) add(id uint64) {
 func (l *settledLog) has(id uint64) bool {
 	_, ok := l.set[id]
 	return ok
-}
-
-// span is one covered byte range [lo, hi) of a rendezvous reassembly.
-type span struct{ lo, hi int }
-
-// addCovered merges [lo, hi) into the state's covered-range set and
-// returns how many bytes were newly covered. Data frames feed the
-// request's byte counter through this instead of their raw length, so
-// a duplicated or retransmitted fragment — same bytes, arriving twice
-// — cannot inflate the count and complete the request with holes in
-// the payload. The set stays sorted and disjoint; rendezvous transfers
-// carry a handful of ranges, so the linear merge is cheap.
-func (st *recvRdvState) addCovered(lo, hi int) int {
-	if hi <= lo {
-		return 0
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	added := hi - lo
-	i := 0
-	for i < len(st.covered) && st.covered[i].hi < lo {
-		i++
-	}
-	j, newLo, newHi := i, lo, hi
-	for j < len(st.covered) && st.covered[j].lo <= hi {
-		c := st.covered[j]
-		if ovLo, ovHi := max(lo, c.lo), min(hi, c.hi); ovHi > ovLo {
-			added -= ovHi - ovLo
-		}
-		if c.lo < newLo {
-			newLo = c.lo
-		}
-		if c.hi > newHi {
-			newHi = c.hi
-		}
-		j++
-	}
-	if j == i {
-		// No overlap: insert a fresh span at i.
-		st.covered = append(st.covered, span{})
-		copy(st.covered[i+1:], st.covered[i:])
-		st.covered[i] = span{newLo, newHi}
-		return added
-	}
-	st.covered[i] = span{newLo, newHi}
-	st.covered = append(st.covered[:i+1], st.covered[j:]...)
-	return added
-}
-
-// refForRetry takes a sweep reference blocking pool recycling while a
-// timeout retry re-issues the state's chunks. Must be called under
-// Gate.mu while the state is still in g.rdvRecv — that is what
-// guarantees it has not completed and been recycled under a new owner.
-// Returns false for a state already abandoned. Released via endSweep.
-func (st *recvRdvState) refForRetry() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.failed {
-		return false
-	}
-	st.sweeps++
-	return true
 }
 
 // retryTimer is the timeout state every in-flight protocol state
@@ -299,6 +241,12 @@ func (g *Gate) dueRendezvous(now int64, sends, recvs []sweepAct) ([]sweepAct, []
 		case sweepWait:
 			continue
 		case sweepRetry:
+			if g.offerServing(st.offer) {
+				// The receiver is reading: the handshake can only
+				// finish (FIN), fail (NACK, rail death) or expire.
+				st.retryTimer = retryTimer{}
+				continue
+			}
 			// Copy the offer: the state may complete and recycle
 			// (resetting its offer storage) while the retransmitted RTS
 			// is in flight.
@@ -317,14 +265,18 @@ func (g *Gate) dueRendezvous(now int64, sends, recvs []sweepAct) ([]sweepAct, []
 		case sweepWait:
 			continue
 		case sweepRetry:
-			if !st.refForRetry() {
+			if g.readsInFlight(st) {
+				st.retries-- // slow, not lost: give the retry back
+				continue
+			}
+			if !st.beginSweep() {
 				continue
 			}
 			a.recv, a.retries = st, st.retries
 		default:
 			// The retry budget is spent, or the sender's propagated
-			// deadline passed: stop reassembling bytes whose submitter
-			// has already given up.
+			// deadline passed: stop reading bytes whose submitter has
+			// already given up.
 			delete(g.rdvRecv, id)
 			g.settledRecv.add(id)
 			st.markFailed()
@@ -353,14 +305,7 @@ func (e *Engine) sweepSend(a sweepAct) {
 	if r := e.rec; r != nil {
 		r.Record(g.id, trace.EvRetransmit, g.spanID(trace.DirSend, 0, a.msgID), uint64(a.retries))
 	}
-	rail := -1
-	if len(a.offer) > 0 {
-		rail = g.pickControl(true)
-	}
-	if rail < 0 {
-		a.offer = nil
-		rail = g.pickEager()
-	}
+	rail := g.pickEager()
 	if rail < 0 {
 		return // gate is dying; the rail-death sweeps own the fallout
 	}
@@ -371,9 +316,9 @@ func (e *Engine) sweepSend(a sweepAct) {
 	g.sendPacket(p)
 }
 
-// sweepRecv acts on one due receive rendezvous: re-drive whatever this
-// side is waiting on, or fail the receive and tell the sender. A retry
-// holds a refForRetry reference, released here.
+// sweepRecv acts on one due receive rendezvous: re-issue its unsettled
+// reads, or fail the receive and tell the sender. A retry holds a
+// beginSweep reference, released here.
 func (e *Engine) sweepRecv(a sweepAct) {
 	g, st := a.g, a.recv
 	if a.verdict != sweepRetry {
@@ -382,37 +327,13 @@ func (e *Engine) sweepRecv(a sweepAct) {
 		a.req.complete(err)
 		return
 	}
-	defer st.endSweep()
 	e.rdvRetries.Add(1)
 	if r := e.rec; r != nil {
 		r.Record(g.id, trace.EvRetransmit, g.spanID(trace.DirRecv, 0, a.msgID), uint64(a.retries))
 	}
-	// Re-drive every unsettled chunk — blackholed reads are re-posted,
-	// lost push requests (or their lost data) re-asked. chunkDone
-	// chunks are skipped; duplicate data from a re-asked range is
-	// absorbed by coverage accounting, and a sender that already
-	// settled the handshake ignores the late request. A push is only
-	// re-asked once it stalled: askPush's deadline covers its wire
-	// time, and fresh pushed bytes re-arm the timer.
-	st.mu.Lock()
-	var reissue []int
-	var pushes []span
-	for i := range st.chunks {
-		switch st.chunks[i].state {
-		case chunkDone:
-		case chunkPushed:
-			pushes = append(pushes, span{st.chunks[i].lo, st.chunks[i].hi})
-		default:
-			reissue = append(reissue, i)
-		}
-	}
-	st.mu.Unlock()
-	for _, i := range reissue {
-		e.issueChunk(g, st, i)
-	}
-	for _, r := range pushes {
-		g.askPush(st, a.tag, a.msgID, r.lo, r.hi)
-	}
+	// Re-post every unsettled chunk: a blackholed read is posted again
+	// (a TCP rail treats the re-post of a read in flight as a no-op).
+	e.reissue(g, st, func(c *rdvChunk) bool { return c.state != chunkDone })
 }
 
 // sweepEager is the eager half of the deadline sweep: retransmit
@@ -473,7 +394,7 @@ func (e *Engine) sweepEager(now int64, gates []*Gate) {
 type IdleReport struct {
 	// SendRendezvous counts in-flight send-side rendezvous states.
 	SendRendezvous int
-	// RecvRendezvous counts in-flight receive-side reassemblies.
+	// RecvRendezvous counts in-flight receive-side rendezvous reads.
 	RecvRendezvous int
 	// PostedRecvs counts posted receives nothing has matched.
 	PostedRecvs int

@@ -60,11 +60,9 @@ func NewNmadCollector(engine string, e *nmad.Engine) Collector {
 		w.Counter("pioman_nmad_aggregated_total", "Messages that travelled inside an aggregate.", st.Aggregated, l...)
 		w.Counter("pioman_nmad_aggr_frames_total", "Aggregate frames sent.", st.AggrFrames, l...)
 		w.Counter("pioman_nmad_rdv_started_total", "Rendezvous handshakes initiated.", st.RdvStarted, l...)
-		w.Counter("pioman_nmad_rdv_data_total", "Rendezvous data fragments sent.", st.RdvData, l...)
-		w.Counter("pioman_nmad_restripes_total", "Fragments re-routed onto a surviving rail.", st.Restripes, l...)
+		w.Counter("pioman_nmad_restripes_total", "Frames re-routed onto a surviving rail.", st.Restripes, l...)
 		w.Counter("pioman_nmad_rdv_pulls_total", "RMA reads posted by rendezvous receives.", st.RdvPulls, l...)
 		w.Counter("pioman_nmad_rdv_pull_bytes_total", "Payload bytes landed by RMA reads.", st.RdvPullBytes, l...)
-		w.Counter("pioman_nmad_rdv_push_ranges_total", "Byte ranges rendezvous receives asked the sender to push.", st.RdvPushRanges, l...)
 		w.Counter("pioman_nmad_rdv_fins_total", "Rendezvous receives completed (FIN sent).", st.RdvFins, l...)
 		w.Counter("pioman_nmad_recv_copied_bytes_total", "Payload bytes memcpy'd on the receive path.", st.RecvCopiedBytes, l...)
 		w.Counter("pioman_nmad_rdv_retries_total", "Rendezvous steps retransmitted after a timeout.", st.RdvRetries, l...)

@@ -151,22 +151,6 @@ func fmtSscan(s string, v *uint64) (int, error) {
 	return 1, nil
 }
 
-// deadDriver fails every send: the last-rail-death path that must flip
-// /healthz to 503.
-type deadDriver struct{}
-
-// Name identifies the driver.
-func (deadDriver) Name() string { return "dead" }
-
-// Send always fails.
-func (deadDriver) Send(nmad.Header, []byte) error { return errors.New("wire gone") }
-
-// Poll never has frames.
-func (deadDriver) Poll() (nmad.Frame, bool, error) { return nmad.Frame{}, false, nil }
-
-// Close is a no-op.
-func (deadDriver) Close() error { return nil }
-
 func TestHealthzTransitions(t *testing.T) {
 	var now atomic.Int64
 	now.Store(1)
@@ -205,9 +189,12 @@ func TestHealthzTransitions(t *testing.T) {
 		t.Fatalf("recovered /healthz = %d (%q), want 200", code, body)
 	}
 
-	// 5. The engine's only gate loses its only rail: unhealthy, and
-	// the report names the gate failure.
-	g, err := e.NewGate(deadDriver{})
+	// 5. The engine's only gate loses its only rail (its peer is gone,
+	// so every send fails): unhealthy, and the report names the gate
+	// failure.
+	near, far := nmad.MemPair()
+	far.Close()
+	g, err := e.NewGate(near)
 	if err != nil {
 		t.Fatal(err)
 	}

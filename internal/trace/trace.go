@@ -113,15 +113,13 @@ const (
 	EvMatchEnd
 	// EvHandshakeBegin opens the rendezvous handshake phase. Sender
 	// side: RTS sent → FIN received (the span covers the whole
-	// receiver-driven transfer, pulled or pushed): A = span id,
-	// B = message bytes.
+	// receiver-driven transfer): A = span id, B = message bytes.
 	EvHandshakeBegin
 	// EvHandshakeEnd closes the handshake phase: A = span id, B = 0 on
 	// success, 1 on error.
 	EvHandshakeEnd
 	// EvTransferBegin opens the receiver's data-movement phase (match →
-	// every byte landed, pulled or pushed): A = span id, B = bytes
-	// moved in the phase.
+	// every byte read): A = span id, B = bytes moved in the phase.
 	EvTransferBegin
 	// EvTransferEnd closes the data-movement phase: A = span id,
 	// B = 0 on success, 1 on error.
