@@ -64,6 +64,7 @@ func (e *Engine) SubmitAll(tasks ...*Task) error {
 		n++
 	}
 	flush()
+	e.wakeParked()
 	return nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -238,6 +239,16 @@ type Engine struct {
 	// guard every use with a nil check so the disabled engine pays one
 	// predictable branch, nothing more.
 	rec *trace.Recorder
+
+	// Parking (park.go): parked counts the schedulers blocked in Park,
+	// the one word every enqueue reads; parkMu guards the parked list
+	// and the recycled parkers; permit is the last Wake, until a Park
+	// consumes it.
+	parked   atomic.Int32
+	permit   atomic.Bool
+	parkMu   sync.Mutex
+	parkers  []*parker
+	parkFree []*parker
 }
 
 // latShard is one CPU's latency instrumentation: histograms of how long
@@ -381,6 +392,7 @@ func (e *Engine) submitTo(t *Task, q *Queue) {
 	}
 	t.home = q
 	q.enqueue(t)
+	e.wakeParked()
 }
 
 // MustSubmit is Submit that panics on error, for call sites where a
@@ -406,7 +418,7 @@ func (e *Engine) SubmitToIdle(t *Task, home int) error {
 
 // SetIdle records whether a CPU is currently idle. The progression loops
 // (nmad's progressLoop, iomgr's loop) mark their CPU idle around each
-// sleep after a pass that ran nothing.
+// Park after a pass that ran nothing.
 func (e *Engine) SetIdle(cpu int, idle bool) {
 	if cpu >= 0 && cpu < len(e.idle) {
 		e.idle[cpu].v.Store(idle)
@@ -560,6 +572,7 @@ func (c *rehomeChain) add(t *Task) {
 func (c *rehomeChain) flush() {
 	if c.n > 0 {
 		c.dest.enqueueChain(c.head, c.tail, c.n)
+		c.e.wakeParked()
 	}
 	c.head, c.tail, c.n = nil, nil, 0
 }
@@ -666,6 +679,7 @@ func (e *Engine) run(t *Task, cpu int) {
 			t.submitTS = r.Now()
 		}
 		t.home.enqueue(t)
+		e.wakeParked()
 		return
 	}
 	t.markDone()

@@ -22,12 +22,13 @@ const mtRounds = 50
 // threads in turn — between two real nmad engines over in-process rails.
 // It returns the median one-way latency in µs on the wall clock, which
 // depends on the host's CPUs, GOMAXPROCS and load. Under InCall every
-// blocked thread polls the engine (Request.Wait); under Background they
-// park (Request.WaitBlocking) and the engine's progression loop polls.
+// blocked thread polls the engine for as long as it waits; under
+// Background they wait in Request.Wait, which parks them once their
+// passes stop finding work, and the engine's progression loop polls.
 func RunMTLatency(policy Progression, threads int) (oneWayUS float64, err error) {
-	wait := (*nmad.Request).WaitBlocking
+	wait := func(_ *nmad.Engine, req *nmad.Request) error { return req.Wait() }
 	if policy == InCall {
-		wait = (*nmad.Request).Wait
+		wait = pollWait
 	}
 	sEng, rEng := nmad.NewEngine(nmad.Config{}), nmad.NewEngine(nmad.Config{})
 	stop := func() { sEng.Close(); rEng.Close() }
@@ -55,9 +56,9 @@ func RunMTLatency(policy Progression, threads int) (oneWayUS float64, err error)
 			defer wg.Done()
 			for r := 0; r < mtRounds; r++ {
 				req := rg.Irecv(tag)
-				err := wait(req)
+				err := wait(rEng, req)
 				if err == nil {
-					err = wait(rg.Isend(replyTag+tag, req.Data))
+					err = wait(rEng, rg.Isend(replyTag+tag, req.Data))
 				}
 				if err != nil {
 					abort(err)
@@ -73,9 +74,9 @@ func RunMTLatency(policy Progression, threads int) (oneWayUS float64, err error)
 		msg := []byte{byte(i), byte(i >> 8), byte(i >> 16), 0x5a}
 		start := time.Now()
 		rep := sg.Irecv(replyTag + tag)
-		err := wait(sg.Isend(tag, msg))
+		err := wait(sEng, sg.Isend(tag, msg))
 		if err == nil {
-			err = wait(rep)
+			err = wait(sEng, rep)
 		}
 		rtts = append(rtts, time.Since(start))
 		if err == nil && !bytes.Equal(rep.Data, msg) {
@@ -91,6 +92,16 @@ func RunMTLatency(policy Progression, threads int) (oneWayUS float64, err error)
 	}
 	slices.Sort(rtts)
 	return float64(rtts[len(rtts)/2].Nanoseconds()) / 2000, nil // RTT ns -> one-way µs
+}
+
+// pollWait waits by polling alone: every pass helps the engine and
+// yields, and the thread never parks.
+func pollWait(e *nmad.Engine, req *nmad.Request) error {
+	for !req.Test() {
+		e.Tasks().Schedule(0)
+		runtime.Gosched()
+	}
+	return req.Err()
 }
 
 // replyTag offsets the tags echoes come back on.

@@ -34,10 +34,17 @@ type Config struct {
 	// when an nmad engine's progression loop or an explicit Schedule
 	// loop already drives the task engine; Request.Wait drives it too).
 	NoAutoProgress bool
-	// ProgressIdle is the background goroutine's sleep when idle
-	// (default 50 µs).
-	ProgressIdle time.Duration
 }
+
+// idlePark bounds one park of an idle scheduler (the background
+// goroutine, a waiter past its spin budget). Submissions and request
+// completions wake it sooner; the bound only caps a wake-up lost to
+// another parker taking it.
+const idlePark = time.Millisecond
+
+// waitSpins is how many passes in a row that ran nothing Wait makes
+// before it parks, kept as short as nmad's Wait keeps it.
+const waitSpins = 2
 
 // Manager executes I/O requests through PIOMan tasks.
 type Manager struct {
@@ -65,9 +72,6 @@ func New(cfg Config) *Manager {
 			Steal:         core.StealConfig{Policy: core.StealFullTree, Adaptive: true},
 		})
 	}
-	if cfg.ProgressIdle <= 0 {
-		cfg.ProgressIdle = 50 * time.Microsecond
-	}
 	m := &Manager{tasks: cfg.Tasks}
 	if !cfg.NoAutoProgress {
 		m.wg = chanWaiter{done: make(chan struct{}), used: true}
@@ -78,7 +82,7 @@ func New(cfg Config) *Manager {
 			for !m.stopped.Load() {
 				if m.tasks.Schedule(cpu) == 0 {
 					m.tasks.SetIdle(cpu, true)
-					time.Sleep(cfg.ProgressIdle)
+					m.tasks.Park(cpu, idlePark)
 					m.tasks.SetIdle(cpu, false)
 				} else {
 					runtime.Gosched()
@@ -96,6 +100,7 @@ func (m *Manager) Tasks() *core.Engine { return m.tasks }
 // complete if something else schedules the engine.
 func (m *Manager) Close() {
 	if m.stopped.CompareAndSwap(false, true) && m.wg.used {
+		m.tasks.Wake()
 		<-m.wg.done
 	}
 }
@@ -145,11 +150,18 @@ func (r *Request) Done() <-chan struct{} { return r.done }
 func (r *Request) Test() bool { return r.fin.Load() }
 
 // Wait blocks until the request completes, helping the task engine
-// meanwhile, and returns the byte count and error.
+// meanwhile, and returns the byte count and error. Once waitSpins
+// passes in a row have run nothing, it parks on the task engine
+// between passes; the request's completion wakes it.
 func (r *Request) Wait() (int, error) {
+	idle := 0
 	for !r.fin.Load() {
-		if r.mgr.tasks.Schedule(0) == 0 {
+		if r.mgr.tasks.Schedule(0) > 0 {
+			idle = 0
+		} else if idle++; idle < waitSpins {
 			runtime.Gosched()
+		} else {
+			r.mgr.tasks.Park(0, idlePark)
 		}
 	}
 	<-r.done // synchronizes the n/err writes
@@ -160,6 +172,7 @@ func (r *Request) finish(n int, err error) {
 	r.n, r.err = n, err
 	r.fin.Store(true)
 	close(r.done)
+	r.mgr.tasks.Wake()
 }
 
 // ioTask is the task body for every request kind.

@@ -288,6 +288,11 @@ func (e *Engine) admitSubmit(g *Gate, req *Request, tag uint64, data []byte, rec
 	}
 	w := &admitWaiter{g: g, req: req, tag: tag, data: data, recv: recv, n: n, expire: exp}
 	p.mu.Lock()
+	if e.stopped.Load() { // Close took the waiters: see admitTakeWaiters
+		p.mu.Unlock()
+		req.complete(ErrClosed)
+		return false
+	}
 	if len(p.waiting) >= p.cfg.MaxWaiters {
 		p.mu.Unlock()
 		e.recordShed(g, n, shedQueueFull)

@@ -96,6 +96,26 @@ func pollEvent(fe frameEndpoint) (fabric.Event, bool, error) {
 	return fabric.Event{Kind: fabric.EventRecv, Imm: append(imm, f.Ext...), Payload: f.Payload, From: -1}, true, nil
 }
 
+// signal tells a rail's poll task, once the rail belongs to a gate, that
+// Poll has something (see poller).
+func signal(slot *atomic.Pointer[poller]) {
+	if p := slot.Load(); p != nil {
+		p.signal()
+	}
+}
+
+// pollSlot returns where one of the package's rail endpoints keeps its
+// gate's poll task, nil for any other provider.
+func pollSlot(ep fabric.Endpoint) *atomic.Pointer[poller] {
+	switch ep := ep.(type) {
+	case *memEndpoint:
+		return &ep.poll
+	case *tcpEndpoint:
+		return &ep.poll
+	}
+	return nil
+}
+
 // ---- In-process memory driver ----
 
 // memDriver is one endpoint of an in-process rail: frames written by the
@@ -110,6 +130,9 @@ type memDriver struct {
 	// reads counts RMA reads posted whose completions are not yet
 	// polled, so an empty poll is one atomic load and no lock.
 	reads atomic.Int32
+	// poll is signalled by the peer's SendFrame, a completed read and
+	// Close.
+	poll atomic.Pointer[poller]
 }
 
 // MemPair returns two connected in-process rails — the loopback
@@ -144,7 +167,9 @@ func (d *memDriver) Poll() (Frame, bool, error) {
 
 func (d *memDriver) Close() error {
 	d.closed.Store(true)
-	return d.rma.Close()
+	err := d.rma.Close()
+	signal(&d.poll)
+	return err
 }
 
 // memEndpoint is a mem rail's own endpoint, the one NewGate uses: the
@@ -175,6 +200,7 @@ func (ep *memEndpoint) SendFrame(hdr Header, ext, payload []byte) error {
 	}
 	select {
 	case ep.peer.rx <- f:
+		signal(&ep.peer.poll)
 		return nil
 	default:
 		return fmt.Errorf("mem rail rx ring full: %w", ErrBackpressure)
@@ -191,8 +217,10 @@ func (ep *memEndpoint) RMARead(key fabric.RKey, offset int, local []byte, ctx an
 	err := ep.rma.RMARead(key, offset, local, ctx)
 	if err != nil {
 		ep.reads.Add(-1)
+		return err
 	}
-	return err
+	signal(&ep.poll)
+	return nil
 }
 
 // PollRead pops the next read completion.
@@ -275,6 +303,9 @@ type tcpDriver struct {
 	// ready counts landed reads whose completion is not yet polled, so
 	// an empty PollRead is one atomic load and no lock.
 	ready atomic.Int32
+	// poll is signalled by the reader for each frame and landed read,
+	// and when the connection breaks.
+	poll atomic.Pointer[poller]
 
 	// rmu guards the posted reads and the serve queue; landed signals
 	// (on rmu) each read that stops landing.
@@ -397,6 +428,7 @@ func (d *tcpDriver) readOne(br *bufio.Reader, buf []byte) error {
 		}
 		select {
 		case d.rx <- f:
+			signal(&d.poll)
 			return nil
 		case <-d.done:
 			return ErrClosed
@@ -472,6 +504,9 @@ func (d *tcpDriver) land(br *bufio.Reader, id uint64, n uint32) error {
 	}
 	d.landed.Broadcast()
 	d.rmu.Unlock()
+	if err == nil {
+		signal(&d.poll)
+	}
 	return err
 }
 
@@ -540,6 +575,7 @@ func (d *tcpDriver) storeErr(err error) {
 		err = ErrClosed
 	}
 	d.readErr.CompareAndSwap(nil, &err)
+	signal(&d.poll)
 }
 
 func (d *tcpDriver) Poll() (Frame, bool, error) {

@@ -88,14 +88,19 @@ func (e *Engine) putEager(st *eagerState) {
 
 // trackEager enters an eager message into the pending window before
 // its first frame is submitted, so the ack — or the timeout sweep —
-// owns the request's completion from here on.
-func (e *Engine) trackEager(g *Gate, msgID, tag uint64, data []byte, req *Request) {
+// owns the request's completion from here on. False: the engine has
+// closed, and nothing owns it.
+func (e *Engine) trackEager(g *Gate, msgID, tag uint64, data []byte, req *Request) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if e.stopped.Load() { // Close took the gate's requests: see takeInflight
+		return false
+	}
 	st := e.getEager()
 	st.req, st.data, st.tag = req, data, tag
 	st.deadline = e.clock() + e.cfg.RdvTimeout
-	g.mu.Lock()
 	g.eagerPend[msgID] = st
-	g.mu.Unlock()
+	return true
 }
 
 // recvEager handles one inbound eager message (plain or unpacked from

@@ -12,7 +12,6 @@ import (
 
 	"pioman/internal/admit"
 	"pioman/internal/core"
-	"pioman/internal/cpuset"
 	"pioman/internal/fabric"
 	"pioman/internal/topology"
 	"pioman/internal/trace"
@@ -64,9 +63,6 @@ type Config struct {
 	// explicit driver such as the chaos cluster or the experiment
 	// harnesses, which step a deterministic clock themselves.
 	NoAutoProgress bool
-	// ProgressIdle is how long the background progression goroutine
-	// sleeps when no task ran (default 20 µs).
-	ProgressIdle time.Duration
 	// Clock returns the engine's notion of time in nanoseconds, used by
 	// the rendezvous handshake timeout. Default: the wall clock. A
 	// deterministic harness passes the simulated fabric's virtual clock
@@ -314,9 +310,6 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.MaxAggr <= 0 {
 		cfg.MaxAggr = 16 << 10
 	}
-	if cfg.ProgressIdle <= 0 {
-		cfg.ProgressIdle = 20 * time.Microsecond
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = func() int64 { return time.Now().UnixNano() }
 	}
@@ -335,10 +328,13 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.Admit != nil {
 		e.admit = newAdmitPlane(cfg)
 	}
-	// The sweeper serves every deadline family: rendezvous handshakes,
-	// the eager retransmission window, and the admission wait queue.
-	e.startSweeper()
-	if !cfg.NoAutoProgress {
+	// The sweep serves every deadline family: rendezvous handshakes, the
+	// eager retransmission window, and the admission wait queue. The
+	// background loop runs it itself; without one it rides the caller's
+	// Schedule passes as a repeated task.
+	if cfg.NoAutoProgress {
+		e.startSweeper()
+	} else {
 		e.wg.Add(1)
 		go e.progressLoop()
 	}
@@ -395,22 +391,24 @@ func (e *Engine) SettledOccupancy() (send, recv, eager int) {
 
 // progressLoop is the background progression context: the stand-in for
 // idle cores and timer interrupts executing PIOMan tasks while the
-// application computes.
+// application computes. A pass that ran nothing parks the loop until a
+// rail arms its poll task (any Submit wakes it) or the next deadline
+// sweep is due, at most RdvTimeout/8 away, so an idle engine costs no
+// CPU and its LastProgress stays fresh for /healthz.
 func (e *Engine) progressLoop() {
 	defer e.wg.Done()
 	// Scan from CPU 1 where there is one, so this loop does not share a
 	// counter shard with Request.Wait's Schedule(0).
 	cpu := 1 % e.tasks.Topology().NCPUs
 	for !e.stopped.Load() {
-		e.lastProgress.Store(e.clock())
-		ran := e.tasks.Schedule(cpu)
-		if ran == 0 {
-			e.tasks.SetIdle(cpu, true)
-			time.Sleep(e.cfg.ProgressIdle)
-			e.tasks.SetIdle(cpu, false)
+		e.sweepDeadlines()
+		if e.tasks.Schedule(cpu) > 0 {
+			runtime.Gosched()
 			continue
 		}
-		runtime.Gosched()
+		e.tasks.SetIdle(cpu, true)
+		e.tasks.Park(cpu, time.Duration(e.nextSweep.Load()-e.clock()))
+		e.tasks.SetIdle(cpu, false)
 	}
 }
 
@@ -422,6 +420,7 @@ func (e *Engine) Close() error {
 	if !e.stopped.CompareAndSwap(false, true) {
 		return nil
 	}
+	e.tasks.Wake() // a parked progressLoop sees stopped
 	gates := e.Gates()
 	var pending []*Request
 	for _, g := range gates {
@@ -658,8 +657,8 @@ func endpointOf(d Driver) fabric.Endpoint {
 }
 
 // NewGateEndpoints attaches a connection made of the given fabric
-// endpoints and starts one repeated polling task per rail. Polling
-// tasks run until the engine closes or their rail dies; they are
+// endpoints and arms one poll task per rail (see poller). Poll tasks
+// serve their rail until the engine closes or the rail dies; they are
 // unconstrained, so they live on the root queue every CPU's scan ends
 // at and whichever core has a scheduling hole runs them. At least one
 // rail must be able to read (Capabilities.RMA on an RMAEndpoint): the
@@ -727,73 +726,146 @@ func (e *Engine) NewGateEndpoints(eps ...fabric.Endpoint) (*Gate, error) {
 	e.gates = append(e.gates, g)
 	e.mu.Unlock()
 
-	for i := range g.rails {
-		r := g.rails[i]
-		idx := i
+	for i, r := range g.rails {
+		p := &poller{g: g, idx: i}
+		p.task = core.Task{Fn: pollRail, Arg: p, Options: core.Repeat, OnDone: rearmPoll}
 		// The package's own rails move decoded Headers through the
 		// internal fast path, preserving their codec-free,
-		// allocation-free frame handling.
-		fe, _ := r.ep.(frameEndpoint)
-		// A rail marked dead by the send path keeps being polled:
-		// send and receive capability fail independently, and frames
-		// already in flight toward us (a FIN, a NACK) must still land.
-		// Polling stops only on a receive-side error or engine close.
-		pollTask := &core.Task{
-			Options: core.Repeat,
-			CPUSet:  cpuset.Set{},
-			Fn: func(any) bool {
-				var hdr Header
-				var payload, ext []byte
-				var ev fabric.Event
-				var got bool
-				var err error
-				if fe != nil {
-					if ev, got, err = fe.PollRead(); got {
-						// A pull-mode rendezvous chunk landed.
-						e.pullDone(g, idx, ev)
-						got = false
-					} else if err == nil {
-						var f Frame
-						f, got, err = fe.PollFrame()
-						hdr, payload, ext = f.Hdr, f.Payload, f.Ext
-					}
-				} else {
-					ev, got, err = r.ep.Poll()
-					if err == nil && got {
-						switch ev.Kind {
-						case fabric.EventRMADone:
-							// A pull-mode rendezvous chunk landed.
-							e.pullDone(g, idx, ev)
-							got = false
-						case fabric.EventRecv:
-							payload = ev.Payload
-							// A frame we cannot parse means the rail
-							// is delivering garbage: treat it like a
-							// poll error rather than dropping frames
-							// silently.
-							hdr, err = decodeHeader(ev.Imm)
-							if err == nil && len(ev.Imm) > headerBytes {
-								ext = ev.Imm[headerBytes:]
-							}
-						default:
-							got = false
-						}
-					}
-				}
-				if err != nil {
-					e.railFailed(g, idx, err)
-					return true
-				}
-				if got {
-					e.framesRecv.Add(1)
-					e.handleFrame(g, Frame{Hdr: hdr, Payload: payload, Ext: ext})
-				}
-				return e.stopped.Load()
-			},
+		// allocation-free frame handling, and signal their events.
+		p.fe, _ = r.ep.(frameEndpoint)
+		if slot := pollSlot(own[i]); slot != nil {
+			p.signals = true
+			slot.Store(p)
 		}
-		e.tasks.MustSubmit(pollTask)
+		p.arm()
 	}
 	return g, nil
+}
+
+// poller is a rail's poll task. The package's own rails signal each
+// event they make visible to Poll (a frame, a landed read, an error):
+// signal raises the ready flag and arms the task once per readiness
+// edge. The task lowers the flag, drains the rail and ends; its OnDone
+// disarms it and re-reads the flag, so an event that lands between the
+// last empty poll and the disarm re-arms it instead of being lost. A
+// provider that cannot signal (SimFabric, fabric.Loopback) counts as
+// always ready: its task polls once per pass and re-queues.
+//
+// A rail marked dead by the send path keeps being polled: send and
+// receive capability fail independently, and frames already in flight
+// toward us (a FIN, a NACK) must still land. Polling stops (the poller
+// retires, armed for good) only on a receive-side error or engine close.
+type poller struct {
+	task         core.Task
+	g            *Gate
+	idx          int
+	fe           frameEndpoint
+	signals      bool
+	ready, armed atomic.Bool
+	retired      bool // written by the task body, read by its OnDone
+}
+
+// pollBurst bounds how many events one run of a signalling rail's poll
+// task handles before it re-queues, so a flooding peer cannot hold a
+// core against the engine's other tasks.
+const pollBurst = 32
+
+// signal raises the ready flag and arms the task. A flag already raised
+// needs nothing more: whoever raised it arms the task, or the task's
+// re-check after it disarms sees the flag.
+func (p *poller) signal() {
+	if !p.ready.Swap(true) {
+		p.arm()
+	}
+}
+
+// arm submits the poll task unless it is already queued or running.
+func (p *poller) arm() {
+	if p.armed.CompareAndSwap(false, true) {
+		p.task.Reset()
+		p.g.eng.tasks.MustSubmit(&p.task)
+	}
+}
+
+// pollRail is the poll task body: handle the rail's events, one per
+// pass on a provider that cannot signal, up to pollBurst otherwise.
+func pollRail(arg any) bool {
+	p := arg.(*poller)
+	e := p.g.eng
+	p.ready.Store(false)
+	for n := 1; ; n++ {
+		got, err := p.pollOnce()
+		if err != nil {
+			e.railFailed(p.g, p.idx, err)
+		}
+		if p.retired = err != nil || e.stopped.Load(); p.retired {
+			return true
+		}
+		if !got || !p.signals || n == pollBurst {
+			return !got && p.signals // idle: end, or re-queue if always ready
+		}
+	}
+}
+
+// rearmPoll is the poll task's OnDone: disarm, then re-arm at once if
+// the rail signalled since the task cleared its ready flag.
+func rearmPoll(t *core.Task) {
+	p := t.Arg.(*poller)
+	if p.retired {
+		return
+	}
+	p.armed.Store(false)
+	if p.ready.Load() {
+		p.arm()
+	}
+}
+
+// pollOnce handles the rail's next event, if any: a landed read
+// completes its rendezvous chunk, a frame goes to handleFrame.
+func (p *poller) pollOnce() (bool, error) {
+	e, g, r := p.g.eng, p.g, p.g.rails[p.idx]
+	var f Frame
+	if p.fe != nil {
+		ev, got, err := p.fe.PollRead()
+		if got {
+			// A pull-mode rendezvous chunk landed.
+			e.pullDone(g, p.idx, ev)
+			return true, nil
+		}
+		if err != nil {
+			return false, err
+		}
+		if f, got, err = p.fe.PollFrame(); !got || err != nil {
+			return false, err
+		}
+	} else {
+		ev, got, err := r.ep.Poll()
+		if !got || err != nil {
+			return false, err
+		}
+		switch ev.Kind {
+		case fabric.EventRMADone:
+			// A pull-mode rendezvous chunk landed.
+			e.pullDone(g, p.idx, ev)
+			return true, nil
+		case fabric.EventRecv:
+			// A frame we cannot parse means the rail is delivering
+			// garbage: treat it like a poll error rather than dropping
+			// frames silently.
+			if f.Hdr, err = decodeHeader(ev.Imm); err != nil {
+				return false, err
+			}
+			f.Payload = ev.Payload
+			if len(ev.Imm) > headerBytes {
+				f.Ext = ev.Imm[headerBytes:]
+			}
+		default:
+			return true, nil
+		}
+	}
+	e.framesRecv.Add(1)
+	e.handleFrame(g, f)
+	return true, nil
 }
 
 // canRead reports whether ep can serve rendezvous reads.
@@ -892,7 +964,10 @@ func (e *Engine) failGate(g *Gate, err error) {
 // appends the orphaned requests to victims for the caller to complete
 // once the lock is dropped. Removed rendezvous halves are settled, so
 // the peer's late control frames are recognized rather than NACKed.
-// Unexpected arrivals stay: no request owns them.
+// Unexpected arrivals stay: no request owns them. Close sets stopped
+// before it takes, and every path that enters a request into these maps
+// checks stopped under the same lock, so nothing enters after the take
+// to wait on an engine nobody progresses any more.
 func (g *Gate) takeInflight(victims []*Request) []*Request {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -317,12 +317,12 @@ func TestCloseCompletesOutstandingReceives(t *testing.T) {
 	if err := ea.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := req.WaitBlocking(); err == nil {
+	if err := req.Wait(); err == nil {
 		t.Error("outstanding receive should fail at Close")
 	}
 	// Sends after close fail fast.
 	req2 := ga.Isend(1, []byte("x"))
-	if err := req2.WaitBlocking(); err == nil {
+	if err := req2.Wait(); err == nil {
 		t.Error("send after Close should fail")
 	}
 }

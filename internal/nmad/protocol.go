@@ -63,7 +63,10 @@ func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 		// Ack-tracked: the pending entry owns the request's completion
 		// (peer ack, sweep timeout, or wire failure), not the frame's
 		// wire-out.
-		e.trackEager(g, msgID, tag, data, req)
+		if !e.trackEager(g, msgID, tag, data, req) {
+			req.complete(ErrClosed)
+			return
+		}
 		hdr := Header{Kind: KindEager, Tag: tag, MsgID: msgID, Total: uint32(len(data))}
 		if e.cfg.Strategy == StrategyAggreg {
 			g.aggPush(hdr, data)
@@ -141,6 +144,12 @@ func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 	st.total = uint32(len(data))
 	st.deadline = e.clock() + e.cfg.RdvTimeout
 	g.mu.Lock()
+	if e.stopped.Load() { // Close took the gate's requests: see takeInflight
+		g.mu.Unlock()
+		st.releaseRegs()
+		req.complete(ErrClosed)
+		return
+	}
 	g.sendRdv[msgID] = st
 	g.mu.Unlock()
 	p := g.packet()
@@ -202,6 +211,11 @@ func (g *Gate) irecv(tag uint64, buf []byte) *Request {
 func (g *Gate) injectRecv(req *Request) {
 	e := g.eng
 	g.mu.Lock()
+	if e.stopped.Load() { // Close took the gate's requests: see takeInflight
+		g.mu.Unlock()
+		req.complete(ErrClosed)
+		return
+	}
 	// A matching message may already have arrived unexpectedly.
 	if q := g.unexpected[req.tag]; q != nil {
 		if u, ok := q.pop(); ok {

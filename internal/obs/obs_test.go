@@ -256,6 +256,39 @@ func TestHealthzStallRecovery(t *testing.T) {
 	}
 }
 
+// TestNmadLivenessWhileIdleParked: an idle engine whose progression
+// loop parks between passes still stamps LastProgress at least once per
+// sweep tick (RdvTimeout/8), so a liveness probe with a window of four
+// ticks stays healthy for two whole windows. A loop that parked without
+// a timeout would go stale here.
+func TestNmadLivenessWhileIdleParked(t *testing.T) {
+	ea, eb := nmad.NewEngine(nmad.Config{}), nmad.NewEngine(nmad.Config{})
+	defer ea.Close()
+	defer eb.Close()
+	da, db := nmad.MemPair()
+	if _, err := ea.NewGate(da); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eb.NewGate(db); err != nil {
+		t.Fatal(err)
+	}
+	tick := 500 * time.Millisecond / 8 // the default RdvTimeout's sweep tick
+	window := 4 * tick
+	probe := NmadLiveness(ea, nil, window)
+	for ea.LastProgress() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	execs := ea.Tasks().Stats().Executions
+	for end := time.Now().Add(2 * window); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		if err := probe(); err != nil {
+			t.Fatalf("idle engine reported unhealthy: %v", err)
+		}
+	}
+	if n := ea.Tasks().Stats().Executions - execs; n > 16 {
+		t.Errorf("the engine ran %d tasks over two idle windows: its loop is not parked", n)
+	}
+}
+
 // TestMetricsScrapeUnderLiveTraffic scrapes /metrics concurrently with
 // live eager+rendezvous traffic — the -race leg proving the collectors'
 // snapshot reads don't race the sharded writers.
