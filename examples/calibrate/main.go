@@ -22,6 +22,7 @@ package main
 import (
 	"fmt"
 
+	"pioman/internal/core"
 	"pioman/internal/fabric"
 	"pioman/internal/nmad"
 	"pioman/internal/simtime"
@@ -65,8 +66,10 @@ func newRig(calibrate, even bool) *rig {
 		}
 		r.doms[i] = [2]*fabric.SimDomain{a, b}
 	}
-	r.sender = nmad.NewEngine(nmad.Config{NoAutoProgress: true})
-	r.receiver = nmad.NewEngine(nmad.Config{NoAutoProgress: true, Calibrate: calibrate})
+	// No progression context: the driver's Schedule calls are all the
+	// progress there is.
+	r.sender = nmad.NewEngine(nmad.Config{Tasks: core.New(core.Config{})})
+	r.receiver = nmad.NewEngine(nmad.Config{Tasks: core.New(core.Config{}), Calibrate: calibrate})
 	var err error
 	if r.ga, err = r.sender.NewGateEndpoints(sEps[0], sEps[1]); err != nil {
 		panic(err)

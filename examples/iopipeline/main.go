@@ -17,17 +17,19 @@ import (
 	"pioman/internal/core"
 	"pioman/internal/iomgr"
 	"pioman/internal/nmad"
-	"pioman/internal/topology"
 )
 
 func main() {
-	// One shared task engine drives storage, filters and networking.
-	tasks := core.New(core.Config{Topology: topology.Host()})
+	// One task engine per process drives storage, filters and
+	// networking; its one progression context serves them all, and the
+	// libraries only submit.
+	tasks := core.New(core.Config{Progress: true})
+	defer tasks.Close()
 
 	io := iomgr.New(iomgr.Config{Tasks: tasks})
 	defer io.Close()
-	sender := nmad.NewEngine(nmad.Config{Tasks: tasks, NoAutoProgress: true})
-	receiver := nmad.NewEngine(nmad.Config{})
+	sender := nmad.NewEngine(nmad.Config{Tasks: tasks})
+	receiver := nmad.NewEngine(nmad.Config{Tasks: tasks})
 	defer sender.Close()
 	defer receiver.Close()
 	ds, dr := nmad.MemPair()

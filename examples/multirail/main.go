@@ -23,6 +23,7 @@ package main
 import (
 	"fmt"
 
+	"pioman/internal/core"
 	"pioman/internal/fabric"
 	"pioman/internal/nmad"
 	"pioman/internal/simtime"
@@ -69,8 +70,9 @@ func transfer(even bool, payload []byte) result {
 		}
 	}
 
-	sender := nmad.NewEngine(nmad.Config{NoAutoProgress: true})
-	receiver := nmad.NewEngine(nmad.Config{NoAutoProgress: true})
+	// No progression context: the loop below is all the progress there is.
+	sender := nmad.NewEngine(nmad.Config{Tasks: core.New(core.Config{})})
+	receiver := nmad.NewEngine(nmad.Config{Tasks: core.New(core.Config{})})
 	defer sender.Close()
 	defer receiver.Close()
 	gs, err := sender.NewGateEndpoints(sEps...)

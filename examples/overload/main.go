@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"pioman/internal/admit"
+	"pioman/internal/core"
 	"pioman/internal/nmad"
 )
 
@@ -56,14 +57,18 @@ func runPolicy(name string, policy nmad.AdmitPolicy) outcome {
 	clock.Store(1)
 	clk := func() int64 { return clock.Load() }
 
-	recv := nmad.NewEngine(nmad.Config{NoAutoProgress: true, Clock: clk, RdvTimeout: 1 << 30})
+	// Every engine runs on its own task engine with no progression
+	// context, on the demo's clock: the drive loop below is all the
+	// progress there is.
+	tasks := func() *core.Engine { return core.New(core.Config{Clock: clk}) }
+	recv := nmad.NewEngine(nmad.Config{Tasks: tasks(), RdvTimeout: 1 << 30})
 	defer recv.Close()
 	engines := []*nmad.Engine{recv}
 	var sends []*nmad.Request
 	var recvs []*nmad.Request
 	for s := 0; s < senders; s++ {
 		e := nmad.NewEngine(nmad.Config{
-			NoAutoProgress: true, Clock: clk, RdvTimeout: 1 << 30,
+			Tasks: tasks(), RdvTimeout: 1 << 30,
 			Admit: &admit.Config{
 				GateRequests: 64, GateBytes: gateCap,
 				HighWater: 0.4, LowWater: 0.2,

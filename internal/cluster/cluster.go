@@ -201,25 +201,24 @@ func newHarness(opt Options) *harness {
 	}
 	h.rec = rec
 	h.mark = rec.Mark()
-	h.tasks = core.New(core.Config{
+	h.tasks = core.New(core.Config{ // no progression context: drive steps it
 		Topology:     topo,
 		LatencyStats: true,
 		Trace:        rec,
+		Clock:        clock,
 	})
 	for i := 0; i < opt.Nodes; i++ {
 		h.nodes = append(h.nodes, &node{
 			id:  i,
 			dom: h.fab.OpenDomain(caps),
 			eng: nmad.NewEngine(nmad.Config{
-				Tasks:          h.tasks,
-				NoAutoProgress: true,
-				Clock:          clock,
-				RdvTimeout:     timeout,
-				RdvRetries:     opt.RdvRetries,
-				Trace:          rec,
-				Admit:          opt.Admit,
-				AdmitPolicy:    opt.AdmitPolicy,
-				AdmitWait:      opt.AdmitWait,
+				Tasks:       h.tasks,
+				RdvTimeout:  timeout,
+				RdvRetries:  opt.RdvRetries,
+				Trace:       rec,
+				Admit:       opt.Admit,
+				AdmitPolicy: opt.AdmitPolicy,
+				AdmitWait:   opt.AdmitWait,
 			}),
 			gateTo: make(map[int]*nmad.Gate),
 			epTo:   make(map[int]*fabric.SimEndpoint),

@@ -62,6 +62,17 @@ type Config struct {
 	// default) leaves every hot-path hook as a single nil check — the
 	// disabled path is guarded by the obs benchmark bar.
 	Trace *trace.Recorder
+	// Progress starts the engine's background progression context
+	// (progress.go): one goroutine scheduling on CPU 1 (CPU 0 on a
+	// one-CPU topology) and parking when a pass ran nothing. Without it,
+	// tasks run only where someone calls Schedule — a waiter, or a
+	// harness stepping a virtual clock itself. Close stops it.
+	Progress bool
+	// Clock returns the engine's time in nanoseconds: the one clock its
+	// timers (SubmitAt) fire on and that the libraries built on it read
+	// through Now. Default: the wall clock. A deterministic harness
+	// passes a simulated fabric's virtual clock.
+	Clock func() int64
 }
 
 // normalized returns the config with every out-of-range knob replaced
@@ -240,15 +251,24 @@ type Engine struct {
 	// predictable branch, nothing more.
 	rec *trace.Recorder
 
-	// Parking (park.go): parked counts the schedulers blocked in Park,
+	// Parking (park.go): parked counts the schedulers blocked in park,
 	// the one word every enqueue reads; parkMu guards the parked list
-	// and the recycled parkers; permit is the last Wake, until a Park
-	// consumes it.
+	// and the recycled parkers.
 	parked   atomic.Int32
-	permit   atomic.Bool
 	parkMu   sync.Mutex
 	parkers  []*parker
 	parkFree []*parker
+
+	// Time and progression (progress.go): the clock, the armed timers in
+	// (due time, arming order) with the first one's due time mirrored in
+	// nextDue (noTimer when none), and the progression context, whose
+	// goroutine closes loopDone (nil without Config.Progress).
+	clock    func() int64
+	timerMu  sync.Mutex
+	timers   []timer
+	nextDue  atomic.Int64
+	closed   atomic.Bool
+	loopDone chan struct{}
 }
 
 // latShard is one CPU's latency instrumentation: histograms of how long
@@ -277,6 +297,9 @@ func New(cfg Config) *Engine {
 	if cfg.Topology == nil {
 		cfg.Topology = topology.Host()
 	}
+	if cfg.Clock == nil {
+		cfg.Clock = func() int64 { return time.Now().UnixNano() }
+	}
 	cfg = cfg.normalized()
 	batch := cfg.DrainBatch
 	e := &Engine{
@@ -287,7 +310,9 @@ func New(cfg Config) *Engine {
 		idle:   make([]paddedBool, cfg.Topology.NCPUs),
 		shards: make([]counterShard, cfg.Topology.NCPUs),
 		rec:    cfg.Trace,
+		clock:  cfg.Clock,
 	}
+	e.nextDue.Store(noTimer)
 	for _, n := range e.topo.Nodes() {
 		if cfg.SingleGlobalQueue && n != e.topo.Root {
 			continue
@@ -321,6 +346,10 @@ func New(cfg Config) *Engine {
 		}
 	}
 	e.initSteal()
+	if cfg.Progress {
+		e.loopDone = make(chan struct{})
+		go e.background()
+	}
 	return e
 }
 
@@ -416,9 +445,9 @@ func (e *Engine) SubmitToIdle(t *Task, home int) error {
 	return e.Submit(t)
 }
 
-// SetIdle records whether a CPU is currently idle. The progression loops
-// (nmad's progressLoop, iomgr's loop) mark their CPU idle around each
-// Park after a pass that ran nothing.
+// SetIdle records whether a CPU is currently idle. The progression
+// context marks its CPU idle around each park after a pass that ran
+// nothing.
 func (e *Engine) SetIdle(cpu int, idle bool) {
 	if cpu >= 0 && cpu < len(e.idle) {
 		e.idle[cpu].v.Store(idle)
@@ -466,10 +495,12 @@ func (e *Engine) FindIdleNear(home int) int {
 }
 
 // Schedule implements the paper's Algorithm 1 (Task_Schedule) for the
-// given CPU: scan the per-core queue first, then each ancestor queue up
-// to the global queue, executing every task found. Repeat tasks whose
-// body reports incompletion are re-enqueued on their home queue. Tasks
-// whose CPU set excludes this CPU are put back and skipped.
+// given CPU: release the timers now due (SubmitAt) unless the
+// progression context does, then scan the per-core queue first, then
+// each ancestor queue up to the global queue, executing every task
+// found. Repeat tasks whose body reports
+// incompletion are re-enqueued on their home queue. Tasks whose CPU set
+// excludes this CPU are put back and skipped.
 //
 // Each queue is drained at most its length-at-entry times per call so a
 // persistent Repeat task cannot livelock the caller. Returns the number
@@ -489,6 +520,9 @@ func (e *Engine) ScheduleOne(cpu int) bool {
 func (e *Engine) schedule(cpu int, max int) int {
 	if cpu < 0 || cpu >= len(e.paths) {
 		return 0
+	}
+	if e.nextDue.Load() != noTimer && !e.Progressing() {
+		e.releaseDue()
 	}
 	ran := 0
 	for _, q := range e.paths[cpu] {

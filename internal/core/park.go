@@ -7,10 +7,10 @@ import (
 
 // Parking is the blocking half of progression. The paper's PIOMan polls
 // from idle cores and timer ticks and, when no core is idle, falls back
-// to a blocking call on a spare thread; here a scheduler whose pass ran
-// nothing (a progression loop, a waiter past its spin budget) parks
-// until new work is submitted or its timeout passes. Submission pays one
-// atomic load while nobody is parked.
+// to a blocking call on a spare thread; here the progression context,
+// when a pass ran nothing, parks until new work is submitted or its
+// next timer is due. Submission pays one atomic load while nobody is
+// parked.
 
 // parker is one parked scheduler: a one-slot wake-up and the timer that
 // bounds the park. Parkers are recycled through the engine's free list,
@@ -20,13 +20,13 @@ type parker struct {
 	timer *time.Timer
 }
 
-// Park blocks the calling scheduler, on behalf of cpu, until work it
-// could run is submitted, Wake is called, or d passes. It returns at
-// once when d ≤ 0, when a queue on cpu's scan path (any queue, with
-// stealing on) already holds a task, or when a Wake arrived while
-// nobody was parked. Callers re-check their own condition after it
-// returns: a wake-up may be spurious.
-func (e *Engine) Park(cpu int, d time.Duration) {
+// park blocks the calling scheduler, on behalf of cpu, until work it
+// could run is submitted, the next armed timer is due, the engine is
+// closed or d passes. It returns at once when d ≤ 0, when a queue on
+// cpu's scan path (any queue, with stealing on) already holds a task,
+// or once the engine is closed. Callers re-check their own condition
+// after it returns: a wake-up may be spurious.
+func (e *Engine) park(cpu int, d time.Duration) {
 	if d <= 0 {
 		return
 	}
@@ -44,14 +44,20 @@ func (e *Engine) Park(cpu int, d time.Duration) {
 	e.parkMu.Unlock()
 
 	// Registered before looking: a Submit that enqueued before this
-	// check is seen by it, one that enqueues after sees the parker.
-	if !e.permit.Swap(false) && !e.runnable(cpu) {
-		p.timer.Reset(d)
-		select {
-		case <-p.ch:
-		case <-p.timer.C:
+	// check is seen by it, one that enqueues after sees the parker; the
+	// same holds for SubmitAt's new first timer and for Close.
+	if !e.runnable(cpu) && !e.closed.Load() {
+		if due := e.nextDue.Load(); due != noTimer {
+			d = min(d, time.Duration(due-e.clock()))
 		}
-		p.timer.Stop()
+		if d > 0 {
+			p.timer.Reset(d)
+			select {
+			case <-p.ch:
+			case <-p.timer.C:
+			}
+			p.timer.Stop()
+		}
 	}
 
 	e.parkMu.Lock()
@@ -65,15 +71,6 @@ func (e *Engine) Park(cpu int, d time.Duration) {
 	}
 	e.parkFree = append(e.parkFree, p)
 	e.parkMu.Unlock()
-}
-
-// Wake releases every parked scheduler and leaves a permit, so the next
-// Park returns at once even when nobody was parked yet: a caller that
-// completes something a parker checks before parking (iomgr's request
-// finish) cannot lose its wake-up to that window.
-func (e *Engine) Wake() {
-	e.permit.Store(true)
-	e.wakeParked()
 }
 
 // wakeParked is the submission side: after an enqueue, release the

@@ -26,7 +26,7 @@ func TestParkWakesOnSubmit(t *testing.T) {
 	done := make(chan time.Duration)
 	go func() {
 		start := time.Now()
-		e.Park(0, time.Minute)
+		e.park(0, time.Minute)
 		done <- time.Since(start)
 	}()
 	parkedSoon(t, e, 1)
@@ -44,7 +44,7 @@ func TestParkWakesOnSubmit(t *testing.T) {
 func TestParkTimesOut(t *testing.T) {
 	e := kwakEngine()
 	start := time.Now()
-	e.Park(0, 20*time.Millisecond)
+	e.park(0, 20*time.Millisecond)
 	if d := time.Since(start); d < 20*time.Millisecond {
 		t.Errorf("Park returned after %v, before its 20ms timeout", d)
 	}
@@ -53,35 +53,32 @@ func TestParkTimesOut(t *testing.T) {
 	}
 }
 
-// A queued task the CPU can run, or a Wake nobody received, makes Park
-// return at once; a task pinned elsewhere does not.
+// A queued task the CPU can run makes park return at once; a task
+// pinned elsewhere does not.
 func TestParkReturnsAtOnceWhenRunnable(t *testing.T) {
 	e := kwakEngine()
 	e.MustSubmit(&Task{Fn: func(any) bool { return true }, CPUSet: cpuset.New(5)})
 	start := time.Now()
-	e.Park(0, 20*time.Millisecond)
+	e.park(0, 20*time.Millisecond)
 	if d := time.Since(start); d < 20*time.Millisecond {
 		t.Errorf("a task pinned to CPU 5 woke CPU 0's park after %v", d)
 	}
 	quick := func(what string) {
 		t.Helper()
 		start := time.Now()
-		e.Park(0, time.Minute)
+		e.park(0, time.Minute)
 		if d := time.Since(start); d > 10*time.Second {
 			t.Errorf("%s: Park blocked %v", what, d)
 		}
 	}
 	e.MustSubmit(NewTask(func(any) bool { return true }, nil))
 	quick("root-queue task")
-	e.Schedule(0)
-	e.Wake()
-	quick("permit left by Wake")
 }
 
 func TestParkAllocatesNothing(t *testing.T) {
 	e := kwakEngine()
-	e.Park(0, time.Microsecond) // the first park makes the parker
-	if n := testing.AllocsPerRun(100, func() { e.Park(0, time.Microsecond) }); n != 0 {
+	e.park(0, time.Microsecond) // the first park makes the parker
+	if n := testing.AllocsPerRun(100, func() { e.park(0, time.Microsecond) }); n != 0 {
 		t.Errorf("Park allocates %v times per call", n)
 	}
 }
@@ -106,7 +103,7 @@ func TestParkWakeNoLostWakeup(t *testing.T) {
 				default:
 				}
 				if e.Schedule(cpu) == 0 {
-					e.Park(cpu, time.Minute)
+					e.park(cpu, time.Minute)
 				}
 			}
 		}(cpu)
@@ -132,7 +129,7 @@ func TestParkWakeNoLostWakeup(t *testing.T) {
 	}
 	close(stop)
 	for !waitTimeout(&consumers, 10*time.Millisecond) {
-		e.Wake()
+		e.wakeParked()
 	}
 }
 

@@ -12,9 +12,9 @@
 // locality is preserved and lock contention stays within a memory domain.
 //
 // Engine.Schedule runs at the paper's keypoints, which here are real
-// code paths: a request's Wait loop, the communication engine's
-// background progression loop, and explicit drivers (the experiment
-// harnesses, the chaos cluster). Schedule implements the paper's
+// code paths: a request's Wait loop, the engine's own background
+// progression context (Config.Progress), and explicit drivers (the
+// experiment harnesses, the chaos cluster). Schedule implements the paper's
 // Algorithm 1 (scan queues from the local per-core queue up to the global
 // queue) and each queue's drain implements a batched generalisation of
 // Algorithm 2 (double-checked locking so empty queues are scanned

@@ -24,7 +24,7 @@ const mtRounds = 50
 // depends on the host's CPUs, GOMAXPROCS and load. Under InCall every
 // blocked thread polls the engine for as long as it waits; under
 // Background they wait in Request.Wait, which parks them once their
-// passes stop finding work, and the engine's progression loop polls.
+// passes stop finding work, and the engine's progression context polls.
 func RunMTLatency(policy Progression, threads int) (oneWayUS float64, err error) {
 	wait := func(_ *nmad.Engine, req *nmad.Request) error { return req.Wait() }
 	if policy == InCall {

@@ -64,7 +64,7 @@ type overlapNode struct {
 	eng  *nmad.Engine
 	ep   *fabric.SimEndpoint
 	gate *nmad.Gate
-	idle int // tasks queued at rest: the rail's poll and the sweeper
+	idle int // tasks queued at rest: the rail's poll
 
 	req        *nmad.Request
 	computeEnd simtime.Time // the node's host computes until then
@@ -73,9 +73,8 @@ type overlapNode struct {
 
 func newOverlapNode(fab *fabric.SimFabric, topo *topology.Topology, ep *fabric.SimEndpoint) (n *overlapNode, err error) {
 	n = &overlapNode{ep: ep, eng: nmad.NewEngine(nmad.Config{
-		Tasks:          core.New(core.Config{Topology: topo}),
-		NoAutoProgress: true,
-		Clock:          func() int64 { return int64(fab.Now()) },
+		// No progression context: the driver runs every pass.
+		Tasks: core.New(core.Config{Topology: topo, Clock: func() int64 { return int64(fab.Now()) }}),
 	})}
 	n.gate, err = n.eng.NewGateEndpoints(ep)
 	n.idle = n.eng.Tasks().Pending()

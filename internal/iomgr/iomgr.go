@@ -16,10 +16,8 @@ import (
 	"io"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"pioman/internal/core"
-	"pioman/internal/topology"
 )
 
 // ErrClosed is returned for operations on a closed manager.
@@ -27,68 +25,32 @@ var ErrClosed = errors.New("iomgr: manager closed")
 
 // Config parameterizes a Manager.
 type Config struct {
-	// Tasks is the PIOMan engine to run on; a private host-topology
-	// engine is created when nil.
+	// Tasks is the PIOMan engine to run on. When nil the manager builds
+	// a private core.NewDefault, with a progression context, and closes
+	// it in Close. A shared engine progresses however its builder chose:
+	// its own progression context, or Request.Wait and explicit
+	// Schedule calls.
 	Tasks *core.Engine
-	// NoAutoProgress disables the background progression goroutine (use
-	// when an nmad engine's progression loop or an explicit Schedule
-	// loop already drives the task engine; Request.Wait drives it too).
-	NoAutoProgress bool
 }
 
-// idlePark bounds one park of an idle scheduler (the background
-// goroutine, a waiter past its spin budget). Submissions and request
-// completions wake it sooner; the bound only caps a wake-up lost to
-// another parker taking it.
-const idlePark = time.Millisecond
-
 // waitSpins is how many passes in a row that ran nothing Wait makes
-// before it parks, kept as short as nmad's Wait keeps it.
+// before it blocks, kept as short as nmad's Wait keeps it.
 const waitSpins = 2
 
 // Manager executes I/O requests through PIOMan tasks.
 type Manager struct {
-	tasks   *core.Engine
-	stopped atomic.Bool
-	wg      chanWaiter
+	tasks    *core.Engine
+	ownTasks bool // tasks is the private engine New built
+	stopped  atomic.Bool
 
 	reads, writes, filters atomic.Uint64
 }
 
-// chanWaiter is a tiny WaitGroup substitute usable with Close.
-type chanWaiter struct {
-	done chan struct{}
-	used bool
-}
-
 // New builds a manager.
 func New(cfg Config) *Manager {
-	if cfg.Tasks == nil {
-		// Like nmad's private engine: progression-only workload, so the
-		// adaptive drain/steal controllers run unconditionally.
-		cfg.Tasks = core.New(core.Config{
-			Topology:      topology.Host(),
-			AdaptiveDrain: true,
-			Steal:         core.StealConfig{Policy: core.StealFullTree, Adaptive: true},
-		})
-	}
 	m := &Manager{tasks: cfg.Tasks}
-	if !cfg.NoAutoProgress {
-		m.wg = chanWaiter{done: make(chan struct{}), used: true}
-		go func() {
-			defer close(m.wg.done)
-			// CPU 1 where there is one: Request.Wait scans CPU 0.
-			cpu := 1 % m.tasks.Topology().NCPUs
-			for !m.stopped.Load() {
-				if m.tasks.Schedule(cpu) == 0 {
-					m.tasks.SetIdle(cpu, true)
-					m.tasks.Park(cpu, idlePark)
-					m.tasks.SetIdle(cpu, false)
-				} else {
-					runtime.Gosched()
-				}
-			}
-		}()
+	if m.tasks == nil {
+		m.tasks, m.ownTasks = core.NewDefault(), true
 	}
 	return m
 }
@@ -96,12 +58,12 @@ func New(cfg Config) *Manager {
 // Tasks exposes the underlying task engine.
 func (m *Manager) Tasks() *core.Engine { return m.tasks }
 
-// Close stops the background progression. In-flight requests still
-// complete if something else schedules the engine.
+// Close fails new requests with ErrClosed and closes a private task
+// engine. In-flight requests still complete if something schedules the
+// engine: their Wait does.
 func (m *Manager) Close() {
-	if m.stopped.CompareAndSwap(false, true) && m.wg.used {
-		m.tasks.Wake()
-		<-m.wg.done
+	if m.stopped.CompareAndSwap(false, true) && m.ownTasks {
+		m.tasks.Close()
 	}
 }
 
@@ -151,17 +113,18 @@ func (r *Request) Test() bool { return r.fin.Load() }
 
 // Wait blocks until the request completes, helping the task engine
 // meanwhile, and returns the byte count and error. Once waitSpins
-// passes in a row have run nothing, it parks on the task engine
-// between passes; the request's completion wakes it.
+// passes in a row have run nothing, it blocks on the request's
+// completion instead, provided the task engine has a progression
+// context to finish it; without one the caller is the only progress
+// there is, and Wait keeps helping.
 func (r *Request) Wait() (int, error) {
-	idle := 0
-	for !r.fin.Load() {
+	for idle := 0; !r.fin.Load(); {
 		if r.mgr.tasks.Schedule(0) > 0 {
 			idle = 0
-		} else if idle++; idle < waitSpins {
-			runtime.Gosched()
+		} else if idle++; idle >= waitSpins && r.mgr.tasks.Progressing() {
+			break
 		} else {
-			r.mgr.tasks.Park(0, idlePark)
+			runtime.Gosched()
 		}
 	}
 	<-r.done // synchronizes the n/err writes
@@ -172,7 +135,6 @@ func (r *Request) finish(n int, err error) {
 	r.n, r.err = n, err
 	r.fin.Store(true)
 	close(r.done)
-	r.mgr.tasks.Wake()
 }
 
 // ioTask is the task body for every request kind.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -235,7 +236,7 @@ func TestParallelWritersDisjointFiles(t *testing.T) {
 func TestSharedTaskEngineWithoutAutoProgress(t *testing.T) {
 	// The generic-framework wiring: the I/O manager shares a task engine
 	// that the caller schedules (here, manually).
-	m := New(Config{NoAutoProgress: true})
+	m := New(Config{Tasks: core.New(core.Config{})})
 	defer m.Close()
 	f := tempFile(t)
 	req := m.WriteAt(f, []byte("manual"), 0)
@@ -247,19 +248,17 @@ func TestSharedTaskEngineWithoutAutoProgress(t *testing.T) {
 
 // TestSharesNmadEngineUnderScheduleZero: the paper's one-engine-for-
 // communication-and-I/O wiring on an explicit 8-CPU topology, so the
-// host's CPU count cannot matter. The nmad engine's deadline sweep is a
-// persistent Repeat on the root queue, so CPU 0's scan never comes up
-// empty and never steals: an I/O request is only reachable if it was
-// placed on CPU 0's own path.
+// host's CPU count cannot matter. Stealing is off, so CPU 0's scan
+// reaches only its own path: an I/O request is only reachable if it was
+// placed there.
 func TestSharesNmadEngineUnderScheduleZero(t *testing.T) {
 	tasks := core.New(core.Config{
 		Topology:      topology.Borderline(),
 		AdaptiveDrain: true,
-		Steal:         core.StealConfig{Policy: core.StealFullTree, Adaptive: true},
 	})
-	comm := nmad.NewEngine(nmad.Config{Tasks: tasks, NoAutoProgress: true})
+	comm := nmad.NewEngine(nmad.Config{Tasks: tasks})
 	defer comm.Close()
-	m := New(Config{Tasks: comm.Tasks(), NoAutoProgress: true})
+	m := New(Config{Tasks: comm.Tasks()})
 	defer m.Close()
 	f := tempFile(t)
 
@@ -283,5 +282,67 @@ func TestSharesNmadEngineUnderScheduleZero(t *testing.T) {
 	}
 	if n, err := rd.Wait(); err != nil || n != len(payload) || !bytes.Equal(buf, payload) {
 		t.Fatalf("ReadAt = %d, %v, %q", n, err, buf)
+	}
+}
+
+// stableGoroutines returns the goroutine count once two readings 10 ms
+// apart agree, so goroutines of earlier tests that are still exiting do
+// not skew a before/after comparison.
+func stableGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
+}
+
+// TestOneProgressContextServesEveryLibrary: three nmad engines in a ring
+// of mem gates and an I/O manager, all on one task engine built with
+// Progress, run exactly one goroutine between them — the task engine's
+// progression context — and none once everything is closed.
+func TestOneProgressContextServesEveryLibrary(t *testing.T) {
+	before := stableGoroutines()
+	tasks := core.New(core.Config{Progress: true})
+	var engs []*nmad.Engine
+	for i := 0; i < 3; i++ {
+		engs = append(engs, nmad.NewEngine(nmad.Config{Tasks: tasks}))
+	}
+	for i, e := range engs {
+		da, db := nmad.MemPair()
+		ga, err := e.NewGate(da)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, err := engs[(i+1)%len(engs)].NewGate(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := gb.Irecv(1)
+		if err := ga.Send(1, []byte("ring")); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Wait(); err != nil || string(r.Data) != "ring" {
+			t.Fatalf("gate %d: %q, %v", i, r.Data, err)
+		}
+	}
+	m := New(Config{Tasks: tasks})
+	if n, err := m.WriteAt(tempFile(t), []byte("shared"), 0).Wait(); err != nil || n != 6 {
+		t.Fatalf("WriteAt = %d, %v", n, err)
+	}
+	if n := stableGoroutines(); n != before+1 {
+		t.Errorf("%d goroutines while open, want %d: one progression context", n, before+1)
+	}
+	m.Close()
+	for _, e := range engs {
+		e.Close()
+	}
+	tasks.Close()
+	if n := stableGoroutines(); n != before {
+		t.Errorf("%d goroutines after Close, want %d", n, before)
 	}
 }

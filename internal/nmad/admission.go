@@ -252,7 +252,7 @@ func (e *Engine) admitReject(req *Request) {
 // returns the request.
 func (e *Engine) admitSubmit(g *Gate, req *Request, tag uint64, data []byte, recv bool) bool {
 	p := e.admit
-	now := e.clock()
+	now := e.tasks.Now()
 	if d := req.deadline; d != 0 && now >= d {
 		e.deadlineExpired.Add(1)
 		req.complete(ErrDeadlineExpired)

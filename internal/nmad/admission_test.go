@@ -25,11 +25,11 @@ func newAdmitRig(t *testing.T, tweak func(*Config)) *admitRig {
 	r := &admitRig{}
 	r.clock.Store(1)
 	clk := func() int64 { return r.clock.Load() }
-	cfg := Config{NoAutoProgress: true, Clock: clk, RdvTimeout: 1 << 20, RdvRetries: 4}
+	cfg := Config{RdvTimeout: 1 << 20, RdvRetries: 4}
 	peer := cfg
 	tweak(&cfg)
-	r.ea = NewEngine(cfg)
-	r.eb = NewEngine(peer)
+	r.ea = newManualEngine(cfg, clk)
+	r.eb = newManualEngine(peer, clk)
 	da, db := MemPair()
 	var err error
 	if r.ga, err = r.ea.NewGate(da); err != nil {

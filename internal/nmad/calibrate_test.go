@@ -54,8 +54,8 @@ func newCalRig(t testing.TB, calibrate, even bool) *calRig {
 		r.doms[i] = [2]*fabric.SimDomain{a, b}
 		sEps[i], rEps[i] = ea, eb
 	}
-	r.sender = NewEngine(Config{NoAutoProgress: true})
-	r.receiver = NewEngine(Config{NoAutoProgress: true, Calibrate: calibrate})
+	r.sender = newManualEngine(Config{}, nil)
+	r.receiver = newManualEngine(Config{Calibrate: calibrate}, nil)
 	var err error
 	if r.ga, err = r.sender.NewGateEndpoints(sEps[0], sEps[1]); err != nil {
 		t.Fatal(err)
@@ -402,8 +402,8 @@ func TestCalibratedPullConverges(t *testing.T) {
 		sEps[i], rEps[i] = fabric.Connect(a, b)
 	}
 
-	sender := NewEngine(Config{NoAutoProgress: true})
-	receiver := NewEngine(Config{NoAutoProgress: true, Calibrate: true})
+	sender := newManualEngine(Config{}, nil)
+	receiver := newManualEngine(Config{Calibrate: true}, nil)
 	defer sender.Close()
 	defer receiver.Close()
 	ga, err := sender.NewGateEndpoints(sEps[0], sEps[1])
@@ -462,7 +462,7 @@ func TestCalibrateDoesNotMutateCallerSlice(t *testing.T) {
 	b := f.OpenDomain(calFast)
 	ea, eb := fabric.Connect(a, b)
 	_ = eb
-	e := NewEngine(Config{NoAutoProgress: true, Calibrate: true})
+	e := newManualEngine(Config{Calibrate: true}, nil)
 	defer e.Close()
 	eps := []fabric.Endpoint{ea}
 	if _, err := e.NewGateEndpoints(eps...); err != nil {

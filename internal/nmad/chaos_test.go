@@ -35,13 +35,11 @@ func newChaosRig(t testing.TB, fc fabric.FaultConfig) *chaosRig {
 	ea, eb := fabric.Connect(r.da, r.db)
 	clock := func() int64 { return int64(r.f.Now()) }
 	cfg := Config{
-		NoAutoProgress: true,
-		Clock:          clock,
-		RdvTimeout:     int64(chaosRdvTimeout),
-		RdvRetries:     4,
+		RdvTimeout: int64(chaosRdvTimeout),
+		RdvRetries: 4,
 	}
-	r.sender = NewEngine(cfg)
-	r.receiver = NewEngine(cfg)
+	r.sender = newManualEngine(cfg, clock)
+	r.receiver = newManualEngine(cfg, clock)
 	var err error
 	if r.ga, err = r.sender.NewGateEndpoints(ea); err != nil {
 		t.Fatal(err)
@@ -193,8 +191,8 @@ func TestNoRdvTimeoutHangs(t *testing.T) {
 	da, db := f.OpenDomain(caps), f.OpenDomain(caps)
 	ea, eb := fabric.Connect(da, db)
 	clock := func() int64 { return int64(f.Now()) }
-	cfg := Config{NoAutoProgress: true, Clock: clock, RdvTimeout: math.MaxInt64 / 4}
-	sender, receiver := NewEngine(cfg), NewEngine(cfg)
+	cfg := Config{RdvTimeout: math.MaxInt64 / 4}
+	sender, receiver := newManualEngine(cfg, clock), newManualEngine(cfg, clock)
 	defer sender.Close()
 	defer receiver.Close()
 	ga, err := sender.NewGateEndpoints(ea)

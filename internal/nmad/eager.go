@@ -32,7 +32,7 @@ import (
 //     messages with exponential backoff and, past RdvRetries attempts,
 //     completes the send visibly with ErrEagerTimeout;
 //   - a transiently backpressured eager frame is left in the pending
-//     window instead of failing fast: the sweeper retries it once the
+//     window instead of failing fast: the sweep retries it once the
 //     peer's ring drains.
 //
 // The send request consequently completes on acknowledgement, not on
@@ -98,7 +98,7 @@ func (e *Engine) trackEager(g *Gate, msgID, tag uint64, data []byte, req *Reques
 	}
 	st := e.getEager()
 	st.req, st.data, st.tag = req, data, tag
-	st.deadline = e.clock() + e.cfg.RdvTimeout
+	st.deadline = e.tasks.Now() + e.cfg.RdvTimeout
 	g.eagerPend[msgID] = st
 	return true
 }

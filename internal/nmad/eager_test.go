@@ -28,14 +28,12 @@ func newEagerRig(t testing.TB, fc fabric.FaultConfig, strategy StrategyKind) *ch
 	ea, eb := fabric.Connect(r.da, r.db)
 	clock := func() int64 { return int64(r.f.Now()) }
 	cfg := Config{
-		NoAutoProgress: true,
-		Strategy:       strategy,
-		Clock:          clock,
-		RdvTimeout:     int64(chaosRdvTimeout),
-		RdvRetries:     4,
+		Strategy:   strategy,
+		RdvTimeout: int64(chaosRdvTimeout),
+		RdvRetries: 4,
 	}
-	r.sender = NewEngine(cfg)
-	r.receiver = NewEngine(cfg)
+	r.sender = newManualEngine(cfg, clock)
+	r.receiver = newManualEngine(cfg, clock)
 	var err error
 	if r.ga, err = r.sender.NewGateEndpoints(ea); err != nil {
 		t.Fatal(err)
@@ -164,12 +162,10 @@ func TestNoEagerRetryHangs(t *testing.T) {
 	ea, eb := fabric.Connect(da, db)
 	clock := func() int64 { return int64(f.Now()) }
 	cfg := Config{
-		NoAutoProgress: true,
-		Clock:          clock,
-		RdvTimeout:     math.MaxInt64 / 4,
-		RdvRetries:     4,
+		RdvTimeout: math.MaxInt64 / 4,
+		RdvRetries: 4,
 	}
-	sender, receiver := NewEngine(cfg), NewEngine(cfg)
+	sender, receiver := newManualEngine(cfg, clock), newManualEngine(cfg, clock)
 	defer sender.Close()
 	defer receiver.Close()
 	ga, err := sender.NewGateEndpoints(ea)

@@ -13,7 +13,6 @@ import (
 	"pioman/internal/admit"
 	"pioman/internal/core"
 	"pioman/internal/fabric"
-	"pioman/internal/topology"
 	"pioman/internal/trace"
 )
 
@@ -32,8 +31,10 @@ const (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Tasks is the PIOMan task engine driving progression. When nil a
-	// private engine on the host topology is created.
+	// Tasks is the PIOMan task engine the engine submits its work to,
+	// and whose clock (core.Engine.Now) its deadlines run on. When nil
+	// the engine builds a private core.NewDefault, with a progression
+	// context, and closes it last in Close.
 	Tasks *core.Engine
 	// EagerThreshold is the largest payload sent eagerly; larger
 	// messages use the RTS/FIN rendezvous (default 8 KiB).
@@ -57,28 +58,17 @@ type Config struct {
 	// SimConfig.SendCompletions — or the calibrator runs disabled on
 	// its Assume seed (see fabric.CalibratedEndpoint.Sampling).
 	Calibrate bool
-	// NoAutoProgress disables the background progression goroutine
-	// (progressLoop, on by default). Progression then happens only where
-	// someone calls the task engine's Schedule: Request.Wait, or an
-	// explicit driver such as the chaos cluster or the experiment
-	// harnesses, which step a deterministic clock themselves.
-	NoAutoProgress bool
-	// Clock returns the engine's notion of time in nanoseconds, used by
-	// the rendezvous handshake timeout. Default: the wall clock. A
-	// deterministic harness passes the simulated fabric's virtual clock
-	// so timeouts fire at exact modelled instants.
-	Clock func() int64
-	// RdvTimeout is the rendezvous handshake deadline in Clock
-	// nanoseconds (default 500 ms): how long either half waits on the
-	// peer's next protocol step before retransmitting. Each retry
-	// doubles it.
+	// RdvTimeout is the rendezvous handshake deadline in nanoseconds of
+	// the task engine's clock (default 500 ms): how long either half
+	// waits on the peer's next protocol step before retransmitting. Each
+	// retry doubles it. It also bounds how long Close lingers.
 	RdvTimeout int64
 	// RdvRetries is how many retransmissions a stalled rendezvous half
 	// attempts before failing with ErrRdvTimeout (default 3).
 	RdvRetries int
 	// Trace attaches a flight recorder: rendezvous RTS/FIN arrivals,
 	// retransmissions, permanent timeouts, and rail deaths are recorded
-	// under the owning gate's ring, stamped on Clock.
+	// under the owning gate's ring, stamped on the recorder's clock.
 	// Nil (the default) leaves each hook as one nil check.
 	Trace *trace.Recorder
 	// Admit enables engine-level admission control (admission.go):
@@ -91,8 +81,8 @@ type Config struct {
 	// AdmitPolicy selects the overload behaviour when Admit is set:
 	// block with a wait budget (default), fail fast, or degrade.
 	AdmitPolicy AdmitPolicy
-	// AdmitWait is the blocking policy's wait budget in Clock
-	// nanoseconds: how long a parked submission may wait for credits
+	// AdmitWait is the blocking policy's wait budget in task-engine
+	// clock nanoseconds: how long a parked submission may wait for credits
 	// before failing with ErrDeadlineExpired (default RdvTimeout).
 	AdmitWait int64
 }
@@ -131,8 +121,14 @@ type Stats struct {
 type Engine struct {
 	cfg   Config
 	tasks *core.Engine
-
-	clock func() int64
+	// ownTasks: tasks is the private engine NewEngine built, closed last
+	// in Close.
+	ownTasks bool
+	// sweep is the deadline sweep's one-shot timer (timeout.go).
+	sweep core.Task
+	// owed counts control frames (FIN, eager ack, NACK) submitted by
+	// sendControl and not yet handed to a rail: what Close lingers for.
+	owed atomic.Int64
 
 	// mu guards the gate list and nothing else: every gate owns its
 	// protocol state behind its own mutex (Gate.mu).
@@ -147,16 +143,12 @@ type Engine struct {
 	inbFIFOPool sync.Pool // *fifo[inbound]
 
 	stopped atomic.Bool
-	wg      sync.WaitGroup
-
-	nextSweep atomic.Int64
 
 	// rec is the optional flight recorder (Config.Trace); nil means
 	// every hook is a single nil check.
 	rec *trace.Recorder
-	// lastProgress is the Clock stamp of the most recent progression
-	// pass (background loop iteration or deadline sweep) — the
-	// engine-liveness signal /healthz probes.
+	// lastProgress is the clock stamp of the most recent deadline
+	// sweep — the engine-liveness signal /healthz probes.
 	lastProgress atomic.Int64
 
 	msgsSent, msgsRecv, framesSent, framesRecv atomic.Uint64
@@ -290,28 +282,17 @@ func (e *Engine) putSendRdv(st *sendRdvState) {
 	e.sendRdvPool.Put(st)
 }
 
-// NewEngine builds an engine and starts its progression.
+// NewEngine builds an engine and arms its deadline sweep.
 func NewEngine(cfg Config) *Engine {
-	if cfg.Tasks == nil {
-		// The private engine runs the full adaptive control plane: the
-		// drain batch of each queue tracks the poll/send mix, and steal
-		// windows track the thief hit-rate — this engine serves only
-		// progression tasks, so there is no externally tuned workload
-		// to preserve.
-		cfg.Tasks = core.New(core.Config{
-			Topology:      topology.Host(),
-			AdaptiveDrain: true,
-			Steal:         core.StealConfig{Policy: core.StealFullTree, Adaptive: true},
-		})
+	own := cfg.Tasks == nil
+	if own {
+		cfg.Tasks = core.NewDefault()
 	}
 	if cfg.EagerThreshold <= 0 {
 		cfg.EagerThreshold = 8 << 10
 	}
 	if cfg.MaxAggr <= 0 {
 		cfg.MaxAggr = 16 << 10
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = func() int64 { return time.Now().UnixNano() }
 	}
 	if cfg.RdvTimeout <= 0 {
 		cfg.RdvTimeout = int64(500 * time.Millisecond)
@@ -320,30 +301,23 @@ func NewEngine(cfg Config) *Engine {
 		cfg.RdvRetries = 3
 	}
 	e := &Engine{
-		cfg:   cfg,
-		tasks: cfg.Tasks,
-		clock: cfg.Clock,
-		rec:   cfg.Trace,
+		cfg:      cfg,
+		tasks:    cfg.Tasks,
+		ownTasks: own,
+		rec:      cfg.Trace,
 	}
 	if cfg.Admit != nil {
 		e.admit = newAdmitPlane(cfg)
 	}
-	// The sweep serves every deadline family: rendezvous handshakes, the
-	// eager retransmission window, and the admission wait queue. The
-	// background loop runs it itself; without one it rides the caller's
-	// Schedule passes as a repeated task.
-	if cfg.NoAutoProgress {
-		e.startSweeper()
-	} else {
-		e.wg.Add(1)
-		go e.progressLoop()
-	}
+	e.sweep = core.Task{Fn: sweepTask, Arg: e, OnDone: rearmSweep}
+	e.armSweep(e.tasks.Now())
 	return e
 }
 
 // Tasks exposes the underlying task engine, for callers that drive
-// progression themselves (explicit Schedule loops under NoAutoProgress,
-// WaitActive-style helpers) or share it with another engine.
+// progression themselves (explicit Schedule loops on a core without a
+// progression context, WaitActive-style helpers) or share it with
+// another engine.
 func (e *Engine) Tasks() *core.Engine { return e.tasks }
 
 // Gates returns a snapshot of the engine's open gates, for observers
@@ -367,10 +341,10 @@ func (e *Engine) FailedGates() int {
 	return n
 }
 
-// LastProgress returns the Clock stamp of the most recent progression
-// pass (background loop iteration or deadline sweep), 0 before the
-// first one — the engine-liveness signal health probes compare against
-// the current clock.
+// LastProgress returns the clock stamp of the most recent deadline
+// sweep, 0 before the first one — the engine-liveness signal health
+// probes compare against the current clock. The sweep runs every
+// RdvTimeout/8 while anything schedules the task engine.
 func (e *Engine) LastProgress() int64 { return e.lastProgress.Load() }
 
 // SettledOccupancy reports how many entries the gates' dedup logs
@@ -389,38 +363,27 @@ func (e *Engine) SettledOccupancy() (send, recv, eager int) {
 	return send, recv, eager
 }
 
-// progressLoop is the background progression context: the stand-in for
-// idle cores and timer interrupts executing PIOMan tasks while the
-// application computes. A pass that ran nothing parks the loop until a
-// rail arms its poll task (any Submit wakes it) or the next deadline
-// sweep is due, at most RdvTimeout/8 away, so an idle engine costs no
-// CPU and its LastProgress stays fresh for /healthz.
-func (e *Engine) progressLoop() {
-	defer e.wg.Done()
-	// Scan from CPU 1 where there is one, so this loop does not share a
-	// counter shard with Request.Wait's Schedule(0).
-	cpu := 1 % e.tasks.Topology().NCPUs
-	for !e.stopped.Load() {
-		e.sweepDeadlines()
-		if e.tasks.Schedule(cpu) > 0 {
-			runtime.Gosched()
-			continue
-		}
-		e.tasks.SetIdle(cpu, true)
-		e.tasks.Park(cpu, time.Duration(e.nextSweep.Load()-e.clock()))
-		e.tasks.SetIdle(cpu, false)
-	}
-}
-
-// Close stops progression, completes outstanding requests (posted
-// receives, in-flight rendezvous on both sides) with an error,
-// releases the gates' registration caches and closes every rail of
-// every gate.
+// Close shuts the engine down in three steps. It stops admission: new
+// sends and receives fail with ErrClosed. It lingers until every control
+// frame it owes a peer (FIN, eager ack, NACK) has been handed to a
+// rail, or one RdvTimeout passes, so a peer waiting on one is not failed
+// by the rails closing under it (SO_LINGER's contract). Only then does
+// it complete outstanding requests (posted receives, in-flight
+// rendezvous on both sides) with an error, release the gates'
+// registration caches, close every rail of every gate and, last, close
+// a private task engine.
 func (e *Engine) Close() error {
 	if !e.stopped.CompareAndSwap(false, true) {
 		return nil
 	}
-	e.tasks.Wake() // a parked progressLoop sees stopped
+	for end := e.tasks.Now() + e.cfg.RdvTimeout; e.owed.Load() > 0 && e.tasks.Now() < end; {
+		// With a progression context the owed frames' tasks run there
+		// (one may be blocked in a send this wait must not join);
+		// without one, this call is the only progress there is.
+		if e.tasks.Progressing() || e.tasks.Schedule(0) == 0 {
+			runtime.Gosched()
+		}
+	}
 	gates := e.Gates()
 	var pending []*Request
 	for _, g := range gates {
@@ -448,7 +411,9 @@ func (e *Engine) Close() error {
 			}
 		}
 	}
-	e.wg.Wait()
+	if e.ownTasks {
+		e.tasks.Close()
+	}
 	return firstErr
 }
 
@@ -1306,6 +1271,9 @@ func (g *Gate) failRecvRdv(id uint64, err error) {
 func recyclePacket(t *core.Task) {
 	p := t.Arg.(*Packet)
 	g := p.gate
+	if p.Hdr.Kind >= KindFin { // FIN, eager ack, NACK: sendControl's kinds
+		g.eng.owed.Add(-1)
+	}
 	if p.scratch != nil {
 		g.putAggBuf(p.scratch)
 	}

@@ -122,7 +122,7 @@ func TestSendFailureCompletesRequestWithError(t *testing.T) {
 			// Explicit progression: every Isend is queued before the first
 			// Schedule, so the aggregation flush packs all of them into
 			// the one frame that fails.
-			e := NewEngine(Config{Strategy: tc.strategy, NoAutoProgress: true})
+			e := newManualEngine(Config{Strategy: tc.strategy}, nil)
 			defer e.Close()
 			g, err := e.NewGateEndpoints(fd)
 			if err != nil {
@@ -196,7 +196,7 @@ func TestBackpressureDoesNotKillRail(t *testing.T) {
 	// Explicit progression: each Schedule pass runs the pending packet
 	// task once, and the wall-clock retransmission deadline (500 ms) is
 	// far beyond the test.
-	e := NewEngine(Config{NoAutoProgress: true})
+	e := newManualEngine(Config{}, nil)
 	defer e.Close()
 	g, err := e.NewGate(da)
 	if err != nil {
@@ -523,7 +523,7 @@ func TestHealthyGateUnaffectedByFailingGate(t *testing.T) {
 // of every kind of in-flight state, with the far ends driven by hand;
 // gate A's only rail then dies.
 func TestGateFailureTouchesOnlyItsOwnState(t *testing.T) {
-	e := NewEngine(Config{NoAutoProgress: true, RdvTimeout: int64(time.Hour)})
+	e := newManualEngine(Config{RdvTimeout: int64(time.Hour)}, nil)
 	defer e.Close()
 	pump := func() {
 		for i := 0; i < 64; i++ {

@@ -16,6 +16,14 @@ import (
 
 // enginePair builds two connected engines with the given rail count and
 // strategy.
+// newManualEngine builds an engine on a task engine of its own with no
+// progression context, on clock (nil: the wall clock): the test's own
+// Schedule calls and Waits are all the progress there is.
+func newManualEngine(cfg Config, clock func() int64) *Engine {
+	cfg.Tasks = core.New(core.Config{Clock: clock})
+	return NewEngine(cfg)
+}
+
 func enginePair(t *testing.T, rails int, strategy StrategyKind) (*Engine, *Gate, *Engine, *Gate) {
 	t.Helper()
 	ea := NewEngine(Config{Strategy: strategy})
@@ -583,7 +591,7 @@ func TestFIFOCompactsWithoutFullDrain(t *testing.T) {
 // which half fails — guessing would kill an unrelated healthy transfer
 // carrying the same id.
 func TestNackDirectionSelectsVictim(t *testing.T) {
-	e := NewEngine(Config{NoAutoProgress: true})
+	e := newManualEngine(Config{}, nil)
 	defer e.Close()
 	da, db := MemPair()
 	defer db.Close()
@@ -617,16 +625,15 @@ func TestNackDirectionSelectsVictim(t *testing.T) {
 	}
 }
 
-// scanZeroPair builds two NoAutoProgress engines joined by one mem rail,
-// each on its own task engine over the explicit 8-CPU Borderline
-// topology with the steal config NewEngine gives its private engine.
+// scanZeroPair builds two engines joined by one mem rail, each on its
+// own task engine with no progression context over the explicit 8-CPU
+// Borderline topology, with the steal config of core.NewDefault.
 // Nothing here depends on the host's CPU count: the only scanner is the
 // caller's Schedule(0) — which is also all Request.Wait ever scans.
 func scanZeroPair(t *testing.T, tweakA func(*Config)) (ga, gb *Gate, drive func(...*Request)) {
 	t.Helper()
 	newEngine := func(tweak func(*Config)) *Engine {
 		cfg := Config{
-			NoAutoProgress: true,
 			Tasks: core.New(core.Config{
 				Topology:      topology.Borderline(),
 				AdaptiveDrain: true,
@@ -677,7 +684,8 @@ func scanZeroPair(t *testing.T, tweakA func(*Config)) (ga, gb *Gate, drive func(
 // TestProgressionReachableFromCPU0: every progression task (rail polls,
 // packet sends, the deadline sweep) must sit on a queue CPU 0's scan
 // reaches, whatever the topology — a waiter helping through Schedule(0)
-// is the only progression a NoAutoProgress engine is guaranteed.
+// is the only progression an engine on a task engine without a
+// progression context is guaranteed.
 func TestProgressionReachableFromCPU0(t *testing.T) {
 	t.Run("eager ping-pong", func(t *testing.T) {
 		ga, gb, drive := scanZeroPair(t, nil)

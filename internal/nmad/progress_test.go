@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,8 +13,9 @@ import (
 )
 
 // Event-driven progression: rails arm their poll task when something
-// lands, the background loop parks when a pass ran nothing, and Wait
-// spins a bounded number of empty passes before it parks.
+// lands, the task engine's progression context parks when a pass ran
+// nothing, and Wait spins a bounded number of empty passes before it
+// parks.
 
 // idlePairs connects ea and eb by one mem gate and one loopback TCP
 // gate, and settles one message each way on both.
@@ -62,6 +64,68 @@ func TestIdleGateRunsNoTasks(t *testing.T) {
 	}
 }
 
+// TestIdleWithoutProgressRunsNoTasks: on a task engine without a
+// progression context, two connected engines with nothing due run no
+// task over 1 000 Schedule passes. The mem rails arm their poll tasks
+// only when something lands, and the deadline sweep is a timer (on a
+// frozen clock here, so it never comes due again), not a task re-queued
+// every pass.
+func TestIdleWithoutProgressRunsNoTasks(t *testing.T) {
+	var now atomic.Int64
+	tasks := core.New(core.Config{Clock: now.Load})
+	ea, eb := NewEngine(Config{Tasks: tasks}), NewEngine(Config{Tasks: tasks})
+	defer ea.Close()
+	defer eb.Close()
+	da, db := MemPair()
+	ga, err := ea.NewGate(da)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := eb.NewGate(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range [][2]*Gate{{ga, gb}, {gb, ga}} {
+		r := g[1].Irecv(7)
+		if err := g[0].Send(7, []byte("settle")); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100 && tasks.Schedule(0) > 0; i++ {
+	} // the last acks
+	before := tasks.Stats().Executions
+	for i := 0; i < 1000; i++ {
+		tasks.Schedule(0)
+	}
+	if n := tasks.Stats().Executions - before; n != 0 {
+		t.Errorf("idle engines ran %d tasks over 1000 passes, want 0", n)
+	}
+}
+
+// TestIdleParkedEngineSweepsWithinTick: an idle engine whose progression
+// context parks still sweeps its deadlines every RdvTimeout/8 — the
+// sweep timer bounds the park — so its LastProgress never falls more
+// than one tick (plus scheduling slack) behind the clock.
+func TestIdleParkedEngineSweepsWithinTick(t *testing.T) {
+	const tick, slack = 10 * time.Millisecond, 50 * time.Millisecond
+	ea, eb := NewEngine(Config{RdvTimeout: int64(8 * tick)}), NewEngine(Config{RdvTimeout: int64(8 * tick)})
+	defer ea.Close()
+	defer eb.Close()
+	idlePairs(t, ea, eb)
+	var worst time.Duration
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		for _, e := range []*Engine{ea, eb} {
+			worst = max(worst, time.Duration(e.tasks.Now()-e.LastProgress()))
+		}
+	}
+	if worst > tick+slack {
+		t.Errorf("an idle engine's last sweep fell %v behind the clock, want at most %v", worst, tick+slack)
+	}
+}
+
 // TestWaitParksThenWakes: a receive whose message comes 50 ms later
 // completes with the right bytes, and its waiter stops scanning the
 // task engine long before that: every Schedule pass on the receiving
@@ -72,7 +136,9 @@ func TestWaitParksThenWakes(t *testing.T) {
 		Topology:     topology.Kwak(), // CPU 0 for Wait, CPU 1 for the loop
 		LatencyStats: true,
 		Steal:        core.StealConfig{Policy: core.StealFullTree},
+		Progress:     true,
 	})
+	defer tasks.Close()
 	ea, eb := NewEngine(Config{}), NewEngine(Config{Tasks: tasks})
 	defer ea.Close()
 	defer eb.Close()
@@ -107,7 +173,7 @@ func TestWaitParksThenWakes(t *testing.T) {
 // TestWakeStressMixedRails hunts lost wake-ups: 8 producers each send
 // 2 000 messages, every fourth one a rendezvous, half over a mem gate
 // and half over a TCP gate, with every sender and receiver waiting on
-// each request in turn, so the progression loops and the waiters park
+// each request in turn, so the progression contexts and the waiters park
 // and wake all the time. Every request must complete, with its bytes,
 // before the deadline.
 func TestWakeStressMixedRails(t *testing.T) {

@@ -142,7 +142,7 @@ func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 	}
 	st.tag = tag
 	st.total = uint32(len(data))
-	st.deadline = e.clock() + e.cfg.RdvTimeout
+	st.deadline = e.tasks.Now() + e.cfg.RdvTimeout
 	g.mu.Lock()
 	if e.stopped.Load() { // Close took the gate's requests: see takeInflight
 		g.mu.Unlock()
@@ -310,7 +310,7 @@ func (e *Engine) deliver(req *Request, u inbound) {
 			req.Data = make([]byte, u.hdr.Total)
 		}
 		absDeadline := extDeadline(u.ext)
-		if absDeadline != 0 && e.clock() >= absDeadline {
+		if absDeadline != 0 && e.tasks.Now() >= absDeadline {
 			// The sender's deadline already passed: it has given up on
 			// this transfer (or its sweep is about to fail it). Refuse
 			// the handshake instead of pulling bytes nobody wants.
@@ -324,7 +324,7 @@ func (e *Engine) deliver(req *Request, u inbound) {
 		st.gate = g
 		st.msgID = u.hdr.MsgID
 		st.tag = u.hdr.Tag
-		st.deadline = e.clock() + e.cfg.RdvTimeout
+		st.deadline = e.tasks.Now() + e.cfg.RdvTimeout
 		st.absDeadline = absDeadline
 		e.startRecvRdv(g, st, u.ext)
 	default:

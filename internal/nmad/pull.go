@@ -239,7 +239,7 @@ func (e *Engine) issueChunk(g *Gate, st *recvRdvState, i int) {
 	// state, and holding the lock across it is needless coupling.
 	var now int64
 	if st.absDeadline != 0 {
-		now = e.clock()
+		now = e.tasks.Now()
 	}
 	st.mu.Lock()
 	c := &st.chunks[i]
@@ -399,8 +399,10 @@ func (e *Engine) pullDone(g *Gate, railIdx int, ev fabric.Event) {
 }
 
 // finishRecvRdv completes a rendezvous receive whose byte count just
-// filled: remove the state, complete the request, send the FIN (the
-// sender is waiting to release its regions and complete), recycle.
+// filled: remove the state, send the FIN (the sender is waiting to
+// release its regions and complete), complete the request, recycle. The
+// FIN is owed before the receive completes, so a Close that follows the
+// receiver's Wait lingers for it.
 func (e *Engine) finishRecvRdv(st *recvRdvState) {
 	g := st.gate
 	if g.takeRecvRdv(st.msgID, st) == nil {
@@ -420,15 +422,16 @@ func (e *Engine) finishRecvRdv(st *recvRdvState) {
 		// Every byte is home: the receiver's transfer phase ends.
 		e.rec.Record(g.id, trace.EvTransferEnd, req.traceID, 0)
 	}
-	req.complete(nil)
 	e.rdvFins.Add(1)
 	g.sendControl(KindFin, tag, msgID, 0, 0)
+	req.complete(nil)
 	if canRecycle {
 		e.putRecvRdv(st)
 	}
 }
 
-// sendControl ships one request-less control frame (FIN, RdvNack).
+// sendControl ships one request-less control frame (FIN, eager ack,
+// RdvNack), counted owed until its packet task hands it to a rail.
 // Offset/extra land in the header's Offset/Total fields, whose meaning
 // is per kind.
 func (g *Gate) sendControl(kind Kind, tag uint64, msgID uint64, offset, extra uint32) {
@@ -436,6 +439,7 @@ func (g *Gate) sendControl(kind Kind, tag uint64, msgID uint64, offset, extra ui
 	if rail < 0 {
 		return // gate is dead; the sweeps handle the fallout
 	}
+	g.eng.owed.Add(1)
 	p := g.packet()
 	p.Hdr = Header{Kind: kind, Tag: tag, MsgID: msgID, Offset: offset, Total: extra}
 	p.rail = rail

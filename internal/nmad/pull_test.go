@@ -35,8 +35,8 @@ func newPullRig(t testing.TB) *pullRig {
 	for i, caps := range []fabric.Capabilities{fast, slow} {
 		r.sEps[i], r.rEps[i] = fabric.Connect(r.f.OpenDomain(caps), r.f.OpenDomain(caps))
 	}
-	r.sender = NewEngine(Config{NoAutoProgress: true})
-	r.receiver = NewEngine(Config{NoAutoProgress: true})
+	r.sender = newManualEngine(Config{}, nil)
+	r.receiver = newManualEngine(Config{}, nil)
 	var err error
 	if r.ga, err = r.sender.NewGateEndpoints(r.sEps[0], r.sEps[1]); err != nil {
 		t.Fatal(err)

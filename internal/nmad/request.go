@@ -151,11 +151,11 @@ func (r *Request) Done() <-chan struct{} {
 }
 
 // waitSpins is how many passes in a row that ran no task Wait makes
-// before it parks. Short: the rails' goroutines and the background loop
-// do the work a waiter waits for, and every pass it keeps scanning is
-// CPU they lack. On a 2-vCPU guest 1–2 passes beat 4, 8, 16 and 64 on
-// the benchmark's message workloads: against 64, pingpong_mem and
-// rpc_tcp ran over 40 % more operations a second.
+// before it parks. Short: the rails' goroutines and the progression
+// context do the work a waiter waits for, and every pass it keeps
+// scanning is CPU they lack. On a 2-vCPU guest 1–2 passes beat 4, 8,
+// 16 and 64 on the benchmark's message workloads: against 64,
+// pingpong_mem and rpc_tcp ran over 40 % more operations a second.
 const waitSpins = 2
 
 // Wait blocks until the request completes, actively executing pending
@@ -163,14 +163,14 @@ const waitSpins = 2
 // communication turns its core into a progression core. Once waitSpins
 // passes in a row have found nothing to run, it parks until completion
 // instead — the paper's blocking fallback — leaving the CPU to the
-// background loop and the rails' goroutines. Without background
-// progression (NoAutoProgress) the caller is the only progress there
-// is, and Wait never parks.
+// task engine's progression context and the rails' goroutines. On a
+// task engine without a progression context the caller is the only
+// progress there is, and Wait never parks.
 func (r *Request) Wait() error {
 	for idle := 0; !r.completed.Load(); {
 		if r.eng.tasks.Schedule(0) > 0 {
 			idle = 0
-		} else if idle++; idle >= waitSpins && !r.eng.cfg.NoAutoProgress {
+		} else if idle++; idle >= waitSpins && r.eng.tasks.Progressing() {
 			// Re-checked after the wake-up: a pooled request's previous
 			// completion may still hand a stale one to its next waiter.
 			r.park()

@@ -20,8 +20,9 @@ import (
 // (railFailed); this file handles loss on a live rail.
 //
 // The cure is the classic one: every open rendezvous half carries a
-// deadline on the engine's clock. A sweep task (one per engine, riding
-// the same task engine as the polling work) retransmits the stalled
+// deadline on the engine's clock. A sweep task (one per engine, a
+// one-shot timer on the same task engine as the polling work that
+// re-arms itself RdvTimeout/8 after each run) retransmits the stalled
 // step with exponential backoff — the sender re-sends its RTS, the
 // receiver re-issues its outstanding reads — and after RdvRetries
 // fruitless rounds fails the request visibly with ErrRdvTimeout and
@@ -41,10 +42,10 @@ import (
 // completion counts only for a chunk still reading, so a re-posted read
 // cannot count its bytes twice.
 //
-// The clock is pluggable (Config.Clock) so a deterministic harness can
-// run the whole state machine on a virtual fabric clock: timeouts then
-// fire at exact modelled instants, and a chaos scenario replays
-// byte-identically from its seed.
+// The clock is the task engine's (core.Config.Clock), so a
+// deterministic harness can run the whole state machine on a virtual
+// fabric clock: timeouts then fire at exact modelled instants, and a
+// chaos scenario replays byte-identically from its seed.
 
 // ErrRdvTimeout reports a rendezvous handshake that exhausted its
 // retransmission budget: the peer (or the fabric between) swallowed
@@ -180,36 +181,35 @@ func (e *Engine) sweepFailed(a sweepAct, dir, family uint64, timeouts *atomic.Ui
 	return timeoutErr
 }
 
-// startSweeper submits the engine's deadline sweep as a repeated task
-// on the same task engine that runs the polling work — timeouts are
-// progression, so they ride progression's scheduling like everything
-// else in the paper's design.
-func (e *Engine) startSweeper() {
-	sweep := &core.Task{
-		Options: core.Repeat,
-		Fn: func(any) bool {
-			e.sweepDeadlines()
-			return e.stopped.Load()
-		},
+// armSweep arms the deadline sweep's one-shot timer for clock time at:
+// timeouts are progression, so they ride the task engine like
+// everything else in the paper's design.
+func (e *Engine) armSweep(at int64) {
+	if err := e.tasks.SubmitAt(&e.sweep, at); err != nil {
+		panic(err)
 	}
-	e.tasks.MustSubmit(sweep)
+}
+
+func sweepTask(arg any) bool { arg.(*Engine).sweepDeadlines(); return true }
+
+// rearmSweep is the sweep timer's OnDone: until the engine closes, arm
+// the next sweep RdvTimeout/8 after the one that just ran.
+func rearmSweep(t *core.Task) {
+	if e := t.Arg.(*Engine); !e.stopped.Load() {
+		t.Reset()
+		e.armSweep(e.lastProgress.Load() + e.cfg.RdvTimeout/8)
+	}
 }
 
 // sweepDeadlines scans every gate's rendezvous maps and eager pending
 // window for expired deadlines and acts: retransmit with backoff, or
-// fail visibly past the budget. The scan is throttled to a fraction of
-// the timeout so hot scheduling loops do not pay a map walk per pass.
-// Each family collects over all gates (in id order, see sortActs)
-// before any of its wire actions run.
+// fail visibly past the budget. Each family collects over all gates (in
+// id order, see sortActs) before any of its wire actions run.
 func (e *Engine) sweepDeadlines() {
-	now := e.clock()
-	// The sweep rides every progression pass, so its clock read doubles
-	// as the engine-liveness stamp /healthz compares against.
+	now := e.tasks.Now()
+	// The sweep's clock read doubles as the engine-liveness stamp
+	// /healthz compares against, and as the base of the next sweep.
 	e.lastProgress.Store(now)
-	if now < e.nextSweep.Load() {
-		return
-	}
-	e.nextSweep.Store(now + e.cfg.RdvTimeout/8)
 
 	if e.admit != nil {
 		e.sweepAdmit(now)

@@ -68,14 +68,13 @@ func (h *Health) Check() (ok bool, report string) {
 
 // NmadLiveness probes an nmad engine the way the issue defines
 // healthy: the progression machinery ran recently (the deadline sweep
-// or background loop stamped the clock within window), and no gate has
-// lost its last rail. clock must match the engine's own Config.Clock
-// so virtual-time harnesses compare like with like; nil means the
-// engine runs on real time and defaults to time.Now().UnixNano.
+// stamped the clock within window), and no gate has lost its last rail.
+// clock must match the engine's own, its task engine's Now, so
+// virtual-time harnesses compare like with like; nil means that clock.
 // window ≤ 0 defaults to 5 s.
 func NmadLiveness(e *nmad.Engine, clock func() int64, window time.Duration) func() error {
 	if clock == nil {
-		clock = func() int64 { return time.Now().UnixNano() }
+		clock = e.Tasks().Now
 	}
 	if window <= 0 {
 		window = 5 * time.Second

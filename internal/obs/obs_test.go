@@ -155,8 +155,8 @@ func TestHealthzTransitions(t *testing.T) {
 	var now atomic.Int64
 	now.Store(1)
 	clock := func() int64 { return now.Load() }
-	tasks := core.New(core.Config{})
-	e := nmad.NewEngine(nmad.Config{Tasks: tasks, NoAutoProgress: true, Clock: clock})
+	tasks := core.New(core.Config{Clock: clock})
+	e := nmad.NewEngine(nmad.Config{Tasks: tasks})
 	defer e.Close()
 
 	h := NewHealth()
@@ -221,8 +221,8 @@ func TestHealthzStallRecovery(t *testing.T) {
 	var now atomic.Int64
 	now.Store(1)
 	clock := func() int64 { return now.Load() }
-	tasks := core.New(core.Config{})
-	e := nmad.NewEngine(nmad.Config{Tasks: tasks, NoAutoProgress: true, Clock: clock})
+	tasks := core.New(core.Config{Clock: clock})
+	e := nmad.NewEngine(nmad.Config{Tasks: tasks})
 	defer e.Close()
 
 	h := NewHealth()
