@@ -128,20 +128,16 @@ func TestAdaptiveDrainFixedWhenOff(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStealShrinksFruitlessWindows: a thief whose steals keep
-// migrating nothing (the victim's backlog is pinned) must shrink its
-// steal window instead of re-draining and re-enqueueing the victim's
-// whole backlog forever — and must recover the full window once steals
-// land again.
-func TestAdaptiveStealShrinksFruitlessWindows(t *testing.T) {
+// TestAdaptiveStealSkipsPinnedAndRecovers: a backlog pinned to its
+// owner costs an adaptive thief nothing — no attempt, no miss, no
+// shrunken window — while tasks that do count as stealable but that the
+// thief cannot run (pinned to a third CPU, parked on the wrong leaf)
+// shrink its window; hits pull the window back up.
+func TestAdaptiveStealSkipsPinnedAndRecovers(t *testing.T) {
 	e := New(Config{
 		Topology: topology.Borderline(),
 		Steal:    StealConfig{Policy: StealFullTree, Adaptive: true},
 	})
-	// A deep pinned backlog on CPU 0: every steal window fills with
-	// tasks the thief cannot run (got == want, so the fruitless mark —
-	// which needs proof the whole backlog was seen — never engages and
-	// the thief keeps trying).
 	for i := 0; i < 64; i++ {
 		task := &Task{Fn: func(any) bool { return true }, CPUSet: cpuset.New(0)}
 		if err := e.SubmitLocal(task, 0); err != nil {
@@ -149,30 +145,51 @@ func TestAdaptiveStealShrinksFruitlessWindows(t *testing.T) {
 		}
 	}
 	q := e.QueueFor(cpuset.New(0))
-	base := q.Dequeues()
-	if n := e.Schedule(1); n != 0 {
-		t.Fatalf("thief ran %d pinned tasks", n)
+	for i := 0; i < 9; i++ {
+		if n := e.Schedule(1); n != 0 {
+			t.Fatalf("thief ran %d pinned tasks", n)
+		}
 	}
-	first := q.Dequeues() - base
-	if first != uint64(e.stealBatch) {
-		t.Fatalf("first steal window = %d, want the full %d", first, e.stealBatch)
+	if got := q.Dequeues(); got != 0 {
+		t.Errorf("pinned victim dequeues = %d, want 0", got)
 	}
-	for i := 0; i < 8; i++ {
-		e.Schedule(1)
+	if got := e.Stats().StealAttempts; got != 0 {
+		t.Errorf("StealAttempts = %d, want 0", got)
+	}
+	if r := e.StealRate(1); r != 1 {
+		t.Errorf("steal hit-rate = %.3f after passes that never stole, want 1", r)
+	}
+
+	// Misses: each pass parks a task pinned to CPU 4 on CPU 0's leaf.
+	// It counts as stealable there, and the thief re-homes it unrun.
+	for i := 0; i < 9; i++ {
+		task := &Task{Fn: func(any) bool { return true }, CPUSet: cpuset.New(4)}
+		if err := e.SubmitLocal(task, 0); err != nil {
+			t.Fatal(err)
+		}
+		if n := e.Schedule(1); n != 0 {
+			t.Fatalf("thief ran %d tasks pinned elsewhere", n)
+		}
 	}
 	if r := e.StealRate(1); r > 0.2 {
 		t.Errorf("steal hit-rate after 9 misses = %.3f, want ≤ 0.2", r)
 	}
-	base = q.Dequeues()
+	for i := 0; i < e.stealBatch; i++ {
+		task := &Task{Fn: func(any) bool { return true }, CPUSet: cpuset.New(4)}
+		if err := e.SubmitLocal(task, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := q.Dequeues()
 	e.Schedule(1)
-	if late := q.Dequeues() - base; late > first/4 {
-		t.Errorf("late fruitless window = %d, want ≤ %d (shrunk from %d)",
-			late, first/4, first)
+	if late := q.Dequeues() - base; late == 0 || late > uint64(e.stealBatch/4) {
+		t.Errorf("window after 9 misses = %d, want 1..%d (shrunk from %d)",
+			late, e.stealBatch/4, e.stealBatch)
 	}
 
-	// Recovery: run the pinned backlog down, then park stealable work —
-	// hits must pull the window back up.
-	for e.Schedule(0) > 0 {
+	// Recovery: run the backlogs down, then park stealable work — hits
+	// must pull the window back up.
+	for e.Schedule(0)+e.Schedule(4) > 0 {
 	}
 	var stolen atomic.Int64
 	for i := 0; i < 48; i++ {

@@ -12,7 +12,7 @@ package core
 // SubmitAll submits a batch of tasks as one operation. Placement is
 // identical to per-task Submit (deepest covering queue per task), but
 // runs of consecutive tasks bound for the same queue share one locked
-// chain append.
+// chain append (placeChain, the chain drains re-home through).
 //
 // The batch is all-or-nothing with respect to validation: every task
 // is checked and transitioned first, and if any is invalid (nil Fn, or
@@ -34,37 +34,11 @@ func (e *Engine) SubmitAll(tasks ...*Task) error {
 		}
 	}
 
-	var head, tail *Task
-	var dest *Queue
-	n := 0
-	flush := func() {
-		if n > 0 {
-			dest.enqueueChain(head, tail, n)
-		}
-		head, tail, n = nil, nil, 0
-	}
+	c := placeChain{e: e}
 	for _, t := range tasks {
-		var q *Queue
-		if cpu, ok := t.CPUSet.Single(); ok && cpu < len(e.leaf) {
-			q = e.leaf[cpu]
-		} else {
-			q = e.queueForSlow(t.CPUSet)
-		}
-		t.home = q
-		if q != dest {
-			flush()
-			dest = q
-		}
-		if tail == nil {
-			head = t
-		} else {
-			tail.next = t
-		}
-		tail = t
-		n++
+		c.add(t)
 	}
-	flush()
-	e.wakeParked()
+	c.flush()
 	return nil
 }
 

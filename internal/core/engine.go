@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -151,13 +152,13 @@ type StealConfig struct {
 	BatchFraction float64
 	// Adaptive scales each thief's steal window by its observed
 	// hit-rate (a per-CPU EWMA of whether a steal migrated anything):
-	// a CPU whose steals keep coming back empty-handed — the victim's
-	// visible backlog is pinned, or races keep losing it — shrinks its
-	// window toward one task, so fruitless-steal-prone topologies stop
-	// over-draining (and re-enqueueing) their victims' backlogs. A
-	// thief whose steals land keeps the full BatchFraction window. The
-	// estimate starts optimistic (full window) and recovers as soon as
-	// steals succeed again.
+	// a CPU whose steals keep coming back empty-handed shrinks its
+	// window toward one task, and recovers the full BatchFraction
+	// window as soon as steals land again. Thieves only drain victims
+	// whose exact stealable count (Queue.stealable) is non-zero, so a
+	// backlog pinned to its owner produces no misses; what is left to
+	// miss on is a lost race or a window of tasks pinned to a third
+	// CPU.
 	Adaptive bool
 }
 
@@ -317,7 +318,7 @@ func New(cfg Config) *Engine {
 		if cfg.SingleGlobalQueue && n != e.topo.Root {
 			continue
 		}
-		q := newQueue(n, cfg.QueueKind)
+		q := newQueue(n, cfg.QueueKind, cfg.Steal.Policy != StealOff)
 		q.ctrl.Init(batch, cfg.DrainMin, cfg.DrainMax)
 		e.queues = append(e.queues, q)
 		e.byID[n.ID] = q
@@ -408,18 +409,20 @@ func (e *Engine) Submit(t *Task) error {
 	} else {
 		q = e.queueForSlow(t.CPUSet)
 	}
-	e.submitTo(t, q)
+	e.submitTo(t, q, false)
 	return nil
 }
 
 // submitTo is the shared tail of every submission entry point: record
-// the home queue and enqueue. The caller has already validated the task
-// and transitioned it to StateSubmitted.
-func (e *Engine) submitTo(t *Task, q *Queue) {
+// the home queue and whether the task counts in its stealable count
+// (only SubmitLocal's can: deepest-covering placement puts on a leaf
+// only tasks pinned to exactly its CPU), and enqueue. The caller has
+// already validated the task and transitioned it to StateSubmitted.
+func (e *Engine) submitTo(t *Task, q *Queue, stealable bool) {
 	if rec := e.rec; rec != nil {
 		t.submitTS = rec.Now()
 	}
-	t.home = q
+	t.home, t.stealable = q, stealable
 	q.enqueue(t)
 	e.wakeParked()
 }
@@ -504,7 +507,7 @@ func (e *Engine) FindIdleNear(home int) int {
 //
 // Each queue is drained at most its length-at-entry times per call so a
 // persistent Repeat task cannot livelock the caller. Returns the number
-// of task executions performed.
+// of task executions performed, Repeat retries included.
 func (e *Engine) Schedule(cpu int) int {
 	return e.schedule(cpu, -1)
 }
@@ -524,7 +527,7 @@ func (e *Engine) schedule(cpu int, max int) int {
 	if e.nextDue.Load() != noTimer && !e.Progressing() {
 		e.releaseDue()
 	}
-	ran := 0
+	ran, requeued := 0, 0
 	for _, q := range e.paths[cpu] {
 		// Fast skip of empty queues keeps Algorithm 1's common case — a
 		// scan over an idle hierarchy — free of calls and locks: one
@@ -540,58 +543,67 @@ func (e *Engine) schedule(cpu int, max int) int {
 		if max > 0 {
 			budget = max - ran
 		}
+		var n, rq int
 		if e.latShards != nil {
 			start := time.Now()
-			ran += e.drainQueue(q, cpu, budget)
+			n, rq = e.drainQueue(q, cpu, budget)
 			e.latShards[cpu].record(false, time.Since(start))
 		} else {
-			ran += e.drainQueue(q, cpu, budget)
+			n, rq = e.drainQueue(q, cpu, budget)
 		}
+		ran += n
+		requeued += rq
 		if max > 0 && ran >= max {
 			return ran
 		}
 	}
-	// Only when the entire local path — leaf and every ancestor — yielded
-	// nothing does the CPU reach outward and steal (steal.go). A CPU with
-	// local work never pays the victim-selection walk.
-	if ran == 0 && e.cfg.Steal.Policy != StealOff {
+	// Only when the entire local path — leaf and every ancestor — made
+	// no progress does the CPU reach outward and steal (steal.go): it
+	// ran nothing, or only Repeat tasks that re-queued themselves, so a
+	// persistent poll task on the path cannot starve stealable work
+	// parked on a busy sibling. A CPU with local work never pays the
+	// victim-selection walk. max-ran keeps ScheduleOne's bound, and is
+	// ≤ 0 (no bound) for Schedule.
+	if ran == requeued && e.cfg.Steal.Policy != StealOff {
 		if e.latShards != nil {
 			start := time.Now()
-			ran = e.steal(cpu, max)
+			ran += e.steal(cpu, max-ran)
 			e.latShards[cpu].record(true, time.Since(start))
 		} else {
-			ran = e.steal(cpu, max)
+			ran += e.steal(cpu, max-ran)
 		}
 	}
 	return ran
 }
 
-// rehomeChain accumulates CPU-set-mismatched tasks during a drain and
-// re-enqueues each on the queue its CPU set maps to under
-// deepest-covering placement — usually the queue it was drained from
-// (tasks on ancestor queues are correctly placed by construction), in
-// which case the whole batch still costs one chained append. When
-// locality-first placement (SubmitLocal) parked a task somewhere its
-// owner can never run it, any scan that touches it repairs the
-// placement instead of bouncing it on the same unreachable queue.
-// Task.home follows, so Repeat re-enqueues stay repaired.
-type rehomeChain struct {
+// placeChain enqueues tasks on the queues their CPU sets map to under
+// deepest-covering placement, consecutive same-queue tasks as one
+// chained append under one lock. SubmitAll places its batch through
+// it, and drains re-home CPU-set mismatches through it: usually onto
+// the queue they were drained from (tasks on ancestor queues are
+// correctly placed by construction), so the whole batch still costs
+// one chained append. When locality-first placement (SubmitLocal)
+// parked a task somewhere its owner can never run it, any scan that
+// touches it repairs the placement instead of bouncing it on the same
+// unreachable queue. Task.home follows, so Repeat re-enqueues stay
+// repaired.
+type placeChain struct {
 	e          *Engine
 	head, tail *Task
 	dest       *Queue
 	n          int // tasks in the open chain
-	total      int // tasks re-homed over the chain's lifetime
+	total      int // tasks placed over the chain's lifetime
 }
 
-// add appends a mismatched task; consecutive same-destination tasks
-// share one locked append.
-func (c *rehomeChain) add(t *Task) {
+// add appends a task; consecutive same-destination tasks share one
+// locked append.
+func (c *placeChain) add(t *Task) {
 	dest := c.e.QueueFor(t.CPUSet)
-	t.home = dest
 	if dest != c.dest {
 		c.flush()
 		c.dest = dest
 	}
+	t.home, t.stealable = dest, false
 	if c.tail == nil {
 		c.head = t
 	} else {
@@ -602,8 +614,8 @@ func (c *rehomeChain) add(t *Task) {
 	c.total++
 }
 
-// flush re-enqueues the open chain, if any.
-func (c *rehomeChain) flush() {
+// flush enqueues the open chain, if any.
+func (c *placeChain) flush() {
 	if c.n > 0 {
 		c.dest.enqueueChain(c.head, c.tail, c.n)
 		c.e.wakeParked()
@@ -617,6 +629,8 @@ func (c *rehomeChain) flush() {
 // and re-homed with one locked append per destination run instead of
 // one lock round-trip per task. budget < 0 means unbounded; otherwise
 // at most budget tasks are executed (skips do not consume budget).
+// Returns the executions and how many of them were Repeat retries that
+// re-queued themselves.
 //
 // The pass is bounded by the queue's length at entry: tasks re-enqueued
 // during the scan (repeats, put-backs) are not reconsidered until the
@@ -626,11 +640,11 @@ func (c *rehomeChain) flush() {
 // value instead of the engine constant, and the pass reports back: a
 // budgeted drain that ran something is a latency signal, an unbudgeted
 // drain that processed more than one full batch is a backlog signal.
-func (e *Engine) drainQueue(q *Queue, cpu int, budget int) int {
+func (e *Engine) drainQueue(q *Queue, cpu int, budget int) (ran, requeued int) {
 	bound := q.Len()
 	if bound == 0 {
 		if !e.cfg.AlwaysLock {
-			return 0
+			return 0, 0
 		}
 		// Naive Get_Task: take the lock even to discover emptiness.
 		bound = 1
@@ -639,8 +653,8 @@ func (e *Engine) drainQueue(q *Queue, cpu int, budget int) int {
 	if e.cfg.AdaptiveDrain {
 		batch = q.ctrl.Batch()
 	}
-	ran, processed := 0, 0
-	pb := rehomeChain{e: e}
+	processed := 0
+	pb := placeChain{e: e}
 	for processed < bound {
 		n := bound - processed
 		if n > batch {
@@ -657,19 +671,9 @@ func (e *Engine) drainQueue(q *Queue, cpu int, budget int) int {
 			break
 		}
 		processed += got
-		for t := head; t != nil; {
-			next := t.next
-			t.next = nil
-			if !t.CPUSet.IsEmpty() && !t.CPUSet.IsSet(cpu) {
-				// Not allowed here (possible for ancestor queues holding
-				// tasks whose CPU set is a strict subset): put it back.
-				pb.add(t)
-			} else {
-				e.run(t, cpu)
-				ran++
-			}
-			t = next
-		}
+		n, rq := e.runChain(head, cpu, &pb)
+		ran += n
+		requeued += rq
 		if budget >= 0 && ran >= budget {
 			break
 		}
@@ -685,14 +689,41 @@ func (e *Engine) drainQueue(q *Queue, cpu int, budget int) int {
 			q.ctrl.Backlog()
 		}
 	}
-	return ran
+	return ran, requeued
+}
+
+// runChain executes the tasks of a detached chain that cpu may run and
+// hands the rest to pb to be put back where their CPU set maps to (an
+// ancestor queue holds tasks whose set is a strict subset; a leaf holds
+// SubmitLocal's tasks, which a thief may not be allowed to run).
+// Returns the executions and how many of them were Repeat retries that
+// re-queued themselves.
+func (e *Engine) runChain(head *Task, cpu int, pb *placeChain) (ran, requeued int) {
+	for t := head; t != nil; {
+		next := t.next
+		t.next = nil
+		if !t.CPUSet.IsEmpty() && !t.CPUSet.IsSet(cpu) {
+			pb.add(t)
+		} else {
+			ran++
+			if e.run(t, cpu) {
+				requeued++
+			}
+		}
+		t = next
+	}
+	return ran, requeued
 }
 
 // run executes one dequeued task on cpu and routes it to completion or
-// re-enqueue.
-func (e *Engine) run(t *Task, cpu int) {
+// re-enqueue, reporting whether it re-queued. The CPU slot is stored
+// only when it changes: a task recycled on the core it last ran on (the
+// common case for pinned work) pays no locked store for it.
+func (e *Engine) run(t *Task, cpu int) (requeued bool) {
 	t.state.Store(uint32(StateRunning))
-	t.lastCPU.Store(int64(cpu))
+	if t.lastCPU.Load() != int64(cpu) {
+		t.lastCPU.Store(int64(cpu))
+	}
 	runs := t.runs.Add(1)
 	e.shards[cpu].executions.Add(1)
 	if r := e.rec; r != nil {
@@ -714,9 +745,10 @@ func (e *Engine) run(t *Task, cpu int) {
 		}
 		t.home.enqueue(t)
 		e.wakeParked()
-		return
+		return true
 	}
 	t.markDone()
+	return false
 }
 
 // WaitActive waits for t to complete while executing pending tasks on
@@ -726,7 +758,7 @@ func (e *Engine) WaitActive(t *Task, cpu int) {
 	for !t.Done() {
 		if e.Schedule(cpu) == 0 {
 			// Nothing runnable here; let other goroutines progress.
-			yield()
+			runtime.Gosched()
 		}
 	}
 }

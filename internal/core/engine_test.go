@@ -266,6 +266,49 @@ func TestTaskResetReuse(t *testing.T) {
 	}
 }
 
+// TestResetKeepsLifecycleObservable: Reset skips the stores that change
+// nothing — the CPU slot, a completion channel nobody installed — and
+// run skips the CPU store when the CPU is unchanged, yet LastCPU, Runs
+// and DoneChan read exactly as if every field were re-initialized.
+func TestResetKeepsLifecycleObservable(t *testing.T) {
+	e := kwakEngine()
+	task := &Task{Fn: func(any) bool { return true }}
+	for i, cpu := range []int{2, 2, 5, 0, 0} {
+		if got := task.LastCPU(); got != -1 {
+			t.Fatalf("round %d: LastCPU = %d before running, want -1", i, got)
+		}
+		if task.Runs() != 0 {
+			t.Fatalf("round %d: Runs = %d after Reset", i, task.Runs())
+		}
+		var done <-chan struct{}
+		if i%2 == 0 {
+			done = task.DoneChan()
+		}
+		task.CPUSet = cpuset.New(cpu)
+		e.MustSubmit(task)
+		if e.Schedule(cpu) != 1 {
+			t.Fatalf("round %d: task did not run on CPU %d", i, cpu)
+		}
+		if got := task.LastCPU(); got != cpu {
+			t.Errorf("round %d: LastCPU = %d, want %d", i, got, cpu)
+		}
+		if done != nil {
+			select {
+			case <-done:
+			default:
+				t.Errorf("round %d: DoneChan not closed at completion", i)
+			}
+		}
+		task.Reset()
+		select {
+		case <-task.DoneChan():
+			t.Fatalf("round %d: DoneChan after Reset is already closed", i)
+		default:
+		}
+		task.Reset() // a channel installed on a free task is dropped too
+	}
+}
+
 func TestResetInFlightPanics(t *testing.T) {
 	e := kwakEngine()
 	task := &Task{Fn: func(any) bool { return true }, CPUSet: cpuset.New(0)}

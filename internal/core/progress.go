@@ -87,7 +87,7 @@ func (e *Engine) releaseDue() {
 	n := 0
 	for ; n < len(e.timers) && e.timers[n].at <= now; n++ {
 		t := e.timers[n].t
-		e.submitTo(t, e.QueueFor(t.CPUSet))
+		e.submitTo(t, e.QueueFor(t.CPUSet), false)
 	}
 	e.timers = slices.Delete(e.timers, 0, n)
 	next := int64(noTimer)

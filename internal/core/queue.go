@@ -86,12 +86,18 @@ type Queue struct {
 	chainOps    atomic.Uint64 // enqueueChain ops (one lock each)
 	chainTasks  atomic.Uint64 // tasks appended by enqueueChain
 	contended   atomic.Uint64 // lock acquisitions that had to wait
-	// fruitless is the work-stealing hint: enqueues+1 as of the last
-	// steal that detached tasks but could run none (the backlog is
-	// pinned to the owner), zero when unmarked. Any enqueue invalidates
-	// the mark by changing the comparison value. See Engine.stealable.
-	fruitless atomic.Uint64
-	_         spinlock.CacheLinePad
+	_           spinlock.CacheLinePad
+
+	// stealable counts the queued tasks some CPU other than owner may
+	// run (Task.stealable), the word thieves read first (bestVictim).
+	// Enqueues add before the tasks are visible and drains subtract
+	// after detaching: never below the truth, exact at quiescence. A
+	// backlog pinned to the owner never writes this line.
+	stealable atomic.Int64
+	// owner is the CPU of a victim leaf — a Core node of an engine that
+	// steals — and -1 on every other queue, which counts nothing.
+	owner int
+	_     spinlock.CacheLinePad
 
 	// ctrl is the queue's adaptive drain-batch controller, consulted by
 	// drains only under Config.AdaptiveDrain. It sits on its own cache
@@ -101,8 +107,11 @@ type Queue struct {
 	_    spinlock.CacheLinePad
 }
 
-func newQueue(node *topology.Node, kind QueueKind) *Queue {
-	q := &Queue{node: node, kind: kind}
+func newQueue(node *topology.Node, kind QueueKind, steals bool) *Queue {
+	q := &Queue{node: node, kind: kind, owner: -1}
+	if steals && node.Kind == topology.Core {
+		q.owner = node.Index
+	}
 	if kind == QueueLockFree {
 		q.lf = spinlock.NewMSQueue[*Task]()
 	}
@@ -206,7 +215,6 @@ func (q *Queue) resetStats() {
 	q.chainOps.Store(0)
 	q.chainTasks.Store(0)
 	q.contended.Store(0)
-	q.fruitless.Store(0)
 	q.ctrl.ResetCounters()
 	if q.lf != nil {
 		q.lf.ResetStats()
@@ -255,6 +263,9 @@ func (q *Queue) unlock() {
 // stores, release store. The ablation variants are outlined.
 func (q *Queue) enqueue(t *Task) {
 	q.enqueues.Add(1)
+	if t.stealable {
+		q.stealable.Add(1)
+	}
 	if q.kind != QueueSpinlock {
 		q.enqueueSlow(t)
 		return
@@ -292,7 +303,8 @@ func (q *Queue) enqueueSlow(t *Task) {
 // enqueueChain appends a chain of n tasks (linked through Task.next,
 // nil-terminated at tail) under a single lock acquisition. The engine
 // uses it to put back a batch of CPU-set-mismatched tasks without
-// paying one lock round-trip per task.
+// paying one lock round-trip per task. Chains are placed by
+// deepest-covering placement, so none of their tasks is stealable.
 func (q *Queue) enqueueChain(head, tail *Task, n int) {
 	if n <= 0 {
 		return
@@ -335,7 +347,7 @@ func (q *Queue) drain(max int, alwaysLock bool) (*Task, int) {
 	}
 	if q.kind == QueueLockFree {
 		var head, tail *Task
-		n := 0
+		n, stealable := 0, 0
 		for n < max {
 			t, ok := q.lf.Dequeue()
 			if !ok {
@@ -349,10 +361,16 @@ func (q *Queue) drain(max int, alwaysLock bool) (*Task, int) {
 			}
 			tail = t
 			n++
+			if t.stealable {
+				stealable++
+			}
 		}
 		if n > 0 {
 			q.dequeues.Add(uint64(n))
 			q.drains.Add(1)
+		}
+		if stealable > 0 {
+			q.stealable.Add(-int64(stealable))
 		}
 		return head, n
 	}
@@ -361,11 +379,14 @@ func (q *Queue) drain(max int, alwaysLock bool) (*Task, int) {
 	}
 	q.lock()
 	head := q.head.Load() // locked re-check: nil when a racing drain won
-	n := 0
+	n, stealable := 0, 0
 	var last *Task
 	for t := head; t != nil && n < max; t = t.next {
 		last = t
 		n++
+		if t.stealable {
+			stealable++
+		}
 	}
 	if n > 0 {
 		q.head.Store(last.next)
@@ -379,5 +400,8 @@ func (q *Queue) drain(max int, alwaysLock bool) (*Task, int) {
 		q.emptyDrains.Add(1)
 	}
 	q.unlock()
+	if stealable > 0 {
+		q.stealable.Add(-int64(stealable))
+	}
 	return head, n
 }

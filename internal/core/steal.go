@@ -92,7 +92,10 @@ func (e *Engine) SubmitLocal(t *Task, home int) error {
 	} else {
 		q = e.queueForSlow(t.CPUSet)
 	}
-	e.submitTo(t, q)
+	// Stealable: q is a victim leaf and a CPU other than its owner may
+	// run the task — an empty CPU set, or any set but exactly {owner}.
+	cpu, single := t.CPUSet.Single()
+	e.submitTo(t, q, q.owner >= 0 && (!single || cpu != q.owner))
 	return nil
 }
 
@@ -123,10 +126,11 @@ func (e *Engine) steal(cpu int, max int) int {
 		if ran := e.stealFrom(best, cpu, budget); ran > 0 {
 			return ran
 		}
-		// The best victim raced empty or held only mismatches; sweep the
-		// rest of the group once before widening the radius.
+		// The best victim raced empty or its window held only tasks
+		// this CPU may not run; sweep the rest of the group once before
+		// widening the radius.
 		for _, q := range group {
-			if q == best || !e.stealable(q) {
+			if q == best || q.stealable.Load() == 0 {
 				continue
 			}
 			if ran := e.stealFrom(q, cpu, budget); ran > 0 {
@@ -135,23 +139,6 @@ func (e *Engine) steal(cpu int, max int) int {
 		}
 	}
 	return 0
-}
-
-// stealable reports whether a victim queue is worth a drain: non-empty
-// and not marked fruitless. A queue is fruitless when the last steal
-// against it detached tasks and could run none (its visible backlog is
-// pinned to its owner); the mark clears itself as soon as anything new
-// is enqueued there, since the newcomer may well be stealable. Without
-// this hint, every idle CPU's every keypoint would re-drain and
-// re-enqueue the busy core's pinned backlog — lock traffic on exactly
-// the queue the hierarchy is meant to keep quiet, and a FIFO rotation
-// for nothing.
-func (e *Engine) stealable(q *Queue) bool {
-	if q.Empty() {
-		return false
-	}
-	f := q.fruitless.Load()
-	return f == 0 || f != q.enqueues.Load()+1
 }
 
 // bestVictim returns the group's stealable queue with the largest
@@ -164,15 +151,18 @@ func (e *Engine) bestVictim(group []*Queue) *Queue {
 	bestLen := 0
 	var bestExec uint64
 	for _, q := range group {
-		if !e.stealable(q) {
+		// The exact stealable count, read before Len or the lock: a
+		// backlog pinned to its owner is never locked, drained and
+		// re-enqueued by a thief — lock traffic on exactly the queue
+		// the hierarchy keeps quiet, and a FIFO rotation for nothing.
+		if q.stealable.Load() == 0 {
 			continue
 		}
 		l := q.Len()
 		if l == 0 {
 			continue
 		}
-		// Victim leaves are Core nodes, so Node().Index is the owning CPU.
-		ex := e.shards[q.node.Index].executions.Load()
+		ex := e.shards[q.owner].executions.Load()
 		if best == nil || l > bestLen || (l == bestLen && ex > bestExec) {
 			best, bestLen, bestExec = q, l, ex
 		}
@@ -190,20 +180,15 @@ func (e *Engine) bestVictim(group []*Queue) *Queue {
 //
 // Under Steal.Adaptive the window is scaled by this thief's observed
 // hit-rate before the budget clip: a CPU whose steals keep migrating
-// nothing drains smaller and smaller windows (down to one task), so a
-// pinned-backlog victim is probed, not churned; success restores the
-// full window within a few hits.
+// nothing drains smaller and smaller windows (down to one task);
+// success restores the full window within a few hits.
 func (e *Engine) stealFrom(q *Queue, cpu int, budget int) int {
-	full := e.stealBatch
+	want := e.stealBatch
 	if e.stealRate != nil {
 		if r, ok := e.stealRate.Shard(cpu); ok {
-			full = int(r*float64(e.stealBatch) + 0.5)
-			if full < 1 {
-				full = 1
-			}
+			want = max(int(r*float64(e.stealBatch)+0.5), 1)
 		}
 	}
-	want := full
 	if budget >= 0 && want > budget {
 		want = budget
 	}
@@ -213,19 +198,8 @@ func (e *Engine) stealFrom(q *Queue, cpu int, budget int) int {
 	if got == 0 {
 		return 0
 	}
-	ran := 0
-	pb := rehomeChain{e: e}
-	for t := head; t != nil; {
-		next := t.next
-		t.next = nil
-		if !t.CPUSet.IsEmpty() && !t.CPUSet.IsSet(cpu) {
-			pb.add(t)
-		} else {
-			e.run(t, cpu)
-			ran++
-		}
-		t = next
-	}
+	pb := placeChain{e: e}
+	ran, _ := e.runChain(head, cpu, &pb)
 	pb.flush()
 	if pb.total > 0 {
 		sh.skips.Add(uint64(pb.total))
@@ -243,22 +217,8 @@ func (e *Engine) stealFrom(q *Queue, cpu int, budget int) int {
 		sh.stealHits.Add(1)
 		sh.stealTasks.Add(uint64(ran))
 		if r := e.rec; r != nil {
-			// Victim leaves are Core nodes, so Node().Index is the CPU
-			// the work migrated away from.
-			r.Record(cpu, trace.EvTaskSteal, uint64(q.node.Index), uint64(ran))
+			r.Record(cpu, trace.EvTaskSteal, uint64(q.owner), uint64(ran))
 		}
-	} else if want == full && got < want {
-		// The steal saw the victim's entire visible backlog (a full
-		// window that came back short) and ran none of it: mark the
-		// victim fruitless until its next enqueue so other thieves stop
-		// re-draining a pinned backlog. Stored as enqueues+1 so zero
-		// means "no mark"; the re-home appends above already bumped
-		// enqueues, so the mark reflects the queue's state after this
-		// steal. A window that filled completely (got == want) proves
-		// nothing — stealable tasks may sit right behind the pinned
-		// head — and neither does a budget-clipped one (ScheduleOne
-		// drains a single task), so neither marks.
-		q.fruitless.Store(q.enqueues.Load() + 1)
 	}
 	return ran
 }

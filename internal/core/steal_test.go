@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand/v2"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -239,56 +241,69 @@ func TestSubmitLocalMisplacedPinnedRecovers(t *testing.T) {
 	}
 }
 
-// TestFruitlessVictimNotRedrained: a victim whose backlog is entirely
-// pinned to its owner is drained by a thief at most once; subsequent
-// idle keypoints skip it (no lock traffic on the busy queue) until
-// something new is enqueued there.
-func TestFruitlessVictimNotRedrained(t *testing.T) {
-	e := stealEngine(StealFullTree)
-	const pinned = 6
-	for i := 0; i < pinned; i++ {
-		task := &Task{Fn: func(any) bool { return true }, CPUSet: cpuset.New(0)}
-		if err := e.SubmitLocal(task, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := e.Schedule(1); n != 0 {
-		t.Fatalf("thief ran %d pinned tasks", n)
-	}
-	if got := e.Stats().StealAttempts; got != 1 {
-		t.Fatalf("StealAttempts = %d, want 1", got)
-	}
-	// Marked fruitless: further thief keypoints never touch the queue.
-	for i := 0; i < 5; i++ {
-		e.Schedule(1)
-		e.ScheduleOne(7)
-	}
-	if got := e.Stats().StealAttempts; got != 1 {
-		t.Errorf("StealAttempts = %d after fruitless mark, want still 1", got)
-	}
-	// A new enqueue invalidates the mark; the newcomer is stealable.
-	fresh := anyTask(nil)
-	if err := e.SubmitLocal(fresh, 0); err != nil {
-		t.Fatal(err)
-	}
-	if n := e.Schedule(1); n != 1 {
-		t.Fatalf("thief ran %d after fresh enqueue, want 1", n)
-	}
-	if !fresh.Done() {
-		t.Error("fresh task not the one stolen")
-	}
-	// The pinned backlog is untouched and still runs at home.
-	for e.Schedule(0) > 0 {
-	}
-	if got := e.Stats().Executions; got != pinned+1 {
-		t.Errorf("Executions = %d, want %d", got, pinned+1)
+// TestPinnedBacklogNeverLockedByThief: a victim whose backlog is
+// entirely pinned to its owner holds nothing a thief may run, and its
+// stealable count says so exactly: over many thief keypoints it takes
+// zero steal attempts, zero lock acquisitions and zero dequeues. A fresh
+// unconstrained task parked there is stolen on the very next pass.
+func TestPinnedBacklogNeverLockedByThief(t *testing.T) {
+	for _, kind := range []QueueKind{QueueSpinlock, QueueMutex, QueueLockFree} {
+		t.Run(kind.String(), func(t *testing.T) {
+			e := New(Config{
+				Topology:  topology.Borderline(),
+				QueueKind: kind,
+				Steal:     StealConfig{Policy: StealFullTree},
+			})
+			const pinned = 6
+			for i := 0; i < pinned; i++ {
+				task := &Task{Fn: func(any) bool { return true }, CPUSet: cpuset.New(0)}
+				if err := e.SubmitLocal(task, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			victim := e.QueueFor(cpuset.New(0))
+			acq, _ := victim.LockStats()
+			for i := 0; i < 100; i++ {
+				if n := e.Schedule(1); n != 0 {
+					t.Fatalf("thief ran %d pinned tasks", n)
+				}
+				e.ScheduleOne(7)
+			}
+			if got := e.Stats().StealAttempts; got != 0 {
+				t.Errorf("StealAttempts = %d on a pinned backlog, want 0", got)
+			}
+			if got, _ := victim.LockStats(); got != acq {
+				t.Errorf("victim lock acquisitions %d → %d, want untouched", acq, got)
+			}
+			if got := victim.Dequeues(); got != 0 {
+				t.Errorf("victim dequeues = %d, want 0", got)
+			}
+			fresh := anyTask(nil)
+			if err := e.SubmitLocal(fresh, 0); err != nil {
+				t.Fatal(err)
+			}
+			if n := e.Schedule(1); n != 1 || !fresh.Done() {
+				t.Fatalf("thief ran %d after a fresh unconstrained enqueue (done %v), want 1",
+					n, fresh.Done())
+			}
+			// The pinned backlog is untouched and still runs at home.
+			for e.Schedule(0) > 0 {
+			}
+			if got := e.Stats().Executions; got != pinned+1 {
+				t.Errorf("Executions = %d, want %d", got, pinned+1)
+			}
+			if got := victim.stealable.Load(); got != 0 {
+				t.Errorf("stealable count = %d on an empty victim, want 0", got)
+			}
+		})
 	}
 }
 
-// TestBudgetClippedStealDoesNotMarkFruitless: a ScheduleOne steal that
-// draws one pinned task from a victim must not write off the victim —
-// stealable work may sit right behind the pinned head.
-func TestBudgetClippedStealDoesNotMarkFruitless(t *testing.T) {
+// TestBudgetClippedStealKeepsVictimStealable: a ScheduleOne steal that
+// draws the pinned head of a victim puts it back without losing sight of
+// the stealable tasks behind it; once those are stolen the pinned task
+// left behind takes no further steal attempts.
+func TestBudgetClippedStealKeepsVictimStealable(t *testing.T) {
 	e := stealEngine(StealFullTree)
 	// Pinned head, stealable tail — all shallower than one steal batch.
 	pinned := &Task{Fn: func(any) bool { return true }, CPUSet: cpuset.New(0)}
@@ -302,18 +317,25 @@ func TestBudgetClippedStealDoesNotMarkFruitless(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// First keypoint draws the pinned head: nothing runnable, no mark.
+	// First keypoint draws the pinned head: nothing runnable.
 	if e.ScheduleOne(1) {
 		t.Fatal("thief ran the pinned head")
 	}
 	// Subsequent keypoints must still steal the tail.
 	for i := 0; i < free; i++ {
 		if !e.ScheduleOne(1) {
-			t.Fatalf("keypoint %d stole nothing; victim wrongly marked fruitless", i)
+			t.Fatalf("keypoint %d stole nothing; the stealable tail was lost", i)
 		}
 	}
 	if got := ran.Load(); got != free {
 		t.Errorf("stole %d unconstrained tasks, want %d", got, free)
+	}
+	attempts := e.Stats().StealAttempts
+	for i := 0; i < 10; i++ {
+		e.ScheduleOne(1)
+	}
+	if got := e.Stats().StealAttempts; got != attempts {
+		t.Errorf("StealAttempts %d → %d against the pinned leftover, want unchanged", attempts, got)
 	}
 	e.Schedule(0)
 	if !pinned.Done() {
@@ -321,10 +343,40 @@ func TestBudgetClippedStealDoesNotMarkFruitless(t *testing.T) {
 	}
 }
 
+// TestRepeatCannotStarveStealableWork: a persistent Repeat task on the
+// thief's own path runs on every pass, but a pass whose executions were
+// all Repeat retries still counts as idle for stealing, so an
+// unconstrained task parked on a sibling's leaf is migrated instead of
+// waiting forever.
+func TestRepeatCannotStarveStealableWork(t *testing.T) {
+	e := stealEngine(StealFullTree)
+	var polls atomic.Int64
+	poll := &Task{Fn: func(any) bool { polls.Add(1); return false }, Options: Repeat}
+	e.MustSubmit(poll) // empty CPU set: the root queue, on every path
+	parked := anyTask(nil)
+	if err := e.SubmitLocal(parked, 3); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10000 && !parked.Done(); i++ {
+		e.Schedule(0)
+	}
+	if !parked.Done() {
+		t.Fatalf("stealable task never ran behind a persistent Repeat (%d polls)", polls.Load())
+	}
+	if got := parked.LastCPU(); got != 0 {
+		t.Errorf("parked task ran on CPU %d, want the thief 0", got)
+	}
+	// The return value still counts the Repeat's retry: a waiter's
+	// spin-then-park loop sees the pass as busy, as before.
+	if n := e.Schedule(0); n != 1 {
+		t.Errorf("Schedule(0) = %d with only the Repeat queued, want 1", n)
+	}
+}
+
 // TestFullWindowOfPinnedDoesNotHideDeeperWork: a steal window that
-// fills completely with pinned tasks must not mark the victim
-// fruitless — stealable tasks queued behind the pinned head would
-// otherwise be hidden from every thief until the next enqueue.
+// fills completely with pinned tasks puts them back, and the victim's
+// stealable count still points the next pass at the tasks queued behind
+// them.
 func TestFullWindowOfPinnedDoesNotHideDeeperWork(t *testing.T) {
 	e := stealEngine(StealFullTree)
 	// Exactly one full steal window (stealBatch = 16) of pinned tasks
@@ -342,13 +394,13 @@ func TestFullWindowOfPinnedDoesNotHideDeeperWork(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// First steal drains the full pinned window: no migration, no mark.
+	// First steal drains the full pinned window: no migration.
 	if n := e.Schedule(1); n != 0 {
 		t.Fatalf("thief ran %d pinned tasks", n)
 	}
 	// The stealable tail is now at the head; the next pass must get it.
 	if n := e.Schedule(1); n != free {
-		t.Fatalf("second pass stole %d, want %d (victim wrongly marked fruitless)", n, free)
+		t.Fatalf("second pass stole %d, want %d (stealable tail hidden)", n, free)
 	}
 	if got := stolen.Load(); got != free {
 		t.Errorf("stolen = %d, want %d", got, free)
@@ -562,5 +614,127 @@ func TestFindIdleNearPrefersLeastLoaded(t *testing.T) {
 	e.SetIdle(13, true)
 	if got := e.FindIdleNear(0); got != 1 {
 		t.Errorf("FindIdleNear(0) = %d, want 1 (proximity before load)", got)
+	}
+}
+
+// recountStealable recounts a quiescent queue from its tasks' CPU sets:
+// it drains the queue whole, counts the tasks some CPU other than the
+// queue's owner may run, and puts the chain back in order.
+func recountStealable(q *Queue) int64 {
+	head, n := q.drain(1<<30, true)
+	var tail *Task
+	recount, flagged := 0, 0
+	for t := head; t != nil; t = t.next {
+		tail = t
+		if t.stealable {
+			flagged++
+		}
+		if cpu, ok := t.CPUSet.Single(); q.owner >= 0 && (!ok || cpu != q.owner) {
+			recount++
+		}
+	}
+	q.enqueueChain(head, tail, n)
+	q.stealable.Add(int64(flagged))
+	return int64(recount)
+}
+
+// TestStealableCountExactUnderRace: four schedulers on Borderline each
+// submit a random mix of pinned, multi-CPU and unconstrained tasks, by
+// Submit and by SubmitLocal, while scheduling and stealing from each
+// other. Every task runs exactly once on an allowed CPU, and whenever
+// the engine is quiescent every queue's stealable count equals a recount
+// of what it holds — zero once everything has run. Run with -race.
+func TestStealableCountExactUnderRace(t *testing.T) {
+	cpus := []int{0, 1, 2, 5} // a sibling pair, a cousin, a remote core
+	for _, kind := range []QueueKind{QueueSpinlock, QueueMutex, QueueLockFree} {
+		t.Run(kind.String(), func(t *testing.T) {
+			e := New(Config{
+				Topology:  topology.Borderline(),
+				QueueKind: kind,
+				Steal:     StealConfig{Policy: StealFullTree},
+			})
+			const perWorker = 150
+			total := int64(len(cpus) * perWorker)
+			var done, bad atomic.Int64
+			onDone := func(task *Task) {
+				if cpu := task.LastCPU(); !task.CPUSet.IsEmpty() && !task.CPUSet.IsSet(cpu) {
+					bad.Add(1)
+				}
+				done.Add(1)
+			}
+			tasks := make([][]Task, len(cpus))
+			var wg sync.WaitGroup
+			for w, cpu := range cpus {
+				tasks[w] = make([]Task, perWorker)
+				wg.Add(1)
+				go func(w, cpu int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewPCG(uint64(w), 7))
+					for i := range tasks[w] {
+						task := &tasks[w][i]
+						task.Fn = func(any) bool { return true }
+						task.OnDone = onDone
+						switch rng.IntN(3) {
+						case 0:
+							task.CPUSet = cpuset.New(cpus[rng.IntN(len(cpus))])
+						case 1:
+							task.CPUSet = cpuset.New(cpus[rng.IntN(len(cpus))], cpus[rng.IntN(len(cpus))])
+						}
+						var err error
+						if rng.IntN(2) == 0 {
+							err = e.SubmitLocal(task, cpu)
+						} else {
+							err = e.Submit(task)
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if i%10 == 9 {
+							e.Schedule(cpu)
+							e.ScheduleOne(cpu)
+						}
+					}
+				}(w, cpu)
+			}
+			wg.Wait()
+			checkCounts := func(phase string) {
+				t.Helper()
+				for _, q := range e.Queues() {
+					if got, want := q.stealable.Load(), recountStealable(q); got != want {
+						t.Errorf("%s: %v stealable count = %d, recount %d", phase, q.Node(), got, want)
+					}
+				}
+			}
+			checkCounts("after submission")
+			for _, cpu := range cpus {
+				wg.Add(1)
+				go func(cpu int) {
+					defer wg.Done()
+					for done.Load() < total {
+						if e.Schedule(cpu) == 0 {
+							runtime.Gosched()
+						}
+					}
+				}(cpu)
+			}
+			wg.Wait()
+			checkCounts("at quiescence")
+			for _, q := range e.Queues() {
+				if n := q.stealable.Load(); n != 0 {
+					t.Errorf("%v stealable count = %d with nothing queued", q.Node(), n)
+				}
+			}
+			if n := bad.Load(); n != 0 {
+				t.Errorf("%d tasks ran outside their CPU set", n)
+			}
+			for w := range tasks {
+				for i := range tasks[w] {
+					if task := &tasks[w][i]; !task.Done() || task.Runs() != 1 {
+						t.Fatalf("task %d/%d: done %v after %d runs, want exactly one", w, i, task.Done(), task.Runs())
+					}
+				}
+			}
+		})
 	}
 }

@@ -120,6 +120,10 @@ type Task struct {
 	// home is the queue the task was submitted to; Repeat re-enqueues
 	// return it there ("the task is re-enqueued into the same list").
 	home *Queue
+	// stealable records that the task counts in home's stealable
+	// count: SubmitLocal parked it on a victim leaf although a CPU
+	// other than the leaf's owner may run it.
+	stealable bool
 }
 
 // NewTask returns a one-shot task running fn(arg) anywhere.
@@ -137,9 +141,8 @@ func (t *Task) Done() bool { return t.State() == StateDone }
 func (t *Task) Runs() uint64 { return t.runs.Load() }
 
 // LastCPU returns the CPU that most recently executed the task, or -1 if
-// it has never run. The never-ran case is derived from the run counter
-// so Submit does not have to re-initialize the CPU slot on every
-// submission.
+// it has never run. The never-ran case is derived from the run counter,
+// so neither Reset nor Submit re-initializes the CPU slot.
 func (t *Task) LastCPU() int {
 	if t.runs.Load() == 0 {
 		return -1
@@ -174,7 +177,9 @@ func (t *Task) closeDone(ch chan struct{}) {
 
 // Reset returns a completed (or never-submitted) task to StateFree so the
 // embedding structure can be reused. It panics if the task is queued or
-// running.
+// running. Atomic stores are locked instructions, so Reset skips those
+// that change nothing: the completion channel unless a waiter installed
+// one, and the CPU slot (LastCPU reads "never ran" from the runs).
 func (t *Task) Reset() {
 	switch t.State() {
 	case StateSubmitted, StateRunning:
@@ -182,9 +187,10 @@ func (t *Task) Reset() {
 	}
 	t.state.Store(uint32(StateFree))
 	t.runs.Store(0)
-	t.lastCPU.Store(-1)
-	t.doneCh.Store(nil)
-	t.doneClosed.Store(false)
+	if t.doneCh.Load() != nil { // doneClosed is only ever set after it
+		t.doneCh.Store(nil)
+		t.doneClosed.Store(false)
+	}
 	t.next = nil
 	t.home = nil
 }

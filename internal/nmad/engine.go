@@ -575,10 +575,14 @@ type Gate struct {
 	settledRecv settledLog
 	seenEager   settledLog
 
+	// aggTask is the gate's one flush task: aggFlushing (under aggMu)
+	// is set from the push that submits it until its OnDone finds
+	// nothing left to flush, so at most one is ever queued or running.
 	aggMu       sync.Mutex
 	aggPending  []pendingSend
 	aggFlushing bool
 	aggBufs     [][]byte // pooled aggregate payload buffers
+	aggTask     core.Task
 
 	pktPool sync.Pool
 
@@ -685,6 +689,7 @@ func (e *Engine) NewGateEndpoints(eps ...fabric.Endpoint) (*Gate, error) {
 	}
 	g.alive.Store(int32(len(eps)))
 	g.pktPool.New = func() any { return new(Packet) }
+	g.aggTask = core.Task{Fn: aggFlushTask, Arg: g, OnDone: aggFlushed}
 	e.mu.Lock()
 	g.id = len(e.gates)
 	g.traceNode, g.tracePeer = g.id, g.id
@@ -1065,10 +1070,10 @@ func (g *Gate) pickEager() int {
 	return best
 }
 
-// packet takes a wrapper from the gate pool.
+// packet takes a wrapper from the gate pool; recyclePacket reset it on
+// the way in.
 func (g *Gate) packet() *Packet {
 	p := g.pktPool.Get().(*Packet)
-	p.reset()
 	p.gate = g
 	return p
 }

@@ -228,6 +228,96 @@ func TestAggregationPacksMessages(t *testing.T) {
 	}
 }
 
+// TestAggregationConcurrentProducers: producers on several goroutines
+// push onto one gate's aggregation queue while its one flush task runs,
+// ends and is recycled; a message pushed after the flush's last look
+// must start the next flush, so every send completes and every receive
+// gets its bytes. Run with -race.
+func TestAggregationConcurrentProducers(t *testing.T) {
+	ea, ga, _, gb := enginePair(t, 1, StrategyAggreg)
+	const producers, perProducer = 4, 200
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			reqs := make([]*Request, perProducer)
+			for i := range reqs {
+				reqs[i] = ga.Isend(uint64(p*perProducer+i), []byte(fmt.Sprintf("m%d-%d", p, i)))
+			}
+			for _, r := range reqs {
+				if err := r.Wait(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(p)
+	}
+	for p := 0; p < producers; p++ {
+		for i := 0; i < perProducer; i++ {
+			got, err := gb.Recv(uint64(p*perProducer + i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("m%d-%d", p, i); string(got) != want {
+				t.Fatalf("message %d/%d = %q, want %q", p, i, got, want)
+			}
+		}
+	}
+	wg.Wait()
+	if ea.Stats().AggrFrames == 0 {
+		t.Error("no aggregate frame sent")
+	}
+}
+
+// TestAggregationPushAsFlushEnds: a message pushed after the flush task
+// last looked at the queue, but before the task completed, finds the
+// flush still marked running and submits nothing; the task's OnDone
+// must see it and flush again. The push is made from inside the flush
+// task's body, on a core without a progression context, so the window
+// is hit on every run.
+func TestAggregationPushAsFlushEnds(t *testing.T) {
+	tasks := core.New(core.Config{})
+	ea := NewEngine(Config{Tasks: tasks, Strategy: StrategyAggreg})
+	eb := NewEngine(Config{Tasks: tasks})
+	defer ea.Close()
+	defer eb.Close()
+	da, db := MemPair()
+	ga, err := ea.NewGate(da)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := eb.NewGate(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var late *Request
+	ga.aggTask.Fn = func(arg any) bool {
+		done := aggFlushTask(arg)
+		ga.aggTask.Fn = aggFlushTask
+		late = ga.Isend(2, []byte("late"))
+		return done
+	}
+	r1, r2 := gb.Irecv(1), gb.Irecv(2)
+	if err := ga.Isend(1, []byte("first")).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000 && !late.Test(); i++ {
+		tasks.Schedule(0)
+	}
+	if !late.Test() {
+		t.Fatal("a message pushed as the flush ended was never flushed")
+	}
+	for _, r := range []*Request{late, r1, r2} {
+		if err := r.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(r1.Data) != "first" || string(r2.Data) != "late" {
+		t.Errorf("received %q and %q, want \"first\" and \"late\"", r1.Data, r2.Data)
+	}
+}
+
 func TestAggregationSingletonStaysPlain(t *testing.T) {
 	ea, ga, _, gb := enginePair(t, 1, StrategyAggreg)
 	if err := ga.Send(1, []byte("solo")); err != nil {
@@ -722,4 +812,66 @@ func TestProgressionReachableFromCPU0(t *testing.T) {
 			t.Errorf("parked send delivered %q", r2.Data)
 		}
 	})
+}
+
+// TestAggregatedIsendAllocs: the aggregated send path, from Isend
+// through the flush that packs the burst into one frame to the acks
+// that complete it, costs a fixed handful of allocations per message in
+// steady state. The flush task is embedded in the gate, so a flush
+// allocates neither a closure nor a Task.
+func TestAggregatedIsendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not fixed under -race")
+	}
+	tasks := core.New(core.Config{})
+	ea := NewEngine(Config{Tasks: tasks, Strategy: StrategyAggreg})
+	eb := NewEngine(Config{Tasks: tasks})
+	defer ea.Close()
+	defer eb.Close()
+	da, db := MemPair()
+	ga, err := ea.NewGate(da)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := eb.NewGate(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const burst = 4
+	msg := make([]byte, 64)
+	bufs := make([][]byte, burst)
+	for i := range bufs {
+		bufs[i] = make([]byte, len(msg))
+	}
+	var recvs, sends [burst]*Request
+	round := func() {
+		for i := range recvs {
+			recvs[i] = gb.IrecvInto(uint64(i), bufs[i])
+		}
+		for i := range sends {
+			sends[i] = ga.Isend(uint64(i), msg)
+		}
+		for i := range sends {
+			if err := sends[i].Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if err := recvs[i].Wait(); err != nil {
+				t.Fatal(err)
+			}
+			sends[i].Free()
+			recvs[i].Free()
+		}
+	}
+	for i := 0; i < 50; i++ {
+		round() // warm the pools, maps and settled logs
+	}
+	if ea.Stats().AggrFrames == 0 {
+		t.Fatal("no aggregate frame sent; the burst was not aggregated")
+	}
+	perMsg := testing.AllocsPerRun(200, round) / burst
+	t.Logf("%.2f allocations per aggregated message", perMsg)
+	const aggregatedAllocsPerMsg = 2
+	if perMsg > aggregatedAllocsPerMsg {
+		t.Errorf("aggregated Isend path: %.2f allocations per message, want ≤ %d", perMsg, aggregatedAllocsPerMsg)
+	}
 }

@@ -456,22 +456,41 @@ func (g *Gate) matchOrStash(u inbound) {
 
 // ---- Aggregation strategy ----
 
-// aggPush queues a small message for aggregation and ensures a flush
-// task is pending.
+// aggPush queues a small message for aggregation and ensures the
+// gate's flush task is pending.
 func (g *Gate) aggPush(hdr Header, payload []byte) {
 	g.aggMu.Lock()
 	g.aggPending = append(g.aggPending, pendingSend{hdr: hdr, payload: payload})
 	start := !g.aggFlushing
-	if start {
-		g.aggFlushing = true
-	}
+	g.aggFlushing = true
 	g.aggMu.Unlock()
 	if start {
-		flush := &core.Task{Fn: func(any) bool {
-			g.aggFlush()
-			return true
-		}}
-		g.eng.tasks.MustSubmit(flush)
+		g.submitAggFlush()
+	}
+}
+
+// submitAggFlush recycles and submits the gate's flush task.
+func (g *Gate) submitAggFlush() {
+	g.aggTask.Reset()
+	g.eng.tasks.MustSubmit(&g.aggTask)
+}
+
+func aggFlushTask(arg any) bool {
+	arg.(*Gate).aggFlush()
+	return true
+}
+
+// aggFlushed is the flush task's OnDone: the task is done, so it may be
+// recycled; end the flush, or submit the next one at once when a
+// message was queued after the body last looked.
+func aggFlushed(t *core.Task) {
+	g := t.Arg.(*Gate)
+	g.aggMu.Lock()
+	again := len(g.aggPending) > 0
+	g.aggFlushing = again
+	g.aggMu.Unlock()
+	if again {
+		g.submitAggFlush()
 	}
 }
 
@@ -487,7 +506,6 @@ func (g *Gate) aggFlush() {
 		g.aggMu.Lock()
 		pending := g.aggPending
 		if len(pending) == 0 {
-			g.aggFlushing = false
 			g.aggMu.Unlock()
 			return
 		}

@@ -25,7 +25,7 @@ import (
 // re-arms itself RdvTimeout/8 after each run) retransmits the stalled
 // step with exponential backoff — the sender re-sends its RTS, the
 // receiver re-issues its outstanding reads — and after RdvRetries
-// fruitless rounds fails the request visibly with ErrRdvTimeout and
+// unanswered rounds fails the request visibly with ErrRdvTimeout and
 // best-effort NACKs the peer, so neither side waits forever and nothing
 // stays pinned.
 //
