@@ -28,7 +28,7 @@ func (e *Engine) SubmitAll(tasks ...*Task) error {
 	for i, t := range tasks {
 		if err := submitPrep(t, "SubmitAll"); err != nil {
 			for _, u := range tasks[:i] {
-				u.state.Store(uint32(StateFree))
+				u.life.Store(uint64(StateFree))
 			}
 			return err
 		}

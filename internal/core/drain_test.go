@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math/rand/v2"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pioman/internal/cpuset"
 	"pioman/internal/topology"
@@ -479,5 +482,181 @@ func TestScheduleOneWithDeepBacklog(t *testing.T) {
 	}
 	if got := e.Stats().Executions; got != 1 {
 		t.Errorf("Executions = %d, want 1", got)
+	}
+}
+
+var allKinds = []QueueKind{QueueSpinlock, QueueMutex, QueueLockFree}
+
+// TestDrainBoundIsCountAtFirstLock: one Schedule pass runs exactly the
+// tasks its queue held at the pass's first locked look — a backlog that
+// fits one drain (taken whole) and one that spans several (cut by a
+// walk). Tasks a body submits to the same queue and a Repeat task's
+// retry land behind that bound and wait for the next pass.
+func TestDrainBoundIsCountAtFirstLock(t *testing.T) {
+	for _, kind := range allKinds {
+		for _, n := range []int{20, 70} { // the default batch is 32
+			e := New(Config{Topology: topology.Kwak(), QueueKind: kind})
+			for i := 0; i < n; i++ {
+				task := &Task{CPUSet: cpuset.New(0)}
+				switch i % 10 {
+				case 0: // submits one more task behind the bound
+					task.Fn = func(any) bool {
+						e.MustSubmit(&Task{Fn: func(any) bool { return true }, CPUSet: cpuset.New(0)})
+						return true
+					}
+				case 5: // retries on every pass, behind the bound
+					task.Options = Repeat
+					task.Fn = func(any) bool { return false }
+				default:
+					task.Fn = func(any) bool { return true }
+				}
+				e.MustSubmit(task)
+			}
+			retries := (n + 4) / 10
+			submitted := (n + 9) / 10
+			// A pass that reaches past its bound may never end (a retry
+			// re-enqueued behind it runs again), so each runs under a
+			// deadline.
+			pass := func() int {
+				ran := make(chan int, 1)
+				go func() { ran <- e.Schedule(0) }()
+				select {
+				case n := <-ran:
+					return n
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%v, %d queued: a pass did not end", kind, n)
+					return 0
+				}
+			}
+			if got := pass(); got != n {
+				t.Errorf("%v, %d queued: first pass ran %d, want %d", kind, n, got, n)
+			}
+			if got, want := pass(), submitted+retries; got != want {
+				t.Errorf("%v, %d queued: second pass ran %d, want %d (body submissions and retries)", kind, n, got, want)
+			}
+			if p := e.Pending(); p != retries {
+				t.Errorf("%v, %d queued: %d pending after two passes, want the %d retries", kind, n, p, retries)
+			}
+		}
+	}
+}
+
+// checkQueueCounts checks a quiescent queue's exact count against its
+// list and Len, and its stealable count against a recount. The locked
+// variants' list is walked under the lock, which also checks that tail
+// is its last task; the lock-free variant keeps no count of its own.
+func checkQueueCounts(t *testing.T, phase string, q *Queue) {
+	t.Helper()
+	if q.kind != QueueLockFree {
+		q.lock()
+		n := 0
+		var last *Task
+		for x := q.head.Load(); x != nil; x = x.next {
+			last = x
+			n++
+		}
+		count, tail := q.count, q.tail
+		q.unlock()
+		if count != n || q.Len() != n {
+			t.Errorf("%s: %v count %d, Len %d, list holds %d", phase, q.Node(), count, q.Len(), n)
+		}
+		if tail != last {
+			t.Errorf("%s: %v tail is not the list's last task", phase, q.Node())
+		}
+	}
+	if got, want := q.stealable.Load(), recountStealable(q); got != want {
+		t.Errorf("%s: %v stealable count = %d, recount %d", phase, q.Node(), got, want)
+	}
+}
+
+// TestQueueCountExactUnderRace: four schedulers on Borderline submit
+// pinned, multi-CPU and unconstrained tasks, some of them Repeat, by
+// Submit and by SubmitLocal, while scheduling and stealing from each
+// other. Whenever the engine is quiescent — mid-run with a backlog, and
+// once everything has run — every queue's exact count equals the length
+// of its list and Len, and the stealable count equals a recount. Run
+// with -race.
+func TestQueueCountExactUnderRace(t *testing.T) {
+	cpus := []int{0, 1, 2, 5}
+	for _, kind := range allKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			e := New(Config{
+				Topology:  topology.Borderline(),
+				QueueKind: kind,
+				Steal:     StealConfig{Policy: StealFullTree},
+			})
+			const perWorker = 200
+			total := int64(len(cpus) * perWorker)
+			var done atomic.Int64
+			onDone := func(*Task) { done.Add(1) }
+			tasks := make([][]Task, len(cpus))
+			var wg sync.WaitGroup
+			for w, cpu := range cpus {
+				tasks[w] = make([]Task, perWorker)
+				wg.Add(1)
+				go func(w, cpu int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewPCG(uint64(w), 11))
+					for i := range tasks[w] {
+						task := &tasks[w][i]
+						task.Fn = func(any) bool { return true }
+						task.OnDone = onDone
+						if rng.IntN(4) == 0 {
+							task.Options = Repeat
+							task.Fn = func(any) bool { return task.Runs() >= 3 }
+						}
+						switch rng.IntN(3) {
+						case 0:
+							task.CPUSet = cpuset.New(cpus[rng.IntN(len(cpus))])
+						case 1:
+							task.CPUSet = cpuset.New(cpus[rng.IntN(len(cpus))], cpus[rng.IntN(len(cpus))])
+						}
+						var err error
+						if rng.IntN(2) == 0 {
+							err = e.SubmitLocal(task, cpu)
+						} else {
+							err = e.Submit(task)
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if i%10 == 9 {
+							e.Schedule(cpu)
+							e.ScheduleOne(cpu)
+						}
+					}
+				}(w, cpu)
+			}
+			wg.Wait()
+			for _, q := range e.Queues() {
+				checkQueueCounts(t, "mid-run", q)
+			}
+			if t.Failed() {
+				t.FailNow() // a broken count may have lost tasks
+			}
+			deadline := time.Now().Add(time.Minute)
+			for _, cpu := range cpus {
+				wg.Add(1)
+				go func(cpu int) {
+					defer wg.Done()
+					for done.Load() < total && time.Now().Before(deadline) {
+						if e.Schedule(cpu) == 0 {
+							runtime.Gosched()
+						}
+					}
+				}(cpu)
+			}
+			wg.Wait()
+			if n := done.Load(); n != total {
+				t.Fatalf("%d of %d tasks completed: tasks were lost", n, total)
+			}
+			for _, q := range e.Queues() {
+				checkQueueCounts(t, "at quiescence", q)
+				if n := q.Len(); n != 0 {
+					t.Errorf("%v Len = %d with everything run", q.Node(), n)
+				}
+			}
+		})
 	}
 }

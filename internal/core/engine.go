@@ -387,7 +387,7 @@ func submitPrep(t *Task, op string) error {
 	if t.Fn == nil {
 		return fmt.Errorf("core: %s of task with nil Fn", op)
 	}
-	if !t.state.CompareAndSwap(uint32(StateFree), uint32(StateSubmitted)) {
+	if !t.life.CompareAndSwap(uint64(StateFree), uint64(StateSubmitted)) { // a free task never ran
 		return fmt.Errorf("core: %s of task in state %v", op, t.State())
 	}
 	return nil
@@ -632,33 +632,27 @@ func (c *placeChain) flush() {
 // Returns the executions and how many of them were Repeat retries that
 // re-queued themselves.
 //
-// The pass is bounded by the queue's length at entry: tasks re-enqueued
-// during the scan (repeats, put-backs) are not reconsidered until the
-// next call, so a persistent Repeat task cannot livelock the caller.
+// The pass is bounded by the queue's length at its first locked look,
+// which the first drain reports exactly (no length is read before it):
+// tasks enqueued during the scan (repeats, put-backs, submissions from
+// a body) wait for the next call, so a persistent Repeat task cannot
+// livelock the caller.
 //
 // Under Config.AdaptiveDrain the batch size is the queue's controller
 // value instead of the engine constant, and the pass reports back: a
 // budgeted drain that ran something is a latency signal, an unbudgeted
 // drain that processed more than one full batch is a backlog signal.
 func (e *Engine) drainQueue(q *Queue, cpu int, budget int) (ran, requeued int) {
-	bound := q.Len()
-	if bound == 0 {
-		if !e.cfg.AlwaysLock {
-			return 0, 0
-		}
-		// Naive Get_Task: take the lock even to discover emptiness.
-		bound = 1
-	}
 	batch := e.batch
 	if e.cfg.AdaptiveDrain {
 		batch = q.ctrl.Batch()
 	}
-	processed := 0
+	bound, processed := -1, 0 // bound is set by the first drain
 	pb := placeChain{e: e}
-	for processed < bound {
-		n := bound - processed
-		if n > batch {
-			n = batch
+	for bound < 0 || processed < bound {
+		n := batch
+		if bound >= 0 && n > bound-processed {
+			n = bound - processed
 		}
 		if budget >= 0 && n > budget-ran {
 			// Never detach more runnable tasks than we may execute;
@@ -666,7 +660,10 @@ func (e *Engine) drainQueue(q *Queue, cpu int, budget int) (ran, requeued int) {
 			// whole batch turned out to be put-backs.
 			n = budget - ran
 		}
-		head, got := q.drain(n, e.cfg.AlwaysLock)
+		head, got, left := q.drain(n, e.cfg.AlwaysLock)
+		if bound < 0 {
+			bound = got + left
+		}
 		if got == 0 {
 			break
 		}
@@ -716,15 +713,14 @@ func (e *Engine) runChain(head *Task, cpu int, pb *placeChain) (ran, requeued in
 }
 
 // run executes one dequeued task on cpu and routes it to completion or
-// re-enqueue, reporting whether it re-queued. The CPU slot is stored
-// only when it changes: a task recycled on the core it last ran on (the
-// common case for pinned work) pays no locked store for it.
+// re-enqueue, reporting whether it re-queued. Starting a run is one add
+// on the lifecycle word, and the CPU slot is stored only when it changes
+// (pinned work recycled on its core pays no locked store for it).
 func (e *Engine) run(t *Task, cpu int) (requeued bool) {
-	t.state.Store(uint32(StateRunning))
+	runs := t.life.Add(lifeRun+uint64(StateRunning-StateSubmitted)) >> lifeShift
 	if t.lastCPU.Load() != int64(cpu) {
 		t.lastCPU.Store(int64(cpu))
 	}
-	runs := t.runs.Add(1)
 	e.shards[cpu].executions.Add(1)
 	if r := e.rec; r != nil {
 		var wait uint64
@@ -737,7 +733,7 @@ func (e *Engine) run(t *Task, cpu int) (requeued bool) {
 	}
 	done := t.Fn(t.Arg)
 	if t.Options&Repeat != 0 && !done {
-		t.state.Store(uint32(StateSubmitted))
+		t.life.Add(^uint64(0)) // Running → Submitted: subtract one
 		e.shards[cpu].requeues.Add(1)
 		if r := e.rec; r != nil {
 			// Restamp: the next EvTaskRun's wait starts at this requeue.

@@ -322,6 +322,74 @@ func TestResetInFlightPanics(t *testing.T) {
 	task.Reset()
 }
 
+// TestLifecycleWordTransitions: state and run count share one word,
+// and every transition keeps State, Runs and LastCPU reading as if
+// they were separate fields: Submit → run → Repeat retry → Done →
+// Reset, a rolled-back SubmitAll, and Reset of an in-flight task.
+func TestLifecycleWordTransitions(t *testing.T) {
+	e := kwakEngine()
+	check := func(step string, task *Task, state State, runs uint64, cpu int) {
+		t.Helper()
+		if task.State() != state || task.Runs() != runs || task.LastCPU() != cpu {
+			t.Errorf("%s: state %v, runs %d, LastCPU %d; want %v, %d, %d",
+				step, task.State(), task.Runs(), task.LastCPU(), state, runs, cpu)
+		}
+	}
+	var task *Task
+	task = &Task{Options: Repeat, Fn: func(any) bool {
+		if task.State() != StateRunning {
+			t.Errorf("body sees state %v, want running", task.State())
+		}
+		return task.Runs() == 2
+	}}
+	check("new", task, StateFree, 0, -1)
+	e.MustSubmit(task)
+	check("submitted", task, StateSubmitted, 0, -1)
+	if e.Schedule(3) != 1 {
+		t.Fatal("first run did not happen")
+	}
+	check("retry", task, StateSubmitted, 1, 3)
+	if e.Schedule(6) != 1 {
+		t.Fatal("retry did not run")
+	}
+	check("done", task, StateDone, 2, 6)
+	if err := e.Submit(task); err == nil {
+		t.Error("Submit of a done task succeeded")
+	}
+	check("resubmit refused", task, StateDone, 2, 6)
+	task.Reset()
+	check("reset", task, StateFree, 0, -1)
+
+	// A rolled-back batch leaves its valid tasks free and never run, and
+	// the task that failed it untouched.
+	free := &Task{Fn: func(any) bool { return true }}
+	done := &Task{Fn: func(any) bool { return true }, CPUSet: cpuset.New(0)}
+	e.MustSubmit(done)
+	e.Schedule(0)
+	if err := e.SubmitAll(free, task, done); err == nil {
+		t.Fatal("SubmitAll with a done task succeeded")
+	}
+	check("rolled back", free, StateFree, 0, -1)
+	check("rolled back", task, StateFree, 0, -1)
+	check("failed the batch", done, StateDone, 1, 0)
+
+	// Reset panics while the task is queued and while it runs.
+	mustPanic := func(step string) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Reset of a %s task did not panic", step)
+			}
+		}()
+		task.Reset()
+	}
+	task.Fn = func(any) bool { mustPanic("running"); return true }
+	e.MustSubmit(task)
+	mustPanic("submitted")
+	e.Schedule(0)
+	check("after in-flight resets", task, StateDone, 1, 0)
+}
+
 func TestIdleTracking(t *testing.T) {
 	e := kwakEngine()
 	if e.IsIdle(3) {

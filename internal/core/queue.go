@@ -55,7 +55,8 @@ func (k QueueKind) String() string {
 //     is derived as enqueues−dequeues, and lock acquisitions are derived
 //     in LockStats from the operation counters (every locked operation
 //     acquires exactly once), so enqueue pays a single counter add and
-//     drain amortizes its adds over the whole batch.
+//     drain amortizes its adds over the whole batch, after unlocking.
+//   - Every locked section is O(1) in the queue's length (see drain).
 type Queue struct {
 	node *topology.Node
 	kind QueueKind
@@ -64,12 +65,13 @@ type Queue struct {
 	lf *spinlock.MSQueue[*Task]
 
 	_ spinlock.CacheLinePad
-	// Producer line: the lock, the list tail and the enqueue counter are
-	// all written while enqueueing, so they share one cache line —
-	// a submitting core touches exactly this line plus the task.
-	// (Algorithm 2's critical section is guarded by spin or mutex.)
+	// Producer line: the lock, the list tail, the exact count and the
+	// enqueue counter are all written while enqueueing, so they share one
+	// cache line — a submitting core touches exactly this line plus the
+	// task. (Algorithm 2's critical section is guarded by spin or mutex.)
 	spin     spinlock.SpinLock
 	tail     *Task
+	count    int           // list length, under the lock (locked kinds only)
 	enqueues atomic.Uint64 // tasks enqueued (all paths)
 	mutex    sync.Mutex
 
@@ -280,6 +282,7 @@ func (q *Queue) enqueue(t *Task) {
 		q.tail.next = t
 	}
 	q.tail = t
+	q.count++
 	q.spin.ReleaseUnchecked()
 }
 
@@ -297,6 +300,7 @@ func (q *Queue) enqueueSlow(t *Task) {
 		q.tail.next = t
 	}
 	q.tail = t
+	q.count++
 	q.unlock()
 }
 
@@ -329,6 +333,7 @@ func (q *Queue) enqueueChain(head, tail *Task, n int) {
 		q.tail.next = head
 	}
 	q.tail = tail
+	q.count += n
 	q.unlock()
 }
 
@@ -336,18 +341,23 @@ func (q *Queue) enqueueChain(head, tail *Task, n int) {
 // (Get_Task): evaluate the queue without holding the lock to avoid
 // needless contention; only when it appears non-empty, acquire the lock,
 // re-check, and detach up to max tasks in that single critical section.
-// It returns the head of the detached chain (linked through Task.next)
-// and its length; (nil, 0) when the queue is (or appears) empty.
+// It returns the head of the detached chain (linked through Task.next),
+// its length, and how many tasks the queue held beyond it at the locked
+// look; (nil, 0, 0) when the queue is (or appears) empty.
+//
+// When the queue holds at most max tasks, the critical section takes the
+// whole list by clearing head and tail, touching no task (the producer
+// core wrote them last); only a longer backlog is walked to the cut. The
+// counter adds and a victim leaf's stealable recount run after unlocking.
 //
 // alwaysLock skips the unlocked emptiness precheck, for the Algorithm 2
 // ablation.
-func (q *Queue) drain(max int, alwaysLock bool) (*Task, int) {
+func (q *Queue) drain(max int, alwaysLock bool) (head *Task, n, left int) {
 	if max <= 0 {
-		return nil, 0
+		return nil, 0, 0
 	}
 	if q.kind == QueueLockFree {
-		var head, tail *Task
-		n, stealable := 0, 0
+		var tail *Task
 		for n < max {
 			t, ok := q.lf.Dequeue()
 			if !ok {
@@ -361,47 +371,50 @@ func (q *Queue) drain(max int, alwaysLock bool) (*Task, int) {
 			}
 			tail = t
 			n++
+		}
+		left = q.lf.Len()
+	} else {
+		if !alwaysLock && q.head.Load() == nil { // unlocked notempty() check
+			return nil, 0, 0
+		}
+		q.lock()
+		if head = q.head.Load(); head == nil { // locked re-check: a racing drain won
+			q.unlock()
+			q.emptyDrains.Add(1)
+			return nil, 0, 0
+		}
+		n = q.count
+		if n <= max {
+			q.head.Store(nil)
+			q.tail = nil
+		} else {
+			last := head
+			for i := 1; i < max; i++ {
+				last = last.next
+			}
+			q.head.Store(last.next)
+			last.next = nil
+			n = max
+		}
+		q.count -= n
+		left = q.count
+		q.unlock()
+	}
+	if n == 0 {
+		return nil, 0, left
+	}
+	q.dequeues.Add(uint64(n))
+	q.drains.Add(1)
+	if q.owner >= 0 {
+		stealable := 0
+		for t := head; t != nil; t = t.next {
 			if t.stealable {
 				stealable++
 			}
 		}
-		if n > 0 {
-			q.dequeues.Add(uint64(n))
-			q.drains.Add(1)
-		}
 		if stealable > 0 {
 			q.stealable.Add(-int64(stealable))
 		}
-		return head, n
 	}
-	if !alwaysLock && q.head.Load() == nil { // unlocked notempty() check
-		return nil, 0
-	}
-	q.lock()
-	head := q.head.Load() // locked re-check: nil when a racing drain won
-	n, stealable := 0, 0
-	var last *Task
-	for t := head; t != nil && n < max; t = t.next {
-		last = t
-		n++
-		if t.stealable {
-			stealable++
-		}
-	}
-	if n > 0 {
-		q.head.Store(last.next)
-		if last.next == nil {
-			q.tail = nil
-		}
-		last.next = nil
-		q.dequeues.Add(uint64(n))
-		q.drains.Add(1)
-	} else {
-		q.emptyDrains.Add(1)
-	}
-	q.unlock()
-	if stealable > 0 {
-		q.stealable.Add(-int64(stealable))
-	}
-	return head, n
+	return head, n, left
 }

@@ -194,7 +194,7 @@ func (e *Engine) stealFrom(q *Queue, cpu int, budget int) int {
 	}
 	sh := &e.shards[cpu]
 	sh.stealAttempts.Add(1)
-	head, got := q.drain(want, false)
+	head, got, _ := q.drain(want, false)
 	if got == 0 {
 		return 0
 	}

@@ -621,7 +621,7 @@ func TestFindIdleNearPrefersLeastLoaded(t *testing.T) {
 // it drains the queue whole, counts the tasks some CPU other than the
 // queue's owner may run, and puts the chain back in order.
 func recountStealable(q *Queue) int64 {
-	head, n := q.drain(1<<30, true)
+	head, n, _ := q.drain(1<<30, true)
 	var tail *Task
 	recount, flagged := 0, 0
 	for t := head; t != nil; t = t.next {

@@ -102,8 +102,9 @@ type Task struct {
 	// StateDone, on the CPU that completed it.
 	OnDone func(*Task)
 
-	state      atomic.Uint32
-	runs       atomic.Uint64
+	// life packs State and run count (see lifeShift), so that every
+	// lifecycle transition is one atomic instruction.
+	life       atomic.Uint64
 	lastCPU    atomic.Int64
 	doneCh     atomic.Pointer[chan struct{}]
 	doneClosed atomic.Bool
@@ -126,25 +127,31 @@ type Task struct {
 	stealable bool
 }
 
+// Task.life holds the State in its low lifeShift bits, the run count above.
+const (
+	lifeShift = 2
+	lifeRun   = 1 << lifeShift // one run
+)
+
 // NewTask returns a one-shot task running fn(arg) anywhere.
 func NewTask(fn Func, arg any) *Task {
 	return &Task{Fn: fn, Arg: arg}
 }
 
 // State returns the task's current lifecycle state.
-func (t *Task) State() State { return State(t.state.Load()) }
+func (t *Task) State() State { return State(t.life.Load() & (lifeRun - 1)) }
 
 // Done reports whether the task has completed.
 func (t *Task) Done() bool { return t.State() == StateDone }
 
 // Runs returns how many times the task body has been executed.
-func (t *Task) Runs() uint64 { return t.runs.Load() }
+func (t *Task) Runs() uint64 { return t.life.Load() >> lifeShift }
 
 // LastCPU returns the CPU that most recently executed the task, or -1 if
-// it has never run. The never-ran case is derived from the run counter,
+// it has never run. The never-ran case is derived from the run count,
 // so neither Reset nor Submit re-initializes the CPU slot.
 func (t *Task) LastCPU() int {
-	if t.runs.Load() == 0 {
+	if t.Runs() == 0 {
 		return -1
 	}
 	return int(t.lastCPU.Load())
@@ -177,16 +184,16 @@ func (t *Task) closeDone(ch chan struct{}) {
 
 // Reset returns a completed (or never-submitted) task to StateFree so the
 // embedding structure can be reused. It panics if the task is queued or
-// running. Atomic stores are locked instructions, so Reset skips those
-// that change nothing: the completion channel unless a waiter installed
-// one, and the CPU slot (LastCPU reads "never ran" from the runs).
+// running. One store clears state and run count; atomic stores are
+// locked instructions, so Reset skips those that change nothing: the
+// completion channel unless a waiter installed one, and the CPU slot
+// (LastCPU reads "never ran" from the run count).
 func (t *Task) Reset() {
 	switch t.State() {
 	case StateSubmitted, StateRunning:
 		panic("core: Reset of an in-flight task")
 	}
-	t.state.Store(uint32(StateFree))
-	t.runs.Store(0)
+	t.life.Store(uint64(StateFree))
 	if t.doneCh.Load() != nil { // doneClosed is only ever set after it
 		t.doneCh.Store(nil)
 		t.doneClosed.Store(false)
@@ -195,9 +202,9 @@ func (t *Task) Reset() {
 	t.home = nil
 }
 
-// markDone transitions the task to StateDone and wakes waiters.
+// markDone moves the running task to StateDone (one add) and wakes waiters.
 func (t *Task) markDone() {
-	t.state.Store(uint32(StateDone))
+	t.life.Add(uint64(StateDone - StateRunning))
 	if ch := t.doneCh.Load(); ch != nil {
 		t.closeDone(*ch)
 	}

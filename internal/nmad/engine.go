@@ -578,11 +578,15 @@ type Gate struct {
 	// aggTask is the gate's one flush task: aggFlushing (under aggMu)
 	// is set from the push that submits it until its OnDone finds
 	// nothing left to flush, so at most one is ever queued or running.
+	// aggSpare and aggTasks belong to that one flush: the pending slice
+	// it swaps in for the one it takes, and its packet-task batch.
 	aggMu       sync.Mutex
 	aggPending  []pendingSend
 	aggFlushing bool
 	aggBufs     [][]byte // pooled aggregate payload buffers
 	aggTask     core.Task
+	aggSpare    []pendingSend
+	aggTasks    []*core.Task
 
 	pktPool sync.Pool
 

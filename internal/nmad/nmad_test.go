@@ -616,7 +616,10 @@ func TestAggrPackUnpackRoundTrip(t *testing.T) {
 		{hdr: Header{Tag: 2, MsgID: 11}, payload: []byte("")},
 		{hdr: Header{Tag: 3, MsgID: 12}, payload: []byte("gamma-longer-payload")},
 	}
-	frames := unpackAggr(packAggr(batch, nil))
+	var frames []Frame
+	unpackAggr(packAggr(batch, nil), func(hdr Header, payload []byte) {
+		frames = append(frames, Frame{Hdr: hdr, Payload: payload})
+	})
 	if len(frames) != 3 {
 		t.Fatalf("unpacked %d frames, want 3", len(frames))
 	}
@@ -630,8 +633,10 @@ func TestAggrPackUnpackRoundTrip(t *testing.T) {
 func TestUnpackAggrTruncated(t *testing.T) {
 	batch := []pendingSend{{hdr: Header{Tag: 1}, payload: []byte("full")}}
 	raw := packAggr(batch, nil)
-	if got := unpackAggr(raw[:len(raw)-2]); len(got) != 0 {
-		t.Errorf("truncated aggregate should yield no frames, got %d", len(got))
+	got := 0
+	unpackAggr(raw[:len(raw)-2], func(Header, []byte) { got++ })
+	if got != 0 {
+		t.Errorf("truncated aggregate should yield no frames, got %d", got)
 	}
 }
 
@@ -818,7 +823,8 @@ func TestProgressionReachableFromCPU0(t *testing.T) {
 // through the flush that packs the burst into one frame to the acks
 // that complete it, costs a fixed handful of allocations per message in
 // steady state. The flush task is embedded in the gate, so a flush
-// allocates neither a closure nor a Task.
+// allocates neither a closure nor a Task, and it swaps and reuses its
+// pending and task slices instead of regrowing them per burst.
 func TestAggregatedIsendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not fixed under -race")
@@ -870,8 +876,10 @@ func TestAggregatedIsendAllocs(t *testing.T) {
 	}
 	perMsg := testing.AllocsPerRun(200, round) / burst
 	t.Logf("%.2f allocations per aggregated message", perMsg)
-	const aggregatedAllocsPerMsg = 2
+	// One allocation per round of four: the in-process wire's copy of
+	// the aggregate frame. The flush itself reuses its slices.
+	const aggregatedAllocsPerMsg = 0.25
 	if perMsg > aggregatedAllocsPerMsg {
-		t.Errorf("aggregated Isend path: %.2f allocations per message, want ≤ %d", perMsg, aggregatedAllocsPerMsg)
+		t.Errorf("aggregated Isend path: %.2f allocations per message, want ≤ %.2f", perMsg, aggregatedAllocsPerMsg)
 	}
 }

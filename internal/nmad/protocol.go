@@ -351,9 +351,9 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 		e.recvEager(g, f.Hdr, f.Payload)
 
 	case KindAggr:
-		for _, sub := range unpackAggr(f.Payload) {
-			e.recvEager(g, sub.Hdr, sub.Payload)
-		}
+		unpackAggr(f.Payload, func(hdr Header, payload []byte) {
+			e.recvEager(g, hdr, payload)
+		})
 
 	case KindEagerAck:
 		e.eagerAcked(g, f.Hdr)
@@ -499,9 +499,10 @@ func aggFlushed(t *core.Task) {
 // frame's packet task in one core.SubmitAll batch: the burst of frames
 // a flush produces pays one queue-lock chain append instead of one per
 // frame. Every queued message is already in the ack window, which owns
-// its request from here on.
+// its request from here on. Swapping in the gate's spare pending
+// slice, not nil, lets the next burst append into storage already
+// grown.
 func (g *Gate) aggFlush() {
-	e := g.eng
 	for {
 		g.aggMu.Lock()
 		pending := g.aggPending
@@ -509,46 +510,56 @@ func (g *Gate) aggFlush() {
 			g.aggMu.Unlock()
 			return
 		}
-		g.aggPending = nil
+		g.aggPending = g.aggSpare
 		g.aggMu.Unlock()
 
-		rail := g.pickEager()
-		if rail < 0 {
-			for _, m := range pending {
-				e.failEager(g, m.hdr.MsgID, errAllRailsDead)
-			}
-			continue
-		}
-		var tasks []*core.Task
-		for len(pending) > 0 {
-			// Take a batch bounded by MaxAggr payload bytes.
-			n, total := 1, len(pending[0].payload)
-			for n < len(pending) && total+len(pending[n].payload) <= e.cfg.MaxAggr {
-				total += len(pending[n].payload)
-				n++
-			}
-			batch := pending[:n]
-			pending = pending[n:]
-
-			p := g.packet()
-			p.rail = rail
-			if len(batch) == 1 {
-				p.Hdr = batch[0].hdr
-				p.Payload = batch[0].payload
-			} else {
-				payload := packAggr(batch, g.getAggBuf())
-				p.Hdr = Header{Kind: KindAggr, Total: uint32(len(payload))}
-				p.Payload = payload
-				p.scratch = payload // returned to the gate pool on recycle
-			}
-			// Completion rides the per-message acks, not wire-out.
-			for _, m := range batch {
-				p.pend = append(p.pend, m.hdr.MsgID)
-			}
-			tasks = append(tasks, g.preparePacket(p))
-		}
-		e.tasks.MustSubmitAll(tasks...)
+		g.aggSend(pending)
+		clear(pending) // no payload stays reachable from the spare
+		g.aggSpare = pending[:0]
 	}
+}
+
+// aggSend packs one swapped-out pending slice and submits its packets.
+func (g *Gate) aggSend(pending []pendingSend) {
+	e := g.eng
+	rail := g.pickEager()
+	if rail < 0 {
+		for _, m := range pending {
+			e.failEager(g, m.hdr.MsgID, errAllRailsDead)
+		}
+		return
+	}
+	tasks := g.aggTasks
+	for len(pending) > 0 {
+		// Take a batch bounded by MaxAggr payload bytes.
+		n, total := 1, len(pending[0].payload)
+		for n < len(pending) && total+len(pending[n].payload) <= e.cfg.MaxAggr {
+			total += len(pending[n].payload)
+			n++
+		}
+		batch := pending[:n]
+		pending = pending[n:]
+
+		p := g.packet()
+		p.rail = rail
+		if len(batch) == 1 {
+			p.Hdr = batch[0].hdr
+			p.Payload = batch[0].payload
+		} else {
+			payload := packAggr(batch, g.getAggBuf())
+			p.Hdr = Header{Kind: KindAggr, Total: uint32(len(payload))}
+			p.Payload = payload
+			p.scratch = payload // returned to the gate pool on recycle
+		}
+		// Completion rides the per-message acks, not wire-out.
+		for _, m := range batch {
+			p.pend = append(p.pend, m.hdr.MsgID)
+		}
+		tasks = append(tasks, g.preparePacket(p))
+	}
+	e.tasks.MustSubmitAll(tasks...)
+	clear(tasks)
+	g.aggTasks = tasks[:0]
 }
 
 // packAggr serializes a batch of eager messages into one frame payload
@@ -595,9 +606,10 @@ func (g *Gate) putAggBuf(buf []byte) {
 // so a pooled buffer sized for MaxAggr payload bytes rarely regrows.
 const maxAggrSlack = 64 * 20
 
-// unpackAggr splits an aggregate frame back into eager sub-frames.
-func unpackAggr(payload []byte) []Frame {
-	var out []Frame
+// unpackAggr splits an aggregate frame back into eager sub-frames,
+// handing each one's header and payload to fn in order; a truncated
+// tail is dropped.
+func unpackAggr(payload []byte, fn func(Header, []byte)) {
 	for len(payload) >= 20 {
 		tag := binary.LittleEndian.Uint64(payload[0:])
 		msgID := binary.LittleEndian.Uint64(payload[8:])
@@ -606,11 +618,7 @@ func unpackAggr(payload []byte) []Frame {
 		if int(size) > len(payload) {
 			break // truncated frame; drop the rest
 		}
-		out = append(out, Frame{
-			Hdr:     Header{Kind: KindEager, Tag: tag, MsgID: msgID, Total: size},
-			Payload: payload[:size:size],
-		})
+		fn(Header{Kind: KindEager, Tag: tag, MsgID: msgID, Total: size}, payload[:size:size])
 		payload = payload[size:]
 	}
-	return out
 }
