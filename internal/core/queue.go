@@ -345,10 +345,10 @@ func (q *Queue) enqueueChain(head, tail *Task, n int) {
 // its length, and how many tasks the queue held beyond it at the locked
 // look; (nil, 0, 0) when the queue is (or appears) empty.
 //
-// When the queue holds at most max tasks, the critical section takes the
-// whole list by clearing head and tail, touching no task (the producer
-// core wrote them last); only a longer backlog is walked to the cut. The
-// counter adds and a victim leaf's stealable recount run after unlocking.
+// At most max queued tasks: the critical section clears head and tail,
+// touching no task (the producer core wrote them last); a longer backlog
+// is walked to the cut. Counter adds and, at a non-zero count (a task
+// counts before its enqueue), a leaf's stealable recount follow unlocking.
 //
 // alwaysLock skips the unlocked emptiness precheck, for the Algorithm 2
 // ablation.
@@ -405,7 +405,7 @@ func (q *Queue) drain(max int, alwaysLock bool) (head *Task, n, left int) {
 	}
 	q.dequeues.Add(uint64(n))
 	q.drains.Add(1)
-	if q.owner >= 0 {
+	if q.owner >= 0 && q.stealable.Load() > 0 {
 		stealable := 0
 		for t := head; t != nil; t = t.next {
 			if t.stealable {

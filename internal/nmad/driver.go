@@ -31,8 +31,8 @@ type Driver interface {
 	Send(hdr Header, payload []byte) error
 	// Poll returns the next received frame, if any.
 	Poll() (Frame, bool, error)
-	// Close shuts the rail down; subsequent Sends fail and Polls report
-	// no frames.
+	// Close shuts the rail down: later Sends fail, and Polls still drain
+	// the frames that had landed.
 	Close() error
 }
 
@@ -116,6 +116,73 @@ func pollSlot(ep fabric.Endpoint) *atomic.Pointer[poller] {
 	return nil
 }
 
+// Receive ring bounds: past its bound the mem rail refuses a frame
+// (ErrBackpressure) and the TCP reader waits for a poll to free a slot.
+const memRingFrames, tcpRingFrames = 4096, 1024
+
+// frameRing is a rail's bounded receive FIFO, grown on demand by doubling
+// from 16 slots up to the bound and reused after that: an idle rail holds
+// no slot. n mirrors the length, so an empty pop is one atomic load.
+type frameRing struct {
+	mu          sync.Mutex
+	space       sync.Cond // on mu: a pop from a full ring, or close
+	buf         []Frame
+	head, bound int
+	closed      bool
+	n           atomic.Int32
+}
+
+func (r *frameRing) init(bound int) { r.bound, r.space.L = bound, &r.mu }
+
+// push appends f. A full ring refuses it, or with wait, is waited on
+// until a pop frees a slot; false once closed.
+func (r *frameRing) push(f Frame, wait bool) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := int(r.n.Load())
+	for ; n == r.bound; n = int(r.n.Load()) {
+		if !wait || r.closed {
+			return false
+		}
+		r.space.Wait()
+	}
+	if n == len(r.buf) {
+		buf := make([]Frame, min(max(2*n, 16), r.bound))
+		copy(buf[copy(buf, r.buf[r.head:]):], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+n)%len(r.buf)] = f
+	r.n.Store(int32(n + 1))
+	return true
+}
+
+// pop removes the oldest frame.
+func (r *frameRing) pop() (f Frame, ok bool) {
+	if r.n.Load() == 0 {
+		return f, false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n := int(r.n.Load()); n > 0 {
+		f, r.buf[r.head] = r.buf[r.head], Frame{}
+		r.head = (r.head + 1) % len(r.buf)
+		r.n.Store(int32(n - 1))
+		if n == r.bound {
+			r.space.Signal()
+		}
+		ok = true
+	}
+	return f, ok
+}
+
+// close ends every waiting push, present and future.
+func (r *frameRing) close() {
+	r.mu.Lock()
+	r.closed = true
+	r.mu.Unlock()
+	r.space.Broadcast()
+}
+
 // ---- In-process memory driver ----
 
 // memDriver is one endpoint of an in-process rail: frames written by the
@@ -123,7 +190,7 @@ func pollSlot(ep fabric.Endpoint) *atomic.Pointer[poller] {
 // loopback RMA pair, so region keys, bounds checks and the read itself
 // stay fabric's.
 type memDriver struct {
-	rx     chan Frame
+	rx     frameRing
 	peer   *memDriver
 	closed atomic.Bool
 	rma    *fabric.LoopbackEndpoint
@@ -140,10 +207,10 @@ type memDriver struct {
 // benchmarks. NewGate runs them as pull-capable rails.
 func MemPair() (Driver, Driver) {
 	ra, rb := fabric.NewLoopbackRMA()
-	a := &memDriver{rx: make(chan Frame, 4096), rma: ra}
-	b := &memDriver{rx: make(chan Frame, 4096), rma: rb}
-	a.peer = b
-	b.peer = a
+	a, b := &memDriver{rma: ra}, &memDriver{rma: rb}
+	a.peer, b.peer = b, a
+	a.rx.init(memRingFrames)
+	b.rx.init(memRingFrames)
 	return a, b
 }
 
@@ -154,15 +221,13 @@ func (d *memDriver) Send(hdr Header, payload []byte) error {
 }
 
 func (d *memDriver) Poll() (Frame, bool, error) {
-	select {
-	case f := <-d.rx:
+	if f, ok := d.rx.pop(); ok {
 		return f, true, nil
-	default:
-		if d.closed.Load() {
-			return Frame{}, false, ErrClosed
-		}
-		return Frame{}, false, nil
 	}
+	if d.closed.Load() {
+		return Frame{}, false, ErrClosed
+	}
+	return Frame{}, false, nil
 }
 
 func (d *memDriver) Close() error {
@@ -198,13 +263,11 @@ func (ep *memEndpoint) SendFrame(hdr Header, ext, payload []byte) error {
 	if len(ext) > 0 {
 		f.Ext = append([]byte(nil), ext...)
 	}
-	select {
-	case ep.peer.rx <- f:
-		signal(&ep.peer.poll)
-		return nil
-	default:
+	if !ep.peer.rx.push(f, false) {
 		return fmt.Errorf("mem rail rx ring full: %w", ErrBackpressure)
 	}
+	signal(&ep.peer.poll)
+	return nil
 }
 
 // PollFrame pops the next received frame.
@@ -292,8 +355,8 @@ type tcpDriver struct {
 	conn    net.Conn
 	wmu     sync.Mutex
 	bw      *bufio.Writer
-	rx      chan Frame
-	done    chan struct{} // closed by Close: wakes both goroutines
+	rx      frameRing
+	done    chan struct{} // closed by Close: wakes the server
 	wg      sync.WaitGroup
 	readErr atomic.Pointer[error]
 	closed  atomic.Bool
@@ -338,11 +401,11 @@ func NewTCP(conn net.Conn) Driver {
 	d := &tcpDriver{
 		conn: conn,
 		bw:   bufio.NewWriterSize(conn, 64<<10),
-		rx:   make(chan Frame, 1024),
 		done: make(chan struct{}),
 		kick: make(chan struct{}, 1),
 	}
 	d.landed.L = &d.rmu
+	d.rx.init(tcpRingFrames)
 	d.wg.Add(2)
 	go d.readLoop()
 	go d.serveLoop()
@@ -426,13 +489,11 @@ func (d *tcpDriver) readOne(br *bufio.Reader, buf []byte) error {
 		if elen > 0 {
 			f.Ext = body[:elen:elen]
 		}
-		select {
-		case d.rx <- f:
-			signal(&d.poll)
-			return nil
-		case <-d.done:
+		if !d.rx.push(f, true) {
 			return ErrClosed
 		}
+		signal(&d.poll)
+		return nil
 	case opReadReq:
 		b := buf[1:readReqBytes]
 		if _, err := io.ReadFull(br, b); err != nil {
@@ -579,18 +640,16 @@ func (d *tcpDriver) storeErr(err error) {
 }
 
 func (d *tcpDriver) Poll() (Frame, bool, error) {
-	select {
-	case f := <-d.rx:
+	if f, ok := d.rx.pop(); ok {
 		return f, true, nil
-	default:
-		// A read error after a local Close is the expected shutdown; any
-		// other error — including an abrupt EOF from a vanished peer —
-		// must surface so outstanding requests fail instead of hanging.
-		if ep := d.readErr.Load(); ep != nil && !errors.Is(*ep, ErrClosed) {
-			return Frame{}, false, *ep
-		}
-		return Frame{}, false, nil
 	}
+	// A read error after a local Close is the expected shutdown; any
+	// other error — including an abrupt EOF from a vanished peer — must
+	// surface so outstanding requests fail instead of hanging.
+	if ep := d.readErr.Load(); ep != nil && !errors.Is(*ep, ErrClosed) {
+		return Frame{}, false, *ep
+	}
+	return Frame{}, false, nil
 }
 
 // Close shuts the connection and waits for the reader and server
@@ -600,6 +659,7 @@ func (d *tcpDriver) Close() error {
 		return nil
 	}
 	close(d.done)
+	d.rx.close()
 	err := d.conn.Close()
 	d.wg.Wait()
 	return err

@@ -65,27 +65,23 @@ func tcpRailGoroutines() int {
 	return n
 }
 
-// TestTCPRailGoroutinesExitOnClose: a rail whose frame ring filled up
-// (nobody polls it) parks its reader on the ring; Close must still end
-// every goroutine the rail started.
-func TestTCPRailGoroutinesExitOnClose(t *testing.T) {
+// TestTCPCloseWhileReaderBlocked: Close on a rail whose reader waits on
+// its full frame ring (nobody polls it) returns promptly, and ends every
+// goroutine the rail started.
+func TestTCPCloseWhileReaderBlocked(t *testing.T) {
 	base := tcpRailGoroutines()
 	a, b := tcpPair(t)
-	hdr := Header{Kind: KindEager, Tag: 1, Total: 1}
-	for i := 0; i < 1100; i++ {
-		if err := a.Send(hdr, []byte{1}); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
+	fillTCPRing(t, a, b, tcpRingFrames+100)
+	closed := make(chan error, 1)
+	go func() { closed <- b.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung on a reader waiting for ring space")
 	}
-	time.Sleep(50 * time.Millisecond) // let the reader fill the ring
 	a.Close()
-	b.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := tcpRailGoroutines()
-		if n <= base {
-			return
-		}
+	for n := tcpRailGoroutines(); n > base; n = tcpRailGoroutines() {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d TCP rail goroutines still running after Close (%d before the pair)", n, base)
 		}
