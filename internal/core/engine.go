@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -440,7 +439,7 @@ func (e *Engine) MustSubmit(t *Task) {
 // task to it, otherwise place the task in the global queue so that the
 // first core to become available picks it up.
 func (e *Engine) SubmitToIdle(t *Task, home int) error {
-	if cpu := e.FindIdleNear(home); cpu >= 0 {
+	if cpu := e.findIdleNear(home); cpu >= 0 {
 		t.CPUSet = cpuset.New(cpu)
 	} else {
 		t.CPUSet = cpuset.Set{}
@@ -457,12 +456,7 @@ func (e *Engine) SetIdle(cpu int, idle bool) {
 	}
 }
 
-// IsIdle reports whether a CPU was last marked idle.
-func (e *Engine) IsIdle(cpu int) bool {
-	return cpu >= 0 && cpu < len(e.idle) && e.idle[cpu].v.Load()
-}
-
-// FindIdleNear returns the idle CPU topologically nearest to home
+// findIdleNear returns the idle CPU topologically nearest to home
 // (excluding home itself), or -1 when every other core is busy. Proximity
 // is by walking up home's topology path, preferring cores that share the
 // closest ancestor — minimizing cache effects, as §IV-B requires.
@@ -472,27 +466,26 @@ func (e *Engine) IsIdle(cpu int) bool {
 // that spreads pinned submissions away from cores that have already
 // absorbed the most work, instead of always re-picking the lowest CPU
 // index.
-func (e *Engine) FindIdleNear(home int) int {
+func (e *Engine) findIdleNear(home int) int {
 	if home < 0 || home >= e.topo.NCPUs {
 		home = 0
 	}
-	seen := cpuset.New(home)
-	for _, node := range e.topo.PathToRoot(home) {
+	// Node sets nest, so the CPUs already seen are the previous node's.
+	var prev *topology.Node
+	for node := e.topo.CoreNode(home); node != nil; prev, node = node, node.Parent {
 		found := -1
 		var foundExec uint64
-		node.CPUSet.ForEach(func(cpu int) bool {
-			if !seen.IsSet(cpu) && e.idle[cpu].v.Load() {
-				ex := e.shards[cpu].executions.Load()
-				if found < 0 || ex < foundExec {
-					found, foundExec = cpu, ex
-				}
+		for cpu := node.CPUSet.First(); cpu >= 0; cpu = node.CPUSet.Next(cpu) {
+			if cpu == home || prev != nil && prev.CPUSet.IsSet(cpu) || !e.idle[cpu].v.Load() {
+				continue
 			}
-			return true
-		})
+			if ex := e.shards[cpu].executions.Load(); found < 0 || ex < foundExec {
+				found, foundExec = cpu, ex
+			}
+		}
 		if found >= 0 {
 			return found
 		}
-		seen = cpuset.Or(seen, node.CPUSet)
 	}
 	return -1
 }
@@ -745,18 +738,6 @@ func (e *Engine) run(t *Task, cpu int) (requeued bool) {
 	}
 	t.markDone()
 	return false
-}
-
-// WaitActive waits for t to complete while executing pending tasks on
-// behalf of cpu — the paper's overlap mechanism: a thread blocked on
-// communication turns its core into a task-processing core.
-func (e *Engine) WaitActive(t *Task, cpu int) {
-	for !t.Done() {
-		if e.Schedule(cpu) == 0 {
-			// Nothing runnable here; let other goroutines progress.
-			runtime.Gosched()
-		}
-	}
 }
 
 // Pending returns the total number of tasks currently enqueued across

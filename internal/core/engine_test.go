@@ -191,30 +191,6 @@ func TestScheduleOne(t *testing.T) {
 	}
 }
 
-func TestDoneChan(t *testing.T) {
-	e := kwakEngine()
-	task := &Task{Fn: func(any) bool { return true }, CPUSet: cpuset.New(0)}
-	ch := task.DoneChan()
-	select {
-	case <-ch:
-		t.Fatal("DoneChan closed before completion")
-	default:
-	}
-	e.MustSubmit(task)
-	e.Schedule(0)
-	select {
-	case <-ch:
-	case <-time.After(time.Second):
-		t.Fatal("DoneChan not closed after completion")
-	}
-	// DoneChan after completion must be closed immediately.
-	select {
-	case <-task.DoneChan():
-	default:
-		t.Fatal("DoneChan requested after completion should be closed")
-	}
-}
-
 func TestOnDoneCallback(t *testing.T) {
 	e := kwakEngine()
 	var calls atomic.Int32
@@ -267,12 +243,13 @@ func TestTaskResetReuse(t *testing.T) {
 }
 
 // TestResetKeepsLifecycleObservable: Reset skips the stores that change
-// nothing — the CPU slot, a completion channel nobody installed — and
-// run skips the CPU store when the CPU is unchanged, yet LastCPU, Runs
-// and DoneChan read exactly as if every field were re-initialized.
+// nothing — the CPU slot — and run skips the CPU store when the CPU is
+// unchanged, yet LastCPU, Runs and completion (observed through OnDone)
+// read exactly as if every field were re-initialized.
 func TestResetKeepsLifecycleObservable(t *testing.T) {
 	e := kwakEngine()
-	task := &Task{Fn: func(any) bool { return true }}
+	completions := 0
+	task := &Task{Fn: func(any) bool { return true }, OnDone: func(*Task) { completions++ }}
 	for i, cpu := range []int{2, 2, 5, 0, 0} {
 		if got := task.LastCPU(); got != -1 {
 			t.Fatalf("round %d: LastCPU = %d before running, want -1", i, got)
@@ -280,9 +257,8 @@ func TestResetKeepsLifecycleObservable(t *testing.T) {
 		if task.Runs() != 0 {
 			t.Fatalf("round %d: Runs = %d after Reset", i, task.Runs())
 		}
-		var done <-chan struct{}
-		if i%2 == 0 {
-			done = task.DoneChan()
+		if task.Done() || completions != i {
+			t.Fatalf("round %d: %d completions before running, want %d", i, completions, i)
 		}
 		task.CPUSet = cpuset.New(cpu)
 		e.MustSubmit(task)
@@ -292,20 +268,14 @@ func TestResetKeepsLifecycleObservable(t *testing.T) {
 		if got := task.LastCPU(); got != cpu {
 			t.Errorf("round %d: LastCPU = %d, want %d", i, got, cpu)
 		}
-		if done != nil {
-			select {
-			case <-done:
-			default:
-				t.Errorf("round %d: DoneChan not closed at completion", i)
-			}
+		if !task.Done() || completions != i+1 {
+			t.Errorf("round %d: %d completions after running, want %d", i, completions, i+1)
 		}
 		task.Reset()
-		select {
-		case <-task.DoneChan():
-			t.Fatalf("round %d: DoneChan after Reset is already closed", i)
-		default:
+		if task.Done() || completions != i+1 {
+			t.Fatalf("round %d: Reset completed the task again", i)
 		}
-		task.Reset() // a channel installed on a free task is dropped too
+		task.Reset() // resetting a free task changes nothing
 	}
 }
 
@@ -413,19 +383,19 @@ func TestFindIdleNearPrefersSibling(t *testing.T) {
 	// sibling sharing home's L3 must win.
 	e.SetIdle(13, true)
 	e.SetIdle(2, true)
-	if got := e.FindIdleNear(0); got != 2 {
-		t.Errorf("FindIdleNear(0) = %d, want 2", got)
+	if got := e.findIdleNear(0); got != 2 {
+		t.Errorf("findIdleNear(0) = %d, want 2", got)
 	}
 	// Only the remote core idle: it is still found.
 	e.SetIdle(2, false)
-	if got := e.FindIdleNear(0); got != 13 {
-		t.Errorf("FindIdleNear(0) = %d, want 13", got)
+	if got := e.findIdleNear(0); got != 13 {
+		t.Errorf("findIdleNear(0) = %d, want 13", got)
 	}
 	// Home being idle must not return home.
 	e.SetIdle(13, false)
 	e.SetIdle(0, true)
-	if got := e.FindIdleNear(0); got != -1 {
-		t.Errorf("FindIdleNear(0) = %d, want -1 (home excluded)", got)
+	if got := e.findIdleNear(0); got != -1 {
+		t.Errorf("findIdleNear(0) = %d, want -1 (home excluded)", got)
 	}
 }
 

@@ -114,9 +114,11 @@ func TestParkWakeNoLostWakeup(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
+				done := make(chan struct{})
 				task := NewTask(func(any) bool { ran.Add(1); return true }, nil)
+				task.OnDone = func(*Task) { close(done) }
 				e.MustSubmit(task)
-				<-task.DoneChan()
+				<-done
 			}
 		}()
 	}

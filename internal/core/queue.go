@@ -152,12 +152,9 @@ func (q *Queue) Empty() bool {
 // re-enqueues and CPU-set put-backs).
 func (q *Queue) Enqueues() uint64 { return q.enqueues.Load() }
 
-// Dequeues returns the total number of tasks detached by drains.
-func (q *Queue) Dequeues() uint64 { return q.dequeues.Load() }
-
 // LockStats returns (acquisitions, contended acquisitions) for the
-// spinlock and mutex variants; zeros for the lock-free variant (see
-// Retries for its contention analogue).
+// spinlock and mutex variants; zeros for the lock-free variant (its
+// contention analogue is the CAS retry count of spinlock.MSQueue).
 //
 // Acquisitions are derived from the operation counters rather than
 // counted on the hot path: every single enqueue, every chain append and
@@ -188,15 +185,6 @@ func (q *Queue) DrainStats() (drains, drained uint64) {
 // with Config.AdaptiveDrain (the fixed engine batch applies
 // otherwise).
 func (q *Queue) DrainBatchNow() int { return q.ctrl.Batch() }
-
-// Retries returns the CAS retry count of the lock-free variant (its
-// contention analogue); zero for the locked variants.
-func (q *Queue) Retries() uint64 {
-	if q.kind == QueueLockFree {
-		return q.lf.Retries()
-	}
-	return 0
-}
 
 // resetStats zeroes every per-queue instrumentation counter, whatever
 // the protection variant. Because Len is derived as enqueues−dequeues,

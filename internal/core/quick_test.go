@@ -114,7 +114,7 @@ func TestQuickFindIdleNearReturnsIdleAllowedCPU(t *testing.T) {
 		for cpu := 0; cpu < 16; cpu++ {
 			e.SetIdle(cpu, idleMask&(1<<uint(cpu)) != 0)
 		}
-		got := e.FindIdleNear(home)
+		got := e.findIdleNear(home)
 		idle := setFromMask(idleMask)
 		idleOthers := cpuset.AndNot(idle, cpuset.New(home))
 		if idleOthers.IsEmpty() {

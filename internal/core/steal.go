@@ -54,19 +54,6 @@ func (e *Engine) initSteal() {
 // StealPolicy returns the engine's configured steal policy.
 func (e *Engine) StealPolicy() StealPolicy { return e.cfg.Steal.Policy }
 
-// StealRate returns cpu's current steal hit-rate estimate in [0, 1] —
-// the adaptive-steal feedback signal. It reports 1 (optimistic) when
-// the CPU has not attempted a steal yet or Steal.Adaptive is off.
-func (e *Engine) StealRate(cpu int) float64 {
-	if e.stealRate == nil {
-		return 1
-	}
-	if r, ok := e.stealRate.Shard(cpu); ok {
-		return r
-	}
-	return 1
-}
-
 // SubmitLocal places the task on the per-core leaf queue of the home
 // CPU regardless of how broad the task's CPU set is — locality-first
 // placement, where Submit's deepest-covering rule is locality-exact.

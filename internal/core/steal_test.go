@@ -605,15 +605,15 @@ func TestFindIdleNearPrefersLeastLoaded(t *testing.T) {
 	}
 	e.SetIdle(1, true)
 	e.SetIdle(2, true)
-	if got := e.FindIdleNear(0); got != 2 {
-		t.Errorf("FindIdleNear(0) = %d, want 2 (least-loaded sibling)", got)
+	if got := e.findIdleNear(0); got != 2 {
+		t.Errorf("findIdleNear(0) = %d, want 2 (least-loaded sibling)", got)
 	}
 	// The feedback only breaks ties within a level: a loaded sibling
 	// still beats an unloaded remote core.
 	e.SetIdle(2, false)
 	e.SetIdle(13, true)
-	if got := e.FindIdleNear(0); got != 1 {
-		t.Errorf("FindIdleNear(0) = %d, want 1 (proximity before load)", got)
+	if got := e.findIdleNear(0); got != 1 {
+		t.Errorf("findIdleNear(0) = %d, want 1 (proximity before load)", got)
 	}
 }
 

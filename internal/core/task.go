@@ -104,10 +104,8 @@ type Task struct {
 
 	// life packs State and run count (see lifeShift), so that every
 	// lifecycle transition is one atomic instruction.
-	life       atomic.Uint64
-	lastCPU    atomic.Int64
-	doneCh     atomic.Pointer[chan struct{}]
-	doneClosed atomic.Bool
+	life    atomic.Uint64
+	lastCPU atomic.Int64
 
 	// submitTS stamps when the task last entered a queue (recorder
 	// clock), so EvTaskRun can attribute queue wait. Only written when a
@@ -133,11 +131,6 @@ const (
 	lifeRun   = 1 << lifeShift // one run
 )
 
-// NewTask returns a one-shot task running fn(arg) anywhere.
-func NewTask(fn Func, arg any) *Task {
-	return &Task{Fn: fn, Arg: arg}
-}
-
 // State returns the task's current lifecycle state.
 func (t *Task) State() State { return State(t.life.Load() & (lifeRun - 1)) }
 
@@ -157,57 +150,24 @@ func (t *Task) LastCPU() int {
 	return int(t.lastCPU.Load())
 }
 
-// DoneChan returns a channel closed when the task completes. The channel
-// is allocated lazily so tasks that are only polled stay allocation-free.
-func (t *Task) DoneChan() <-chan struct{} {
-	if ch := t.doneCh.Load(); ch != nil {
-		return *ch
-	}
-	ch := make(chan struct{})
-	if t.doneCh.CompareAndSwap(nil, &ch) {
-		// Re-check state: completion may have raced with installation.
-		if t.Done() {
-			t.closeDone(ch)
-		}
-		return ch
-	}
-	return *t.doneCh.Load()
-}
-
-// closeDone closes the completion channel exactly once, even when a
-// completing core and a waiter installing the channel race.
-func (t *Task) closeDone(ch chan struct{}) {
-	if t.doneClosed.CompareAndSwap(false, true) {
-		close(ch)
-	}
-}
-
 // Reset returns a completed (or never-submitted) task to StateFree so the
 // embedding structure can be reused. It panics if the task is queued or
 // running. One store clears state and run count; atomic stores are
-// locked instructions, so Reset skips those that change nothing: the
-// completion channel unless a waiter installed one, and the CPU slot
-// (LastCPU reads "never ran" from the run count).
+// locked instructions, so Reset skips the CPU slot, which changes
+// nothing (LastCPU reads "never ran" from the run count).
 func (t *Task) Reset() {
 	switch t.State() {
 	case StateSubmitted, StateRunning:
 		panic("core: Reset of an in-flight task")
 	}
 	t.life.Store(uint64(StateFree))
-	if t.doneCh.Load() != nil { // doneClosed is only ever set after it
-		t.doneCh.Store(nil)
-		t.doneClosed.Store(false)
-	}
 	t.next = nil
 	t.home = nil
 }
 
-// markDone moves the running task to StateDone (one add) and wakes waiters.
+// markDone moves the running task to StateDone (one add) and runs OnDone.
 func (t *Task) markDone() {
 	t.life.Add(uint64(StateDone - StateRunning))
-	if ch := t.doneCh.Load(); ch != nil {
-		t.closeDone(*ch)
-	}
 	if t.OnDone != nil {
 		t.OnDone(t)
 	}

@@ -6,15 +6,14 @@
 // in scheduling holes, and overlap with computation exactly like the
 // communication tasks of internal/nmad.
 //
-// Requests embed their task (no allocation beyond the request itself)
-// and complete through the same active-wait or channel-based paths as
-// nmad requests.
+// Requests embed their task and their core.Completion, so a request is
+// its only allocation, and Wait is core.Engine.Await: the same
+// spin-then-park wait nmad requests use.
 package iomgr
 
 import (
 	"errors"
 	"io"
-	"runtime"
 	"sync/atomic"
 
 	"pioman/internal/core"
@@ -32,10 +31,6 @@ type Config struct {
 	// Schedule calls.
 	Tasks *core.Engine
 }
-
-// waitSpins is how many passes in a row that ran nothing Wait makes
-// before it blocks, kept as short as nmad's Wait keeps it.
-const waitSpins = 2
 
 // Manager executes I/O requests through PIOMan tasks.
 type Manager struct {
@@ -94,10 +89,8 @@ type Request struct {
 	buf []byte
 	off int64
 
-	n    int
-	err  error
-	done chan struct{}
-	fin  atomic.Bool
+	n int
+	c core.Completion
 
 	mgr *Manager
 }
@@ -106,35 +99,24 @@ type Request struct {
 func (r *Request) N() int { return r.n }
 
 // Done returns a channel closed at completion.
-func (r *Request) Done() <-chan struct{} { return r.done }
+func (r *Request) Done() <-chan struct{} { return r.c.Done() }
 
 // Test reports completion without blocking.
-func (r *Request) Test() bool { return r.fin.Load() }
+func (r *Request) Test() bool { return r.c.Test() }
 
-// Wait blocks until the request completes, helping the task engine
-// meanwhile, and returns the byte count and error. Once waitSpins
-// passes in a row have run nothing, it blocks on the request's
-// completion instead, provided the task engine has a progression
-// context to finish it; without one the caller is the only progress
-// there is, and Wait keeps helping.
+// Wait blocks until the request completes, executing pending tasks
+// meanwhile and parking once they run out (core.Engine.Await), and
+// returns the byte count and error.
 func (r *Request) Wait() (int, error) {
-	for idle := 0; !r.fin.Load(); {
-		if r.mgr.tasks.Schedule(0) > 0 {
-			idle = 0
-		} else if idle++; idle >= waitSpins && r.mgr.tasks.Progressing() {
-			break
-		} else {
-			runtime.Gosched()
-		}
-	}
-	<-r.done // synchronizes the n/err writes
-	return r.n, r.err
+	err := r.mgr.tasks.Await(&r.c)
+	return r.n, err
 }
 
 func (r *Request) finish(n int, err error) {
-	r.n, r.err = n, err
-	r.fin.Store(true)
-	close(r.done)
+	r.n = n
+	if r.c.Claim() {
+		r.c.Publish(err)
+	}
 }
 
 // ioTask is the task body for every request kind.
@@ -155,7 +137,6 @@ func ioTask(arg any) bool {
 
 func (m *Manager) submit(r *Request) *Request {
 	r.mgr = m
-	r.done = make(chan struct{})
 	r.task.Arg = r
 	r.task.Fn = ioTask
 	if m.stopped.Load() {

@@ -346,3 +346,30 @@ func TestOneProgressContextServesEveryLibrary(t *testing.T) {
 		t.Errorf("%d goroutines after Close, want %d", n, before)
 	}
 }
+
+// TestRequestAllocs: a request is its only allocation, plus the one-CPU
+// set SubmitToIdle pins it with when an idle CPU is advertised (the
+// progression context marks its own). Completion, placement and Wait
+// allocate nothing.
+func TestRequestAllocs(t *testing.T) {
+	fn := func() error { return nil }
+	for _, c := range []struct {
+		name     string
+		progress bool
+		max      float64
+	}{
+		{"progression context", true, 2},
+		{"no progression context", false, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tasks := core.New(core.Config{Progress: c.progress})
+			defer tasks.Close()
+			m := New(Config{Tasks: tasks})
+			defer m.Close()
+			m.Filter(fn).Wait() // warm the pools
+			if n := testing.AllocsPerRun(200, func() { m.Filter(fn).Wait() }); n > c.max {
+				t.Errorf("Filter(fn).Wait() allocates %.2f objects, want ≤ %v", n, c.max)
+			}
+		})
+	}
+}

@@ -316,8 +316,7 @@ func NewEngine(cfg Config) *Engine {
 
 // Tasks exposes the underlying task engine, for callers that drive
 // progression themselves (explicit Schedule loops on a core without a
-// progression context, WaitActive-style helpers) or share it with
-// another engine.
+// progression context) or share it with another engine.
 func (e *Engine) Tasks() *core.Engine { return e.tasks }
 
 // Gates returns a snapshot of the engine's open gates, for observers
