@@ -134,8 +134,8 @@ func (c *Comm) Irecv(src, tag int) (*Request, error) {
 	return &Request{inner: g.Irecv(uint64(tag)), Source: src}, nil
 }
 
-// Send sends data to rank dst and returns once the payload is on the
-// wire (eager) or fully transferred (rendezvous).
+// Send sends data to rank dst and returns once the peer holds every
+// byte: on the peer's ack (eager) or its FIN (rendezvous).
 func (c *Comm) Send(dst, tag int, data []byte) error {
 	req, err := c.Isend(dst, tag, data)
 	if err != nil {

@@ -252,8 +252,8 @@ func (e *Engine) admitReject(req *Request) {
 // returns the request.
 func (e *Engine) admitSubmit(g *Gate, req *Request, tag uint64, data []byte, recv bool) bool {
 	p := e.admit
-	now := e.tasks.Now()
-	if d := req.deadline; d != 0 && now >= d {
+	// The clock is read only where it is used (deadline, block path).
+	if d := req.deadline; d != 0 && e.tasks.Now() >= d {
 		e.deadlineExpired.Add(1)
 		req.complete(ErrDeadlineExpired)
 		return false
@@ -282,7 +282,7 @@ func (e *Engine) admitSubmit(g *Gate, req *Request, tag uint64, data []byte, rec
 		e.admitReject(req)
 		return false
 	}
-	exp := now + p.wait
+	exp := e.tasks.Now() + p.wait
 	if d := req.deadline; d != 0 && d < exp {
 		exp = d
 	}

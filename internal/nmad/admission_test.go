@@ -16,6 +16,7 @@ import (
 // control under the given policy and budgets.
 type admitRig struct {
 	clock  atomic.Int64
+	reads  atomic.Int64 // clock reads by either engine
 	ea, eb *Engine
 	ga, gb *Gate
 }
@@ -24,7 +25,10 @@ func newAdmitRig(t *testing.T, tweak func(*Config)) *admitRig {
 	t.Helper()
 	r := &admitRig{}
 	r.clock.Store(1)
-	clk := func() int64 { return r.clock.Load() }
+	clk := func() int64 {
+		r.reads.Add(1)
+		return r.clock.Load()
+	}
 	cfg := Config{RdvTimeout: 1 << 20, RdvRetries: 4}
 	peer := cfg
 	tweak(&cfg)
@@ -110,6 +114,36 @@ func TestAdmitRejectFailsFast(t *testing.T) {
 	info := r.ea.AdmitInfo()
 	if !info.Enabled || info.Requests != 0 || info.Bytes != 0 || info.Degraded {
 		t.Fatalf("admission plane not idle after quiesce: %+v", info)
+	}
+}
+
+// TestAdmitReadsClockOnlyForDeadline counts engine clock reads per
+// admitted eager Isend: without a deadline the only read is the ack
+// window's retransmission deadline (trackEager); a deadline adds
+// admission's expiry check.
+func TestAdmitReadsClockOnlyForDeadline(t *testing.T) {
+	r := newAdmitRig(t, func(c *Config) {
+		c.Admit = &admit.Config{GateRequests: 4, GateBytes: 1 << 20}
+		c.AdmitPolicy = AdmitBlock
+		c.AdmitWait = 1 << 30
+	})
+	recvs := []*Request{r.gb.Irecv(1), r.gb.Irecv(2)}
+	before := r.reads.Load()
+	s1 := r.ga.Isend(1, []byte("no deadline"))
+	if n := r.reads.Load() - before; n != 1 {
+		t.Errorf("Isend without a deadline read the clock %d times, want 1", n)
+	}
+	before = r.reads.Load()
+	s2 := r.ga.IsendDeadline(2, []byte("with deadline"), 1<<40)
+	if n := r.reads.Load() - before; n != 2 {
+		t.Errorf("Isend with a deadline read the clock %d times, want 2", n)
+	}
+	r.drive(t, s1, s2, recvs[0], recvs[1])
+	if s1.Err() != nil || s2.Err() != nil {
+		t.Fatalf("admitted sends failed: %v, %v", s1.Err(), s2.Err())
+	}
+	if st := r.ea.Stats(); st.AdmitAdmitted != 2 || st.AdmitBlocked != 0 {
+		t.Fatalf("stats: admitted %d (want 2), blocked %d (want 0)", st.AdmitAdmitted, st.AdmitBlocked)
 	}
 }
 

@@ -2,6 +2,8 @@ package nmad
 
 import (
 	"errors"
+	"math/bits"
+	"slices"
 
 	"pioman/internal/trace"
 )
@@ -24,10 +26,11 @@ import (
 //   - every eager message is sequence-numbered by its per-gate MsgID
 //     (already assigned by Isend) and tracked in the gate's pending
 //     window (Gate.eagerPend) until the peer acknowledges it;
-//   - the receiver acks every eager arrival with a KindEagerAck control
-//     frame — including duplicates, whose payload it drops after
-//     checking the gate's msgID dedup log (Gate.seenEager), so a lost
-//     ack cannot double-deliver;
+//   - the receiver acks every eager arrival — including duplicates,
+//     whose payload it drops after checking the gate's msgID dedup log
+//     (Gate.seenEager), so a lost ack cannot double-deliver; the
+//     sub-frames of an aggregate share as few acks as their ids allow
+//     (sendAcks), not one ack each;
 //   - the deadline sweep (sweepDeadlines) retransmits unacknowledged
 //     messages with exponential backoff and, past RdvRetries attempts,
 //     completes the send visibly with ErrEagerTimeout;
@@ -103,61 +106,119 @@ func (e *Engine) trackEager(g *Gate, msgID, tag uint64, data []byte, req *Reques
 	return true
 }
 
-// recvEager handles one inbound eager message (plain or unpacked from
-// an aggregate): acknowledge, dedup, deliver.
-func (e *Engine) recvEager(g *Gate, hdr Header, payload []byte) {
+// recvAggr unpacks an aggregate frame and settles its sub-frames
+// through recvEager, up to 64 at a time.
+func (e *Engine) recvAggr(g *Gate, payload []byte) {
+	var chunk [64]inbound
+	n := 0
+	unpackAggr(payload, func(hdr Header, sub []byte) {
+		chunk[n] = inbound{hdr: hdr, payload: sub}
+		if n++; n == len(chunk) {
+			e.recvEager(g, chunk[:n])
+			n = 0
+		}
+	})
+	if n > 0 {
+		e.recvEager(g, chunk[:n])
+	}
+}
+
+// recvEager handles up to 64 inbound eager messages — one plain frame,
+// or a chunk of an aggregate: record every id in the dedup log under
+// one g.mu acquisition, acknowledge them all, then match the new ones
+// in frame order. An id is acked only once it is in the log, so a
+// retransmission the ack crosses cannot deliver twice.
+func (e *Engine) recvEager(g *Gate, msgs []inbound) {
+	var ids [64]uint64
+	var dup uint64 // bit i: msgs[i] was delivered before
 	g.mu.Lock()
-	dup := g.seenEager.has(hdr.MsgID)
-	if !dup {
-		g.seenEager.add(hdr.MsgID)
+	for i := range msgs {
+		if ids[i] = msgs[i].hdr.MsgID; !g.seenEager.add(ids[i]) {
+			dup |= 1 << i
+		}
 	}
 	g.mu.Unlock()
 	// Ack duplicates too: a re-ack is exactly what a sender whose
 	// previous ack was lost is waiting for.
-	g.sendControl(KindEagerAck, hdr.Tag, hdr.MsgID, 0, 0)
-	if dup {
-		return
+	g.sendAcks(msgs[0].hdr.Tag, ids[:len(msgs)])
+	for i := range msgs {
+		if dup&(1<<i) == 0 {
+			g.matchOrStash(msgs[i])
+		}
 	}
-	g.matchOrStash(inbound{hdr: hdr, payload: payload})
 }
 
-// takeEager removes message id from the pending window; nil when an
-// ack, a failure or the sweep already took it.
-func (g *Gate) takeEager(id uint64) *eagerState {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	st := g.eagerPend[id]
-	delete(g.eagerPend, id)
-	return st
+// sendAcks acknowledges ids (sorted in place; duplicates allowed) in
+// the fewest KindEagerAck frames. Each frame's mask rides Offset (low
+// half) and Total (high half); tag is informational.
+func (g *Gate) sendAcks(tag uint64, ids []uint64) {
+	slices.Sort(ids)
+	for len(ids) > 0 {
+		var base, mask uint64
+		base, mask, ids = nextAck(ids)
+		g.sendControl(KindEagerAck, tag, base, uint32(mask), uint32(mask>>32))
+	}
 }
 
-// eagerAcked completes the pending eager message an ack names. Late or
-// duplicated acks find no entry and fall on the floor.
+// nextAck encodes the head of sorted ids as one ack: base is the lowest
+// id, and mask bit i names id base+1+i. rest is what the ack leaves
+// uncovered. Taking the lowest uncovered id as the next base uses the
+// fewest acks: every base lies more than 64 past the one before, so no
+// ack can name two of them.
+func nextAck(ids []uint64) (base, mask uint64, rest []uint64) {
+	base = ids[0]
+	for rest = ids[1:]; len(rest) > 0 && rest[0]-base <= 64; rest = rest[1:] {
+		if d := rest[0] - base; d > 0 {
+			mask |= 1 << (d - 1)
+		}
+	}
+	return base, mask, rest
+}
+
+// ackIDs appends the ids an ack names to dst in ascending order: base,
+// then base+1+i for every set bit i of mask.
+func ackIDs(dst []uint64, base, mask uint64) []uint64 {
+	dst = append(dst, base)
+	for ; mask != 0; mask &= mask - 1 {
+		dst = append(dst, base+1+uint64(bits.TrailingZeros64(mask)))
+	}
+	return dst
+}
+
+// eagerAcked completes the pending eager messages an ack names.
 func (e *Engine) eagerAcked(g *Gate, hdr Header) {
-	st := g.takeEager(hdr.MsgID)
-	if st == nil {
-		return
-	}
-	e.eagerAcks.Add(1)
-	req := st.req
-	e.putEager(st)
-	if req.traceID != 0 {
-		// The ack closes the eager send's final phase (wire-out → ack).
-		e.rec.Record(int(req.traceRing), trace.EvAckWaitEnd, req.traceID, 0)
-	}
-	req.complete(nil)
+	var buf [65]uint64 // the base and 64 mask bits
+	e.settleEager(g, ackIDs(buf[:0], hdr.MsgID, uint64(hdr.Offset)|uint64(hdr.Total)<<32), nil)
 }
 
-// failEager fails the pending eager message with the given error — the
-// wire path's routing for an eager frame that could not be sent at
-// all (every rail dead, a non-transient send error). No-op when the
-// message already acked or timed out.
-func (e *Engine) failEager(g *Gate, msgID uint64, err error) {
-	st := g.takeEager(msgID)
-	if st == nil {
-		return
+// settleEager takes the listed messages out of the pending window
+// under one g.mu acquisition, then completes their requests with err
+// (nil: acked) outside it, in list order. An id with no entry was
+// already acked, failed or timed out — a late or duplicated ack — and
+// falls on the floor. Failing (err non-nil) is the wire path's routing
+// for an eager frame that could not be sent at all: every rail dead,
+// a non-transient send error.
+func (e *Engine) settleEager(g *Gate, ids []uint64, err error) {
+	var buf [65]*eagerState
+	sts := buf[:0]
+	g.mu.Lock()
+	for _, id := range ids {
+		if st := g.eagerPend[id]; st != nil {
+			delete(g.eagerPend, id)
+			sts = append(sts, st)
+		}
 	}
-	req := st.req
-	e.putEager(st)
-	req.complete(err)
+	g.mu.Unlock()
+	if err == nil {
+		e.eagerAcks.Add(uint64(len(sts)))
+	}
+	for _, st := range sts {
+		req := st.req
+		e.putEager(st)
+		if err == nil && req.traceID != 0 {
+			// The ack closes the eager send's final phase (wire-out → ack).
+			e.rec.Record(int(req.traceRing), trace.EvAckWaitEnd, req.traceID, 0)
+		}
+		req.complete(err)
+	}
 }

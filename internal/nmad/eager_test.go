@@ -302,3 +302,115 @@ func TestEagerChaosSoup(t *testing.T) {
 	requireClean(t, "sender", r.ga)
 	requireClean(t, "receiver", r.gb)
 }
+
+// TestAggregateAckedByOneFrame flushes 16 small messages as one
+// aggregate: the receiver answers the whole frame with a single ack
+// frame, and that one frame completes all 16 sends.
+func TestAggregateAckedByOneFrame(t *testing.T) {
+	r := newEagerRig(t, fabric.FaultConfig{}, StrategyAggreg)
+	defer r.close()
+
+	const n = 16
+	payloads := make([][]byte, n)
+	var reqs []*Request
+	for i := range payloads {
+		payloads[i] = []byte(fmt.Sprintf("aggregated-%02d", i))
+		reqs = append(reqs, r.gb.Irecv(uint64(i)))
+	}
+	framesBefore := r.receiver.Stats().FramesSent
+	for i := range payloads {
+		reqs = append(reqs, r.ga.Isend(uint64(i), payloads[i]))
+	}
+	if !r.drive(16*chaosRdvTimeout, reqs...) {
+		t.Fatal("aggregated transfer did not complete")
+	}
+	for i, q := range reqs {
+		if q.Err() != nil {
+			t.Fatalf("request %d failed: %v", i, q.Err())
+		}
+	}
+	for i := range payloads {
+		if !bytes.Equal(reqs[i].Data, payloads[i]) {
+			t.Errorf("recv %d = %q, want %q", i, reqs[i].Data, payloads[i])
+		}
+	}
+	sst := r.sender.Stats()
+	if sst.AggrFrames != 1 || sst.Aggregated != n {
+		t.Fatalf("sender packed %d messages into %d aggregates, want %d into 1", sst.Aggregated, sst.AggrFrames, n)
+	}
+	if got := r.receiver.Stats().FramesSent - framesBefore; got != 1 {
+		t.Errorf("receiver sent %d frames to ack one aggregate, want 1", got)
+	}
+	if sst.EagerAcks != n {
+		t.Errorf("sender counted %d acked messages, want %d", sst.EagerAcks, n)
+	}
+	requireClean(t, "sender", r.ga)
+	requireClean(t, "receiver", r.gb)
+}
+
+// TestAggregateAckLossDoesNotDuplicate is the aggregated twin of
+// TestEagerAckLossDoesNotDuplicate: an 8-message aggregate lands but
+// its single ack dies, so every member is retransmitted; the dedup log
+// swallows each duplicate, and a second receive posted on every tag
+// stays unmatched.
+func TestAggregateAckLossDoesNotDuplicate(t *testing.T) {
+	r := newEagerRig(t, fabric.FaultConfig{}, StrategyAggreg)
+	defer r.close()
+
+	const n = 8
+	payloads := make([][]byte, n)
+	recvs := make([]*Request, n)
+	sends := make([]*Request, n)
+	for i := range payloads {
+		payloads[i] = chaosPayload(32 + i)
+		recvs[i] = r.gb.Irecv(uint64(i))
+	}
+	r.db.SetFaults(&fabric.FaultConfig{DropProb: 1})
+	for i := range payloads {
+		sends[i] = r.ga.Isend(uint64(i), payloads[i])
+	}
+	r.schedule() // aggregate delivered; its ack dies
+	r.db.SetFaults(nil)
+	if st := r.sender.Stats(); st.AggrFrames != 1 || st.Aggregated != n {
+		t.Fatalf("sender packed %d messages into %d aggregates, want %d into 1", st.Aggregated, st.AggrFrames, n)
+	}
+	for i := range recvs {
+		if !recvs[i].Test() {
+			t.Fatalf("recv %d not delivered by the aggregate", i)
+		}
+	}
+
+	all := append(append([]*Request{}, sends...), recvs...)
+	if !r.drive(64*chaosRdvTimeout, all...) {
+		t.Fatal("sender did not recover from the aggregate's lost ack")
+	}
+	for i := range sends {
+		if sends[i].Err() != nil || recvs[i].Err() != nil {
+			t.Fatalf("message %d failed: send %v, recv %v", i, sends[i].Err(), recvs[i].Err())
+		}
+		if !bytes.Equal(recvs[i].Data, payloads[i]) {
+			t.Fatalf("recv %d corrupted", i)
+		}
+	}
+	if st := r.sender.Stats(); st.EagerRetries < n || st.EagerAcks != n {
+		t.Errorf("sender: %d retransmissions (want ≥ %d), %d acked messages (want %d)", st.EagerRetries, n, st.EagerAcks, n)
+	}
+
+	// Each retransmitted member was a duplicate: none may reach a
+	// later receive.
+	extra := make([]*Request, n)
+	for i := range extra {
+		extra[i] = r.gb.Irecv(uint64(i))
+	}
+	r.drive(16*chaosRdvTimeout, sends...)
+	for i, q := range extra {
+		if q.Test() {
+			t.Fatalf("duplicate of message %d matched a second receive; dedup failed", i)
+		}
+		if !q.Cancel() {
+			t.Fatalf("Cancel refused the sentinel receive on tag %d", i)
+		}
+	}
+	requireClean(t, "sender", r.ga)
+	requireClean(t, "receiver", r.gb)
+}

@@ -1220,9 +1220,7 @@ func (p *Packet) completeAll(err error) {
 		// now. A transiently backpressured frame is simply dropped
 		// instead — the pending entries stay in the window and the
 		// deadline sweep retransmits once the peer's ring drains.
-		for _, id := range p.pend {
-			g.eng.failEager(g, id, err)
-		}
+		g.eng.settleEager(g, p.pend, err)
 	}
 }
 

@@ -39,10 +39,10 @@ const (
 	// the sender may release its registered regions and complete its
 	// request.
 	KindFin
-	// KindEagerAck acknowledges the delivery of one eager message
-	// (plain or unpacked from an aggregate) back to its sender, which
-	// releases the message from its retransmission window (eager.go).
-	// MsgID names the acknowledged message.
+	// KindEagerAck acknowledges eager messages back to their sender,
+	// which releases them from its retransmission window (eager.go).
+	// MsgID names the lowest; the 64-bit mask in Offset (low half) and
+	// Total (high half) names MsgID+1 … MsgID+64 (0 for a plain frame).
 	KindEagerAck
 	// KindRdvNack reports an unknown rendezvous id back to the peer, so
 	// the other side fails its half promptly instead of waiting on a
@@ -90,8 +90,8 @@ type Header struct {
 	MsgID   uint64 // per-gate message id (sender-assigned)
 	FragIdx uint32 // unused by the engine; carried for raw Driver frames
 	FragCnt uint32 // unused by the engine; carried for raw Driver frames
-	Offset  uint32 // KindRdvNack: the side to fail; else unused by the engine
-	Total   uint32 // total message size in bytes
+	Offset  uint32 // KindRdvNack: the side to fail; KindEagerAck: mask low half
+	Total   uint32 // total message size in bytes; KindEagerAck: mask high half
 }
 
 // headerBytes is the encoded header size.

@@ -74,7 +74,7 @@ func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 		}
 		rail := g.pickEager()
 		if rail < 0 {
-			e.failEager(g, msgID, errAllRailsDead)
+			e.settleEager(g, []uint64{msgID}, errAllRailsDead)
 			return
 		}
 		p := g.packet()
@@ -348,12 +348,10 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 	}
 	switch f.Hdr.Kind {
 	case KindEager:
-		e.recvEager(g, f.Hdr, f.Payload)
+		e.recvEager(g, []inbound{{hdr: f.Hdr, payload: f.Payload}})
 
 	case KindAggr:
-		unpackAggr(f.Payload, func(hdr Header, payload []byte) {
-			e.recvEager(g, hdr, payload)
-		})
+		e.recvAggr(g, f.Payload)
 
 	case KindEagerAck:
 		e.eagerAcked(g, f.Hdr)
@@ -525,7 +523,7 @@ func (g *Gate) aggSend(pending []pendingSend) {
 	rail := g.pickEager()
 	if rail < 0 {
 		for _, m := range pending {
-			e.failEager(g, m.hdr.MsgID, errAllRailsDead)
+			e.settleEager(g, []uint64{m.hdr.MsgID}, errAllRailsDead)
 		}
 		return
 	}
@@ -551,7 +549,8 @@ func (g *Gate) aggSend(pending []pendingSend) {
 			p.Payload = payload
 			p.scratch = payload // returned to the gate pool on recycle
 		}
-		// Completion rides the per-message acks, not wire-out.
+		// Completion rides the peer's acks (one set per aggregate),
+		// not wire-out.
 		for _, m := range batch {
 			p.pend = append(p.pend, m.hdr.MsgID)
 		}

@@ -75,14 +75,15 @@ type settledLog struct {
 	pos  int
 }
 
-// add records a settled id, evicting the oldest once full.
-func (l *settledLog) add(id uint64) {
+// add records a settled id, evicting the oldest once full. False: id
+// was already recorded.
+func (l *settledLog) add(id uint64) bool {
 	if l.set == nil {
 		l.set = make(map[uint64]struct{}, settledLogSize)
 		l.ring = make([]uint64, settledLogSize)
 	}
 	if _, ok := l.set[id]; ok {
-		return
+		return false
 	}
 	if len(l.set) >= settledLogSize {
 		delete(l.set, l.ring[l.pos])
@@ -90,6 +91,7 @@ func (l *settledLog) add(id uint64) {
 	l.ring[l.pos] = id
 	l.pos = (l.pos + 1) % settledLogSize
 	l.set[id] = struct{}{}
+	return true
 }
 
 // has reports whether id settled recently.
