@@ -571,8 +571,8 @@ func (e *Engine) schedule(cpu int, max int) int {
 
 // placeChain enqueues tasks on the queues their CPU sets map to under
 // deepest-covering placement, consecutive same-queue tasks as one
-// chained append under one lock. SubmitAll places its batch through
-// it, and drains re-home CPU-set mismatches through it: usually onto
+// chained append under one lock. Drains and steals re-home CPU-set
+// mismatches through it: usually onto
 // the queue they were drained from (tasks on ancestor queues are
 // correctly placed by construction), so the whole batch still costs
 // one chained append. When locality-first placement (SubmitLocal)

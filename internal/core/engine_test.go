@@ -295,7 +295,7 @@ func TestResetInFlightPanics(t *testing.T) {
 // TestLifecycleWordTransitions: state and run count share one word,
 // and every transition keeps State, Runs and LastCPU reading as if
 // they were separate fields: Submit → run → Repeat retry → Done →
-// Reset, a rolled-back SubmitAll, and Reset of an in-flight task.
+// Reset, and Reset of an in-flight task.
 func TestLifecycleWordTransitions(t *testing.T) {
 	e := kwakEngine()
 	check := func(step string, task *Task, state State, runs uint64, cpu int) {
@@ -329,19 +329,6 @@ func TestLifecycleWordTransitions(t *testing.T) {
 	check("resubmit refused", task, StateDone, 2, 6)
 	task.Reset()
 	check("reset", task, StateFree, 0, -1)
-
-	// A rolled-back batch leaves its valid tasks free and never run, and
-	// the task that failed it untouched.
-	free := &Task{Fn: func(any) bool { return true }}
-	done := &Task{Fn: func(any) bool { return true }, CPUSet: cpuset.New(0)}
-	e.MustSubmit(done)
-	e.Schedule(0)
-	if err := e.SubmitAll(free, task, done); err == nil {
-		t.Fatal("SubmitAll with a done task succeeded")
-	}
-	check("rolled back", free, StateFree, 0, -1)
-	check("rolled back", task, StateFree, 0, -1)
-	check("failed the batch", done, StateDone, 1, 0)
 
 	// Reset panics while the task is queued and while it runs.
 	mustPanic := func(step string) {

@@ -78,7 +78,7 @@ const (
 )
 
 // Request is one asynchronous I/O operation. The PIOMan task is
-// embedded, mirroring nmad's packet wrapper.
+// embedded, mirroring the send lane embedded in nmad's gate.
 type Request struct {
 	task core.Task
 

@@ -395,6 +395,11 @@ func TestAggregateAckLossDoesNotDuplicate(t *testing.T) {
 	if st := r.sender.Stats(); st.EagerRetries < n || st.EagerAcks != n {
 		t.Errorf("sender: %d retransmissions (want ≥ %d), %d acked messages (want %d)", st.EagerRetries, n, st.EagerAcks, n)
 	}
+	// The retransmissions were due together and went onto the lane
+	// together, so they packed into one aggregate acked by one frame.
+	if s, r := r.sender.Stats().FramesSent, r.receiver.Stats().FramesSent; s != 2 || r != 2 {
+		t.Errorf("frames sent: sender %d, receiver %d; want 2 (aggregate + its retransmission) and 2 (lost ack + 1)", s, r)
+	}
 
 	// Each retransmitted member was a duplicate: none may reach a
 	// later receive.

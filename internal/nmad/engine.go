@@ -275,7 +275,8 @@ func (e *Engine) getSendRdv() *sendRdvState {
 
 // putSendRdv recycles a send-rendezvous state. Only clean completion
 // paths recycle; failure sweeps leave the state to the garbage
-// collector, because in-flight packets may still reference its offer.
+// collector, because an RTS still queued on the send lane may reference
+// its offer.
 func (e *Engine) putSendRdv(st *sendRdvState) {
 	st.releaseRegs()
 	*st = sendRdvState{regs: st.regs, offer: st.offer[:0]}
@@ -449,8 +450,9 @@ func (e *Engine) Stats() Stats {
 }
 
 // rail is one fabric endpoint of a gate plus its liveness flag and
-// transfer accounting. The mutex serializes Sends on the endpoint;
-// the counters feed RailStats and the Σ per-rail bytes invariant.
+// transfer accounting. The gate's send lane is the endpoint's one
+// sender; the counters feed RailStats and the Σ per-rail bytes
+// invariant.
 type rail struct {
 	ep fabric.Endpoint
 	// rma is the endpoint's RMA face when the rail can serve rendezvous
@@ -463,7 +465,6 @@ type rail struct {
 	// tcp is a TCP rail's own endpoint, under any calibration wrapper:
 	// it cannot lose a read while it lives (timeout.go). Nil otherwise.
 	tcp       *tcpEndpoint
-	mu        sync.Mutex
 	dead      atomic.Bool
 	frames    atomic.Uint64
 	bytes     atomic.Uint64
@@ -561,9 +562,10 @@ type Gate struct {
 	// rendezvous halves and the eager ack window by msgID (including
 	// their retryTimers) and the three dedup logs.
 	// Lock order: Engine.mu → Gate.mu → recvRdvState.mu; admitPlane.mu
-	// is taken under none of them and takes none of them. mu is never
-	// held across Request.complete, sendControl/sendPacket, issueChunk or
-	// an endpoint call — each of them can re-enter the gate.
+	// and the send lane's mu are taken under none of them and take none
+	// of them. mu is never held across Request.complete, a push onto the
+	// lane, issueChunk or an endpoint call — each of them can re-enter
+	// the gate.
 	mu          sync.Mutex
 	recvQ       map[uint64]*fifo[*Request]
 	unexpected  map[uint64]*fifo[inbound]
@@ -574,30 +576,14 @@ type Gate struct {
 	settledRecv settledLog
 	seenEager   settledLog
 
-	// aggTask is the gate's one flush task: aggFlushing (under aggMu)
-	// is set from the push that submits it until its OnDone finds
-	// nothing left to flush, so at most one is ever queued or running.
-	// aggSpare and aggTasks belong to that one flush: the pending slice
-	// it swaps in for the one it takes, and its packet-task batch.
-	aggMu       sync.Mutex
-	aggPending  []pendingSend
-	aggFlushing bool
-	aggBufs     [][]byte // pooled aggregate payload buffers
-	aggTask     core.Task
-	aggSpare    []pendingSend
-	aggTasks    []*core.Task
-
-	pktPool sync.Pool
+	// lane is the gate's one send lane (lane.go): every frame the gate
+	// emits leaves through its task.
+	lane sendLane
 
 	// admitL is the gate's admission ledger when the engine runs
 	// admission control (nil otherwise); its budgets track the rails'
 	// live BDP estimate unless the config pins them.
 	admitL *admit.Ledger
-}
-
-type pendingSend struct {
-	hdr     Header
-	payload []byte
 }
 
 // NewGate attaches a connection made of the package's own driver
@@ -691,8 +677,7 @@ func (e *Engine) NewGateEndpoints(eps ...fabric.Endpoint) (*Gate, error) {
 		g.rails = append(g.rails, r)
 	}
 	g.alive.Store(int32(len(eps)))
-	g.pktPool.New = func() any { return new(Packet) }
-	g.aggTask = core.Task{Fn: aggFlushTask, Arg: g, OnDone: aggFlushed}
+	g.lane.task = core.Task{Fn: runLane, Arg: g, Options: core.Repeat, OnDone: laneDone}
 	e.mu.Lock()
 	g.id = len(e.gates)
 	g.traceNode, g.tracePeer = g.id, g.id
@@ -1073,157 +1058,6 @@ func (g *Gate) pickEager() int {
 	return best
 }
 
-// packet takes a wrapper from the gate pool; recyclePacket reset it on
-// the way in.
-func (g *Gate) packet() *Packet {
-	p := g.pktPool.Get().(*Packet)
-	p.gate = g
-	return p
-}
-
-// preparePacket wires the packet's embedded task for submission. The
-// task is marked Repeat so a transiently backpressured rendezvous
-// frame can requeue itself for another attempt; ordinary sends report
-// completion on the first run.
-func (g *Gate) preparePacket(p *Packet) *core.Task {
-	p.Task.Arg = p
-	p.Task.Fn = sendPacketTask
-	p.Task.OnDone = recyclePacket
-	p.Task.Options = core.Repeat
-	return &p.Task
-}
-
-// sendPacket submits the packet's embedded task: the actual endpoint
-// Send runs on an idle core when one exists, otherwise wherever the
-// next scheduling hole appears (paper §IV-B submission offload).
-func (g *Gate) sendPacket(p *Packet) {
-	g.eng.tasks.MustSubmit(g.preparePacket(p))
-}
-
-// errAllRailsDead reports a send that found no alive rail to run on.
-var errAllRailsDead = errors.New("nmad: every rail of the gate has failed")
-
-// maxSendRetries bounds how many times a backpressured rendezvous
-// frame requeues itself before the failure surfaces; each retry rides
-// a full scheduling pass, giving the peer's ring time to drain.
-const maxSendRetries = 64
-
-// sendPacketTask is the task body shared by every packet send. A send
-// failure marks the rail dead and re-routes the frame onto the best
-// surviving rail — re-striping in flight — so a multirail request
-// survives the loss of any proper subset of its rails; only when no
-// rail remains does the request fail.
-func sendPacketTask(arg any) bool {
-	p := arg.(*Packet)
-	g := p.gate
-	var err error
-	for {
-		r := g.rails[p.rail]
-		if r.dead.Load() {
-			err = errAllRailsDead
-		} else if fe, ok := r.ep.(frameEndpoint); ok {
-			// The package's rails: the decoded Header moves straight
-			// through, no codec round-trip.
-			r.mu.Lock()
-			err = fe.SendFrame(p.Hdr, p.ext, p.Payload)
-			r.mu.Unlock()
-		} else {
-			// Assemble header + extension in the packet's own buffer:
-			// the send path allocates nothing.
-			imm := p.immBuf[:headerBytes]
-			p.Hdr.encode(imm)
-			if len(p.ext) > 0 {
-				imm = append(imm, p.ext...)
-			}
-			r.mu.Lock()
-			err = r.ep.Send(imm, p.Payload)
-			r.mu.Unlock()
-		}
-		if err == nil {
-			r.frames.Add(1)
-			r.bytes.Add(uint64(len(p.Payload)))
-			g.eng.framesSent.Add(1)
-			if p.Hdr.Kind == KindAggr {
-				g.eng.aggrFrames.Add(1)
-				g.eng.aggregated.Add(uint64(len(p.pend)))
-			}
-			p.completeAll(nil)
-			return true
-		}
-		if errors.Is(err, ErrBackpressure) {
-			// Transient rail-full condition; the rail stays alive
-			// either way. A rendezvous frame has remote state waiting
-			// on it (a receiver waiting on its RTS, a FIN-waiting
-			// sender, a NACK's hanging target), so it requeues itself and
-			// retries while the ring drains, up to a budget; past the
-			// budget — or for an eager/aggregate frame, which its own
-			// retransmission window re-drives — the outcome surfaces
-			// locally.
-			switch p.Hdr.Kind {
-			case KindRTS, KindFin, KindRdvNack:
-				if p.retries < maxSendRetries {
-					p.retries++
-					return false
-				}
-			}
-			p.completeAll(err)
-			return true
-		}
-		g.railDown(p.rail)
-		next := g.pickEager()
-		if next < 0 || next == p.rail {
-			// The gate's last rail died through the send path: fail
-			// the other outstanding requests too, exactly as a poll
-			// error on the last rail would.
-			if g.alive.Load() <= 0 {
-				g.eng.failGate(g, err)
-			}
-			p.completeAll(err)
-			return true
-		}
-		g.eng.restripes.Add(1)
-		p.rail = next
-	}
-}
-
-// completeAll routes the send outcome of the packet. An eager or
-// aggregate frame carries the msgIDs of its ack-tracked messages, whose
-// requests the pending window owns. A failed RTS carries none, but the
-// send behind it is waiting on a reply that will now never come — fail
-// it visibly instead of leaving both sides hanging.
-func (p *Packet) completeAll(err error) {
-	g := p.gate
-	if err == nil {
-		if rec := g.eng.rec; rec != nil {
-			// Wire-out is a phase boundary: an eager frame leaving the
-			// wire ends its injection phase and starts the ack wait.
-			// Retransmitted frames re-record — the analyzer folds
-			// duplicates as first-begin/last-end.
-			for _, id := range p.pend {
-				sid := g.spanID(trace.DirSend, 0, id)
-				rec.Record(g.id, trace.EvInjectEnd, sid, 0)
-				rec.Record(g.id, trace.EvAckWaitBegin, sid, 0)
-			}
-		}
-		return
-	}
-	if len(p.pend) == 0 {
-		// A failed FIN or NACK has no local state left to fail — the
-		// peer's half is handled by its sweeps.
-		if p.Hdr.Kind == KindRTS {
-			g.failSendRdv(p.Hdr.MsgID, err)
-		}
-		return
-	}
-	if !errors.Is(err, ErrBackpressure) {
-		// Eager messages whose frame could not be sent at all: fail them
-		// now. A transiently backpressured frame is simply dropped
-		// instead — the pending entries stay in the window and the
-		// deadline sweep retransmits once the peer's ring drains.
-		g.eng.settleEager(g, p.pend, err)
-	}
-}
-
 // takeSendRdv removes and settles the send half of rendezvous id; nil
 // when there is none, in which case settled reports whether it finished
 // recently (its late control frames are then duplicates, not orphans).
@@ -1268,21 +1102,4 @@ func (g *Gate) failRecvRdv(id uint64, err error) {
 		st.markFailed()
 		st.req.complete(err)
 	}
-}
-
-// recyclePacket returns the wrapper to its gate's pool, handing any
-// pooled aggregate payload buffer back first. It runs as the task's
-// OnDone hook — the final touch of the task lifecycle — so the reset
-// cannot race with the engine's completion bookkeeping.
-func recyclePacket(t *core.Task) {
-	p := t.Arg.(*Packet)
-	g := p.gate
-	if p.Hdr.Kind >= KindFin { // FIN, eager ack, NACK: sendControl's kinds
-		g.eng.owed.Add(-1)
-	}
-	if p.scratch != nil {
-		g.putAggBuf(p.scratch)
-	}
-	p.reset()
-	g.pktPool.Put(p)
 }

@@ -270,10 +270,10 @@ func TestAggregationConcurrentProducers(t *testing.T) {
 	}
 }
 
-// TestAggregationPushAsFlushEnds: a message pushed after the flush task
-// last looked at the queue, but before the task completed, finds the
-// flush still marked running and submits nothing; the task's OnDone
-// must see it and flush again. The push is made from inside the flush
+// TestAggregationPushAsFlushEnds: a message pushed after the lane task
+// last looked at the lane, but before the task completed, finds the
+// lane still marked running and submits nothing; the task's OnDone
+// must see it and drain again. The push is made from inside the lane
 // task's body, on a core without a progression context, so the window
 // is hit on every run.
 func TestAggregationPushAsFlushEnds(t *testing.T) {
@@ -292,9 +292,9 @@ func TestAggregationPushAsFlushEnds(t *testing.T) {
 		t.Fatal(err)
 	}
 	var late *Request
-	ga.aggTask.Fn = func(arg any) bool {
-		done := aggFlushTask(arg)
-		ga.aggTask.Fn = aggFlushTask
+	ga.lane.task.Fn = func(arg any) bool {
+		done := runLane(arg)
+		ga.lane.task.Fn = runLane
 		late = ga.Isend(2, []byte("late"))
 		return done
 	}
@@ -306,7 +306,7 @@ func TestAggregationPushAsFlushEnds(t *testing.T) {
 		tasks.Schedule(0)
 	}
 	if !late.Test() {
-		t.Fatal("a message pushed as the flush ended was never flushed")
+		t.Fatal("a message pushed as the lane task ended was never sent")
 	}
 	for _, r := range []*Request{late, r1, r2} {
 		if err := r.Wait(); err != nil {

@@ -3,19 +3,18 @@
 // messages over one or more network drivers ("rails"), applies dynamic
 // scheduling strategies (aggregation of small messages, multirail
 // splitting of large ones — paper Fig. 1), and delegates every internal
-// operation — polling a driver, submitting a packet, answering a
+// operation — polling a driver, sending a frame, answering a
 // rendezvous handshake — to PIOMan tasks so communication progresses in
 // the background and overlaps with computation.
 //
-// The task structure is embedded in the packet wrapper, so submitting
-// the send of a packet performs no allocation (paper §IV-B).
+// Every frame a gate emits leaves through the gate's one send lane,
+// whose task is embedded in the gate, so sending a frame performs no
+// allocation (paper §IV-B; see lane.go).
 package nmad
 
 import (
 	"encoding/binary"
 	"fmt"
-
-	"pioman/internal/core"
 )
 
 // Kind discriminates wire frames.
@@ -143,7 +142,7 @@ const maxOfferRails = 7
 // rail index (u32) + remote key (u64).
 const offerEntryBytes = 12
 
-// immBufBytes sizes the packet's immediate-byte assembly buffer:
+// immBufBytes sizes the send lane's immediate-byte assembly buffer:
 // header plus the largest pull offer.
 const immBufBytes = headerBytes + maxOfferRails*offerEntryBytes
 
@@ -164,38 +163,4 @@ func offerEntry(ext []byte, i int) (rail uint32, key uint64, ok bool) {
 		return 0, 0, false
 	}
 	return binary.LittleEndian.Uint32(ext[off:]), binary.LittleEndian.Uint64(ext[off+4:]), true
-}
-
-// Packet is the send-side packet wrapper. The PIOMan task is embedded in
-// the wrapper — submitting the packet to the task engine allocates
-// nothing beyond the wrapper itself, which strategies pool and reuse
-// (paper §IV-B: "the task structure does not require an allocation since
-// it is included in the packet wrapper structure").
-type Packet struct {
-	Task core.Task // embedded; Task.Arg points back at the Packet
-
-	Hdr     Header
-	Payload []byte
-
-	gate    *Gate
-	rail    int
-	retries int      // backpressure requeues consumed (sendPacketTask)
-	pend    []uint64 // msgIDs of the eager messages the frame carries
-	ext     []byte   // imm extension appended after the encoded header
-	scratch []byte   // pooled aggregate payload buffer, returned on recycle
-
-	immBuf [immBufBytes]byte // header+ext assembly space, so sends allocate nothing
-}
-
-// reset prepares a pooled packet for reuse.
-func (p *Packet) reset() {
-	p.Task.Reset()
-	p.Hdr = Header{}
-	p.Payload = nil
-	p.gate = nil
-	p.rail = 0
-	p.retries = 0
-	p.pend = p.pend[:0]
-	p.ext = nil
-	p.scratch = nil
 }

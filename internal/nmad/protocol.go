@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"pioman/internal/core"
 	"pioman/internal/trace"
 )
 
@@ -53,8 +52,8 @@ func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 		e.eagerSent.Add(1)
 		if rec := e.rec; rec != nil {
 			// Open the whole-message span and the injection phase:
-			// submit → frame on the wire (completeAll's wire-out hook
-			// closes it and opens the ack wait).
+			// submit → frame on the wire (the lane's wire-out hook,
+			// emit, closes it and opens the ack wait).
 			sid := g.spanID(trace.DirSend, 0, msgID)
 			req.traceID, req.traceRing = sid, int32(g.id)
 			rec.Record(g.id, trace.EvSendBegin, sid, uint64(len(data)))
@@ -67,22 +66,7 @@ func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 			req.complete(ErrClosed)
 			return
 		}
-		hdr := Header{Kind: KindEager, Tag: tag, MsgID: msgID, Total: uint32(len(data))}
-		if e.cfg.Strategy == StrategyAggreg {
-			g.aggPush(hdr, data)
-			return
-		}
-		rail := g.pickEager()
-		if rail < 0 {
-			e.settleEager(g, []uint64{msgID}, errAllRailsDead)
-			return
-		}
-		p := g.packet()
-		p.Hdr = hdr
-		p.Payload = data
-		p.rail = rail
-		p.pend = append(p.pend, msgID)
-		g.sendPacket(p)
+		g.push(pendingSend{hdr: Header{Kind: KindEager, Tag: tag, MsgID: msgID, Total: uint32(len(data))}, payload: data})
 		return
 	}
 
@@ -93,8 +77,7 @@ func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 	// repeated sends of one buffer skip re-registration entirely — and
 	// the RTS imm extension offers the remote keys, so the receiver
 	// reads the bytes straight out of the user buffer.
-	rail := g.pickEager()
-	if rail < 0 {
+	if g.pickEager() < 0 {
 		req.complete(errAllRailsDead)
 		return
 	}
@@ -152,11 +135,7 @@ func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 	}
 	g.sendRdv[msgID] = st
 	g.mu.Unlock()
-	p := g.packet()
-	p.Hdr = Header{Kind: KindRTS, Tag: tag, MsgID: msgID, Total: uint32(len(data))}
-	p.ext = st.offer
-	p.rail = rail
-	g.sendPacket(p)
+	g.push(pendingSend{hdr: Header{Kind: KindRTS, Tag: tag, MsgID: msgID, Total: uint32(len(data))}, ext: st.offer})
 }
 
 // Send is the blocking convenience wrapper around Isend.
@@ -451,159 +430,6 @@ func (g *Gate) matchOrStash(u inbound) {
 	q.push(u)
 	g.mu.Unlock()
 }
-
-// ---- Aggregation strategy ----
-
-// aggPush queues a small message for aggregation and ensures the
-// gate's flush task is pending.
-func (g *Gate) aggPush(hdr Header, payload []byte) {
-	g.aggMu.Lock()
-	g.aggPending = append(g.aggPending, pendingSend{hdr: hdr, payload: payload})
-	start := !g.aggFlushing
-	g.aggFlushing = true
-	g.aggMu.Unlock()
-	if start {
-		g.submitAggFlush()
-	}
-}
-
-// submitAggFlush recycles and submits the gate's flush task.
-func (g *Gate) submitAggFlush() {
-	g.aggTask.Reset()
-	g.eng.tasks.MustSubmit(&g.aggTask)
-}
-
-func aggFlushTask(arg any) bool {
-	arg.(*Gate).aggFlush()
-	return true
-}
-
-// aggFlushed is the flush task's OnDone: the task is done, so it may be
-// recycled; end the flush, or submit the next one at once when a
-// message was queued after the body last looked.
-func aggFlushed(t *core.Task) {
-	g := t.Arg.(*Gate)
-	g.aggMu.Lock()
-	again := len(g.aggPending) > 0
-	g.aggFlushing = again
-	g.aggMu.Unlock()
-	if again {
-		g.submitAggFlush()
-	}
-}
-
-// aggFlush drains the pending queue, packs it into aggregate frames
-// bounded by MaxAggr (singletons stay plain), and submits every
-// frame's packet task in one core.SubmitAll batch: the burst of frames
-// a flush produces pays one queue-lock chain append instead of one per
-// frame. Every queued message is already in the ack window, which owns
-// its request from here on. Swapping in the gate's spare pending
-// slice, not nil, lets the next burst append into storage already
-// grown.
-func (g *Gate) aggFlush() {
-	for {
-		g.aggMu.Lock()
-		pending := g.aggPending
-		if len(pending) == 0 {
-			g.aggMu.Unlock()
-			return
-		}
-		g.aggPending = g.aggSpare
-		g.aggMu.Unlock()
-
-		g.aggSend(pending)
-		clear(pending) // no payload stays reachable from the spare
-		g.aggSpare = pending[:0]
-	}
-}
-
-// aggSend packs one swapped-out pending slice and submits its packets.
-func (g *Gate) aggSend(pending []pendingSend) {
-	e := g.eng
-	rail := g.pickEager()
-	if rail < 0 {
-		for _, m := range pending {
-			e.settleEager(g, []uint64{m.hdr.MsgID}, errAllRailsDead)
-		}
-		return
-	}
-	tasks := g.aggTasks
-	for len(pending) > 0 {
-		// Take a batch bounded by MaxAggr payload bytes.
-		n, total := 1, len(pending[0].payload)
-		for n < len(pending) && total+len(pending[n].payload) <= e.cfg.MaxAggr {
-			total += len(pending[n].payload)
-			n++
-		}
-		batch := pending[:n]
-		pending = pending[n:]
-
-		p := g.packet()
-		p.rail = rail
-		if len(batch) == 1 {
-			p.Hdr = batch[0].hdr
-			p.Payload = batch[0].payload
-		} else {
-			payload := packAggr(batch, g.getAggBuf())
-			p.Hdr = Header{Kind: KindAggr, Total: uint32(len(payload))}
-			p.Payload = payload
-			p.scratch = payload // returned to the gate pool on recycle
-		}
-		// Completion rides the peer's acks (one set per aggregate),
-		// not wire-out.
-		for _, m := range batch {
-			p.pend = append(p.pend, m.hdr.MsgID)
-		}
-		tasks = append(tasks, g.preparePacket(p))
-	}
-	e.tasks.MustSubmitAll(tasks...)
-	clear(tasks)
-	g.aggTasks = tasks[:0]
-}
-
-// packAggr serializes a batch of eager messages into one frame payload
-// — repeated [tag u64 | msgID u64 | size u32 | bytes] — appended onto
-// buf's empty prefix. Callers pass a pooled buffer (Gate.getAggBuf);
-// nil works and simply allocates.
-func packAggr(batch []pendingSend, buf []byte) []byte {
-	out := buf[:0]
-	var scratch [20]byte
-	for _, m := range batch {
-		binary.LittleEndian.PutUint64(scratch[0:], m.hdr.Tag)
-		binary.LittleEndian.PutUint64(scratch[8:], m.hdr.MsgID)
-		binary.LittleEndian.PutUint32(scratch[16:], uint32(len(m.payload)))
-		out = append(out, scratch[:]...)
-		out = append(out, m.payload...)
-	}
-	return out
-}
-
-// getAggBuf takes an aggregate payload buffer from the gate's pool.
-// Buffers come back through recyclePacket once their frame is on the
-// wire, so a steady aggregation flow reuses a handful of buffers
-// instead of allocating one per frame.
-func (g *Gate) getAggBuf() []byte {
-	g.aggMu.Lock()
-	defer g.aggMu.Unlock()
-	if n := len(g.aggBufs); n > 0 {
-		buf := g.aggBufs[n-1]
-		g.aggBufs[n-1] = nil
-		g.aggBufs = g.aggBufs[:n-1]
-		return buf
-	}
-	return make([]byte, 0, g.eng.cfg.MaxAggr+maxAggrSlack)
-}
-
-// putAggBuf returns an aggregate payload buffer to the gate's pool.
-func (g *Gate) putAggBuf(buf []byte) {
-	g.aggMu.Lock()
-	g.aggBufs = append(g.aggBufs, buf[:0])
-	g.aggMu.Unlock()
-}
-
-// maxAggrSlack covers the per-message sub-headers of a packed frame,
-// so a pooled buffer sized for MaxAggr payload bytes rarely regrows.
-const maxAggrSlack = 64 * 20
 
 // unpackAggr splits an aggregate frame back into eager sub-frames,
 // handing each one's header and payload to fn in order; a truncated

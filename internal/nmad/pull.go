@@ -430,18 +430,11 @@ func (e *Engine) finishRecvRdv(st *recvRdvState) {
 	}
 }
 
-// sendControl ships one request-less control frame (FIN, eager ack,
-// RdvNack), counted owed until its packet task hands it to a rail.
-// Offset/extra land in the header's Offset/Total fields, whose meaning
-// is per kind.
+// sendControl pushes one request-less control frame (FIN, eager ack,
+// RdvNack) onto the gate's lane, counted owed until the lane hands it
+// to a rail or drops it. Offset/extra land in the header's Offset/Total
+// fields, whose meaning is per kind.
 func (g *Gate) sendControl(kind Kind, tag uint64, msgID uint64, offset, extra uint32) {
-	rail := g.pickEager()
-	if rail < 0 {
-		return // gate is dead; the sweeps handle the fallout
-	}
 	g.eng.owed.Add(1)
-	p := g.packet()
-	p.Hdr = Header{Kind: kind, Tag: tag, MsgID: msgID, Offset: offset, Total: extra}
-	p.rail = rail
-	g.sendPacket(p)
+	g.push(pendingSend{hdr: Header{Kind: kind, Tag: tag, MsgID: msgID, Offset: offset, Total: extra}})
 }

@@ -307,15 +307,10 @@ func (e *Engine) sweepSend(a sweepAct) {
 	if r := e.rec; r != nil {
 		r.Record(g.id, trace.EvRetransmit, g.spanID(trace.DirSend, 0, a.msgID), uint64(a.retries))
 	}
-	rail := g.pickEager()
-	if rail < 0 {
+	if g.pickEager() < 0 {
 		return // gate is dying; the rail-death sweeps own the fallout
 	}
-	p := g.packet()
-	p.Hdr = Header{Kind: KindRTS, Tag: a.tag, MsgID: a.msgID, Total: a.total}
-	p.ext = a.offer
-	p.rail = rail
-	g.sendPacket(p)
+	g.push(pendingSend{hdr: Header{Kind: KindRTS, Tag: a.tag, MsgID: a.msgID, Total: a.total}, ext: a.offer})
 }
 
 // sweepRecv acts on one due receive rendezvous: re-issue its unsettled
@@ -340,12 +335,12 @@ func (e *Engine) sweepRecv(a sweepAct) {
 
 // sweepEager is the eager half of the deadline sweep: retransmit
 // unacknowledged eager messages with exponential backoff, and past the
-// retry budget fail them visibly with ErrEagerTimeout. Retransmissions
-// go as plain KindEager frames regardless of the aggregation strategy
-// — re-aggregating a retry would re-enter the flush path for one stale
-// message. A retransmission racing the original's late ack is harmless:
-// the receiver's dedup log drops the payload and re-acks, and the
-// second ack finds no pending entry.
+// retry budget fail them visibly with ErrEagerTimeout. One gate's
+// retransmissions go onto its lane together, in msgID order, so under
+// StrategyAggreg they pack into aggregates like first sends. A
+// retransmission racing the original's late ack is harmless: the
+// receiver's dedup log drops the payload and re-acks, and the second
+// ack finds no pending entry.
 func (e *Engine) sweepEager(now int64, gates []*Gate) {
 	var acts []sweepAct
 	for _, g := range gates {
@@ -366,26 +361,22 @@ func (e *Engine) sweepEager(now int64, gates []*Gate) {
 		g.mu.Unlock()
 		sortActs(acts[from:])
 	}
-	for _, a := range acts {
+	var retries []pendingSend
+	for i, a := range acts {
 		g := a.g
 		if a.verdict != sweepRetry {
 			a.req.complete(e.sweepFailed(a, trace.DirSend, 2, &e.eagerTimeouts, ErrEagerTimeout))
-			continue
+		} else if g.pickEager() >= 0 { // else the gate is dying; the rail-death sweeps own the fallout
+			e.eagerRetries.Add(1)
+			if r := e.rec; r != nil {
+				r.Record(g.id, trace.EvEagerRetry, g.spanID(trace.DirSend, 0, a.msgID), uint64(a.retries))
+			}
+			retries = append(retries, pendingSend{hdr: Header{Kind: KindEager, Tag: a.tag, MsgID: a.msgID, Total: uint32(len(a.data))}, payload: a.data})
 		}
-		rail := g.pickEager()
-		if rail < 0 {
-			continue // gate is dying; the rail-death sweeps own the fallout
+		if len(retries) > 0 && (i+1 == len(acts) || acts[i+1].g != g) {
+			g.push(retries...)
+			retries = retries[:0]
 		}
-		e.eagerRetries.Add(1)
-		if r := e.rec; r != nil {
-			r.Record(g.id, trace.EvEagerRetry, g.spanID(trace.DirSend, 0, a.msgID), uint64(a.retries))
-		}
-		p := g.packet()
-		p.Hdr = Header{Kind: KindEager, Tag: a.tag, MsgID: a.msgID, Total: uint32(len(a.data))}
-		p.Payload = a.data
-		p.rail = rail
-		p.pend = append(p.pend[:0], a.msgID)
-		g.sendPacket(p)
 	}
 }
 
@@ -402,7 +393,9 @@ type IdleReport struct {
 	PostedRecvs int
 	// UnexpectedMsgs counts arrived messages nothing has received.
 	UnexpectedMsgs int
-	// PendingAggr counts small sends queued for aggregation.
+	// PendingAggr counts eager messages queued on the gate's send lane.
+	// Control frames the lane still owes the peer are not counted: no
+	// request waits on them, and Close lingers for them.
 	PendingAggr int
 	// EagerPending counts eager messages still in the retransmission
 	// window — sent but never acknowledged. A quiesced gate holding
@@ -455,9 +448,13 @@ func (g *Gate) CheckIdle() IdleReport {
 		rep.UnexpectedMsgs += len(q.items) - q.head
 	}
 	g.mu.Unlock()
-	g.aggMu.Lock()
-	rep.PendingAggr = len(g.aggPending)
-	g.aggMu.Unlock()
+	g.lane.mu.Lock()
+	for _, f := range g.lane.pending {
+		if f.hdr.Kind == KindEager {
+			rep.PendingAggr++
+		}
+	}
+	g.lane.mu.Unlock()
 	for _, c := range g.regCaches {
 		st := c.Stats()
 		rep.RegInFlight += st.LiveRefs
