@@ -56,7 +56,7 @@ func (t *Topo) addEdge(a, b int) {
 	t.edges++
 }
 
-// finish sorts the adjacency lists so Neighbors iteration — and hence
+// finish sorts the adjacency lists so edge iteration — and hence
 // scenario traffic order — is deterministic regardless of construction
 // order.
 func (t *Topo) finish() *Topo {
@@ -75,10 +75,6 @@ func (t *Topo) Nodes() int { return len(t.nbrs) }
 // Edges returns the undirected edge count — the number of fabric links
 // a scenario touching every edge materializes.
 func (t *Topo) Edges() int { return t.edges }
-
-// Neighbors returns node i's adjacency list, sorted ascending. The
-// slice is shared — callers must not mutate it.
-func (t *Topo) Neighbors(i int) []int { return t.nbrs[i] }
 
 // HasEdge reports whether {a, b} is an edge.
 func (t *Topo) HasEdge(a, b int) bool {

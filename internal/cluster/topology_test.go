@@ -14,8 +14,8 @@ func TestRing(t *testing.T) {
 		t.Fatalf("ring-%d: %d nodes, %d edges", n, r.Nodes(), r.Edges())
 	}
 	for i := 0; i < n; i++ {
-		if len(r.Neighbors(i)) != 2 {
-			t.Errorf("node %d has degree %d, want 2", i, len(r.Neighbors(i)))
+		if len(r.nbrs[i]) != 2 {
+			t.Errorf("node %d has degree %d, want 2", i, len(r.nbrs[i]))
 		}
 		if !r.HasEdge(i, (i+1)%n) || !r.HasEdge(i, (i+n-1)%n) {
 			t.Errorf("node %d missing a ring neighbor", i)
@@ -38,7 +38,7 @@ func TestKaryTree(t *testing.T) {
 			t.Errorf("node %d not linked to its parent %d", c, (c-1)/3)
 		}
 	}
-	if got := tr.Neighbors(0); !reflect.DeepEqual(got, []int{1, 2, 3}) {
+	if got := tr.nbrs[0]; !reflect.DeepEqual(got, []int{1, 2, 3}) {
 		t.Errorf("root children = %v, want [1 2 3]", got)
 	}
 	if tr.HasEdge(1, 2) {
@@ -54,8 +54,8 @@ func TestTorus2D(t *testing.T) {
 		t.Fatalf("torus: %d nodes, %d edges", to.Nodes(), to.Edges())
 	}
 	for i := 0; i < 12; i++ {
-		if len(to.Neighbors(i)) != 4 {
-			t.Errorf("node %d has degree %d, want 4", i, len(to.Neighbors(i)))
+		if len(to.nbrs[i]) != 4 {
+			t.Errorf("node %d has degree %d, want 4", i, len(to.nbrs[i]))
 		}
 	}
 	// Corner 0 = (0,0): right (0,1)=1, left wrap (0,3)=3, down (1,0)=4,
@@ -76,7 +76,7 @@ func TestRandomRegular(t *testing.T) {
 		t.Fatalf("regular: %d nodes, %d edges", g.Nodes(), g.Edges())
 	}
 	for i := 0; i < 24; i++ {
-		nbs := g.Neighbors(i)
+		nbs := g.nbrs[i]
 		if len(nbs) != 4 {
 			t.Errorf("node %d has degree %d, want 4", i, len(nbs))
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,52 +9,43 @@ import (
 	"pioman/internal/topology"
 )
 
-// TestConfigNormalization: out-of-range batching and stealing knobs
-// must fall back to their documented defaults instead of silently
-// misbehaving (a negative DrainBatch used to reach the default only by
-// accident of the <= 0 check; the adaptive bounds and BatchFraction
-// now normalize in one place).
+// TestConfigNormalization: an out-of-range DrainBatch must fall back
+// to its documented default instead of silently misbehaving (a
+// negative DrainBatch used to reach the default only by accident of
+// the <= 0 check), and the steal batch and adaptive bounds follow the
+// batch: half of it, and [1, 8×batch].
 func TestConfigNormalization(t *testing.T) {
 	e := New(Config{
 		Topology:      topology.Borderline(),
 		DrainBatch:    -5,
 		AdaptiveDrain: true,
-		DrainMin:      -1,
-		DrainMax:      -2,
-		Steal:         StealConfig{Policy: StealFullTree, BatchFraction: math.NaN()},
+		Steal:         StealConfig{Policy: StealFullTree},
 	})
 	if e.batch != defaultDrainBatch {
 		t.Errorf("DrainBatch -5 normalized to %d, want %d", e.batch, defaultDrainBatch)
 	}
 	if e.stealBatch != defaultDrainBatch/2 {
-		t.Errorf("NaN BatchFraction → steal batch %d, want the default half-batch %d",
-			e.stealBatch, defaultDrainBatch/2)
+		t.Errorf("steal batch %d, want the half-batch %d", e.stealBatch, defaultDrainBatch/2)
 	}
 	q := e.leaf[0]
 	if q.ctrl.Min() != 1 || q.ctrl.Max() != 8*defaultDrainBatch {
-		t.Errorf("adaptive bounds normalized to [%d, %d], want [1, %d]",
+		t.Errorf("adaptive bounds [%d, %d], want [1, %d]",
 			q.ctrl.Min(), q.ctrl.Max(), 8*defaultDrainBatch)
 	}
 	if q.DrainBatchNow() != defaultDrainBatch {
 		t.Errorf("starting adaptive batch = %d, want %d", q.DrainBatchNow(), defaultDrainBatch)
 	}
 
-	// DrainMax below an explicit DrainMin falls back too, and the start
-	// clamps into the normalized range.
+	// An explicit batch moves the bounds with it.
 	e2 := New(Config{
 		Topology:      topology.Borderline(),
 		DrainBatch:    4,
 		AdaptiveDrain: true,
-		DrainMin:      8,
-		DrainMax:      2,
 	})
 	q2 := e2.leaf[0]
-	if q2.ctrl.Min() != 8 || q2.ctrl.Max() != 32 {
-		t.Errorf("bounds = [%d, %d], want [8, 32] (max falls back to 8×batch)",
-			q2.ctrl.Min(), q2.ctrl.Max())
-	}
-	if q2.DrainBatchNow() != 8 {
-		t.Errorf("start = %d, want clamped to min 8", q2.DrainBatchNow())
+	if q2.ctrl.Min() != 1 || q2.ctrl.Max() != 32 || q2.DrainBatchNow() != 4 {
+		t.Errorf("bounds [%d, %d] start %d, want [1, 32] start 4",
+			q2.ctrl.Min(), q2.ctrl.Max(), q2.DrainBatchNow())
 	}
 }
 

@@ -37,18 +37,12 @@ type Config struct {
 	// AdaptiveDrain replaces the fixed drain batch with a per-queue
 	// feedback controller (internal/adapt): sustained draining by
 	// latency-budgeted callers (ScheduleOne) halves a queue's batch
-	// toward DrainMin, sustained more-than-a-batch backlog doubles it
-	// toward DrainMax. Queues drained by throughput callers amortize
-	// more tasks per lock acquisition; queues serving context-switch
-	// keypoints keep their critical sections minimal.
+	// toward one task, sustained more-than-a-batch backlog doubles it
+	// toward 8×DrainBatch (256 for the default batch). Queues drained
+	// by throughput callers amortize more tasks per lock acquisition;
+	// queues serving context-switch keypoints keep their critical
+	// sections minimal.
 	AdaptiveDrain bool
-	// DrainMin is the adaptive controller's lower bound. Zero or
-	// negative normalizes to the documented default 1.
-	DrainMin int
-	// DrainMax is the adaptive controller's upper bound. Zero, negative
-	// or below DrainMin normalizes to the documented default
-	// 8×DrainBatch (256 for the default batch).
-	DrainMax int
 	// Steal configures work stealing across sibling leaf queues (see
 	// steal.go). The zero value disables stealing.
 	Steal StealConfig
@@ -75,34 +69,13 @@ type Config struct {
 	Clock func() int64
 }
 
-// normalized returns the config with every out-of-range knob replaced
-// by its documented default, so a zero or nonsense value misbehaves
-// loudly in exactly one place (here) instead of silently downstream:
-//
-//   - DrainBatch ≤ 0 → 32 (defaultDrainBatch);
-//   - DrainMin ≤ 0 → 1;
-//   - DrainMax ≤ 0 or < DrainMin → max(8×DrainBatch, DrainMin);
-//   - Steal.BatchFraction outside (0, 1] (NaN included) → 0.5, except
-//     values above 1, which clamp to 1 (one full drain batch).
+// normalized returns the config with an out-of-range DrainBatch (≤ 0)
+// replaced by its documented default, 32 (defaultDrainBatch), so a zero
+// or nonsense value misbehaves loudly in exactly one place (here)
+// instead of silently downstream.
 func (cfg Config) normalized() Config {
 	if cfg.DrainBatch <= 0 {
 		cfg.DrainBatch = defaultDrainBatch
-	}
-	if cfg.DrainMin <= 0 {
-		cfg.DrainMin = 1
-	}
-	if cfg.DrainMax <= 0 || cfg.DrainMax < cfg.DrainMin {
-		cfg.DrainMax = 8 * cfg.DrainBatch
-		if cfg.DrainMax < cfg.DrainMin {
-			cfg.DrainMax = cfg.DrainMin
-		}
-	}
-	f := cfg.Steal.BatchFraction
-	switch {
-	case f > 1:
-		cfg.Steal.BatchFraction = 1
-	case !(f > 0): // catches zero, negatives and NaN
-		cfg.Steal.BatchFraction = 0.5
 	}
 	return cfg
 }
@@ -141,19 +114,17 @@ func (p StealPolicy) String() string {
 
 // StealConfig parameterizes work stealing.
 type StealConfig struct {
-	// Policy selects the steal reach (default StealOff).
+	// Policy selects the steal reach (default StealOff). One
+	// successful steal detaches at most half the engine's drain batch
+	// (at least one task) from a victim, so a thief relieves a
+	// backlogged victim without emptying it and destroying the
+	// victim's own locality.
 	Policy StealPolicy
-	// BatchFraction is the fraction of the engine's drain batch one
-	// successful steal may detach from a victim, in (0, 1]. 0 means the
-	// default 0.5 — a half-batch, so a thief relieves a backlogged
-	// victim without emptying it and destroying the victim's own
-	// locality. The result is clamped to at least one task.
-	BatchFraction float64
 	// Adaptive scales each thief's steal window by its observed
 	// hit-rate (a per-CPU EWMA of whether a steal migrated anything):
 	// a CPU whose steals keep coming back empty-handed shrinks its
-	// window toward one task, and recovers the full BatchFraction
-	// window as soon as steals land again. Thieves only drain victims
+	// window toward one task, and recovers the full half-batch window
+	// as soon as steals land again. Thieves only drain victims
 	// whose exact stealable count (Queue.stealable) is non-zero, so a
 	// backlog pinned to its owner produces no misses; what is left to
 	// miss on is a lost race or a window of tasks pinned to a third
@@ -226,8 +197,8 @@ type Engine struct {
 	// sibling cores first, then cousins, NUMA-remote cores last. The
 	// StealSiblings policy restricts the walk to the first group.
 	stealGroups [][][]*Queue
-	// stealBatch is how many tasks one steal may detach from a victim
-	// (Config.Steal.BatchFraction of the drain batch, default half).
+	// stealBatch is how many tasks one steal may detach from a victim:
+	// half the drain batch, at least one.
 	stealBatch int
 	// stealRate tracks each thief CPU's steal hit-rate (Steal.Adaptive;
 	// nil otherwise). Each shard is its CPU's private cache line, so
@@ -318,7 +289,7 @@ func New(cfg Config) *Engine {
 			continue
 		}
 		q := newQueue(n, cfg.QueueKind, cfg.Steal.Policy != StealOff)
-		q.ctrl.Init(batch, cfg.DrainMin, cfg.DrainMax)
+		q.ctrl.Init(batch, 1, 8*batch)
 		e.queues = append(e.queues, q)
 		e.byID[n.ID] = q
 	}

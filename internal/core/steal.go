@@ -27,13 +27,7 @@ import "pioman/internal/trace"
 // size. Called from New; cheap enough to do unconditionally so the
 // policy can stay a pure runtime check.
 func (e *Engine) initSteal() {
-	// Config.normalized has already forced BatchFraction into (0, 1],
-	// so the product is at most one full drain batch.
-	batch := int(e.cfg.Steal.BatchFraction * float64(e.batch))
-	if batch < 1 {
-		batch = 1
-	}
-	e.stealBatch = batch
+	e.stealBatch = max(1, e.batch/2)
 	if e.cfg.SingleGlobalQueue {
 		// One shared queue: everyone already drains everything.
 		e.stealGroups = make([][][]*Queue, e.topo.NCPUs)

@@ -152,12 +152,12 @@ func TestStealFullTreeReach(t *testing.T) {
 	}
 }
 
-// TestStealBatchBounded: one steal detaches at most the configured
-// fraction of the drain batch, leaving the rest with the victim.
+// TestStealBatchBounded: one steal detaches at most half the drain
+// batch, leaving the rest with the victim.
 func TestStealBatchBounded(t *testing.T) {
 	e := New(Config{
 		Topology: topology.Borderline(),
-		Steal:    StealConfig{Policy: StealFullTree, BatchFraction: 0.25},
+		Steal:    StealConfig{Policy: StealFullTree},
 	})
 	const backlog = 64
 	for i := 0; i < backlog; i++ {
@@ -165,13 +165,13 @@ func TestStealBatchBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// 0.25 × 32 = 8 tasks per steal; Schedule steals once per call
+	// 32 / 2 = 16 tasks per steal; Schedule steals once per call
 	// because the first successful group attempt satisfies the pass.
-	if n := e.Schedule(1); n != 8 {
-		t.Fatalf("first steal migrated %d tasks, want 8", n)
+	if n := e.Schedule(1); n != 16 {
+		t.Fatalf("first steal migrated %d tasks, want 16", n)
 	}
-	if got := e.QueueFor(cpuset.New(0)).Len(); got != backlog-8 {
-		t.Errorf("victim backlog = %d, want %d", got, backlog-8)
+	if got := e.QueueFor(cpuset.New(0)).Len(); got != backlog-16 {
+		t.Errorf("victim backlog = %d, want %d", got, backlog-16)
 	}
 }
 
@@ -412,12 +412,14 @@ func TestFullWindowOfPinnedDoesNotHideDeeperWork(t *testing.T) {
 	}
 }
 
-// TestStealBatchFractionClamped: BatchFraction above 1 must not let a
-// steal detach more than one full drain batch.
+// TestStealBatchFractionClamped: the half-batch steal fraction clamps
+// up to one task, so an engine draining one task per lock acquisition
+// still steals.
 func TestStealBatchFractionClamped(t *testing.T) {
 	e := New(Config{
-		Topology: topology.Borderline(),
-		Steal:    StealConfig{Policy: StealFullTree, BatchFraction: 4.0},
+		Topology:   topology.Borderline(),
+		DrainBatch: 1,
+		Steal:      StealConfig{Policy: StealFullTree},
 	})
 	const backlog = 64
 	for i := 0; i < backlog; i++ {
@@ -425,8 +427,8 @@ func TestStealBatchFractionClamped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := e.Schedule(1); n != 32 {
-		t.Fatalf("steal migrated %d tasks, want the full-batch clamp 32", n)
+	if n := e.Schedule(1); n != 1 {
+		t.Fatalf("steal migrated %d tasks, want the one-task clamp", n)
 	}
 }
 

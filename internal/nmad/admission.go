@@ -4,8 +4,8 @@ package nmad
 //
 // Nothing in the protocol stack bounds how much work submitters may
 // push into an engine: without admission control an incast burst or a
-// slow receiver turns into unbounded rendezvous/eager state growth,
-// settled-log pressure and latency collapse — overload is invisible
+// slow receiver turns into unbounded rendezvous/eager state growth
+// and latency collapse — overload is invisible
 // until it is fatal. This file puts a credit plane (internal/admit) in
 // front of injection: every Isend / IrecvInto takes one request credit
 // plus its payload bytes from both the engine-wide ledger and the

@@ -28,16 +28,19 @@ type chaosRig struct {
 
 func newChaosRig(t testing.TB, fc fabric.FaultConfig) *chaosRig {
 	t.Helper()
+	return newSimRig(t, fc, Config{RdvTimeout: int64(chaosRdvTimeout), RdvRetries: 4})
+}
+
+// newSimRig builds the two-engine pair with the given engine config;
+// both engines read the fabric's clock.
+func newSimRig(t testing.TB, fc fabric.FaultConfig, cfg Config) *chaosRig {
+	t.Helper()
 	r := &chaosRig{f: fabric.NewSimFabric(fabric.SimConfig{Faults: fc})}
 	caps := fabric.Capabilities{Latency: simtime.Microsecond, Bandwidth: 4e9, MaxInject: 16 << 10, RMA: true}
 	r.da = r.f.OpenDomain(caps)
 	r.db = r.f.OpenDomain(caps)
 	ea, eb := fabric.Connect(r.da, r.db)
 	clock := func() int64 { return int64(r.f.Now()) }
-	cfg := Config{
-		RdvTimeout: int64(chaosRdvTimeout),
-		RdvRetries: 4,
-	}
 	r.sender = newManualEngine(cfg, clock)
 	r.receiver = newManualEngine(cfg, clock)
 	var err error

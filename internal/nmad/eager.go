@@ -8,49 +8,29 @@ import (
 	"pioman/internal/trace"
 )
 
-// Reliable eager delivery.
-//
-// Rendezvous traffic recovers from frame loss through the handshake
-// timeout (timeout.go); until this file existed the eager path did not.
-// An eager frame was fire-and-forget with buffered semantics: the send
-// request completed when the frame hit the wire, and a dropped frame
-// simply never arrived — the receiver's Irecv waited forever and the
-// sender never knew. Lossy chaos scenarios therefore could not carry
-// the small-message traffic that dominates real workloads (the AMT
-// studies in PAPERS.md find eager injection, not bulk transfers, is
-// the bottleneck class).
-//
-// The mechanism mirrors the rendezvous design on the same pluggable
-// clock and the same sweep task:
+// Reliable eager delivery (DESIGN.md "Reliable eager"). An eager send
+// completes on acknowledgement, not on wire-out: "done" means delivered
+// or visibly failed, so a lossy chaos scenario can assert that small
+// messages arrive byte-exact or fail loudly. The mechanism mirrors the
+// rendezvous design on the same clock and the same sweep task:
 //
 //   - every eager message is sequence-numbered by its per-gate MsgID
-//     (already assigned by Isend) and tracked in the gate's pending
-//     window (Gate.eagerPend) until the peer acknowledges it;
+//     and tracked in the gate's pending window (Gate.eagerPend) until
+//     the peer acknowledges it;
 //   - the receiver acks every eager arrival — including duplicates,
-//     whose payload it drops after checking the gate's msgID dedup log
-//     (Gate.seenEager), so a lost ack cannot double-deliver; the
-//     sub-frames of an aggregate share as few acks as their ids allow
-//     (sendAcks), not one ack each;
+//     whose payload it drops after checking the gate's receive window
+//     (Gate.recvWin, window.go), so a lost ack cannot double-deliver;
+//     the sub-frames of an aggregate share as few acks as their ids
+//     allow (sendAcks), not one ack each;
 //   - the deadline sweep (sweepDeadlines) retransmits unacknowledged
 //     messages with exponential backoff and, past RdvRetries attempts,
 //     completes the send visibly with ErrEagerTimeout;
-//   - a transiently backpressured eager frame is left in the pending
-//     window instead of failing fast: the sweep retries it once the
-//     peer's ring drains.
+//   - a backpressured eager frame is left in the pending window: the
+//     sweep retries it once the peer's ring drains.
 //
-// The send request consequently completes on acknowledgement, not on
-// wire-out: "done" now means delivered (or visibly failed), which is
-// what lets a chaos scenario assert that eager traffic either arrives
-// byte-exact or fails loudly. There is no fire-and-forget mode: the
-// chaos suite's broken-eager scenario proves the window load-bearing by
-// pushing every retransmission past its horizon, under which a lossy
-// run must hang.
-//
-// The dedup log is bounded (settledLogSize entries, FIFO eviction)
-// like the rendezvous settled logs: a duplicate arriving after
-// eviction would deliver again, but retransmission stops at the first
-// ack, so the window only needs to cover the in-flight duplicates of
-// recent messages, not all history.
+// There is no fire-and-forget mode: the chaos suite's broken-eager
+// scenario proves the window load-bearing by pushing every
+// retransmission past its horizon, under which a lossy run must hang.
 
 // ErrEagerTimeout reports an eager message that exhausted its
 // retransmission budget without an acknowledgement: the peer (or the
@@ -89,60 +69,70 @@ func (e *Engine) putEager(st *eagerState) {
 	e.eagerPool.Put(st)
 }
 
-// trackEager enters an eager message into the pending window before
-// its first frame is submitted, so the ack — or the timeout sweep —
-// owns the request's completion from here on. False: the engine has
-// closed, and nothing owns it.
-func (e *Engine) trackEager(g *Gate, msgID, tag uint64, data []byte, req *Request) bool {
+// trackEager draws the message's msgID and enters it into the pending
+// window before its first frame is submitted, so the ack — or the
+// timeout sweep — owns the request's completion from here on. False:
+// the engine has closed, and nothing owns it.
+func (e *Engine) trackEager(g *Gate, tag uint64, data []byte, req *Request) (uint64, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if e.stopped.Load() { // Close took the gate's requests: see takeInflight
-		return false
+		return 0, false
 	}
 	st := e.getEager()
 	st.req, st.data, st.tag = req, data, tag
 	st.deadline = e.tasks.Now() + e.cfg.RdvTimeout
+	msgID := g.drawMsgID(req, trace.EvInjectBegin, len(data))
 	g.eagerPend[msgID] = st
-	return true
+	return msgID, true
 }
 
 // recvAggr unpacks an aggregate frame and settles its sub-frames
 // through recvEager, up to 64 at a time.
-func (e *Engine) recvAggr(g *Gate, payload []byte) {
+func (e *Engine) recvAggr(g *Gate, floor uint64, payload []byte) {
 	var chunk [64]inbound
 	n := 0
 	unpackAggr(payload, func(hdr Header, sub []byte) {
 		chunk[n] = inbound{hdr: hdr, payload: sub}
 		if n++; n == len(chunk) {
-			e.recvEager(g, chunk[:n])
+			e.recvEager(g, floor, chunk[:n])
 			n = 0
 		}
 	})
 	if n > 0 {
-		e.recvEager(g, chunk[:n])
+		e.recvEager(g, floor, chunk[:n])
 	}
 }
 
 // recvEager handles up to 64 inbound eager messages — one plain frame,
-// or a chunk of an aggregate: record every id in the dedup log under
-// one g.mu acquisition, acknowledge them all, then match the new ones
-// in frame order. An id is acked only once it is in the log, so a
+// or a chunk of an aggregate, whose sender stamped floor: raise the
+// receive window to the floor and record every id it accepts under one
+// g.mu acquisition, acknowledge them, then match the new ones in frame
+// order. An id is acked only once it is in the window, so a
 // retransmission the ack crosses cannot deliver twice.
-func (e *Engine) recvEager(g *Gate, msgs []inbound) {
+func (e *Engine) recvEager(g *Gate, floor uint64, msgs []inbound) {
 	var ids [64]uint64
-	var dup uint64 // bit i: msgs[i] was delivered before
+	var fresh uint64 // bit i: msgs[i] is delivered now
+	n := 0
 	g.mu.Lock()
+	g.recvWin.raise(floor)
 	for i := range msgs {
-		if ids[i] = msgs[i].hdr.MsgID; !g.seenEager.add(ids[i]) {
-			dup |= 1 << i
+		id := msgs[i].hdr.MsgID
+		if !g.recvWin.accepts(id) {
+			continue
 		}
+		if g.recvWin.add(id) {
+			fresh |= 1 << i
+		}
+		ids[n] = id
+		n++
 	}
 	g.mu.Unlock()
 	// Ack duplicates too: a re-ack is exactly what a sender whose
 	// previous ack was lost is waiting for.
-	g.sendAcks(msgs[0].hdr.Tag, ids[:len(msgs)])
+	g.sendAcks(msgs[0].hdr.Tag, ids[:n])
 	for i := range msgs {
-		if dup&(1<<i) == 0 {
+		if fresh&(1<<i) != 0 {
 			g.matchOrStash(msgs[i])
 		}
 	}

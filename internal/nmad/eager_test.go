@@ -21,27 +21,7 @@ import (
 // path (whose lost frames retransmit member-by-member as plain eager).
 func newEagerRig(t testing.TB, fc fabric.FaultConfig, strategy StrategyKind) *chaosRig {
 	t.Helper()
-	r := &chaosRig{f: fabric.NewSimFabric(fabric.SimConfig{Faults: fc})}
-	caps := fabric.Capabilities{Latency: simtime.Microsecond, Bandwidth: 4e9, MaxInject: 16 << 10, RMA: true}
-	r.da = r.f.OpenDomain(caps)
-	r.db = r.f.OpenDomain(caps)
-	ea, eb := fabric.Connect(r.da, r.db)
-	clock := func() int64 { return int64(r.f.Now()) }
-	cfg := Config{
-		Strategy:   strategy,
-		RdvTimeout: int64(chaosRdvTimeout),
-		RdvRetries: 4,
-	}
-	r.sender = newManualEngine(cfg, clock)
-	r.receiver = newManualEngine(cfg, clock)
-	var err error
-	if r.ga, err = r.sender.NewGateEndpoints(ea); err != nil {
-		t.Fatal(err)
-	}
-	if r.gb, err = r.receiver.NewGateEndpoints(eb); err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return newSimRig(t, fc, Config{Strategy: strategy, RdvTimeout: int64(chaosRdvTimeout), RdvRetries: 4})
 }
 
 // TestEagerRetryRecoversDroppedFrame drops the sender's outbound
@@ -77,7 +57,7 @@ func TestEagerRetryRecoversDroppedFrame(t *testing.T) {
 
 // TestEagerAckLossDoesNotDuplicate drops the receiver's outbound
 // direction, so the frame lands but its ack dies: the sender
-// retransmits, the receiver's settled log recognizes the duplicate,
+// retransmits, the receiver's window recognizes the duplicate,
 // re-acks without redelivering, and the sender finally completes. A
 // second receive on the same tag must stay unmatched — the message was
 // delivered exactly once.
@@ -105,8 +85,8 @@ func TestEagerAckLossDoesNotDuplicate(t *testing.T) {
 		t.Error("ack loss recovered without a retransmission; where did the ack come from?")
 	}
 
-	// The retransmitted duplicate must have been swallowed by the settled
-	// log, not delivered to a later receive.
+	// The retransmitted duplicate must have been swallowed by the receive
+	// window, not delivered to a later receive.
 	extra := r.gb.Irecv(1)
 	r.drive(16*chaosRdvTimeout, sreq)
 	if extra.Test() {
@@ -350,7 +330,7 @@ func TestAggregateAckedByOneFrame(t *testing.T) {
 
 // TestAggregateAckLossDoesNotDuplicate is the aggregated twin of
 // TestEagerAckLossDoesNotDuplicate: an 8-message aggregate lands but
-// its single ack dies, so every member is retransmitted; the dedup log
+// its single ack dies, so every member is retransmitted; the window
 // swallows each duplicate, and a second receive posted on every tag
 // stays unmatched.
 func TestAggregateAckLossDoesNotDuplicate(t *testing.T) {

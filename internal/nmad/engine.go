@@ -347,22 +347,6 @@ func (e *Engine) FailedGates() int {
 // RdvTimeout/8 while anything schedules the task engine.
 func (e *Engine) LastProgress() int64 { return e.lastProgress.Load() }
 
-// SettledOccupancy reports how many entries the gates' dedup logs
-// currently pin, summed over gates (sender-settled rendezvous,
-// receiver-settled rendezvous, seen eager sequences). Each gate's log
-// is bounded by its ring capacity; a log stuck at its cap under load is
-// retransmission pressure made visible.
-func (e *Engine) SettledOccupancy() (send, recv, eager int) {
-	for _, g := range e.Gates() {
-		g.mu.Lock()
-		send += len(g.settledSend.set)
-		recv += len(g.settledRecv.set)
-		eager += len(g.seenEager.set)
-		g.mu.Unlock()
-	}
-	return send, recv, eager
-}
-
 // Close shuts the engine down in three steps. It stops admission: new
 // sends and receives fail with ErrClosed. It lingers until every control
 // frame it owes a peer (FIN, eager ack, NACK) has been handed to a
@@ -538,11 +522,14 @@ type RailStat struct {
 // rails deprioritized, frames re-routed when a rail dies under a send
 // and reads re-issued when one dies under a read.
 type Gate struct {
-	eng       *Engine
-	id        int
-	rails     []*rail
-	alive     atomic.Int32
-	nextMsgID atomic.Uint64
+	eng   *Engine
+	id    int
+	rails []*rail
+	alive atomic.Int32
+
+	// floor, stamped on every frame, is the lowest msgID this side may
+	// still send; the deadline sweep computes it (window.go).
+	floor atomic.Uint64
 
 	// traceNode/tracePeer are the identities stamped into span ids
 	// (trace.PackSpanID): this side's node and the peer's node in
@@ -560,21 +547,22 @@ type Gate struct {
 	// mu guards the gate's protocol state: posted receives and
 	// unexpected arrivals by tag (O(1) matching, FIFO per tag), both
 	// rendezvous halves and the eager ack window by msgID (including
-	// their retryTimers) and the three dedup logs.
+	// their retryTimers), the last msgID drawn (drawn where its state
+	// is recorded, so the floor never passes a drawn, unrecorded id) and
+	// the receive window of the peer's msgIDs.
 	// Lock order: Engine.mu → Gate.mu → recvRdvState.mu; admitPlane.mu
 	// and the send lane's mu are taken under none of them and take none
 	// of them. mu is never held across Request.complete, a push onto the
 	// lane, issueChunk or an endpoint call — each of them can re-enter
 	// the gate.
-	mu          sync.Mutex
-	recvQ       map[uint64]*fifo[*Request]
-	unexpected  map[uint64]*fifo[inbound]
-	rdvRecv     map[uint64]*recvRdvState
-	sendRdv     map[uint64]*sendRdvState
-	eagerPend   map[uint64]*eagerState
-	settledSend settledLog
-	settledRecv settledLog
-	seenEager   settledLog
+	mu         sync.Mutex
+	recvQ      map[uint64]*fifo[*Request]
+	unexpected map[uint64]*fifo[inbound]
+	rdvRecv    map[uint64]*recvRdvState
+	sendRdv    map[uint64]*sendRdvState
+	eagerPend  map[uint64]*eagerState
+	lastMsgID  uint64
+	recvWin    recvWindow
 
 	// lane is the gate's one send lane (lane.go): every frame the gate
 	// emits leaves through its task.
@@ -882,7 +870,7 @@ func (e *Engine) railFailed(g *Gate, idx int, err error) {
 		st.markFailed()
 		victims = append(victims, st.req)
 		delete(g.rdvRecv, id)
-		g.settledRecv.add(id)
+		g.recvWin.add(id)
 	}
 	victims = g.takeSendsLocked(victims)
 	g.mu.Unlock()
@@ -920,8 +908,9 @@ func (e *Engine) failGate(g *Gate, err error) {
 // takeInflight empties the gate of everything a request is waiting on —
 // posted receives, both rendezvous halves, the eager ack window — and
 // appends the orphaned requests to victims for the caller to complete
-// once the lock is dropped. Removed rendezvous halves are settled, so
-// the peer's late control frames are recognized rather than NACKed.
+// once the lock is dropped. Removed receive halves are settled in the
+// receive window, so the peer's retransmitted RTS is answered, not
+// matched again.
 // Unexpected arrivals stay: no request owns them. Close sets stopped
 // before it takes, and every path that enters a request into these maps
 // checks stopped under the same lock, so nothing enters after the take
@@ -938,7 +927,7 @@ func (g *Gate) takeInflight(victims []*Request) []*Request {
 	for id, st := range g.rdvRecv {
 		st.markFailed()
 		victims = append(victims, st.req)
-		g.settledRecv.add(id)
+		g.recvWin.add(id)
 	}
 	clear(g.rdvRecv)
 	victims = g.takeSendsLocked(victims)
@@ -949,13 +938,12 @@ func (g *Gate) takeInflight(victims []*Request) []*Request {
 	return victims
 }
 
-// takeSendsLocked removes and settles every send-side rendezvous half,
-// releasing its registrations. Caller holds g.mu.
+// takeSendsLocked removes every send-side rendezvous half, releasing
+// its registrations. Caller holds g.mu.
 func (g *Gate) takeSendsLocked(victims []*Request) []*Request {
-	for id, st := range g.sendRdv {
+	for _, st := range g.sendRdv {
 		st.releaseRegs()
 		victims = append(victims, st.req)
-		g.settledSend.add(id)
 	}
 	clear(g.sendRdv)
 	return victims
@@ -1058,18 +1046,14 @@ func (g *Gate) pickEager() int {
 	return best
 }
 
-// takeSendRdv removes and settles the send half of rendezvous id; nil
-// when there is none, in which case settled reports whether it finished
-// recently (its late control frames are then duplicates, not orphans).
-func (g *Gate) takeSendRdv(id uint64) (st *sendRdvState, settled bool) {
+// takeSendRdv removes the send half of rendezvous id; nil when there is
+// none (a late or duplicated FIN or NACK).
+func (g *Gate) takeSendRdv(id uint64) *sendRdvState {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if st = g.sendRdv[id]; st == nil {
-		return nil, g.settledSend.has(id)
-	}
+	st := g.sendRdv[id]
 	delete(g.sendRdv, id)
-	g.settledSend.add(id)
-	return st, false
+	return st
 }
 
 // takeRecvRdv removes and settles the receive half of rendezvous id,
@@ -1084,13 +1068,13 @@ func (g *Gate) takeRecvRdv(id uint64, only *recvRdvState) *recvRdvState {
 		return nil
 	}
 	delete(g.rdvRecv, id)
-	g.settledRecv.add(id)
+	g.recvWin.add(id)
 	return st
 }
 
 // failSendRdv fails the send waiting on rendezvous id, if any.
 func (g *Gate) failSendRdv(id uint64, err error) {
-	if st, _ := g.takeSendRdv(id); st != nil {
+	if st := g.takeSendRdv(id); st != nil {
 		st.releaseRegs()
 		st.req.complete(err)
 	}

@@ -6,51 +6,75 @@ import (
 )
 
 // Fuzz harness for the piece of pure bookkeeping whose correctness
-// everything chaotic leans on: the bounded settled-log that dedups
+// everything chaotic leans on: the receive window that dedups
 // retransmitted frames, checked against a trivially-correct reference
-// model (a map+FIFO queue); run with `go test -fuzz=FuzzSettledDedup`
-// to explore beyond the committed corpus.
+// model; run with `go test -fuzz=FuzzRecvWindow` to explore beyond the
+// committed corpus.
 
-// FuzzSettledDedup drives the bounded settled-log with arbitrary
-// add/has sequences and cross-checks against a map plus explicit FIFO
-// queue. A false negative redelivers a duplicate frame; broken
-// eviction order silently shrinks the dedup window.
-func FuzzSettledDedup(f *testing.F) {
-	f.Add([]byte{0, 1, 1, 2, 0, 1})
-	f.Add([]byte("repeat-repeat-repeat-repeat"))
-	f.Add([]byte{255, 255, 254, 255, 255, 254, 0, 0})
+// FuzzRecvWindow drives the receive window with arbitrary add and raise
+// sequences — ids near the base, far past it and past maxWindowSpan,
+// floors below, at and past the base — and cross-checks against an
+// unbounded model: settled = added ∪ {id < highest floor}, with the
+// base the lowest id not settled. A false "settled" loses a message; a
+// false "fresh" delivers one twice.
+func FuzzRecvWindow(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 2, 0})
+	f.Add([]byte{0, 5, 0, 0, 3, 0, 1, 9, 0, 0, 0, 0, 0, 1, 0})
+	f.Add([]byte{2, 255, 255, 4, 200, 0, 0, 70, 0, 1, 0, 1, 3, 0, 2})
+	f.Add([]byte("raise-add-raise-add-far-ids-and-floors"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var l settledLog
-		model := make(map[uint64]bool)
-		var fifo []uint64
-		// Two data bytes per op give 128k distinct msgIDs (the low bit of
-		// the first byte lands in the top bit, so ids spread across the
-		// keyspace), far past the 512-entry window: eviction is reachable.
-		for i := 0; i+1 < len(data); i += 2 {
-			k := uint64(data[i]&1)<<63 | uint64(data[i])>>1 | uint64(data[i+1])<<7
-			if l.has(k) != model[k] {
-				t.Fatalf("op %d: has(%v) = %v before add, model says %v", i/2, k, l.has(k), model[k])
+		var w recvWindow
+		added := make(map[uint64]bool)
+		var floor, base uint64 // the model's highest floor and base
+		settled := func(id uint64) bool { return id < floor || added[id] }
+		for i := 0; i+2 < len(data); i += 3 {
+			op, off := data[i], uint64(data[i+1])|uint64(data[i+2])<<8
+			switch op >> 1 & 3 { // how far from the base
+			case 0:
+				off &= 255
+			case 2:
+				off <<= 9 // up to 2^25: past maxWindowSpan
 			}
-			l.add(k)
-			if !model[k] {
-				if len(fifo) >= settledLogSize {
-					delete(model, fifo[0])
-					fifo = fifo[1:]
+			if op&1 == 0 {
+				id := base + off
+				if op&8 != 0 && off <= base {
+					id = base - off // below the base
 				}
-				model[k] = true
-				fifo = append(fifo, k)
+				if got, want := w.accepts(id), id < base+maxWindowSpan; got != want {
+					t.Fatalf("op %d: accepts(%d) = %v with base %d, want %v", i/3, id, got, base, want)
+				}
+				if id >= base+maxWindowSpan {
+					continue
+				}
+				if got, want := w.add(id), !settled(id); got != want {
+					t.Fatalf("op %d: add(%d) = %v, model says fresh = %v", i/3, id, got, want)
+				}
+				added[id] = true
+			} else {
+				fl := base + off
+				if op&8 != 0 && off <= base {
+					fl = base - off
+				}
+				w.raise(fl)
+				floor = max(floor, fl)
 			}
-			if !l.has(k) {
-				t.Fatalf("op %d: key %v invisible immediately after add", i/2, k)
+			base = max(base, floor)
+			for settled(base) {
+				base++
+			}
+			if w.base != base {
+				t.Fatalf("op %d: base %d, model says %d", i/3, w.base, base)
+			}
+			for id := base - min(base, 2); id < base+130; id++ {
+				if w.settled(id) != settled(id) {
+					t.Fatalf("op %d: settled(%d) = %v, model says %v", i/3, id, w.settled(id), settled(id))
+				}
 			}
 		}
-		for _, k := range fifo {
-			if !l.has(k) {
-				t.Fatalf("unevicted key %v missing from log", k)
+		for id := range added {
+			if !w.settled(id) {
+				t.Fatalf("added id %d no longer settled", id)
 			}
-		}
-		if len(fifo) > settledLogSize {
-			t.Fatalf("model grew to %d entries, window is %d", len(fifo), settledLogSize)
 		}
 	})
 }

@@ -163,6 +163,7 @@ func (g *Gate) emit(rail *int, batch []pendingSend) bool {
 		l.agg = packAggr(batch, l.agg)
 		f = pendingSend{hdr: Header{Kind: KindAggr, Total: uint32(len(l.agg))}, payload: l.agg}
 	}
+	f.hdr.Floor = g.floor.Load()
 	err := errAllRailsDead
 	if *rail >= 0 {
 		err = g.put(rail, f)

@@ -595,7 +595,7 @@ func TestNetPipeDriver(t *testing.T) {
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
-	h := Header{Kind: KindRTS, Tag: 0xDEADBEEF, MsgID: 42, FragIdx: 3, FragCnt: 7, Offset: 1024, Total: 4096}
+	h := Header{Kind: KindRTS, Tag: 0xDEADBEEF, MsgID: 42, Floor: 1<<40 | 3, Offset: 1024, Total: 4096}
 	var buf [headerBytes]byte
 	h.encode(buf[:])
 	got, err := decodeHeader(buf[:])
@@ -869,7 +869,7 @@ func TestAggregatedIsendAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < 50; i++ {
-		round() // warm the pools, maps and settled logs
+		round() // warm the pools, maps and receive windows
 	}
 	if ea.Stats().AggrFrames == 0 {
 		t.Fatal("no aggregate frame sent; the burst was not aggregated")

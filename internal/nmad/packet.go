@@ -84,25 +84,23 @@ func (k Kind) String() string {
 
 // Header is the fixed-size frame header.
 type Header struct {
-	Kind    Kind
-	Tag     uint64 // application tag
-	MsgID   uint64 // per-gate message id (sender-assigned)
-	FragIdx uint32 // unused by the engine; carried for raw Driver frames
-	FragCnt uint32 // unused by the engine; carried for raw Driver frames
-	Offset  uint32 // KindRdvNack: the side to fail; KindEagerAck: mask low half
-	Total   uint32 // total message size in bytes; KindEagerAck: mask high half
+	Kind   Kind
+	Tag    uint64 // application tag
+	MsgID  uint64 // per-gate message id (sender-assigned)
+	Floor  uint64 // lowest msgID the sender may still send; the peer settles all below (window.go)
+	Offset uint32 // KindRdvNack: the side to fail; KindEagerAck: mask low half
+	Total  uint32 // total message size in bytes; KindEagerAck: mask high half
 }
 
 // headerBytes is the encoded header size.
-const headerBytes = 1 + 8 + 8 + 4 + 4 + 4 + 4
+const headerBytes = 1 + 8 + 8 + 8 + 4 + 4
 
 // encode serializes the header into buf (which must hold headerBytes).
 func (h Header) encode(buf []byte) {
 	buf[0] = byte(h.Kind)
 	binary.LittleEndian.PutUint64(buf[1:], h.Tag)
 	binary.LittleEndian.PutUint64(buf[9:], h.MsgID)
-	binary.LittleEndian.PutUint32(buf[17:], h.FragIdx)
-	binary.LittleEndian.PutUint32(buf[21:], h.FragCnt)
+	binary.LittleEndian.PutUint64(buf[17:], h.Floor)
 	binary.LittleEndian.PutUint32(buf[25:], h.Offset)
 	binary.LittleEndian.PutUint32(buf[29:], h.Total)
 }
@@ -113,13 +111,12 @@ func decodeHeader(buf []byte) (Header, error) {
 		return Header{}, fmt.Errorf("nmad: short header (%d bytes)", len(buf))
 	}
 	return Header{
-		Kind:    Kind(buf[0]),
-		Tag:     binary.LittleEndian.Uint64(buf[1:]),
-		MsgID:   binary.LittleEndian.Uint64(buf[9:]),
-		FragIdx: binary.LittleEndian.Uint32(buf[17:]),
-		FragCnt: binary.LittleEndian.Uint32(buf[21:]),
-		Offset:  binary.LittleEndian.Uint32(buf[25:]),
-		Total:   binary.LittleEndian.Uint32(buf[29:]),
+		Kind:   Kind(buf[0]),
+		Tag:    binary.LittleEndian.Uint64(buf[1:]),
+		MsgID:  binary.LittleEndian.Uint64(buf[9:]),
+		Floor:  binary.LittleEndian.Uint64(buf[17:]),
+		Offset: binary.LittleEndian.Uint32(buf[25:]),
+		Total:  binary.LittleEndian.Uint32(buf[29:]),
 	}, nil
 }
 

@@ -46,23 +46,14 @@ func (g *Gate) IsendDeadline(tag uint64, data []byte, deadline int64) *Request {
 func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 	e := g.eng
 	e.msgsSent.Add(1)
-	msgID := g.nextMsgID.Add(1)
 
 	if len(data) <= e.cfg.EagerThreshold {
 		e.eagerSent.Add(1)
-		if rec := e.rec; rec != nil {
-			// Open the whole-message span and the injection phase:
-			// submit → frame on the wire (the lane's wire-out hook,
-			// emit, closes it and opens the ack wait).
-			sid := g.spanID(trace.DirSend, 0, msgID)
-			req.traceID, req.traceRing = sid, int32(g.id)
-			rec.Record(g.id, trace.EvSendBegin, sid, uint64(len(data)))
-			rec.Record(g.id, trace.EvInjectBegin, sid, uint64(len(data)))
-		}
 		// Ack-tracked: the pending entry owns the request's completion
 		// (peer ack, sweep timeout, or wire failure), not the frame's
 		// wire-out.
-		if !e.trackEager(g, msgID, tag, data, req) {
+		msgID, ok := e.trackEager(g, tag, data, req)
+		if !ok {
 			req.complete(ErrClosed)
 			return
 		}
@@ -115,14 +106,6 @@ func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 		st.offer = appendOfferEntry(st.offer, deadlineRailSentinel, uint64(req.deadline))
 	}
 	e.rdvStarted.Add(1) // counted only once a handshake actually leaves
-	if rec := e.rec; rec != nil {
-		// Open the whole-message span and the handshake phase: RTS out
-		// → FIN back (the handshake span covers the whole transfer).
-		sid := g.spanID(trace.DirSend, 0, msgID)
-		req.traceID, req.traceRing = sid, int32(g.id)
-		rec.Record(g.id, trace.EvSendBegin, sid, uint64(len(data)))
-		rec.Record(g.id, trace.EvHandshakeBegin, sid, uint64(len(data)))
-	}
 	st.tag = tag
 	st.total = uint32(len(data))
 	st.deadline = e.tasks.Now() + e.cfg.RdvTimeout
@@ -133,6 +116,7 @@ func (g *Gate) injectSend(req *Request, tag uint64, data []byte) {
 		req.complete(ErrClosed)
 		return
 	}
+	msgID := g.drawMsgID(req, trace.EvHandshakeBegin, len(data))
 	g.sendRdv[msgID] = st
 	g.mu.Unlock()
 	g.push(pendingSend{hdr: Header{Kind: KindRTS, Tag: tag, MsgID: msgID, Total: uint32(len(data))}, ext: st.offer})
@@ -327,10 +311,10 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 	}
 	switch f.Hdr.Kind {
 	case KindEager:
-		e.recvEager(g, []inbound{{hdr: f.Hdr, payload: f.Payload}})
+		e.recvEager(g, f.Hdr.Floor, []inbound{{hdr: f.Hdr, payload: f.Payload}})
 
 	case KindAggr:
-		e.recvAggr(g, f.Payload)
+		e.recvAggr(g, f.Hdr.Floor, f.Payload)
 
 	case KindEagerAck:
 		e.eagerAcked(g, f.Hdr)
@@ -339,27 +323,29 @@ func (e *Engine) handleFrame(g *Gate, f Frame) {
 		// Retransmitted RTS frames must be idempotent: never re-match a
 		// live or settled handshake against a fresh receive.
 		g.mu.Lock()
+		g.recvWin.raise(f.Hdr.Floor)
+		accepted := g.recvWin.accepts(f.Hdr.MsgID)
 		live := g.rdvRecv[f.Hdr.MsgID] != nil
-		settled := g.settledRecv.has(f.Hdr.MsgID)
+		settled := g.recvWin.settled(f.Hdr.MsgID)
 		g.mu.Unlock()
-		if live {
-			// Nothing to answer: the reads are ours to drive, and the
-			// timeout sweep re-drives them.
-			return
-		}
-		if settled {
+		switch {
+		case !accepted || live:
+			// Malformed: a later retransmission retries it. Live: the
+			// reads are ours to drive, and the timeout sweep re-drives
+			// them.
+		case settled:
 			// The rendezvous already finished here; the sender is
 			// retrying because our FIN was lost. Re-send it.
 			g.sendControl(KindFin, f.Hdr.Tag, f.Hdr.MsgID, 0, 0)
-			return
+		default:
+			g.matchOrStash(inbound{hdr: f.Hdr, payload: nil, ext: f.Ext})
 		}
-		g.matchOrStash(inbound{hdr: f.Hdr, payload: nil, ext: f.Ext})
 
 	case KindFin:
 		// Rendezvous complete: the receiver has every byte, read
 		// straight out of our user buffer. Release the interned
 		// registrations and finish the send.
-		st, _ := g.takeSendRdv(f.Hdr.MsgID)
+		st := g.takeSendRdv(f.Hdr.MsgID)
 		if st == nil {
 			return
 		}
@@ -446,4 +432,20 @@ func unpackAggr(payload []byte, fn func(Header, []byte)) {
 		fn(Header{Kind: KindEager, Tag: tag, MsgID: msgID, Total: size}, payload[:size:size])
 		payload = payload[size:]
 	}
+}
+
+// drawMsgID draws the gate's next msgID for a send whose state the
+// caller records under the same g.mu hold, and opens the send's trace
+// span with its first phase (the eager injection, or the handshake:
+// RTS out → FIN back). Caller holds g.mu.
+func (g *Gate) drawMsgID(req *Request, phase trace.Kind, size int) uint64 {
+	g.lastMsgID++
+	id := g.lastMsgID
+	if rec := g.eng.rec; rec != nil {
+		sid := g.spanID(trace.DirSend, 0, id)
+		req.traceID, req.traceRing = sid, int32(g.id)
+		rec.Record(g.id, trace.EvSendBegin, sid, uint64(size))
+		rec.Record(g.id, phase, sid, uint64(size))
+	}
+	return id
 }

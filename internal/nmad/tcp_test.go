@@ -553,7 +553,7 @@ func TestDriverFramesPassThrough(t *testing.T) {
 					for i := range payload {
 						payload[i] = byte(i*3 + int(k))
 					}
-					hdr := Header{Kind: k, Tag: uint64(n), MsgID: 7, FragIdx: 1, FragCnt: 2, Offset: 3, Total: uint32(n)}
+					hdr := Header{Kind: k, Tag: uint64(n), MsgID: 7, Floor: 1<<40 | 2, Offset: 3, Total: uint32(n)}
 					if err := a.Send(hdr, payload); err != nil {
 						t.Fatalf("%v/%d: send: %v", k, n, err)
 					}

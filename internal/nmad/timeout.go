@@ -36,11 +36,12 @@ import (
 //
 // Retransmission makes duplicates a fact of life, so the protocol
 // handlers are hardened to be idempotent: a second RTS for a live
-// handshake is ignored instead of re-matched, a settled-rendezvous log
-// (bounded, per gate) lets late control frames for finished handshakes
-// be answered or ignored instead of NACKing a healthy peer, and a read
+// handshake is ignored instead of re-matched, an RTS the gate's receive
+// window (window.go) holds as settled is answered with its FIN again,
+// a FIN or NACK for a send already gone is ignored, and a read
 // completion counts only for a chunk still reading, so a re-posted read
-// cannot count its bytes twice.
+// cannot count its bytes twice. The sweep also computes each gate's
+// floor, which closes the holes in the peer's window (window.go).
 //
 // The clock is the task engine's (core.Config.Clock), so a
 // deterministic harness can run the whole state machine on a virtual
@@ -56,49 +57,6 @@ var ErrRdvTimeout = errors.New("nmad: rendezvous handshake timed out")
 // ErrCanceled reports a posted receive removed by Request.Cancel
 // before anything matched it.
 var ErrCanceled = errors.New("nmad: receive canceled")
-
-// settledLogSize bounds each settled-rendezvous log. Old entries are
-// evicted FIFO; a duplicate arriving after eviction is merely NACKed
-// like an unknown handshake, which the peer treats as a visible failure
-// rather than a hang — the log is an optimization for the common
-// duplicate window, not a correctness requirement.
-const settledLogSize = 512
-
-// settledLog remembers the msgIDs of one gate's recently finished
-// rendezvous halves (or delivered eager messages) so late or duplicated
-// frames can be recognized. Guarded by Gate.mu. Storage is allocated on
-// the first add: a gate that never settles anything — most gates of a
-// full-mesh cluster — carries three empty headers.
-type settledLog struct {
-	set  map[uint64]struct{}
-	ring []uint64
-	pos  int
-}
-
-// add records a settled id, evicting the oldest once full. False: id
-// was already recorded.
-func (l *settledLog) add(id uint64) bool {
-	if l.set == nil {
-		l.set = make(map[uint64]struct{}, settledLogSize)
-		l.ring = make([]uint64, settledLogSize)
-	}
-	if _, ok := l.set[id]; ok {
-		return false
-	}
-	if len(l.set) >= settledLogSize {
-		delete(l.set, l.ring[l.pos])
-	}
-	l.ring[l.pos] = id
-	l.pos = (l.pos + 1) % settledLogSize
-	l.set[id] = struct{}{}
-	return true
-}
-
-// has reports whether id settled recently.
-func (l *settledLog) has(id uint64) bool {
-	_, ok := l.set[id]
-	return ok
-}
 
 // retryTimer is the timeout state every in-flight protocol state
 // carries — a send rendezvous waiting on its FIN, a receive
@@ -203,10 +161,11 @@ func rearmSweep(t *core.Task) {
 	}
 }
 
-// sweepDeadlines scans every gate's rendezvous maps and eager pending
-// window for expired deadlines and acts: retransmit with backoff, or
-// fail visibly past the budget. Each family collects over all gates (in
-// id order, see sortActs) before any of its wire actions run.
+// sweepDeadlines scans every gate's eager pending window and rendezvous
+// maps for expired deadlines and acts: retransmit with backoff, or fail
+// visibly past the budget. Every gate is collected (in id order, see
+// sortActs) before any wire action runs, and the actions run by family:
+// eager, then send rendezvous, then receive rendezvous.
 func (e *Engine) sweepDeadlines() {
 	now := e.tasks.Now()
 	// The sweep's clock read doubles as the engine-liveness stamp
@@ -216,12 +175,11 @@ func (e *Engine) sweepDeadlines() {
 	if e.admit != nil {
 		e.sweepAdmit(now)
 	}
-	gates := e.Gates()
-	e.sweepEager(now, gates)
-	var sends, recvs []sweepAct
-	for _, g := range gates {
-		sends, recvs = g.dueRendezvous(now, sends, recvs)
+	var eager, sends, recvs []sweepAct
+	for _, g := range e.Gates() {
+		eager, sends, recvs = g.dueStates(now, eager, sends, recvs)
 	}
+	e.sweepEager(eager)
 	for _, a := range sends {
 		e.sweepSend(a)
 	}
@@ -230,14 +188,32 @@ func (e *Engine) sweepDeadlines() {
 	}
 }
 
-// dueRendezvous appends the gate's due send and receive rendezvous
-// halves to the two action lists, removing and settling the ones that
-// fail (a failed send's registrations are released on the spot).
-func (g *Gate) dueRendezvous(now int64, sends, recvs []sweepAct) ([]sweepAct, []sweepAct) {
+// dueStates appends the gate's due eager messages and send and receive
+// rendezvous halves to the three action lists, removing the ones that
+// fail (a failed send's registrations are released on the spot, a
+// failed receive is settled in the receive window). It also stores the
+// gate's floor: the lowest msgID it found in flight, or the next one to
+// be drawn (a send failed here is passed by the next sweep's floor).
+func (g *Gate) dueStates(now int64, eager, sends, recvs []sweepAct) ([]sweepAct, []sweepAct, []sweepAct) {
 	cfg := &g.eng.cfg
-	s0, r0 := len(sends), len(recvs)
+	e0, s0, r0 := len(eager), len(sends), len(recvs)
 	g.mu.Lock()
+	floor := g.lastMsgID + 1
+	for id, st := range g.eagerPend {
+		floor = min(floor, id)
+		a := sweepAct{g: g, msgID: id, tag: st.tag, req: st.req}
+		switch a.verdict = st.due(now, st.req.deadline, cfg); a.verdict {
+		case sweepWait:
+			continue
+		case sweepRetry:
+			a.data, a.retries = st.data, st.retries
+		default:
+			delete(g.eagerPend, id)
+		}
+		eager = append(eager, a)
+	}
 	for id, st := range g.sendRdv {
+		floor = min(floor, id)
 		a := sweepAct{g: g, msgID: id, tag: st.tag, req: st.req}
 		switch a.verdict = st.due(now, st.req.deadline, cfg); a.verdict {
 		case sweepWait:
@@ -256,7 +232,6 @@ func (g *Gate) dueRendezvous(now int64, sends, recvs []sweepAct) ([]sweepAct, []
 			a.offer = append([]byte(nil), st.offer...)
 		default:
 			delete(g.sendRdv, id)
-			g.settledSend.add(id)
 			st.releaseRegs()
 		}
 		sends = append(sends, a)
@@ -280,15 +255,17 @@ func (g *Gate) dueRendezvous(now int64, sends, recvs []sweepAct) ([]sweepAct, []
 			// deadline passed: stop reading bytes whose submitter has
 			// already given up.
 			delete(g.rdvRecv, id)
-			g.settledRecv.add(id)
+			g.recvWin.add(id)
 			st.markFailed()
 		}
 		recvs = append(recvs, a)
 	}
+	g.floor.Store(floor)
 	g.mu.Unlock()
+	sortActs(eager[e0:])
 	sortActs(sends[s0:])
 	sortActs(recvs[r0:])
-	return sends, recvs
+	return eager, sends, recvs
 }
 
 // sweepSend acts on one due send rendezvous: re-send the RTS, or fail
@@ -333,34 +310,14 @@ func (e *Engine) sweepRecv(a sweepAct) {
 	e.reissue(g, st, func(c *rdvChunk) bool { return c.state != chunkDone })
 }
 
-// sweepEager is the eager half of the deadline sweep: retransmit
-// unacknowledged eager messages with exponential backoff, and past the
-// retry budget fail them visibly with ErrEagerTimeout. One gate's
-// retransmissions go onto its lane together, in msgID order, so under
-// StrategyAggreg they pack into aggregates like first sends. A
-// retransmission racing the original's late ack is harmless: the
-// receiver's dedup log drops the payload and re-acks, and the second
-// ack finds no pending entry.
-func (e *Engine) sweepEager(now int64, gates []*Gate) {
-	var acts []sweepAct
-	for _, g := range gates {
-		from := len(acts)
-		g.mu.Lock()
-		for id, st := range g.eagerPend {
-			a := sweepAct{g: g, msgID: id, tag: st.tag, req: st.req}
-			switch a.verdict = st.due(now, st.req.deadline, &e.cfg); a.verdict {
-			case sweepWait:
-				continue
-			case sweepRetry:
-				a.data, a.retries = st.data, st.retries
-			default:
-				delete(g.eagerPend, id)
-			}
-			acts = append(acts, a)
-		}
-		g.mu.Unlock()
-		sortActs(acts[from:])
-	}
+// sweepEager acts on the due eager messages: retransmit them with
+// exponential backoff, and past the retry budget fail them visibly with
+// ErrEagerTimeout. One gate's retransmissions go onto its lane
+// together, in msgID order, so under StrategyAggreg they pack into
+// aggregates like first sends. A retransmission racing the original's
+// late ack is harmless: the receiver's window drops the payload and
+// re-acks, and the second ack finds no pending entry.
+func (e *Engine) sweepEager(acts []sweepAct) {
 	var retries []pendingSend
 	for i, a := range acts {
 		g := a.g

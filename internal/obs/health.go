@@ -13,11 +13,9 @@ import (
 // returns nil when healthy; the endpoint reports 200 only when every
 // probe passes. Safe for concurrent use.
 type Health struct {
-	mu        sync.Mutex
-	names     []string
-	probes    []func() error
-	infoNames []string
-	infos     []func() string
+	mu     sync.Mutex
+	names  []string
+	probes []func() error
 }
 
 // NewHealth returns an empty probe set (which reports healthy).
@@ -31,25 +29,12 @@ func (h *Health) Register(name string, probe func() error) {
 	h.mu.Unlock()
 }
 
-// RegisterInfo adds a named informational line to the /healthz report.
-// Info never affects overall health: it exists for states that are
-// abnormal but alive — an engine shedding load in degraded mode is
-// degraded, not dead, and must not flip the endpoint to 503.
-func (h *Health) RegisterInfo(name string, info func() string) {
-	h.mu.Lock()
-	h.infoNames = append(h.infoNames, name)
-	h.infos = append(h.infos, info)
-	h.mu.Unlock()
-}
-
 // Check runs every probe and returns overall health plus a one-line-
-// per-probe report, followed by the informational lines.
+// per-probe report.
 func (h *Health) Check() (ok bool, report string) {
 	h.mu.Lock()
 	names := append([]string(nil), h.names...)
 	probes := append([]func() error(nil), h.probes...)
-	infoNames := append([]string(nil), h.infoNames...)
-	infos := append([]func() string(nil), h.infos...)
 	h.mu.Unlock()
 	ok = true
 	for i, p := range probes {
@@ -59,9 +44,6 @@ func (h *Health) Check() (ok bool, report string) {
 		} else {
 			report += names[i] + ": ok\n"
 		}
-	}
-	for i, f := range infos {
-		report += fmt.Sprintf("%s: %s\n", infoNames[i], f())
 	}
 	return ok, report
 }
@@ -91,26 +73,5 @@ func NmadLiveness(e *nmad.Engine, clock func() int64, window time.Duration) func
 			return fmt.Errorf("progression last ran %v ago (window %v)", time.Duration(age), window)
 		}
 		return nil
-	}
-}
-
-// NmadAdmission reports an engine's admission plane for the /healthz
-// info section: budget occupancy, parked submissions, and the degraded
-// flag. Degraded means the engine is deliberately shedding load while
-// its inflight drains back under the low watermark — a state to alarm
-// on, not a liveness failure, so it rides RegisterInfo and never turns
-// the endpoint unhealthy.
-func NmadAdmission(e *nmad.Engine) func() string {
-	return func() string {
-		ai := e.AdmitInfo()
-		if !ai.Enabled {
-			return "admission off"
-		}
-		state := "healthy"
-		if ai.Degraded {
-			state = "degraded (shedding load, not dead)"
-		}
-		return fmt.Sprintf("%s; inflight %d/%d requests, %d/%d bytes; %d waiting",
-			state, ai.Requests, ai.MaxRequests, ai.Bytes, ai.MaxBytes, ai.Waiting)
 	}
 }

@@ -98,15 +98,6 @@ func (m Migration) HitRate() float64 {
 	return float64(m.Hits) / float64(m.Attempts)
 }
 
-// TasksPerHit returns the average number of tasks one successful steal
-// migrated — the realized steal batch size. Zero hits yield 0.
-func (m Migration) TasksPerHit() float64 {
-	if m.Hits == 0 {
-		return 0
-	}
-	return float64(m.Tasks) / float64(m.Hits)
-}
-
 // StolenFraction returns the share of the given total executions that
 // were stolen-task executions. Zero total yields 0.
 func (m Migration) StolenFraction(totalExecutions uint64) float64 {

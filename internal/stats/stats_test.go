@@ -149,15 +149,12 @@ func TestImbalance(t *testing.T) {
 
 func TestMigration(t *testing.T) {
 	var zero Migration
-	if zero.HitRate() != 0 || zero.TasksPerHit() != 0 || zero.StolenFraction(0) != 0 {
+	if zero.HitRate() != 0 || zero.StolenFraction(0) != 0 {
 		t.Error("zero Migration must yield zero rates")
 	}
 	m := Migration{Attempts: 8, Hits: 6, Tasks: 48}
 	if got := m.HitRate(); got != 0.75 {
 		t.Errorf("HitRate = %v, want 0.75", got)
-	}
-	if got := m.TasksPerHit(); got != 8 {
-		t.Errorf("TasksPerHit = %v, want 8", got)
 	}
 	if got := m.StolenFraction(96); got != 0.5 {
 		t.Errorf("StolenFraction = %v, want 0.5", got)

@@ -74,9 +74,6 @@ func (n *Node) String() string {
 	return fmt.Sprintf("%s#%d cpuset=%s", name, n.Index, n.CPUSet)
 }
 
-// IsLeaf reports whether the node is a Core (has no children).
-func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
-
 // Topology is an immutable machine description.
 type Topology struct {
 	Name  string
@@ -100,17 +97,6 @@ func (t *Topology) CoreNode(cpu int) *Node {
 
 // Nodes returns every node in depth-first pre-order (root first).
 func (t *Topology) Nodes() []*Node { return t.nodes }
-
-// NumLevels returns the number of distinct depths in the tree.
-func (t *Topology) NumLevels() int {
-	max := 0
-	for _, n := range t.nodes {
-		if n.Depth > max {
-			max = n.Depth
-		}
-	}
-	return max + 1
-}
 
 // FindCovering returns the deepest node whose CPU set is a superset of cs.
 // This is the queue-placement rule of the paper: a task restricted to cs

@@ -92,7 +92,7 @@ func TestCoreNodes(t *testing.T) {
 		if !core.CPUSet.Equal(cpuset.New(cpu)) {
 			t.Errorf("core %d cpuset = %s", cpu, core.CPUSet)
 		}
-		if !core.IsLeaf() {
+		if len(core.Children) != 0 {
 			t.Errorf("core %d is not a leaf", cpu)
 		}
 	}
@@ -274,12 +274,19 @@ func TestStringRendering(t *testing.T) {
 }
 
 func TestNumLevels(t *testing.T) {
+	levels := func(t *Topology) int {
+		n := 0
+		for _, node := range t.Nodes() {
+			n = max(n, node.Depth+1)
+		}
+		return n
+	}
 	// kwak: Machine > NUMA > L3 > Core = 4 levels.
-	if got := Kwak().NumLevels(); got != 4 {
+	if got := levels(Kwak()); got != 4 {
 		t.Errorf("kwak levels = %d, want 4", got)
 	}
 	// borderline: Machine > NUMA > Core = 3 levels.
-	if got := Borderline().NumLevels(); got != 3 {
+	if got := levels(Borderline()); got != 3 {
 		t.Errorf("borderline levels = %d, want 3", got)
 	}
 }

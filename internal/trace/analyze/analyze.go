@@ -75,7 +75,7 @@ const (
 	// HeadOfLineBlocked: the receiver spent ≥ half its lifetime in
 	// match wait AND that wait is a ≥4× outlier against the stream's
 	// median match wait — the frame was behind something (a
-	// settled-log dup, an unmatched queue) rather than on the wire.
+	// duplicate, an unmatched queue) rather than on the wire.
 	// The outlier gate keeps ordinary eager messages (whose only
 	// receiver phase is the match wait) from all flagging.
 	HeadOfLineBlocked Anomaly = "head-of-line-blocked"

@@ -294,9 +294,6 @@ func SpanPeer(id uint64) int { return int(id >> spanPeerShift & spanNodeMask) }
 // SpanDir returns DirSend or DirRecv.
 func SpanDir(id uint64) uint64 { return id >> spanDirShift & 1 }
 
-// SpanAux returns the aux byte (chunk ordinal on chunk spans).
-func SpanAux(id uint64) uint8 { return uint8(id >> spanAuxShift & spanAuxMask) }
-
 // SpanMsgID returns the sender-assigned message id (33 bits).
 func SpanMsgID(id uint64) uint64 { return id & spanMsgMask }
 

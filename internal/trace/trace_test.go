@@ -243,9 +243,9 @@ func TestPackSpanID(t *testing.T) {
 	for _, c := range cases {
 		id := PackSpanID(c.node, c.peer, c.dir, c.aux, c.msgID)
 		if SpanNode(id) != c.node || SpanPeer(id) != c.peer ||
-			SpanDir(id) != c.dir || SpanAux(id) != c.aux || SpanMsgID(id) != c.msgID {
-			t.Fatalf("pack(%+v) = %#x, unpacked to node=%d peer=%d dir=%d aux=%d msg=%d",
-				c, id, SpanNode(id), SpanPeer(id), SpanDir(id), SpanAux(id), SpanMsgID(id))
+			SpanDir(id) != c.dir || uint8(id>>spanAuxShift&spanAuxMask) != c.aux || SpanMsgID(id) != c.msgID {
+			t.Fatalf("pack(%+v) = %#x, unpacked to node=%d peer=%d dir=%d msg=%d",
+				c, id, SpanNode(id), SpanPeer(id), SpanDir(id), SpanMsgID(id))
 		}
 	}
 	// Sender's id (node=src, peer=dst, send) and receiver's id
